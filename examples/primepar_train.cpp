@@ -23,8 +23,9 @@
  * hit rate) to a primepar-metrics-v1 JSON file.
  *
  * Communication: ring shifts overlap with compute by default
- * (--no-overlap forces the serial barrier pipeline — useful for A/B
- * timing; both produce bit-identical results). --codec compresses
+ * (--no-overlap runs each step's shifts inline after compute instead
+ * of on the comm thread — useful for A/B timing; both move the same
+ * transfers in the same order and produce bit-identical results). --codec compresses
  * wire traffic per channel (see CodecConfig::parse), e.g.:
  *   --codec pack                  # lossless bit-packing, everywhere
  *   --codec "ring=pack,allreduce=bf16"
@@ -146,6 +147,9 @@ parseArgs(int argc, char **argv)
                 " [--no-overlap]\n"
                 "            [--trace-out FILE]"
                 " [--metrics-out FILE]\n"
+                "--no-overlap runs ring shifts inline after compute"
+                " instead of on the comm\n"
+                "            thread (same transfers, same bits)\n"
                 "exit codes: 0 ok, 1 internal, 2 usage, 3 transient"
                 " fault,\n"
                 "            4 device lost, 5 checkpoint, 6 fenced\n");

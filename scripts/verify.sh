@@ -35,8 +35,15 @@
 #      through candidate-position indirection, and the plan store
 #      decodes raw mmap'd bytes: exactly where lifetime and
 #      out-of-bounds bugs would hide.
+#   6. Configure + build a ThreadSanitizer tree (build-tsan/) with
+#      -DPRIMEPAR_SANITIZE=thread and run the Parallel.*,
+#      SpmdExecutor.*, Transport.*, Trainer.* and GraphExecutor.*
+#      suites there: the thread pool's completion handshake, and the
+#      executor's comm worker running a step's shift batch while the
+#      compute pool accumulates, joined before the commit. Any race
+#      report fails the gate.
 #
-# --quick skips the sanitizer rebuild when build-asan/ is already
+# --quick skips a sanitizer reconfigure when its build tree is already
 # configured. Exits non-zero on the first failure.
 
 set -eu
@@ -310,5 +317,19 @@ cmake --build "$ROOT/build-asan" -j"$(nproc)" \
 echo "== sanitizer: fault + codec + planner + dist + serve tests =="
 ctest --test-dir "$ROOT/build-asan" --output-on-failure \
     -L 'fault|codec|planner|dist|serve' -j"$(nproc)"
+
+echo "== sanitizer (TSan): configure + build =="
+if [ "$QUICK" -eq 0 ] || [ ! -f "$ROOT/build-tsan/CMakeCache.txt" ]; then
+    cmake -B "$ROOT/build-tsan" -S "$ROOT" \
+        -DPRIMEPAR_SANITIZE=thread > /dev/null
+fi
+cmake --build "$ROOT/build-tsan" -j"$(nproc)" \
+    --target test_support test_runtime test_fault test_graph_executor
+
+echo "== sanitizer (TSan): pool + executor + transport + trainer tests =="
+TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
+    ctest --test-dir "$ROOT/build-tsan" --output-on-failure \
+    -R '^(Parallel|SpmdExecutor|Transport|Trainer|GraphExecutor)\.' \
+    -j"$(nproc)"
 
 echo "verify.sh: all gates passed"

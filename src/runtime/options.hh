@@ -39,11 +39,10 @@ struct ExecutionOptions
     /** Worker threads: 0 = all hardware threads, 1 = serial. Results
      *  are bit-identical at every setting. */
     int numThreads = 1;
-    /** Overlap ring communication with compute on a dedicated comm
-     *  worker. Construction-time only — the executors size their comm
-     *  pipeline from it and expose no post-construction toggle.
-     *  Bit-identical to the synchronous path; off restores strictly
-     *  step-synchronous transfers (mainly for A/B benchmarking). */
+    /** Run each step's operand shifts on a dedicated comm worker
+     *  while the step computes; off runs the same staged batch inline
+     *  after compute (the A/B baseline of the overlap benchmarks).
+     *  Construction-time only. Bit-identical either way. */
     bool overlapComm = true;
     /** Device ranks this process materializes tensor data for. The
      *  default span covers every rank (replicated execution); sharded

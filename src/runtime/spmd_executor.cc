@@ -27,12 +27,18 @@ SpmdOpExecutor::SpmdOpExecutor(OpSpec op_in, PartitionSeq seq_in,
     for (std::size_t p = 0; p < op.passes.size(); ++p)
         passComms.push_back(
             derivePassComm(op, seq, dsiTable, static_cast<int>(p)));
+    for (std::size_t t = 0; t < op.tensors.size(); ++t)
+        for (bool grad : {false, true})
+            names.push_back(op.refName({static_cast<int>(t), grad}));
+    stores.resize(names.size());
 }
 
-std::string
-SpmdOpExecutor::refKey(const TensorRef &ref) const
+int
+SpmdOpExecutor::idByName(const std::string &name) const
 {
-    return op.refName(ref);
+    const auto it = std::find(names.begin(), names.end(), name);
+    return it == names.end() ? -1
+                             : static_cast<int>(it - names.begin());
 }
 
 void
@@ -100,7 +106,8 @@ SpmdOpExecutor::scatter(const TensorRef &ref, const Tensor &full,
     TensorStore store(dsiTable.numDevices());
     const bool tracing = observed();
     const std::string label =
-        tracing ? op.name + " scatter " + refKey(ref) : std::string();
+        tracing ? op.name + " scatter " + names[tensorId(ref)]
+                : std::string();
     // Each device fills only its own slot; sliceFor/tupleAt are pure
     // reads of the DSI table. onSpan is declared concurrency-safe.
     // Every rank gets its partition tuple; only owned ranks pay for
@@ -117,21 +124,16 @@ SpmdOpExecutor::scatter(const TensorRef &ref, const Tensor &full,
                         observers.onSpan(d, SpanKind::Redist, label, t0,
                                          observerNowUs());
                 });
-    stores[refKey(ref)] = std::move(store);
+    stores[tensorId(ref)] = std::move(store);
 }
 
 Tensor
 SpmdOpExecutor::gather(const TensorRef &ref) const
 {
-    const auto it = stores.find(refKey(ref));
-    PRIMEPAR_ASSERT(it != stores.end(), "gather of absent tensor ",
-                    refKey(ref));
-    const TensorStore &store = it->second;
-
-    Shape shape;
-    for (int d : op.tensors[ref.tensor].dims)
-        shape.push_back(op.dims[d].size);
-    Tensor full(shape);
+    const std::string &name = names[tensorId(ref)];
+    const TensorStore &store = stores[tensorId(ref)];
+    PRIMEPAR_ASSERT(!store.empty(), "gather of absent tensor ", name);
+    Tensor full(fullShape(ref));
 
     const auto &dims = op.tensors[ref.tensor].dims;
     std::vector<std::int64_t> extents;
@@ -160,7 +162,7 @@ SpmdOpExecutor::gather(const TensorRef &ref) const
                 if (peer.owns(dev) || peer.count <= 0)
                     continue;
                 TransferTag tag;
-                tag.tensor = refKey(ref);
+                tag.tensor = name;
                 tag.channel = "gather";
                 tag.phase = Phase::Forward;
                 tag.temporalStep = 0;
@@ -173,7 +175,7 @@ SpmdOpExecutor::gather(const TensorRef &ref) const
             PRIMEPAR_ASSERT(transport, "gather of non-owned device ",
                             dev, " without a transport");
             TransferTag tag;
-            tag.tensor = refKey(ref);
+            tag.tensor = name;
             tag.channel = "gather";
             tag.phase = Phase::Forward;
             tag.temporalStep = 0;
@@ -196,97 +198,29 @@ SpmdOpExecutor::fullShape(const TensorRef &ref) const
     return shape;
 }
 
-void
-SpmdOpExecutor::applyShifts(const std::vector<ShiftSet> &shifts,
-                            Phase phase, int to_t, const char *channel)
+SpmdOpExecutor::ShiftBatch
+SpmdOpExecutor::stageShifts(const std::vector<ShiftSet> &shifts,
+                            const char *channel, Phase phase, int to_t)
 {
-    const bool tracing = observed();
+    ShiftBatch batch;
+    batch.channel = channel;
+    batch.phase = phase;
+    batch.toT = to_t;
+    batch.traced = observed();
     for (const ShiftSet &set : shifts) {
-        auto it = stores.find(refKey(set.tensor));
-        PRIMEPAR_ASSERT(it != stores.end(), "shift of absent tensor ",
-                        refKey(set.tensor));
-        TensorStore &store = it->second;
-        const std::string label =
-            tracing ? std::string(channel) + " " + refKey(set.tensor)
-                    : std::string();
-        // Double buffering: all sends read the pre-shift state. (With
-        // a sharded span the snapshot deep-copies only the owned
-        // slots — the rest carry empty data and a tuple.)
-        const TensorStore snapshot = store;
-        for (const Transfer &tr : set.transfers) {
-            const double t0 = tracing ? observerNowUs() : 0.0;
-            const bool send_local = ownsDev(tr.sender);
-            const bool recv_local = ownsDev(tr.receiver);
-            if (transport && (send_local || recv_local)) {
-                TransferTag tag;
-                tag.tensor = refKey(set.tensor);
-                tag.channel = channel;
-                tag.phase = phase;
-                tag.temporalStep = to_t;
-                tag.sender = tr.sender;
-                tag.receiver = tr.receiver;
-                if (send_local && !recv_local) {
-                    // Wire send only: the delivered copy materializes
-                    // on the owning peer, not here.
-                    Tensor scratch;
-                    const TransferReceipt receipt =
-                        transport->transferInto(
-                            tag, snapshot[tr.sender].data, scratch);
-                    commStats.wireBytes += receipt.wireBytes;
-                } else {
-                    // Local or wire receive; an empty payload tells
-                    // the transport to take the byte count from the
-                    // (same-extent) destination slot.
-                    const Tensor empty;
-                    const Tensor &payload =
-                        send_local ? snapshot[tr.sender].data : empty;
-                    const TransferReceipt receipt =
-                        transport->transferInto(
-                            tag, payload, store[tr.receiver].data);
-                    commStats.wireBytes += receipt.wireBytes;
-                }
-                store[tr.receiver].tuple = snapshot[tr.sender].tuple;
-            } else if (!transport) {
-                store[tr.receiver] = snapshot[tr.sender];
-            } else {
-                // Neither endpoint is owned: the values move between
-                // two other workers; only the tuple advances here.
-                store[tr.receiver].tuple = snapshot[tr.sender].tuple;
-            }
-            if (tracing)
-                observers.onSpan(tr.receiver, SpanKind::Ring, label, t0,
-                                 observerNowUs());
-        }
-        commStats.ringElements +=
-            set.elementsPerTransfer *
-            static_cast<std::int64_t>(set.transfers.size());
-    }
-}
-
-void
-SpmdOpExecutor::postRingShifts(RingBatch &batch,
-                               const std::vector<ShiftSet> &shifts,
-                               Phase phase, int to_t)
-{
-    const bool tracing = observed();
-    for (const ShiftSet &set : shifts) {
-        const std::string key = refKey(set.tensor);
-        const auto it = stores.find(key);
-        PRIMEPAR_ASSERT(it != stores.end(), "shift of absent tensor ",
-                        key);
-        TensorStore &store = it->second;
-        const std::string label =
-            tracing ? "ring " + key : std::string();
+        const int id = tensorId(set.tensor);
+        TensorStore &store = stores[id];
+        PRIMEPAR_ASSERT(!store.empty(), "shift of absent tensor ",
+                        names[id]);
         for (const Transfer &tr : set.transfers) {
             PendingRecv recv;
-            recv.set = &set;
+            recv.id = id;
             recv.src = &store[tr.sender].data;
+            recv.sender = tr.sender;
             recv.receiver = tr.receiver;
-            recv.label = label;
-            // The pre-shift tuple, captured now: the store slots are
-            // not rewritten until the commit, so this is the same
-            // snapshot semantics as the synchronous path — without
-            // the snapshot's deep copy of the whole store.
+            // The pre-shift tuple: no slot is rewritten before the
+            // commit, so every send reads the pre-shift state without
+            // a snapshot copy of the store.
             recv.tuple = store[tr.sender].tuple;
             const bool send_local = ownsDev(tr.sender);
             const bool recv_local = ownsDev(tr.receiver);
@@ -298,93 +232,84 @@ SpmdOpExecutor::postRingShifts(RingBatch &batch,
             if (recv_local && !send_local)
                 // Pre-size the staging buffer: the wire receive takes
                 // its expected byte count from the destination, and
-                // ring slices share the receiver slot's extents.
+                // shifted slices share the receiver slot's extents.
                 recv.staged = Tensor(store[tr.receiver].data.shape());
-            if (transport) {
-                recv.tag.tensor = key;
-                recv.tag.channel = "ring";
-                recv.tag.phase = phase;
-                recv.tag.temporalStep = to_t;
-                recv.tag.sender = tr.sender;
-                recv.tag.receiver = tr.receiver;
-            }
             batch.recvs.push_back(std::move(recv));
         }
         batch.elements +=
             set.elementsPerTransfer *
             static_cast<std::int64_t>(set.transfers.size());
     }
-
-    // One task for the whole step's ring traffic: the transport sees
-    // the same serial transfer order as the synchronous path, just on
-    // the comm thread instead of between compute sections. A transfer
-    // fault escapes the task and resurfaces at the wait() inside
-    // commitRingShifts() — within the same step journal.
-    commWorker.post([this, &batch, tracing] {
-        for (PendingRecv &recv : batch.recvs) {
-            const double t0 = tracing ? observerNowUs() : 0.0;
-            if (transport && recv.doTransfer) {
-                const TransferReceipt receipt = transport->transferInto(
-                    recv.tag, *recv.src, recv.staged);
-                batch.wireBytes += receipt.wireBytes;
-            } else if (!transport) {
-                recv.staged = *recv.src;
-            }
-            if (tracing)
-                observers.onSpan(recv.receiver, SpanKind::Ring,
-                                 recv.label, t0, observerNowUs());
-        }
-    });
+    return batch;
 }
 
 void
-SpmdOpExecutor::commitRingShifts(RingBatch &batch)
+SpmdOpExecutor::runShifts(ShiftBatch &batch)
 {
-    // The join: rethrows a posted-ahead transfer's fault into the
-    // step journal before any staged value becomes visible, so a
-    // rollback re-executes exactly this step. The RingJoin span is
-    // the exposed (un-hidden) part of the posted transfer time —
-    // what overlapStats() charges against the overlap budget.
-    const bool tracing = observed();
-    const double t0 = tracing ? observerNowUs() : 0.0;
-    commWorker.wait();
-    if (tracing)
-        observers.onSpan(0, SpanKind::RingJoin, "ring join", t0,
-                         observerNowUs());
+    // A transfer fault escapes to the step journal: directly when the
+    // batch runs inline, at the join's wait() when it was posted.
     for (PendingRecv &recv : batch.recvs) {
-        TensorStore &store = stores.at(refKey(recv.set->tensor));
+        const double t0 = batch.traced ? observerNowUs() : 0.0;
+        if (transport && recv.doTransfer) {
+            TransferTag tag;
+            tag.tensor = names[recv.id];
+            tag.channel = batch.channel;
+            tag.phase = batch.phase;
+            tag.temporalStep = batch.toT;
+            tag.sender = recv.sender;
+            tag.receiver = recv.receiver;
+            batch.wireBytes +=
+                transport->transferInto(tag, *recv.src, recv.staged)
+                    .wireBytes;
+        } else if (!transport) {
+            recv.staged = *recv.src;
+        }
+        if (batch.traced)
+            observers.onSpan(recv.receiver, SpanKind::Ring,
+                             std::string(batch.channel) + " " +
+                                 names[recv.id],
+                             t0, observerNowUs());
+    }
+}
+
+void
+SpmdOpExecutor::commitShifts(ShiftBatch &batch)
+{
+    for (PendingRecv &recv : batch.recvs) {
+        DeviceSlot &slot = stores[recv.id][recv.receiver];
         if (recv.commitData)
-            store[recv.receiver].data = std::move(recv.staged);
-        store[recv.receiver].tuple = std::move(recv.tuple);
+            slot.data = std::move(recv.staged);
+        slot.tuple = std::move(recv.tuple);
     }
     commStats.ringElements += batch.elements;
     commStats.wireBytes += batch.wireBytes;
 }
 
 void
-SpmdOpExecutor::runJournaled(const std::function<void()> &body)
+SpmdOpExecutor::runJournaled(int out_id,
+                             const std::function<void()> &body)
 {
     if (!(transport && transport->faultTolerant())) {
         body();
         return;
     }
-    // Bounded in-flight log: one temporal step's worth of mutable
-    // device state. A transfer whose retry budget is exhausted unwinds
-    // here; the step is rolled back and re-executed from the journal.
+    // Bounded undo log: one step's in-place writes. A transfer whose
+    // retry budget is exhausted unwinds here; the step is rolled back
+    // and re-executed from the log.
     constexpr int kMaxStepRetries = 3;
     for (int tries = 0;; ++tries) {
-        auto stores_journal = stores;
-        auto aux_journal = aux;
-        const CommStats stats_journal = commStats;
+        TensorStore out_log = stores[out_id];
+        LayerNormAux aux_log = aux;
+        const CommVolume volume_log = commStats;
         try {
             body();
             return;
         } catch (const TransientFaultError &err) {
             if (tries >= kMaxStepRetries)
                 throw;
-            stores = std::move(stores_journal);
-            aux = std::move(aux_journal);
-            commStats = stats_journal;
+            stores[out_id] = std::move(out_log);
+            aux = std::move(aux_log);
+            commStats = volume_log;
             if (health) {
                 ++health->stepRollbacks;
                 health->recordEvent(
@@ -400,15 +325,13 @@ SpmdOpExecutor::runJournaled(const std::function<void()> &body)
 }
 
 Tensor
-SpmdOpExecutor::computeLocal(const PassSpec &pass, std::int64_t dev,
-                             int t)
+SpmdOpExecutor::computeLocal(const PassSpec &pass, std::int64_t dev)
 {
-    (void)t;
     auto slot = [&](const TensorRef &ref) -> const Tensor & {
-        const auto it = stores.find(refKey(ref));
-        PRIMEPAR_ASSERT(it != stores.end(), "operand ", refKey(ref),
-                        " missing on device ", dev);
-        return it->second[dev].data;
+        const TensorStore &store = stores[tensorId(ref)];
+        PRIMEPAR_ASSERT(!store.empty(), "operand ",
+                        names[tensorId(ref)], " missing on device ", dev);
+        return store[dev].data;
     };
     auto operand_by_grad = [&](bool grad) -> const TensorRef & {
         for (const TensorRef &ref : pass.operands) {
@@ -484,8 +407,8 @@ SpmdOpExecutor::computeLocal(const PassSpec &pass, std::int64_t dev,
                 layerNormForward(x, gamma, beta);
             // Stores were pre-sized serially in runPass(); only this
             // device's slot is written here (parallel-safe).
-            aux.at("ln_mean")[dev].data = res.mean;
-            aux.at("ln_inv")[dev].data = res.inv_std;
+            aux.mean[dev].data = res.mean;
+            aux.invStd[dev].data = res.inv_std;
             return res.output;
         }
         if (pass.phase == Phase::Backward) {
@@ -493,21 +416,19 @@ SpmdOpExecutor::computeLocal(const PassSpec &pass, std::int64_t dev,
             const Tensor &gamma = slot(gamma_ref);
             const Tensor &dy = slot(operand_by_grad(true));
             LayerNormResult fwd;
-            PRIMEPAR_ASSERT(aux.count("ln_mean") &&
-                                aux.at("ln_mean")[dev].data.numel() > 0,
+            PRIMEPAR_ASSERT(aux.mean[dev].data.numel() > 0,
                             "layernorm backward before forward");
-            fwd.mean = aux.at("ln_mean")[dev].data;
-            fwd.inv_std = aux.at("ln_inv")[dev].data;
+            fwd.mean = aux.mean[dev].data;
+            fwd.inv_std = aux.invStd[dev].data;
             LayerNormGrads grads =
                 layerNormBackward(x, fwd, gamma, dy);
-            aux.at("ln_dgamma")[dev].data = std::move(grads.d_gamma);
+            aux.dGamma[dev].data = std::move(grads.d_gamma);
             return grads.d_input;
         }
         // Gradient: the gamma gradient cached during backward.
-        PRIMEPAR_ASSERT(aux.count("ln_dgamma") &&
-                            aux.at("ln_dgamma")[dev].data.numel() > 0,
+        PRIMEPAR_ASSERT(aux.dGamma[dev].data.numel() > 0,
                         "layernorm gradient before backward");
-        return aux.at("ln_dgamma")[dev].data;
+        return aux.dGamma[dev].data;
     }
     PRIMEPAR_PANIC("SpmdOpExecutor does not execute kind ", op.kind);
 }
@@ -520,21 +441,23 @@ SpmdOpExecutor::runPass(int pass_index,
     const PassComm &comm = passComms[pass_index];
     const int steps = dsiTable.steps();
     const bool tracing = observed();
+    const int out_id = tensorId(pass.output);
 
     // Pre-size auxiliary stores before any parallel region: a lazy
     // resize inside computeLocal would be a structural data race once
     // devices run concurrently.
-    if (op.kind == "layernorm" && !aux.count("ln_mean")) {
-        aux["ln_mean"].resize(dsiTable.numDevices());
-        aux["ln_inv"].resize(dsiTable.numDevices());
-        aux["ln_dgamma"].resize(dsiTable.numDevices());
+    if (op.kind == "layernorm" && aux.mean.empty()) {
+        aux.mean.resize(dsiTable.numDevices());
+        aux.invStd.resize(dsiTable.numDevices());
+        aux.dGamma.resize(dsiTable.numDevices());
     }
 
     // Position operands: scatter on first use; otherwise the stashed
     // distribution must already align (operational feature 3).
     for (const TensorRef &ref : pass.operands) {
-        const std::string key = refKey(ref);
-        if (!stores.count(key)) {
+        const std::string &key = names[tensorId(ref)];
+        const TensorStore &store = stores[tensorId(ref)];
+        if (store.empty()) {
             const auto it = inputs.find(key);
             if (it == inputs.end())
                 throw InputError(op.name, phaseName(pass.phase), key,
@@ -547,13 +470,19 @@ SpmdOpExecutor::runPass(int pass_index,
         }
         for (std::int64_t dev = 0; dev < dsiTable.numDevices(); ++dev) {
             PRIMEPAR_ASSERT(
-                stores[key][dev].tuple ==
-                    tupleAt(ref, pass.phase, dev, 0),
+                store[dev].tuple == tupleAt(ref, pass.phase, dev, 0),
                 "stashed tensor ", key, " misaligned entering ",
                 phaseName(pass.phase), " on device ", dev,
                 " (feature 3 violated)");
         }
     }
+    // The step shifts never move the pass output (accumulator moves
+    // are accShifts). That is what keeps operand receives out of the
+    // undo log and makes running them alongside compute legal.
+    for (const auto &sets : comm.stepShifts)
+        for (const ShiftSet &set : sets)
+            PRIMEPAR_ASSERT(tensorId(set.tensor) != out_id,
+                            "step shift of the pass output");
 
     // Fresh zero accumulators tagged with the step-0 output block.
     Shape acc_shape;
@@ -568,18 +497,19 @@ SpmdOpExecutor::runPass(int pass_index,
                     acc[dev].tuple =
                         tupleAt(pass.output, pass.phase, d, 0);
                 });
-    const std::string out_key = refKey(pass.output);
-    stores[out_key] = std::move(acc);
+    stores[out_id] = std::move(acc);
 
     for (int t = 0; t < steps; ++t) {
-        // A rollback restores the whole store map, so the output store
-        // must be re-looked-up inside each (re-)execution of the step.
-        runJournaled([&] {
-            TensorStore &out_store = stores.at(out_key);
-            if (t > 0 && !comm.accShifts[t - 1].empty()) {
-                applyShifts(comm.accShifts[t - 1], pass.phase, t,
-                            "acc");
+        runJournaled(out_id, [&] {
+            // Accumulator migrations run inline at step start: they
+            // move the very store this step accumulates into.
+            if (t > 0) {
+                ShiftBatch acc_batch = stageShifts(
+                    comm.accShifts[t - 1], "acc", pass.phase, t);
+                runShifts(acc_batch);
+                commitShifts(acc_batch);
             }
+            TensorStore &out_store = stores[out_id];
             // After any migration the accumulator must sit on the
             // block this device owns at step t.
             for (std::int64_t dev = 0; dev < dsiTable.numDevices();
@@ -589,22 +519,15 @@ SpmdOpExecutor::runPass(int pass_index,
                         tupleAt(pass.output, pass.phase, dev, t),
                     "accumulator misplaced at step ", t);
             }
-            // Post the ring shifts toward step t+1 *before* compute:
-            // they move operand tensors this step only reads, so the
-            // sends and the blocked GEMMs overlap, with the receives
-            // parked in staging buffers until the barrier. The step
-            // shifts never move the pass output (accumulator moves
-            // are accShifts), which is what makes the overlap legal.
-            RingBatch batch;
-            const bool posted =
-                overlapComm && !comm.stepShifts[t].empty();
-            if (posted) {
-                for (const ShiftSet &set : comm.stepShifts[t])
-                    PRIMEPAR_ASSERT(refKey(set.tensor) != out_key,
-                                    "step shift of the pass output");
-                postRingShifts(batch, comm.stepShifts[t], pass.phase,
-                               t + 1);
-            }
+            // Operand shifts toward step t+1 (and the transition shift
+            // at the last step). With overlap on they run on the comm
+            // worker while this step computes — compute only reads the
+            // operands, and the receives stay staged until the commit.
+            ShiftBatch ring = stageShifts(comm.stepShifts[t], "ring",
+                                          pass.phase, t + 1);
+            const bool posted = overlapComm && !ring.recvs.empty();
+            if (posted)
+                commWorker.post([this, &ring] { runShifts(ring); });
             // The per-device sub-operators of this temporal step are
             // independent: each device reads only already-positioned
             // operand slots and accumulates into its own accumulator.
@@ -623,8 +546,7 @@ SpmdOpExecutor::runPass(int pass_index,
                             static_cast<std::int64_t>(idx);
                         const double t0 =
                             tracing ? observerNowUs() : 0.0;
-                        const Tensor partial =
-                            computeLocal(pass, d, t);
+                        const Tensor partial = computeLocal(pass, d);
                         out_store[d].data.add(partial);
                         if (tracing)
                             observers.onSpan(d, SpanKind::Compute,
@@ -643,19 +565,29 @@ SpmdOpExecutor::runPass(int pass_index,
                 }
                 throw;
             }
-            if (posted)
-                commitRingShifts(batch);
-            else if (!comm.stepShifts[t].empty())
-                applyShifts(comm.stepShifts[t], pass.phase, t + 1,
-                            "ring");
+            if (posted) {
+                // The join rethrows a posted transfer's fault into this
+                // step's journal. Its span is the exposed part of the
+                // posted transfer time, and marks the trace as posted
+                // for overlapStats().
+                const double t0 = tracing ? observerNowUs() : 0.0;
+                commWorker.wait();
+                if (tracing)
+                    observers.onSpan(0, SpanKind::RingJoin, "ring join",
+                                     t0, observerNowUs());
+            } else {
+                runShifts(ring);
+            }
+            commitShifts(ring);
         });
     }
 
     // Grouped all-reduce of partial sums (conventional partitions).
     if (comm.allReduce.has_value()) {
         const AllReduceSpec &spec = *comm.allReduce;
-        runJournaled([&] {
-            TensorStore &out_store = stores.at(out_key);
+        const std::string &out_key = names[out_id];
+        runJournaled(out_id, [&] {
+            TensorStore &out_store = stores[out_id];
             for (const DeviceGroup &group : spec.groups) {
                 if (group.size() < 2)
                     continue;
@@ -778,10 +710,10 @@ SpmdOpExecutor::runPass(int pass_index,
     // GuardObserver installed by setHealth) scans it here; emitted
     // from this serial section, so event order is deterministic.
     if (observed()) {
-        const TensorStore &out_store = stores.at(out_key);
+        const TensorStore &out_store = stores[out_id];
         for (std::int64_t dev = ownedFirst();
              dev < ownedFirst() + ownedCount(); ++dev) {
-            observers.onTensorProduced(op.name + "." + out_key +
+            observers.onTensorProduced(op.name + "." + names[out_id] +
                                            "@dev" + std::to_string(dev),
                                        trainStep, out_store[dev].data);
         }
@@ -791,8 +723,9 @@ SpmdOpExecutor::runPass(int pass_index,
 void
 SpmdOpExecutor::reset()
 {
-    stores.clear();
-    aux.clear();
+    for (TensorStore &store : stores)
+        store.clear();
+    aux = LayerNormAux{};
     commStats = CommVolume{};
 }
 
@@ -809,21 +742,18 @@ SpmdOpExecutor::runPhase(Phase phase,
 bool
 SpmdOpExecutor::hasTensor(const std::string &name) const
 {
-    return stores.count(name) > 0;
+    const int id = idByName(name);
+    return id >= 0 && !stores[id].empty();
 }
 
 Tensor
 SpmdOpExecutor::gatherByName(const std::string &name) const
 {
-    for (std::size_t t = 0; t < op.tensors.size(); ++t) {
-        for (bool grad : {false, true}) {
-            const TensorRef ref{static_cast<int>(t), grad};
-            if (refKey(ref) == name) {
-                return gather(ref);
-            }
-        }
-    }
-    PRIMEPAR_PANIC("operator ", op.name, " has no tensor named ", name);
+    const int id = idByName(name);
+    if (id < 0)
+        PRIMEPAR_PANIC("operator ", op.name, " has no tensor named ",
+                       name);
+    return gather({id / 2, id % 2 == 1});
 }
 
 TrainStepResult
@@ -837,7 +767,7 @@ SpmdOpExecutor::run(const std::map<std::string, Tensor> &inputs)
     TrainStepResult result;
     result.output = gather({op.outputTensor, false});
     const TensorRef d_input{op.inputTensor, true};
-    if (stores.count(refKey(d_input)))
+    if (!stores[tensorId(d_input)].empty())
         result.d_input = gather(d_input);
     for (const auto &pass : op.passes) {
         if (pass.output.grad && pass.output.tensor != op.inputTensor &&
@@ -859,13 +789,10 @@ SpmdOpExecutor::sgdUpdateAndGather(double lr)
     }
     PRIMEPAR_ASSERT(param >= 0, "operator ", op.name,
                     " has no parameter");
-    const std::string wkey = refKey({param, false});
-    const std::string gkey = refKey({param, true});
-    PRIMEPAR_ASSERT(stores.count(wkey) && stores.count(gkey),
+    TensorStore &w = stores[tensorId({param, false})];
+    const TensorStore &g = stores[tensorId({param, true})];
+    PRIMEPAR_ASSERT(!w.empty() && !g.empty(),
                     "run() must precede sgdUpdateAndGather()");
-
-    TensorStore &w = stores[wkey];
-    const TensorStore &g = stores[gkey];
     for (std::int64_t dev = 0; dev < dsiTable.numDevices(); ++dev) {
         // The update is local only if W and dW ended co-located —
         // exactly the paper's feature-3 weight alignment.

@@ -76,9 +76,6 @@ struct CommVolume
     }
 };
 
-/** Pre-overlap-PR name; same struct. */
-using CommStats = CommVolume;
-
 /**
  * Executes the full Forward / Backward / Gradient cycle of one
  * operator under a partition sequence on emulated devices.
@@ -91,19 +88,19 @@ class SpmdOpExecutor
      *           softmax)
      * @param seq partition sequence over 2^num_bits devices
      * @param num_bits device-id bit count
-     * @param overlap_comm overlap ring communication with compute on a
-     *        dedicated comm worker (construction-time; see
-     *        ExecutionOptions::overlapComm). The ring shifts toward
-     *        step t+1 are posted while step t's sub-operators run,
-     *        receiving into recycled staging buffers swapped in at the
-     *        step barrier; bit-identical to the synchronous path, and
-     *        a fault during a posted-ahead transfer rolls back exactly
-     *        this step. Off = strictly step-synchronous transfers.
+     * @param overlap_comm where a step's operand shifts run
+     *        (construction-time; see ExecutionOptions::overlapComm).
+     *        Every shift is staged and committed the same way; on, the
+     *        shifts toward step t+1 run on a dedicated comm worker
+     *        while step t's sub-operators compute, off, they run
+     *        inline after compute. Same transfers, same order, same
+     *        bits either way, and a transfer fault rolls back exactly
+     *        the step it belongs to.
      * @param owned device ranks this process materializes tensor data
      *        for. The default span owns every rank (replicated); a
      *        narrowed span (sharded multi-process execution) keeps the
      *        partition tuples of all 2^n devices but allocates data,
-     *        journal snapshots and staging buffers only inside the
+     *        undo-log copies and staging buffers only inside the
      *        span — non-local transfer endpoints then require a
      *        Transport (setTransport) that can reach their owners.
      */
@@ -158,9 +155,11 @@ class SpmdOpExecutor
      * Route all inter-device transfers (ring shifts, accumulator
      * migrations, transition shifts, all-reduce gathers/broadcasts)
      * through @p t (not owned; nullptr = direct in-process copies).
-     * When the transport is fault tolerant, each temporal step runs
-     * inside a bounded journal so an exhausted transfer retry rolls
-     * the step back and re-executes it instead of aborting.
+     * When the transport is fault tolerant, each temporal step keeps
+     * an undo log of the state it changes in place (the pass output's
+     * slots, the layernorm aux slots, the traffic counters), so an
+     * exhausted transfer retry rolls the step back and re-executes it
+     * instead of aborting.
      */
     void setTransport(Transport *t) { transport = t; }
 
@@ -204,21 +203,29 @@ class SpmdOpExecutor
         std::vector<std::int64_t> tuple; ///< slice indices per op dim
     };
 
-    /** Per-device storage of one logical tensor. */
+    /** Per-device storage of one logical tensor (empty = absent). */
     using TensorStore = std::vector<DeviceSlot>;
 
-    /** One posted-ahead ring receive: the payload lands in a staging
-     *  tensor (recycled pool storage) while compute runs and is
-     *  swapped into the store at the step barrier. */
+    /** Stashed layernorm auxiliaries per device. Pre-sized serially
+     *  in runPass() before any parallel region, so computeLocal() only
+     *  touches its own device's slot. */
+    struct LayerNormAux
+    {
+        TensorStore mean;
+        TensorStore invStd;
+        TensorStore dGamma;
+    };
+
+    /** One staged receive: the payload lands in its own tensor and
+     *  reaches the store only at commitShifts(). */
     struct PendingRecv
     {
-        const ShiftSet *set = nullptr;
+        int id = 0;                  ///< tensor id of the moved store
         const Tensor *src = nullptr; ///< live sender slot (read-only)
+        std::int64_t sender = 0;
         std::int64_t receiver = 0;
-        TransferTag tag;  ///< used only with a transport
-        std::string label; ///< Ring span label (empty untraced)
         Tensor staged;
-        std::vector<std::int64_t> tuple;
+        std::vector<std::int64_t> tuple; ///< the sender's pre-shift tuple
         /** Issue a transport call for this transfer (false when the
          *  sharded span owns neither endpoint: tuple-only update). */
         bool doTransfer = true;
@@ -228,17 +235,28 @@ class SpmdOpExecutor
         bool commitData = true;
     };
 
-    /** Everything in flight on the comm worker for one temporal
-     *  step. wireBytes is written by the worker and read after the
-     *  join (synchronized by SerialWorker's wait()). */
-    struct RingBatch
+    /** One step's shifts on one channel ("ring" or "acc"). wireBytes
+     *  is written by whichever thread runs the batch and read after
+     *  the join (synchronized by SerialWorker's wait()). */
+    struct ShiftBatch
     {
+        const char *channel = "";
+        Phase phase = Phase::Forward;
+        int toT = 0;
+        bool traced = false;
         std::vector<PendingRecv> recvs;
         std::int64_t elements = 0;
         std::int64_t wireBytes = 0;
     };
 
-    std::string refKey(const TensorRef &ref) const;
+    /** Index of @p ref into stores / names: 2 * tensor + grad. */
+    static int
+    tensorId(const TensorRef &ref)
+    {
+        return 2 * ref.tensor + (ref.grad ? 1 : 0);
+    }
+    /** Id of the tensor named @p name, or -1. */
+    int idByName(const std::string &name) const;
     void scatter(const TensorRef &ref, const Tensor &full, Phase phase,
                  int t);
     Tensor gather(const TensorRef &ref) const;
@@ -246,31 +264,34 @@ class SpmdOpExecutor
                                       std::int64_t dev, int t) const;
     Tensor sliceFor(const TensorRef &ref, const Tensor &full,
                     Phase phase, std::int64_t dev, int t) const;
-    void applyShifts(const std::vector<ShiftSet> &shifts, Phase phase,
-                     int to_t, const char *channel);
-    /** Fill @p batch (whose storage must outlive the join) and post
-     *  its transfers to the comm worker. Sends read live operand
-     *  stores — legal because the overlapped compute only reads them
-     *  — and receives stay out of the stores until
-     *  commitRingShifts(). */
-    void postRingShifts(RingBatch &batch,
-                        const std::vector<ShiftSet> &shifts,
-                        Phase phase, int to_t);
-    /** Join the comm worker (rethrowing any transfer fault into the
-     *  step journal) and swap the staged receives into the stores. */
-    void commitRingShifts(RingBatch &batch);
+    /** Stage @p shifts toward step @p to_t on @p channel: capture each
+     *  transfer's live sender slot and pre-shift tuple. The stores
+     *  stay untouched until commitShifts(). */
+    ShiftBatch stageShifts(const std::vector<ShiftSet> &shifts,
+                           const char *channel, Phase phase, int to_t);
+    /** Issue the batch's transfers in order into the staging tensors
+     *  — on the comm worker when posted ahead of compute, inline
+     *  otherwise. Sends read the live stores, which is legal because
+     *  nothing writes a moved tensor until the commit. */
+    void runShifts(ShiftBatch &batch);
+    /** Swap the staged receives and tuples into the stores and count
+     *  the batch's traffic. Never throws. */
+    void commitShifts(ShiftBatch &batch);
     void runPass(int pass_index,
                  const std::map<std::string, Tensor> &inputs);
-    Tensor computeLocal(const PassSpec &pass, std::int64_t dev, int t);
+    Tensor computeLocal(const PassSpec &pass, std::int64_t dev);
     /** Full (unpartitioned) shape of the tensor behind @p ref. */
     Shape fullShape(const TensorRef &ref) const;
     /**
      * Run @p body once, or — when the transport is fault tolerant —
-     * inside a journal of the mutable device state (stores, aux,
-     * counters) that is restored and retried when a transfer's retry
-     * budget is exhausted mid-step.
+     * under an undo log of what a step changes in place: the slots of
+     * output store @p out_id, the layernorm aux slots and the traffic
+     * counters. Operand stores need no log: their receives are staged
+     * and committed after the step's last transfer. The log is
+     * restored and the step retried when a transfer's retry budget is
+     * exhausted mid-step.
      */
-    void runJournaled(const std::function<void()> &body);
+    void runJournaled(int out_id, const std::function<void()> &body);
     /** Rebuild the fan-out chain from user observers + owned guard. */
     void rebuildObserverChain();
     /** True when any observer (user or internal guard) is attached. */
@@ -294,12 +315,13 @@ class SpmdOpExecutor
     PartitionSeq seq;
     DsiTable dsiTable;
     std::vector<PassComm> passComms;
-    std::map<std::string, TensorStore> stores;
+    /** Tensor names by id (refName), for tags, spans and lookups. */
+    std::vector<std::string> names;
+    /** Device stores by tensor id. Sized once at construction, so a
+     *  posted receive's sender pointer stays valid. */
+    std::vector<TensorStore> stores;
     CommVolume commStats;
-    /** Stashed layernorm/softmax style auxiliaries per device. All
-     *  entries are pre-sized serially in runPass() before any parallel
-     *  region, so computeLocal() only touches its own device's slot. */
-    std::map<std::string, TensorStore> aux;
+    LayerNormAux aux;
     ThreadPool *pool = nullptr;
     Transport *transport = nullptr;
     const bool overlapComm;
@@ -307,9 +329,9 @@ class SpmdOpExecutor
      *  all (replicated). Partition tuples stay global either way. */
     const DeviceSpan ownedSpan;
     /** The dedicated communication thread (lazily started). Only one
-     *  batch is ever in flight; every serial transfer section runs
-     *  strictly after the preceding join, so the transport still sees
-     *  a serial, deterministic transfer order. */
+     *  batch is ever in flight and every other transfer runs strictly
+     *  after its join, so the transport sees a serial, deterministic
+     *  transfer order. */
     SerialWorker commWorker;
     RuntimeHealth *health = nullptr;
     GuardOptions guard;

@@ -1,6 +1,5 @@
 #include "parallel.hh"
 
-#include <atomic>
 #include <exception>
 
 #include "logging.hh"
@@ -87,15 +86,18 @@ ThreadPool::parallelFor(std::size_t n,
         return;
     }
 
+    // Lives on this frame: every worker touches it only under doneMu,
+    // and the caller returns only after seeing pending == 0 under that
+    // same lock, so no worker can still be using it.
     struct JobState
     {
-        std::atomic<std::size_t> pending{0};
+        std::size_t pending = 0; ///< guarded by doneMu
         std::mutex doneMu;
         std::condition_variable doneCv;
         std::mutex errMu;
         std::exception_ptr error;
     } state;
-    state.pending.store(chunks - 1, std::memory_order_relaxed);
+    state.pending = chunks - 1;
 
     auto run_chunk = [&fn, &state, n, chunks](std::size_t c) {
         const std::size_t begin = c * n / chunks;
@@ -116,11 +118,9 @@ ThreadPool::parallelFor(std::size_t n,
         for (std::size_t c = 1; c < chunks; ++c) {
             queue.emplace_back([&run_chunk, &state, c] {
                 run_chunk(c);
-                if (state.pending.fetch_sub(
-                        1, std::memory_order_acq_rel) == 1) {
-                    std::lock_guard<std::mutex> done(state.doneMu);
+                std::lock_guard<std::mutex> done(state.doneMu);
+                if (--state.pending == 0)
                     state.doneCv.notify_one();
-                }
             });
         }
     }
@@ -134,9 +134,7 @@ ThreadPool::parallelFor(std::size_t n,
 
     {
         std::unique_lock<std::mutex> done(state.doneMu);
-        state.doneCv.wait(done, [&state] {
-            return state.pending.load(std::memory_order_acquire) == 0;
-        });
+        state.doneCv.wait(done, [&state] { return state.pending == 0; });
     }
     if (state.error)
         std::rethrow_exception(state.error);

@@ -11,6 +11,8 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 #include <gtest/gtest.h>
 
 #include "baselines/megatron.hh"
@@ -50,7 +52,8 @@ struct BlockCase
 
     GraphResult
     run(const std::vector<PartitionSeq> &plan, Transport *transport,
-        RuntimeHealth *health, int threads = 1, bool overlap = true)
+        RuntimeHealth *health, int threads = 1, bool overlap = true,
+        CommVolume *volume = nullptr)
     {
         SpmdGraphExecutor exec(graph, plan, 2, threads, overlap);
         installTransformerBlockTransforms(exec, cfg, 2);
@@ -59,7 +62,10 @@ struct BlockCase
         if (health)
             exec.setHealth(health);
         exec.beginStep(0);
-        return exec.run(io);
+        GraphResult result = exec.run(io);
+        if (volume)
+            *volume = exec.stats();
+        return result;
     }
 
     ModelConfig cfg;
@@ -341,6 +347,93 @@ TEST(Transport, PostedAheadFaultRollsBackOneStepLikeSync)
                       sync_health.headerMismatches);
         EXPECT_EQ(health.retries, sync_health.retries);
     }
+}
+
+/**
+ * Fault-tolerant wrapper over the in-process transport: counts
+ * transfers per channel and throws TransientFaultError exactly once,
+ * on transfer number @p at of channel @p channel (-1 = never).
+ */
+class ChannelFaultTransport : public Transport
+{
+  public:
+    ChannelFaultTransport(std::string channel_in, std::int64_t at_in)
+        : channel(std::move(channel_in)), at(at_in)
+    {}
+
+    TransferReceipt
+    transferInto(const TransferTag &tag, const Tensor &payload,
+                 Tensor &dst) override
+    {
+        const std::int64_t n = counts[tag.channel]++;
+        if (!hit && tag.channel == channel && n == at) {
+            hit = true;
+            throw TransientFaultError("injected " + channel + " fault",
+                                      tag.tensor, tag.sender,
+                                      tag.receiver, tag.trainStep);
+        }
+        return inner.transferInto(tag, payload, dst);
+    }
+
+    void beginStep(std::int64_t step) override { inner.beginStep(step); }
+
+    bool faultTolerant() const override { return true; }
+
+    std::map<std::string, std::int64_t> counts; ///< transfers by channel
+    bool hit = false;
+
+  private:
+    std::string channel;
+    std::int64_t at;
+    InProcessTransport inner;
+};
+
+TEST(Transport, RollbackOnEachChannelRestoresExactState)
+{
+    // A rollback mid-ring, mid-acc or mid-all-reduce must restore all
+    // the state its step changed in place — pass output slots,
+    // layernorm aux slots, traffic counters — at the first and the
+    // last transfer of each channel, with overlap on and off.
+    BlockCase c;
+    std::set<std::string> covered;
+    for (const NamedPlan &np : plansUnderTest(c.graph)) {
+        for (const bool overlap : {false, true}) {
+            ChannelFaultTransport clean("", -1);
+            CommVolume ref_volume;
+            const GraphResult ref = c.run(np.plan, &clean, nullptr, 1,
+                                          overlap, &ref_volume);
+            for (const char *channel : {"ring", "acc", "allreduce"}) {
+                const auto it = clean.counts.find(channel);
+                if (it == clean.counts.end())
+                    continue;
+                covered.insert(channel);
+                for (const std::int64_t at :
+                     {std::int64_t{0}, it->second - 1}) {
+                    SCOPED_TRACE(std::string(np.name) + " " + channel +
+                                 " #" + std::to_string(at) +
+                                 (overlap ? " overlap" : " inline"));
+                    ChannelFaultTransport transport(channel, at);
+                    RuntimeHealth health;
+                    CommVolume volume;
+                    const GraphResult got = c.run(
+                        np.plan, &transport, &health, 1, overlap,
+                        &volume);
+                    EXPECT_TRUE(transport.hit);
+                    expectIdentical(got, ref);
+                    EXPECT_EQ(health.stepRollbacks, 1);
+                    EXPECT_EQ(volume.ringElements,
+                              ref_volume.ringElements);
+                    EXPECT_EQ(volume.allReduceElements,
+                              ref_volume.allReduceElements);
+                    EXPECT_EQ(volume.allReduceCount,
+                              ref_volume.allReduceCount);
+                    EXPECT_EQ(volume.wireBytes, ref_volume.wireBytes);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(covered,
+              (std::set<std::string>{"acc", "allreduce", "ring"}));
 }
 
 TEST(Transport, PermanentDeviceFailureRaises)

@@ -218,6 +218,21 @@ TEST(Parallel, PropagatesExceptions)
     EXPECT_EQ(ok.load(), 10);
 }
 
+TEST(Parallel, BackToBackTinyLoopsFinishBeforeReturning)
+{
+    // Each call's completion state lives on the caller's stack. A
+    // worker must be done with it before the call returns, or the next
+    // call reuses that stack under the still-notifying worker.
+    ThreadPool pool(4);
+    std::atomic<long> sum{0};
+    constexpr long kCalls = 20000;
+    for (long call = 0; call < kCalls; ++call)
+        pool.parallelFor(4, [&](std::size_t i) {
+            sum += static_cast<long>(i) + 1;
+        });
+    EXPECT_EQ(sum.load(), 10 * kCalls);
+}
+
 TEST(Parallel, NullPoolHelperRunsSerially)
 {
     std::vector<int> order;
