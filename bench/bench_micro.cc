@@ -122,9 +122,10 @@ BM_TrafficSplit(benchmark::State &state)
                                Phase::Forward, 0, map, {8, 2048, 4096});
     const auto need = layoutOf(op, db, {op.outputTensor, false},
                                Phase::Forward, 0, map, {8, 2048, 4096});
-    const auto prepared = CostModel::prepareSource(have);
+    const auto source = cm.prepareSource(have);
+    const auto prepared_need = cm.prepareNeed(need);
     for (auto _ : state) {
-        const auto split = cm.trafficSplit(prepared, need);
+        const auto split = cm.trafficSplit(source, prepared_need);
         benchmark::DoNotOptimize(split.intraNode);
     }
 }

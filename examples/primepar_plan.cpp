@@ -11,7 +11,8 @@
  *   primepar_plan [--model "<name>"] [--devices N] [--batch B]
  *                 [--alpha A] [--layers L] [--threads T] [--no-psquare]
  *                 [--no-batch-dim] [--trace FILE.json] [--compare]
- *                 [--no-prune] [--beam-width N] [--metrics-out F.json]
+ *                 [--beam-width N] [--max-temporal-steps K]
+ *                 [--metrics-out F.json]
  *
  * Model names: "OPT 6.7B", "OPT 175B", "Llama2 7B", "Llama2 70B",
  * "BLOOM 7B1", "BLOOM 176B".
@@ -41,7 +42,6 @@ struct Options
     bool psquare = true;
     bool batchDim = true;
     bool compare = false;
-    bool prune = true;  // exact dominance pruning (A/B: --no-prune)
     int beamWidth = 0;  // 0 = exact; > 0 = certified-gap beam
     int maxTemporalSteps = 0; // 0 = unbounded per-operator space
     std::string traceFile;
@@ -82,8 +82,6 @@ parseArgs(int argc, char **argv)
             opts.compare = true;
         } else if (arg == "--trace") {
             opts.traceFile = next();
-        } else if (arg == "--no-prune") {
-            opts.prune = false;
         } else if (arg == "--beam-width") {
             opts.beamWidth = std::atoi(next());
         } else if (arg == "--max-temporal-steps") {
@@ -98,8 +96,7 @@ parseArgs(int argc, char **argv)
                 " [--threads T]\n"
                 "                     [--no-psquare] [--no-batch-dim]"
                 " [--trace F.json]\n"
-                "                     [--compare] [--no-prune]"
-                " [--beam-width N]\n"
+                "                     [--compare] [--beam-width N]\n"
                 "                     [--max-temporal-steps K]"
                 " [--metrics-out F.json]\n");
             std::exit(0);
@@ -159,7 +156,6 @@ run(int argc, char **argv)
     dp.space.allowPSquare = opts.psquare;
     if (!opts.batchDim)
         dp.space.excludedDims = {0};
-    dp.pruneDominated = opts.prune;
     dp.beamWidth = opts.beamWidth;
     if (opts.maxTemporalSteps > 0)
         dp.space.maxTemporalSteps = opts.maxTemporalSteps;

@@ -37,10 +37,12 @@
 #      out-of-bounds bugs would hide.
 #   6. Configure + build a ThreadSanitizer tree (build-tsan/) with
 #      -DPRIMEPAR_SANITIZE=thread and run the Parallel.*,
-#      SpmdExecutor.*, Transport.*, Trainer.* and GraphExecutor.*
-#      suites there: the thread pool's completion handshake, and the
-#      executor's comm worker running a step's shift batch while the
-#      compute pool accumulates, joined before the commit. Any race
+#      SpmdExecutor.*, Transport.*, Trainer.*, GraphExecutor.*,
+#      Catalog.*, SegmentedDp.*, Pruning.* and CostModel.* suites
+#      there: the thread pool's completion handshake, the executor's
+#      comm worker running a step's shift batch while the compute pool
+#      accumulates, joined before the commit, and the planner's edge
+#      tables sharing one TrafficMemo across pool threads. Any race
 #      report fails the gate.
 #
 # --quick skips a sanitizer reconfigure when its build tree is already
@@ -324,12 +326,13 @@ if [ "$QUICK" -eq 0 ] || [ ! -f "$ROOT/build-tsan/CMakeCache.txt" ]; then
         -DPRIMEPAR_SANITIZE=thread > /dev/null
 fi
 cmake --build "$ROOT/build-tsan" -j"$(nproc)" \
-    --target test_support test_runtime test_fault test_graph_executor
+    --target test_support test_runtime test_fault test_graph_executor \
+    test_optimizer test_cost
 
-echo "== sanitizer (TSan): pool + executor + transport + trainer tests =="
+echo "== sanitizer (TSan): pool + executor + transport + trainer + planner tests =="
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     ctest --test-dir "$ROOT/build-tsan" --output-on-failure \
-    -R '^(Parallel|SpmdExecutor|Transport|Trainer|GraphExecutor)\.' \
+    -R '^(Parallel|SpmdExecutor|Transport|Trainer|GraphExecutor|Catalog|SegmentedDp|Pruning|CostModel)\.' \
     -j"$(nproc)"
 
 echo "verify.sh: all gates passed"

@@ -61,7 +61,56 @@ CostModel::CostModel(const ClusterTopology &topo_in,
                      ProfiledModels models_in, double alpha_memory)
     : topo(topo_in), models(std::move(models_in)), alpha(alpha_memory),
       fp(costFingerprint(topo, models, alpha, memParams))
-{}
+{
+    const bool torus = topo.kind() == ClusterTopology::Kind::Torus2D;
+    const int devices = topo.numDevices();
+    numDomains = torus ? devices : topo.numNodes();
+    domainOf.resize(devices);
+    std::vector<int> domain_size(numDomains, 0);
+    for (int dev = 0; dev < devices; ++dev) {
+        domainOf[dev] = torus ? dev : topo.nodeOf(dev);
+        ++domain_size[domainOf[dev]];
+    }
+
+    // Reach sets come from sameNode itself; the size check proves
+    // that every device of a reached domain is a fast-link peer, so a
+    // holder-mask hit is exactly "some holder has sameNode()".
+    std::map<std::vector<std::int32_t>, std::int32_t> ids;
+    reachOf.resize(devices);
+    std::vector<std::int32_t> reach;
+    for (int a = 0; a < devices; ++a) {
+        reach.clear();
+        for (int b = 0; b < devices; ++b) {
+            if (topo.sameNode(a, b))
+                reach.push_back(domainOf[b]);
+        }
+        const int peers = static_cast<int>(reach.size());
+        std::sort(reach.begin(), reach.end());
+        reach.erase(std::unique(reach.begin(), reach.end()),
+                    reach.end());
+        int covered = 0;
+        for (const std::int32_t d : reach)
+            covered += domain_size[d];
+        PRIMEPAR_ASSERT(covered == peers,
+                        "fast-link domains disagree with sameNode");
+        // trafficSplit() relies on this to discount a receiver's own
+        // box.
+        PRIMEPAR_ASSERT(topo.sameNode(a, a),
+                        "a device must reach itself over a fast link");
+        const auto [it, inserted] = ids.emplace(
+            reach, static_cast<std::int32_t>(reachSets.size()));
+        if (inserted) {
+            std::vector<MaskWord> words;
+            for (const std::int32_t d : reach) {
+                if (words.empty() || words.back().word != d / 64)
+                    words.push_back({d / 64, 0});
+                words.back().bits |= std::uint64_t{1} << (d % 64);
+            }
+            reachSets.push_back(std::move(words));
+        }
+        reachOf[a] = it->second;
+    }
+}
 
 double
 CostModel::ringSetLatency(const OpSpec &op, const ShiftSet &set) const
@@ -186,171 +235,82 @@ CostModel::intraCost(const OpPlan &plan) const
     return cost;
 }
 
-std::int64_t
-CostModel::trafficElements(const TensorLayout &have,
-                           const TensorLayout &need)
-{
-    PRIMEPAR_ASSERT(have.numDevices() == need.numDevices(),
-                    "layout device mismatch");
-    std::int64_t traffic = 0;
-    for (std::int64_t dev = 0; dev < need.numDevices(); ++dev) {
-        const auto &nb = need.deviceBox[dev];
-        const auto &hb = have.deviceBox[dev];
-        std::int64_t v = 1, overlap = 1;
-        for (std::size_t d = 0; d < nb.size(); ++d) {
-            v *= nb[d].length();
-            overlap *= nb[d].intersect(hb[d]);
-        }
-        traffic += v - overlap;
-    }
-    return traffic;
-}
-
 CostModel::PreparedSource
-CostModel::prepareSource(const TensorLayout &have)
+CostModel::prepareSource(const TensorLayout &have) const
 {
+    PRIMEPAR_ASSERT(have.numDevices() == topo.numDevices(),
+                    "layout device mismatch");
     PreparedSource src;
-    std::map<std::vector<SliceRange>, int> index;
+    std::map<std::vector<SliceRange>, std::int32_t> index;
+    src.boxOfDevice.resize(static_cast<std::size_t>(have.numDevices()));
     for (std::int64_t dev = 0; dev < have.numDevices(); ++dev) {
-        auto [it, inserted] = index.emplace(
-            have.deviceBox[dev], static_cast<int>(src.boxes.size()));
-        if (inserted) {
+        const auto [it, inserted] = index.emplace(
+            have.deviceBox[dev],
+            static_cast<std::int32_t>(src.boxes.size()));
+        if (inserted)
             src.boxes.push_back(have.deviceBox[dev]);
-            src.holders.emplace_back();
-        }
-        src.holders[it->second].push_back(dev);
+        src.boxOfDevice[dev] = it->second;
     }
-    src.holdsBox.assign(have.numDevices(),
-                        std::vector<bool>(src.boxes.size(), false));
-    for (std::size_t b = 0; b < src.holders.size(); ++b)
-        for (std::int64_t dev : src.holders[b])
-            src.holdsBox[dev][b] = true;
-    return src;
-}
+    const int num_boxes = static_cast<int>(src.boxes.size());
+    src.dims = num_boxes > 0 ? static_cast<int>(src.boxes[0].size()) : 0;
 
-CostModel::TrafficSplit
-CostModel::trafficSplit(const PreparedSource &have,
-                        const TensorLayout &need) const
-{
-    TrafficSplit split;
-    for (std::int64_t dst = 0; dst < need.numDevices(); ++dst) {
-        const auto &need_box = need.deviceBox[dst];
-        for (std::size_t b = 0; b < have.boxes.size(); ++b) {
-            const auto &src_box = have.boxes[b];
-            std::int64_t volume = 1;
-            for (std::size_t d = 0; d < need_box.size(); ++d) {
-                volume *= need_box[d].intersect(src_box[d]);
-                if (volume == 0)
-                    break;
-            }
-            if (volume == 0 || have.holdsBox[dst][b])
-                continue;
-            // Prefer a same-node replica when one exists.
-            bool intra = false;
-            for (std::int64_t h : have.holders[b]) {
-                if (topo.sameNode(h, dst)) {
-                    intra = true;
-                    break;
-                }
-            }
-            if (intra)
-                split.intraNode += volume;
-            else
-                split.interNode += volume;
-        }
-    }
-    return split;
-}
-
-CostModel::TrafficSplit
-CostModel::trafficSplit(const TensorLayout &have,
-                        const TensorLayout &need) const
-{
-    return trafficSplit(prepareSource(have), need);
-}
-
-CostModel::PreparedSourceGrid
-CostModel::prepareSourceGrid(const TensorLayout &have) const
-{
-    PreparedSourceGrid grid;
-    grid.flat = prepareSource(have);
-    const int num_boxes = static_cast<int>(grid.flat.boxes.size());
-    grid.dims = num_boxes > 0
-                    ? static_cast<int>(grid.flat.boxes[0].size())
-                    : 0;
-
-    grid.boxOfDevice.assign(
-        static_cast<std::size_t>(have.numDevices()), -1);
-    for (std::size_t b = 0; b < grid.flat.holders.size(); ++b) {
-        for (const std::int64_t dev : grid.flat.holders[b])
-            grid.boxOfDevice[dev] = static_cast<std::int32_t>(b);
+    src.maskWords = (numDomains + 63) / 64;
+    src.holderMask.assign(
+        static_cast<std::size_t>(num_boxes) * src.maskWords, 0);
+    for (std::int64_t dev = 0; dev < have.numDevices(); ++dev) {
+        const std::int32_t dom = domainOf[dev];
+        src.holderMask[static_cast<std::size_t>(src.boxOfDevice[dev]) *
+                           src.maskWords +
+                       dom / 64] |= std::uint64_t{1} << (dom % 64);
     }
 
-    grid.maskWords = (topo.numNodes() + 63) / 64;
-    grid.nodeMask.assign(
-        static_cast<std::size_t>(num_boxes) * grid.maskWords, 0);
-    for (int b = 0; b < num_boxes; ++b) {
-        for (const std::int64_t h : grid.flat.holders[b]) {
-            const int node = topo.nodeOf(h);
-            grid.nodeMask[static_cast<std::size_t>(b) * grid.maskWords +
-                          node / 64] |= std::uint64_t{1} << (node % 64);
-        }
-    }
-
-    // Per-dim realized intervals; the grid index is only usable when
-    // they are pairwise disjoint (they always are for layoutOf()
-    // layouts, where each dim carries one slice partition).
-    grid.gridValid = true;
-    grid.intervals.resize(grid.dims);
-    grid.tuple.assign(static_cast<std::size_t>(num_boxes) * grid.dims,
-                      -1);
-    for (int d = 0; d < grid.dims && grid.gridValid; ++d) {
+    // Per-dim realized intervals: layoutOf() gives each dim one slice
+    // partition, so they are pairwise disjoint.
+    src.intervals.resize(src.dims);
+    src.tuple.assign(static_cast<std::size_t>(num_boxes) * src.dims, 0);
+    for (int d = 0; d < src.dims; ++d) {
         std::map<SliceRange, std::int32_t> ids;
         for (int b = 0; b < num_boxes; ++b)
-            ids.emplace(grid.flat.boxes[b][d], 0);
-        auto &ivs = grid.intervals[d];
+            ids.emplace(src.boxes[b][d], 0);
+        auto &ivs = src.intervals[d];
         ivs.reserve(ids.size());
         std::int32_t id = 0;
         for (auto &[range, assigned] : ids) {
-            if (!ivs.empty() && ivs.back().end > range.start) {
-                grid.gridValid = false;
-                break;
-            }
+            PRIMEPAR_ASSERT(ivs.empty() || ivs.back().end <= range.start,
+                            "source boxes overlap in dim ", d,
+                            ": not a product grid");
             assigned = id++;
             ivs.push_back(range);
         }
-        if (!grid.gridValid)
-            break;
         for (int b = 0; b < num_boxes; ++b) {
-            grid.tuple[static_cast<std::size_t>(b) * grid.dims + d] =
-                ids[grid.flat.boxes[b][d]];
+            src.tuple[static_cast<std::size_t>(b) * src.dims + d] =
+                ids[src.boxes[b][d]];
         }
     }
-    if (grid.gridValid) {
-        grid.order.resize(num_boxes);
-        for (int b = 0; b < num_boxes; ++b)
-            grid.order[b] = b;
-        const std::int32_t *tuple = grid.tuple.data();
-        const int dims = grid.dims;
-        std::sort(grid.order.begin(), grid.order.end(),
-                  [tuple, dims](std::int32_t a, std::int32_t b) {
-                      for (int d = 0; d < dims; ++d) {
-                          const std::int32_t ta = tuple[a * dims + d];
-                          const std::int32_t tb = tuple[b * dims + d];
-                          if (ta != tb)
-                              return ta < tb;
-                      }
-                      return a < b;
-                  });
-    }
-    return grid;
+    src.order.resize(num_boxes);
+    for (int b = 0; b < num_boxes; ++b)
+        src.order[b] = b;
+    const std::int32_t *tuple = src.tuple.data();
+    const int dims = src.dims;
+    std::sort(src.order.begin(), src.order.end(),
+              [tuple, dims](std::int32_t a, std::int32_t b) {
+                  for (int d = 0; d < dims; ++d) {
+                      const std::int32_t ta = tuple[a * dims + d];
+                      const std::int32_t tb = tuple[b * dims + d];
+                      if (ta != tb)
+                          return ta < tb;
+                  }
+                  return a < b;
+              });
+    return src;
 }
 
 CostModel::PreparedNeed
 CostModel::prepareNeed(const TensorLayout &need) const
 {
+    PRIMEPAR_ASSERT(need.numDevices() == topo.numDevices(),
+                    "layout device mismatch");
     PreparedNeed out;
-    out.layout = need;
     std::map<std::vector<SliceRange>, std::int32_t> box_ids;
     std::map<std::pair<std::int32_t, std::int32_t>, std::int32_t>
         group_ids;
@@ -360,14 +320,14 @@ CostModel::prepareNeed(const TensorLayout &need) const
             static_cast<std::int32_t>(out.boxes.size()));
         if (binserted)
             out.boxes.push_back(need.deviceBox[dev]);
-        const std::int32_t node = topo.nodeOf(dev);
+        const std::int32_t reach = reachOf[dev];
         const auto [git, ginserted] = group_ids.emplace(
-            std::make_pair(bit->second, node),
+            std::make_pair(bit->second, reach),
             static_cast<std::int32_t>(out.groups.size()));
         if (ginserted) {
             PreparedNeed::Group g;
             g.box = bit->second;
-            g.node = node;
+            g.reach = reach;
             out.groups.push_back(std::move(g));
         }
         out.groups[git->second].devices.push_back(
@@ -377,12 +337,9 @@ CostModel::prepareNeed(const TensorLayout &need) const
 }
 
 CostModel::TrafficSplit
-CostModel::trafficSplitFast(const PreparedSourceGrid &have,
-                            const PreparedNeed &need) const
+CostModel::trafficSplit(const PreparedSource &have,
+                        const PreparedNeed &need) const
 {
-    if (!have.gridValid)
-        return trafficSplit(have.flat, need.layout);
-
     TrafficSplit split;
     const int dims = have.dims;
     std::vector<std::int32_t> lo(dims), hi(dims);
@@ -390,6 +347,7 @@ CostModel::trafficSplitFast(const PreparedSourceGrid &have,
 
     for (const PreparedNeed::Group &g : need.groups) {
         const auto &need_box = need.boxes[g.box];
+        const std::vector<MaskWord> &reach = reachSets[g.reach];
 
         // Per-dim overlapping interval-id ranges and overlap lengths.
         bool empty = false;
@@ -429,16 +387,16 @@ CostModel::trafficSplitFast(const PreparedSourceGrid &have,
                                      std::int64_t vol) -> void {
                 if (level == dims) {
                     for (std::int32_t i = b0; i < b1; ++i) {
-                        const std::int32_t box = have.order[i];
-                        const std::uint64_t word =
-                            have.nodeMask[static_cast<std::size_t>(
-                                              box) *
-                                              have.maskWords +
-                                          g.node / 64];
-                        if (word & (std::uint64_t{1} << (g.node % 64)))
-                            group_intra += vol;
-                        else
-                            group_inter += vol;
+                        const std::uint64_t *mask =
+                            have.holderMask.data() +
+                            static_cast<std::size_t>(have.order[i]) *
+                                have.maskWords;
+                        const bool fast = std::any_of(
+                            reach.begin(), reach.end(),
+                            [mask](const MaskWord &m) {
+                                return (mask[m.word] & m.bits) != 0;
+                            });
+                        (fast ? group_intra : group_inter) += vol;
                     }
                     return;
                 }
@@ -467,22 +425,26 @@ CostModel::trafficSplitFast(const PreparedSourceGrid &have,
                     static_cast<std::int32_t>(have.order.size()), 1);
         }
 
-        // Each member device's own box was classified intra above
-        // (the device itself is a same-node holder); the slow path
-        // skips it entirely, so subtract its overlap.
+        // Each member device's own box was classified fast above (a
+        // device reaches itself) but moves nothing: subtract its
+        // overlap.
         for (const std::int32_t dev : g.devices) {
-            const std::int32_t own = have.boxOfDevice[dev];
-            std::int64_t own_vol = own >= 0 ? 1 : 0;
-            if (own >= 0) {
-                const auto &own_box = have.flat.boxes[own];
-                for (int d = 0; d < dims && own_vol != 0; ++d)
-                    own_vol *= need_box[d].intersect(own_box[d]);
-            }
+            const auto &own_box = have.boxes[have.boxOfDevice[dev]];
+            std::int64_t own_vol = 1;
+            for (int d = 0; d < dims && own_vol != 0; ++d)
+                own_vol *= need_box[d].intersect(own_box[d]);
             split.intraNode += group_intra - own_vol;
             split.interNode += group_inter;
         }
     }
     return split;
+}
+
+CostModel::TrafficSplit
+CostModel::trafficSplit(const TensorLayout &have,
+                        const TensorLayout &need) const
+{
+    return trafficSplit(prepareSource(have), prepareNeed(need));
 }
 
 double

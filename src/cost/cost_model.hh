@@ -52,10 +52,6 @@ class CostModel
     /** Evaluate Eq. 7 for a prepared operator plan. */
     IntraCost intraCost(const OpPlan &plan) const;
 
-    /** Total traffic elements of a redistribution (Eq. 9). */
-    static std::int64_t trafficElements(const TensorLayout &have,
-                                        const TensorLayout &need);
-
     /** Redistribution traffic split by link class, in elements. */
     struct TrafficSplit
     {
@@ -64,75 +60,49 @@ class CostModel
     };
 
     /**
-     * Deduplicated view of a source layout: distinct boxes and their
-     * holder devices. Prepare once per source layout, then evaluate
-     * trafficSplit() against many destination layouts cheaply.
+     * Grid-indexed view of a source layout. Layouts produced by
+     * layoutOf() are (partial) product grids: every box is a product
+     * of per-dimension intervals drawn from one pairwise-disjoint
+     * interval set per dimension (prepareSource() asserts it).
+     * Indexing the distinct boxes by their interval-id tuples turns
+     * "intersect every source box" into an orthogonal range query
+     * over only the overlapping boxes. Prepare once per source layout,
+     * then evaluate trafficSplit() against many destinations.
      */
     struct PreparedSource
     {
-        std::vector<std::vector<SliceRange>> boxes;
-        std::vector<std::vector<std::int64_t>> holders;
-        /** holder bitmask per device (for fast locality checks). */
-        std::vector<std::vector<bool>> holdsBox; ///< [device][box]
-    };
-
-    /** Build the deduplicated source view. */
-    static PreparedSource prepareSource(const TensorLayout &have);
-
-    /** Plan-accurate traffic split of a redistribution. */
-    TrafficSplit trafficSplit(const PreparedSource &have,
-                              const TensorLayout &need) const;
-
-    /** Convenience overload preparing the source on the fly. */
-    TrafficSplit trafficSplit(const TensorLayout &have,
-                              const TensorLayout &need) const;
-
-    /**
-     * Grid-indexed source view for the fast traffic path. Layouts
-     * produced by layoutOf() are (partial) product grids: every box is
-     * a product of per-dimension intervals drawn from one disjoint
-     * interval set per dimension. Indexing the realized boxes by their
-     * interval-id tuples turns the per-destination "intersect every
-     * source box" scan of trafficSplit() into an orthogonal range
-     * query over only the overlapping boxes. When the structure checks
-     * fail (overlapping per-dim intervals), gridValid is false and
-     * evaluation falls back to the exact slow path — the fast path is
-     * an *exact* reformulation, never an approximation.
-     */
-    struct PreparedSourceGrid
-    {
-        PreparedSource flat; ///< always valid; slow-path fallback
-        bool gridValid = false;
         int dims = 0;
+        /** Distinct boxes, in first-holder order. */
+        std::vector<std::vector<SliceRange>> boxes;
         /** Per dim: sorted, pairwise-disjoint realized intervals. */
         std::vector<std::vector<SliceRange>> intervals;
         /** Per box: interval id per dim ([box * dims + d]). */
         std::vector<std::int32_t> tuple;
         /** Box indices sorted lexicographically by tuple. */
         std::vector<std::int32_t> order;
-        /** Bitmask over nodes holding a replica ([box*maskWords+w]). */
+        /** Bitmask over fast-link domains holding a replica
+         *  ([box * maskWords + w]). */
         int maskWords = 0;
-        std::vector<std::uint64_t> nodeMask;
+        std::vector<std::uint64_t> holderMask;
         /** Each device's own box index. */
         std::vector<std::int32_t> boxOfDevice;
     };
 
-    /** Build the grid view (uses the topology for node masks). */
-    PreparedSourceGrid prepareSourceGrid(const TensorLayout &have) const;
+    /** Build the source view. */
+    PreparedSource prepareSource(const TensorLayout &have) const;
 
     /**
-     * Destination view for the fast traffic path: devices grouped by
-     * (need box, node) — all members see identical remote traffic, so
-     * the range query runs once per group.
+     * Destination view: devices grouped by (need box, fast-link reach)
+     * — all members see identical remote traffic, so the range query
+     * runs once per group.
      */
     struct PreparedNeed
     {
-        TensorLayout layout; ///< kept for the slow-path fallback
         std::vector<std::vector<SliceRange>> boxes; ///< distinct
         struct Group
         {
             std::int32_t box = 0;
-            std::int32_t node = 0;
+            std::int32_t reach = 0; ///< index into the reach sets
             std::vector<std::int32_t> devices;
         };
         std::vector<Group> groups;
@@ -141,9 +111,19 @@ class CostModel
     /** Build the destination view. */
     PreparedNeed prepareNeed(const TensorLayout &need) const;
 
-    /** Exact fast traffic split; bit-identical to trafficSplit(). */
-    TrafficSplit trafficSplitFast(const PreparedSourceGrid &have,
-                                  const PreparedNeed &need) const;
+    /**
+     * Plan-accurate traffic split of a redistribution: the elements
+     * each device lacks, per source box, charged to the fast link
+     * class when a holder of that box shares a fast link
+     * (ClusterTopology::sameNode) with the receiver. Equals the link
+     * split of planRedistribution() with a topology.
+     */
+    TrafficSplit trafficSplit(const PreparedSource &have,
+                              const PreparedNeed &need) const;
+
+    /** Convenience overload preparing both sides on the fly. */
+    TrafficSplit trafficSplit(const TensorLayout &have,
+                              const TensorLayout &need) const;
 
     /**
      * Admissible lower bound on the weighted intra cost of *any*
@@ -177,6 +157,23 @@ class CostModel
     double alpha;
     MemoryModelParams memParams;
     std::string fp;
+    /**
+     * Fast-link structure derived from ClusterTopology::sameNode. A
+     * domain is the unit of holder masks: the node on a hierarchical
+     * cluster, the device itself on a torus. A device's reach set
+     * lists the domains it shares a fast link with (its node, or
+     * itself plus its torus neighbours).
+     */
+    std::vector<std::int32_t> domainOf;
+    int numDomains = 0;
+    /** One nonzero word of a reach set's domain bitmask. */
+    struct MaskWord
+    {
+        std::int32_t word = 0;
+        std::uint64_t bits = 0;
+    };
+    std::vector<std::int32_t> reachOf; ///< device -> reach set id
+    std::vector<std::vector<MaskWord>> reachSets;
 };
 
 } // namespace primepar

@@ -324,11 +324,11 @@ buildEdgeCostTable(const CompGraph &graph, const GraphEdge &edge,
         return mins;
     };
 
-    // Link-class-aware traffic per class pair. Sources are prepared
-    // (deduplicated boxes, plus the grid index on the fast path) once
-    // per class, so each pair evaluation is a tight intersection loop.
-    // Pairs are independent slots, run in parallel over the flattened
-    // (have, need) index. Both paths produce identical integers.
+    // Link-class-aware traffic per class pair. Sources (grid index)
+    // and needs (device groups) are prepared once per class, so each
+    // pair evaluation is one range query per need group. Pairs are
+    // independent slots, run in parallel over the flattened
+    // (have, need) index.
     auto traffic_table = [&](const LayoutClasses &have,
                              const LayoutClasses &need,
                              const std::vector<double> &have_intra,
@@ -349,7 +349,7 @@ buildEdgeCostTable(const CompGraph &graph, const GraphEdge &edge,
         };
 
         // Cross-edge memo: resolve already-priced geometry pairs up
-        // front; only the leftovers hit the traffic evaluators.
+        // front; only the leftovers hit the traffic evaluator.
         std::vector<std::string> have_keys, need_keys;
         std::vector<char> memoized(table.size(), 0);
         if (topts.memo) {
@@ -406,43 +406,24 @@ buildEdgeCostTable(const CompGraph &graph, const GraphEdge &edge,
                     table[idx]);
             }
         };
-        if (topts.fastTraffic) {
-            std::vector<CostModel::PreparedSourceGrid> grids(
-                have.classes.size());
-            parallelFor(pool, grids.size(), [&](std::size_t h) {
-                if (have_used[h])
-                    grids[h] = cost.prepareSourceGrid(have.classes[h]);
-            });
-            std::vector<CostModel::PreparedNeed> needs(
-                need.classes.size());
-            parallelFor(pool, needs.size(), [&](std::size_t n) {
-                if (need_used[n])
-                    needs[n] = cost.prepareNeed(need.classes[n]);
-            });
-            parallelFor(pool, table.size(), [&](std::size_t idx) {
-                if (resolved(idx))
-                    return;
-                const std::size_t h = idx / need.classes.size();
-                const std::size_t n = idx % need.classes.size();
-                table[idx] = cost.trafficSplitFast(grids[h], needs[n]);
-            });
-        } else {
-            std::vector<CostModel::PreparedSource> prepared(
-                have.classes.size());
-            parallelFor(pool, prepared.size(), [&](std::size_t h) {
-                if (have_used[h])
-                    prepared[h] =
-                        CostModel::prepareSource(have.classes[h]);
-            });
-            parallelFor(pool, table.size(), [&](std::size_t idx) {
-                if (resolved(idx))
-                    return;
-                const std::size_t h = idx / need.classes.size();
-                const std::size_t n = idx % need.classes.size();
-                table[idx] =
-                    cost.trafficSplit(prepared[h], need.classes[n]);
-            });
-        }
+        std::vector<CostModel::PreparedSource> sources(
+            have.classes.size());
+        parallelFor(pool, sources.size(), [&](std::size_t h) {
+            if (have_used[h])
+                sources[h] = cost.prepareSource(have.classes[h]);
+        });
+        std::vector<CostModel::PreparedNeed> needs(need.classes.size());
+        parallelFor(pool, needs.size(), [&](std::size_t n) {
+            if (need_used[n])
+                needs[n] = cost.prepareNeed(need.classes[n]);
+        });
+        parallelFor(pool, table.size(), [&](std::size_t idx) {
+            if (resolved(idx))
+                return;
+            const std::size_t h = idx / need.classes.size();
+            const std::size_t n = idx % need.classes.size();
+            table[idx] = cost.trafficSplit(sources[h], needs[n]);
+        });
         publish();
         return table;
     };

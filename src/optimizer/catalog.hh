@@ -116,7 +116,7 @@ struct TrafficMemo
     std::unordered_map<std::string, CostModel::TrafficSplit> map;
 };
 
-/** Table-construction knobs (all defaults = the legacy behavior). */
+/** Table-construction knobs (defaults: every pair, no memo). */
 struct EdgeTableOptions
 {
     /**
@@ -128,9 +128,6 @@ struct EdgeTableOptions
      */
     const std::vector<std::int32_t> *srcCandidates = nullptr;
     const std::vector<std::int32_t> *dstCandidates = nullptr;
-    /** Evaluate class-pair traffic through the grid-indexed fast path
-     *  (CostModel::trafficSplitFast) — exact, bit-identical values. */
-    bool fastTraffic = false;
     /**
      * Joint dominance bound: a sequence pair whose summed intra cost
      * exceeds this is on no optimal plan (the planner passes its pilot

@@ -66,16 +66,13 @@ struct DpContext
 
     /** Layer-space pruning threshold: states whose partial cost plus
      *  the admissible completion bound exceed it are provably off
-     *  every optimal plan. kInf = no pruning (legacy behavior). */
+     *  every optimal plan. kInf = no pruning (exhaustive mode). */
     double ubLayer = kInf;
-    /** Run-scoped cross-edge traffic memo (pruned path only; the
-     *  legacy baseline stays untouched). */
+    /** Run-scoped cross-edge traffic memo. */
     TrafficMemo trafficMemo;
     /** Prefix sums of per-node minimum candidate intra cost, for the
      *  completion bound. */
     std::vector<double> minPrefix;
-    /** Route class-pair traffic through the grid-indexed fast path. */
-    bool fastTraffic = false;
     /** Bellman/merge entries proven out and set to kInf. */
     std::int64_t statesPruned = 0;
 
@@ -151,9 +148,7 @@ struct DpContext
             EdgeTableOptions topts;
             topts.srcCandidates = &cand[edges[e].src];
             topts.dstCandidates = &cand[edges[e].dst];
-            topts.fastTraffic = fastTraffic;
-            if (fastTraffic)
-                topts.memo = &trafficMemo;
+            topts.memo = &trafficMemo;
             if (ubLayer < kInf) {
                 // Same admissible bound as the per-node slack filter,
                 // with both endpoints fixed: a pair costing more than
@@ -704,8 +699,8 @@ SegmentedDpOptimizer::optimize()
     if (opts.catalogCache && opts.metrics)
         opts.catalogCache->setMetrics(opts.metrics);
 
-    // Whole-plan memoization (pruning modes only: the legacy path
-    // stays the untouched timing baseline).
+    // Whole-plan memoization (pruning modes only: the exhaustive
+    // reference stays the untouched timing baseline).
     CatalogCache *cache =
         opts.pruneDominated ? opts.catalogCache.get() : nullptr;
     std::string plan_key;
@@ -756,7 +751,6 @@ SegmentedDpOptimizer::optimize()
     if (opts.pruneDominated && num_nodes > 1) {
         DpContext pilot(graph, cost, &pool);
         pilot.catalogs = ctx.catalogs;
-        pilot.fastTraffic = true;
         pilotCandidates(pilot, opts);
         pilot.finishCandidates();
         pilot.buildTables();
@@ -836,7 +830,6 @@ SegmentedDpOptimizer::optimize()
     }
     ctx.finishCandidates();
     ctx.ubLayer = ub_layer;
-    ctx.fastTraffic = opts.pruneDominated;
     for (int n = 0; n < num_nodes; ++n)
         result.candidatesKept += ctx.candSize(n);
 

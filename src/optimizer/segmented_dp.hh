@@ -60,11 +60,13 @@ struct DpOptions
      * Exact dominance pruning. A cheap pilot DP over each node's
      * best-intra candidates yields an upper bound; sequences and
      * Bellman states provably unable to beat it are dropped, and edge
-     * tables are built over the survivors through the grid-indexed
-     * traffic fast path. The result — strategies and all costs — is
-     * byte-identical to the exhaustive planner at any thread count
-     * (see DESIGN.md for the proof); false selects the legacy
-     * exhaustive path, kept as the A/B baseline.
+     * tables are built over the survivors only. The result —
+     * strategies and all costs — is byte-identical to the exhaustive
+     * planner at any thread count (see DESIGN.md for the proof).
+     * false selects the exhaustive planner: a reference path for the
+     * parity tests and the bench_planner_speedup A/B gate, not a
+     * product option. Both modes price traffic with the same
+     * CostModel::trafficSplit.
      */
     bool pruneDominated = true;
 

@@ -509,6 +509,19 @@ TEST(Pruning, ParityOnStackedLayersAndEightDevices)
     expectPrunedParity(g, cost, opts, /*expect_drops=*/false);
 }
 
+TEST(Pruning, ParityOnTorus)
+{
+    // On a torus the fast link class is "neighbour", which no node
+    // index captures: both prune modes must price it identically.
+    const auto topo = ClusterTopology::torus2d(4);
+    const CostModel cost(topo, profileModels(topo));
+    ModelConfig cfg = opt6p7b();
+    cfg.seqLength = 512;
+    const CompGraph g = buildTransformerBlock(cfg, 8);
+    DpOptions opts;
+    expectPrunedParity(g, cost, opts);
+}
+
 TEST(Pruning, ParityOnConventionalSpace)
 {
     // A space whose optimum has zero inter-operator cost: the pilot

@@ -180,6 +180,19 @@ TEST(Redistribution, RescaledDimMapping)
 TEST(Redistribution, TotalMatchesEq9)
 {
     // Eq. 9: traffic = sum_D (V - prod_X |S1 ^ S2|).
+    const auto eq9 = [](const TensorLayout &have,
+                        const TensorLayout &need) {
+        std::int64_t traffic = 0;
+        for (std::int64_t dev = 0; dev < need.numDevices(); ++dev) {
+            std::int64_t overlap = 1;
+            for (std::size_t d = 0; d < need.dimSizes.size(); ++d) {
+                overlap *= need.deviceBox[dev][d].intersect(
+                    have.deviceBox[dev][d]);
+            }
+            traffic += need.boxVolume(dev) - overlap;
+        }
+        return traffic;
+    };
     const OpSpec op = makeLinearOp("fc", 4, 8, 8, 8);
     PartitionSeq prod({PartitionStep::byDim(0), PartitionStep::byDim(1)});
     PartitionSeq cons({PartitionStep::byDim(1), PartitionStep::byDim(3)});
@@ -189,19 +202,25 @@ TEST(Redistribution, TotalMatchesEq9)
                                Phase::Forward, 0, map, {4, 8, 8});
     const auto need = layoutOf(op, cd, {op.outputTensor, false},
                                Phase::Forward, 0, map, {4, 8, 8});
-    const auto plan = planRedistribution(have, need);
+    EXPECT_EQ(planRedistribution(have, need).totalElements,
+              eq9(have, need));
 
-    std::int64_t expect = 0;
-    for (std::int64_t dev = 0; dev < 4; ++dev) {
-        std::int64_t v = need.boxVolume(dev);
-        std::int64_t overlap = 1;
-        for (std::size_t d = 0; d < 3; ++d) {
-            overlap *= need.deviceBox[dev][d].intersect(
-                have.deviceBox[dev][d]);
+    // Every producer-output / consumer-input pair of the 2-bit space.
+    const auto space = enumerateSequences(op, 2);
+    for (const auto &a : space) {
+        DsiTable da(op, a, 2);
+        const auto out = layoutOf(op, da, {op.outputTensor, false},
+                                  Phase::Forward, da.steps() - 1,
+                                  EdgeDimMap{0, 1, 3}, {4, 8, 8});
+        for (const auto &b : space) {
+            DsiTable db(op, b, 2);
+            const auto in = layoutOf(op, db, {0, false}, Phase::Forward,
+                                     0, EdgeDimMap{0, 1, 2}, {4, 8, 8});
+            EXPECT_EQ(planRedistribution(out, in).totalElements,
+                      eq9(out, in))
+                << a.toString(op) << " -> " << b.toString(op);
         }
-        expect += v - overlap;
     }
-    EXPECT_EQ(plan.totalElements, expect);
 }
 
 } // namespace
