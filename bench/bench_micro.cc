@@ -106,11 +106,14 @@ BENCHMARK(BM_EnumerateSpace)->Arg(3)->Arg(4)->Arg(5);
 void
 BM_TrafficSplit(benchmark::State &state)
 {
+    // Args: device bits, then 0 for paperCluster or 1 for a square
+    // torus2d, where reach sets span several domains.
     const OpSpec op = makeLinearOp("fc", 8, 2048, 4096, 4096);
-    const ClusterTopology topo = ClusterTopology::paperCluster(
-        1 << state.range(0));
-    const CostModel cm(topo, profileModels(topo));
     const int bits = static_cast<int>(state.range(0));
+    const ClusterTopology topo =
+        state.range(1) ? ClusterTopology::torus2d(1 << (bits / 2))
+                       : ClusterTopology::paperCluster(1 << bits);
+    const CostModel cm(topo, profileModels(topo));
     PartitionSeq a, b;
     for (int i = 0; i < bits; ++i) {
         a.push(PartitionStep::byDim(i % 2));
@@ -129,7 +132,7 @@ BM_TrafficSplit(benchmark::State &state)
         benchmark::DoNotOptimize(split.intraNode);
     }
 }
-BENCHMARK(BM_TrafficSplit)->Arg(3)->Arg(5);
+BENCHMARK(BM_TrafficSplit)->Args({3, 0})->Args({5, 0})->Args({4, 1});
 
 void
 BM_ContractProduct(benchmark::State &state)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <map>
+#include <numeric>
 #include <sstream>
 
 #include "support/logging.hh"
@@ -74,7 +75,8 @@ CostModel::CostModel(const ClusterTopology &topo_in,
 
     // Reach sets come from sameNode itself; the size check proves
     // that every device of a reached domain is a fast-link peer, so a
-    // holder-mask hit is exactly "some holder has sameNode()".
+    // box held in a reached domain is exactly "some holder has
+    // sameNode()".
     std::map<std::vector<std::int32_t>, std::int32_t> ids;
     reachOf.resize(devices);
     std::vector<std::int32_t> reach;
@@ -99,15 +101,8 @@ CostModel::CostModel(const ClusterTopology &topo_in,
                         "a device must reach itself over a fast link");
         const auto [it, inserted] = ids.emplace(
             reach, static_cast<std::int32_t>(reachSets.size()));
-        if (inserted) {
-            std::vector<MaskWord> words;
-            for (const std::int32_t d : reach) {
-                if (words.empty() || words.back().word != d / 64)
-                    words.push_back({d / 64, 0});
-                words.back().bits |= std::uint64_t{1} << (d % 64);
-            }
-            reachSets.push_back(std::move(words));
-        }
+        if (inserted)
+            reachSets.push_back(reach);
         reachOf[a] = it->second;
     }
 }
@@ -241,67 +236,58 @@ CostModel::prepareSource(const TensorLayout &have) const
     PRIMEPAR_ASSERT(have.numDevices() == topo.numDevices(),
                     "layout device mismatch");
     PreparedSource src;
+    src.dims = static_cast<int>(have.deviceBox[0].size());
     std::map<std::vector<SliceRange>, std::int32_t> index;
     src.boxOfDevice.resize(static_cast<std::size_t>(have.numDevices()));
+    std::int64_t covered = 0;
     for (std::int64_t dev = 0; dev < have.numDevices(); ++dev) {
-        const auto [it, inserted] = index.emplace(
-            have.deviceBox[dev],
-            static_cast<std::int32_t>(src.boxes.size()));
-        if (inserted)
-            src.boxes.push_back(have.deviceBox[dev]);
+        const auto &box = have.deviceBox[dev];
+        const auto [it, inserted] =
+            index.emplace(box, static_cast<std::int32_t>(index.size()));
+        if (inserted) {
+            src.boxes.insert(src.boxes.end(), box.begin(), box.end());
+            covered += have.boxVolume(dev);
+        }
         src.boxOfDevice[dev] = it->second;
     }
-    const int num_boxes = static_cast<int>(src.boxes.size());
-    src.dims = num_boxes > 0 ? static_cast<int>(src.boxes[0].size()) : 0;
 
-    src.maskWords = (numDomains + 63) / 64;
-    src.holderMask.assign(
-        static_cast<std::size_t>(num_boxes) * src.maskWords, 0);
-    for (std::int64_t dev = 0; dev < have.numDevices(); ++dev) {
-        const std::int32_t dom = domainOf[dev];
-        src.holderMask[static_cast<std::size_t>(src.boxOfDevice[dev]) *
-                           src.maskWords +
-                       dom / 64] |= std::uint64_t{1} << (dom % 64);
-    }
-
-    // Per-dim realized intervals: layoutOf() gives each dim one slice
-    // partition, so they are pairwise disjoint.
-    src.intervals.resize(src.dims);
-    src.tuple.assign(static_cast<std::size_t>(num_boxes) * src.dims, 0);
+    // Per dim, distinct realized intervals must be pairwise disjoint
+    // (layoutOf() gives each dim one slice partition), so distinct
+    // boxes are disjoint; with the volume check they tile the tensor.
+    std::vector<SliceRange> ivs;
     for (int d = 0; d < src.dims; ++d) {
-        std::map<SliceRange, std::int32_t> ids;
-        for (int b = 0; b < num_boxes; ++b)
-            ids.emplace(src.boxes[b][d], 0);
-        auto &ivs = src.intervals[d];
-        ivs.reserve(ids.size());
-        std::int32_t id = 0;
-        for (auto &[range, assigned] : ids) {
-            PRIMEPAR_ASSERT(ivs.empty() || ivs.back().end <= range.start,
+        ivs.clear();
+        for (const auto &entry : index)
+            ivs.push_back(entry.first[d]);
+        std::sort(ivs.begin(), ivs.end());
+        ivs.erase(std::unique(ivs.begin(), ivs.end()), ivs.end());
+        for (std::size_t i = 1; i < ivs.size(); ++i) {
+            PRIMEPAR_ASSERT(ivs[i - 1].end <= ivs[i].start,
                             "source boxes overlap in dim ", d,
                             ": not a product grid");
-            assigned = id++;
-            ivs.push_back(range);
-        }
-        for (int b = 0; b < num_boxes; ++b) {
-            src.tuple[static_cast<std::size_t>(b) * src.dims + d] =
-                ids[src.boxes[b][d]];
         }
     }
-    src.order.resize(num_boxes);
-    for (int b = 0; b < num_boxes; ++b)
-        src.order[b] = b;
-    const std::int32_t *tuple = src.tuple.data();
-    const int dims = src.dims;
-    std::sort(src.order.begin(), src.order.end(),
-              [tuple, dims](std::int32_t a, std::int32_t b) {
-                  for (int d = 0; d < dims; ++d) {
-                      const std::int32_t ta = tuple[a * dims + d];
-                      const std::int32_t tb = tuple[b * dims + d];
-                      if (ta != tb)
-                          return ta < tb;
-                  }
-                  return a < b;
-              });
+    std::int64_t tensor = 1;
+    for (const std::int64_t size : have.dimSizes)
+        tensor *= size;
+    PRIMEPAR_ASSERT(covered == tensor, "source boxes cover ", covered,
+                    " of ", tensor, " elements: not a tiling");
+
+    // Distinct (domain, box) holdings, grouped by domain.
+    std::vector<std::pair<std::int32_t, std::int32_t>> held;
+    held.reserve(src.boxOfDevice.size());
+    for (std::size_t dev = 0; dev < src.boxOfDevice.size(); ++dev)
+        held.emplace_back(domainOf[dev], src.boxOfDevice[dev]);
+    std::sort(held.begin(), held.end());
+    held.erase(std::unique(held.begin(), held.end()), held.end());
+    src.domainStart.assign(static_cast<std::size_t>(numDomains) + 1, 0);
+    src.domainBoxes.reserve(held.size());
+    for (const auto &[dom, box] : held) {
+        ++src.domainStart[dom + 1];
+        src.domainBoxes.push_back(box);
+    }
+    std::partial_sum(src.domainStart.begin(), src.domainStart.end(),
+                     src.domainStart.begin());
     return src;
 }
 
@@ -340,101 +326,54 @@ CostModel::TrafficSplit
 CostModel::trafficSplit(const PreparedSource &have,
                         const PreparedNeed &need) const
 {
-    TrafficSplit split;
     const int dims = have.dims;
-    std::vector<std::int32_t> lo(dims), hi(dims);
-    std::vector<std::vector<std::int64_t>> ovl(dims);
+    const auto overlap = [&](const std::vector<SliceRange> &need_box,
+                             std::int32_t box) {
+        const SliceRange *b =
+            have.boxes.data() + static_cast<std::size_t>(box) * dims;
+        std::int64_t vol = 1;
+        for (int d = 0; d < dims && vol != 0; ++d)
+            vol *= need_box[d].intersect(b[d]);
+        return vol;
+    };
 
+    TrafficSplit split;
+    std::vector<std::int32_t> seen;
     for (const PreparedNeed::Group &g : need.groups) {
         const auto &need_box = need.boxes[g.box];
-        const std::vector<MaskWord> &reach = reachSets[g.reach];
+        const std::vector<std::int32_t> &reach = reachSets[g.reach];
 
-        // Per-dim overlapping interval-id ranges and overlap lengths.
-        bool empty = false;
-        for (int d = 0; d < dims; ++d) {
-            const auto &ivs = have.intervals[d];
-            const SliceRange &nr = need_box[d];
-            // First interval with end > nr.start.
-            const auto first = std::upper_bound(
-                ivs.begin(), ivs.end(), nr.start,
-                [](std::int64_t s, const SliceRange &r) {
-                    return s < r.end;
-                });
-            // First interval with start >= nr.end.
-            const auto last = std::lower_bound(
-                first, ivs.end(), nr.end,
-                [](const SliceRange &r, std::int64_t e) {
-                    return r.start < e;
-                });
-            lo[d] = static_cast<std::int32_t>(first - ivs.begin());
-            hi[d] = static_cast<std::int32_t>(last - ivs.begin());
-            if (lo[d] >= hi[d]) {
-                empty = true;
-                break;
+        // Fast share: the overlap with every distinct box held in a
+        // reached domain. One domain's boxes are distinct already;
+        // across several (torus neighbours) they are deduplicated.
+        std::int64_t fast = 0;
+        seen.clear();
+        for (const std::int32_t dom : reach) {
+            for (std::int32_t i = have.domainStart[dom];
+                 i < have.domainStart[dom + 1]; ++i) {
+                const std::int32_t box = have.domainBoxes[i];
+                if (reach.size() > 1) {
+                    if (std::find(seen.begin(), seen.end(), box) !=
+                        seen.end())
+                        continue;
+                    seen.push_back(box);
+                }
+                fast += overlap(need_box, box);
             }
-            ovl[d].assign(hi[d] - lo[d], 0);
-            for (std::int32_t id = lo[d]; id < hi[d]; ++id)
-                ovl[d][id - lo[d]] = nr.intersect(ivs[id]);
         }
+        // The source boxes tile the tensor: the rest of the need box
+        // comes over slow links.
+        std::int64_t slow = 1;
+        for (const SliceRange &r : need_box)
+            slow *= r.length();
+        slow -= fast;
 
-        std::int64_t group_intra = 0, group_inter = 0;
-        if (!empty) {
-            // Walk the lex-sorted boxes, narrowing to the tuple
-            // rectangle one dim at a time.
-            const std::int32_t *tuple = have.tuple.data();
-            const auto descend = [&](auto &&self, int level,
-                                     std::int32_t b0, std::int32_t b1,
-                                     std::int64_t vol) -> void {
-                if (level == dims) {
-                    for (std::int32_t i = b0; i < b1; ++i) {
-                        const std::uint64_t *mask =
-                            have.holderMask.data() +
-                            static_cast<std::size_t>(have.order[i]) *
-                                have.maskWords;
-                        const bool fast = std::any_of(
-                            reach.begin(), reach.end(),
-                            [mask](const MaskWord &m) {
-                                return (mask[m.word] & m.bits) != 0;
-                            });
-                        (fast ? group_intra : group_inter) += vol;
-                    }
-                    return;
-                }
-                for (std::int32_t id = lo[level]; id < hi[level];
-                     ++id) {
-                    const auto cmp = [&](std::int32_t box,
-                                         std::int32_t v) {
-                        return tuple[box * dims + level] < v;
-                    };
-                    const auto s0 = std::lower_bound(
-                        have.order.begin() + b0,
-                        have.order.begin() + b1, id, cmp);
-                    const auto s1 = std::lower_bound(
-                        s0, have.order.begin() + b1, id + 1, cmp);
-                    if (s0 != s1) {
-                        self(self, level + 1,
-                             static_cast<std::int32_t>(
-                                 s0 - have.order.begin()),
-                             static_cast<std::int32_t>(
-                                 s1 - have.order.begin()),
-                             vol * ovl[level][id - lo[level]]);
-                    }
-                }
-            };
-            descend(descend, 0, 0,
-                    static_cast<std::int32_t>(have.order.size()), 1);
-        }
-
-        // Each member device's own box was classified fast above (a
-        // device reaches itself) but moves nothing: subtract its
-        // overlap.
+        // Each member device's own box was counted fast (a device
+        // reaches itself) but moves nothing: subtract its overlap.
         for (const std::int32_t dev : g.devices) {
-            const auto &own_box = have.boxes[have.boxOfDevice[dev]];
-            std::int64_t own_vol = 1;
-            for (int d = 0; d < dims && own_vol != 0; ++d)
-                own_vol *= need_box[d].intersect(own_box[d]);
-            split.intraNode += group_intra - own_vol;
-            split.interNode += group_inter;
+            split.intraNode +=
+                fast - overlap(need_box, have.boxOfDevice[dev]);
+            split.interNode += slow;
         }
     }
     return split;

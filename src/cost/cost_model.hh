@@ -60,32 +60,26 @@ class CostModel
     };
 
     /**
-     * Grid-indexed view of a source layout. Layouts produced by
-     * layoutOf() are (partial) product grids: every box is a product
-     * of per-dimension intervals drawn from one pairwise-disjoint
-     * interval set per dimension (prepareSource() asserts it).
-     * Indexing the distinct boxes by their interval-id tuples turns
-     * "intersect every source box" into an orthogonal range query
-     * over only the overlapping boxes. Prepare once per source layout,
+     * Node-union view of a source layout. The distinct boxes of a
+     * layoutOf() layout tile the tensor: per dimension their intervals
+     * are pairwise disjoint, and their volumes sum to the tensor's
+     * (prepareSource() asserts both). So the part of a need box a
+     * receiver can fetch over fast links is its overlap with the
+     * distinct boxes held in the fast-link domains it reaches, and
+     * the rest crosses slow links. Prepare once per source layout,
      * then evaluate trafficSplit() against many destinations.
      */
     struct PreparedSource
     {
         int dims = 0;
-        /** Distinct boxes, in first-holder order. */
-        std::vector<std::vector<SliceRange>> boxes;
-        /** Per dim: sorted, pairwise-disjoint realized intervals. */
-        std::vector<std::vector<SliceRange>> intervals;
-        /** Per box: interval id per dim ([box * dims + d]). */
-        std::vector<std::int32_t> tuple;
-        /** Box indices sorted lexicographically by tuple. */
-        std::vector<std::int32_t> order;
-        /** Bitmask over fast-link domains holding a replica
-         *  ([box * maskWords + w]). */
-        int maskWords = 0;
-        std::vector<std::uint64_t> holderMask;
+        /** Distinct boxes in first-holder order ([box * dims + d]). */
+        std::vector<SliceRange> boxes;
         /** Each device's own box index. */
         std::vector<std::int32_t> boxOfDevice;
+        /** Distinct boxes held per fast-link domain, CSR:
+         *  domainBoxes[domainStart[dom] .. domainStart[dom + 1]). */
+        std::vector<std::int32_t> domainStart;
+        std::vector<std::int32_t> domainBoxes;
     };
 
     /** Build the source view. */
@@ -93,8 +87,8 @@ class CostModel
 
     /**
      * Destination view: devices grouped by (need box, fast-link reach)
-     * — all members see identical remote traffic, so the range query
-     * runs once per group.
+     * — all members see identical remote traffic, so the fast-link
+     * union is summed once per group.
      */
     struct PreparedNeed
     {
@@ -159,21 +153,15 @@ class CostModel
     std::string fp;
     /**
      * Fast-link structure derived from ClusterTopology::sameNode. A
-     * domain is the unit of holder masks: the node on a hierarchical
+     * domain groups source holders: the node on a hierarchical
      * cluster, the device itself on a torus. A device's reach set
      * lists the domains it shares a fast link with (its node, or
-     * itself plus its torus neighbours).
+     * itself plus its torus neighbours), ascending.
      */
     std::vector<std::int32_t> domainOf;
     int numDomains = 0;
-    /** One nonzero word of a reach set's domain bitmask. */
-    struct MaskWord
-    {
-        std::int32_t word = 0;
-        std::uint64_t bits = 0;
-    };
     std::vector<std::int32_t> reachOf; ///< device -> reach set id
-    std::vector<std::vector<MaskWord>> reachSets;
+    std::vector<std::vector<std::int32_t>> reachSets;
 };
 
 } // namespace primepar

@@ -194,12 +194,14 @@ namespace {
 struct LayoutClasses
 {
     std::vector<TensorLayout> classes;
-    std::vector<int> classOf; ///< per sequence
+    std::vector<std::string> keys; ///< boxKey() per class
+    std::vector<int> classOf;      ///< per sequence
 };
 
-/** Byte-serialize a device-box set for hashed class lookup (the boxes
- *  of all candidate layouts of one edge endpoint have identical shape,
- *  so the flat stream is unambiguous). */
+/** Byte-serialize a device-box set for hashed class lookup and memo
+ *  interning. Every box of a layout has one range per transfer dim,
+ *  so the leading device count and the stream length fix the shape:
+ *  the flat stream is unambiguous across edges too. */
 std::string
 boxKey(const std::vector<std::vector<SliceRange>> &device_box)
 {
@@ -248,8 +250,10 @@ classify(const OpSpec &op, const NodeCatalog &catalog,
         auto [it, inserted] = seen.emplace(
             boxKey(layouts[p].deviceBox),
             static_cast<int>(result.classes.size()));
-        if (inserted)
+        if (inserted) {
             result.classes.push_back(std::move(layouts[p]));
+            result.keys.push_back(it->first);
+        }
         result.classOf.push_back(it->second);
     }
     return result;
@@ -324,11 +328,11 @@ buildEdgeCostTable(const CompGraph &graph, const GraphEdge &edge,
         return mins;
     };
 
-    // Link-class-aware traffic per class pair. Sources (grid index)
-    // and needs (device groups) are prepared once per class, so each
-    // pair evaluation is one range query per need group. Pairs are
-    // independent slots, run in parallel over the flattened
-    // (have, need) index.
+    // Link-class-aware traffic per class pair. Sources (boxes per
+    // fast-link domain) and needs (device groups) are prepared once
+    // per class, so each pair evaluation sums a few box overlaps per
+    // need group. Pairs are independent slots, run in parallel over
+    // the flattened (have, need) index.
     auto traffic_table = [&](const LayoutClasses &have,
                              const LayoutClasses &need,
                              const std::vector<double> &have_intra,
@@ -350,33 +354,31 @@ buildEdgeCostTable(const CompGraph &graph, const GraphEdge &edge,
 
         // Cross-edge memo: resolve already-priced geometry pairs up
         // front; only the leftovers hit the traffic evaluator.
-        std::vector<std::string> have_keys, need_keys;
+        std::vector<std::uint64_t> have_ids, need_ids;
+        const auto pair_key = [&](std::size_t idx) {
+            return have_ids[idx / need.classes.size()] << 32 |
+                   need_ids[idx % need.classes.size()];
+        };
         std::vector<char> memoized(table.size(), 0);
         if (topts.memo) {
-            const auto length_prefixed = [](const std::string &k) {
-                const std::int64_t len =
-                    static_cast<std::int64_t>(k.size());
-                std::string out(reinterpret_cast<const char *>(&len),
-                                sizeof(len));
-                out += k;
-                return out;
+            TrafficMemo &memo = *topts.memo;
+            std::lock_guard<std::mutex> lock(memo.mutex);
+            const auto intern = [&memo](const std::string &key) {
+                const auto id = static_cast<std::uint32_t>(memo.ids.size());
+                return std::uint64_t{memo.ids.emplace(key, id).first->second};
             };
-            have_keys.reserve(have.classes.size());
-            for (const auto &c : have.classes)
-                have_keys.push_back(length_prefixed(boxKey(c.deviceBox)));
-            need_keys.reserve(need.classes.size());
-            for (const auto &c : need.classes)
-                need_keys.push_back(length_prefixed(boxKey(c.deviceBox)));
-            std::lock_guard<std::mutex> lock(topts.memo->mutex);
+            for (const std::string &key : have.keys)
+                have_ids.push_back(intern(key));
+            for (const std::string &key : need.keys)
+                need_ids.push_back(intern(key));
             for (std::size_t idx = 0; idx < table.size(); ++idx) {
                 if (hopeless(idx))
                     continue;
-                const auto it = topts.memo->map.find(
-                    have_keys[idx / need.classes.size()] +
-                    need_keys[idx % need.classes.size()]);
-                if (it != topts.memo->map.end()) {
+                const auto it = memo.map.find(pair_key(idx));
+                if (it != memo.map.end()) {
                     table[idx] = it->second;
                     memoized[idx] = 1;
+                    ++memo.hits;
                 }
             }
         }
@@ -398,12 +400,8 @@ buildEdgeCostTable(const CompGraph &graph, const GraphEdge &edge,
                 return;
             std::lock_guard<std::mutex> lock(topts.memo->mutex);
             for (std::size_t idx = 0; idx < table.size(); ++idx) {
-                if (hopeless(idx) || memoized[idx])
-                    continue;
-                topts.memo->map.emplace(
-                    have_keys[idx / need.classes.size()] +
-                        need_keys[idx % need.classes.size()],
-                    table[idx]);
+                if (!resolved(idx))
+                    topts.memo->map.emplace(pair_key(idx), table[idx]);
             }
         };
         std::vector<CostModel::PreparedSource> sources(

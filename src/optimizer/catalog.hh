@@ -107,13 +107,20 @@ struct EdgeCostTable
  * on the two boundary device-box geometries and the topology, so
  * edges carrying identically-shaped tensors (most of a transformer
  * block) ask the same questions — one run-scoped memo answers them
- * once. Thread-safe; a duplicate concurrent computation stores the
- * same integers, so results stay deterministic.
+ * once. Each geometry is interned once to a 32-bit id and a pair is
+ * keyed (have id << 32) | need id. Ids depend on the order parallel
+ * edges arrive in, but each names exactly one geometry, so the
+ * values stay deterministic. Thread-safe; a duplicate concurrent
+ * computation stores the same integers.
  */
 struct TrafficMemo
 {
     std::mutex mutex;
-    std::unordered_map<std::string, CostModel::TrafficSplit> map;
+    /** Interned geometries: byte-serialized device boxes -> id. */
+    std::unordered_map<std::string, std::uint32_t> ids;
+    std::unordered_map<std::uint64_t, CostModel::TrafficSplit> map;
+    /** Pair lookups answered from @ref map. */
+    std::uint64_t hits = 0;
 };
 
 /** Table-construction knobs (defaults: every pair, no memo). */

@@ -206,6 +206,19 @@ TEST(CostModelDeath, PrepareSourceRejectsOverlappingIntervals)
     EXPECT_DEATH(cm.prepareSource(have), "not a product grid");
 }
 
+TEST(CostModelDeath, PrepareSourceRejectsUncoveredTensor)
+{
+    // Disjoint boxes that leave a hole do not tile the tensor: the
+    // slow-link share (need volume minus the fast share) would charge
+    // elements nobody holds, so preparation refuses it.
+    const ClusterTopology topo = ClusterTopology::paperCluster(2);
+    const CostModel cm(topo, profileModels(topo));
+    TensorLayout have;
+    have.dimSizes = {6};
+    have.deviceBox = {{SliceRange{0, 2}}, {SliceRange{4, 6}}};
+    EXPECT_DEATH(cm.prepareSource(have), "not a tiling");
+}
+
 TEST(CostModel, IntraCheaperThanInterRedistribution)
 {
     const ClusterTopology topo = ClusterTopology::paperCluster(8);

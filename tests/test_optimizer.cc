@@ -6,6 +6,7 @@
  * search behaviour on the transformer block.
  */
 
+#include <cstring>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -86,6 +87,37 @@ TEST(Catalog, EdgeTableSymmetryForAlignedPairs)
             relu_mm = i;
     ASSERT_GE(relu_mm, 0);
     EXPECT_GT(table.at(fc1_bk, relu_mm), 0.0);
+}
+
+TEST(Catalog, EdgeTableMemoMatchesFreshEvaluation)
+{
+    // Interned memo ids must name exactly one geometry: every edge
+    // table built through one shared memo is bit-identical to a fresh
+    // evaluation, and the memo must actually serve hits, so a key
+    // collision between two geometries would show.
+    for (const ClusterTopology &topo : {ClusterTopology::paperCluster(16),
+                                        ClusterTopology::torus2d(4)}) {
+        const CostModel cost(topo, profileModels(topo));
+        const CompGraph g = buildTransformerBlock(opt6p7b(), 8);
+        const auto catalogs = buildAllNodeCatalogs(g, cost, {});
+        TrafficMemo memo;
+        EdgeTableOptions shared;
+        shared.memo = &memo;
+        for (const GraphEdge &edge : g.edges()) {
+            const NodeCatalog &src = *catalogs[edge.src];
+            const NodeCatalog &dst = *catalogs[edge.dst];
+            const auto memoized =
+                buildEdgeCostTable(g, edge, src, dst, cost, nullptr, shared);
+            const auto fresh = buildEdgeCostTable(g, edge, src, dst, cost);
+            ASSERT_EQ(memoized.cost.size(), fresh.cost.size());
+            EXPECT_EQ(std::memcmp(memoized.cost.data(), fresh.cost.data(),
+                                  fresh.cost.size() * sizeof(float)),
+                      0)
+                << topo.numDevices() << " devices, edge " << edge.src
+                << " -> " << edge.dst;
+        }
+        EXPECT_GT(memo.hits, 0u);
+    }
 }
 
 TEST(SegmentedDp, MatchesBruteForceOnChain)
