@@ -9,7 +9,7 @@
  *    inner loops against regressions.
  *  - `--json [FILE]` (add `--quick` for CI sizes): the runtime
  *    microbench. Reports blocked-vs-naive kernel timings (ms, GFLOP/s,
- *    bytes moved), a partitioned training step across thread counts
+ *    bytes moved, the SIMD tier that ran them), a partitioned training step across thread counts
  *    (tokens/s, ring/all-reduce bytes, scaling efficiency), the
  *    fault-free overhead of the checksummed transport (budget < 3%),
  *    the overhead of the full observability stack (tracing + metrics,
@@ -208,6 +208,7 @@ emitKernel(std::ostream &os, const KernelReport &r, bool last)
        << ", \"speedup\": " << jnum(r.naive_ms / r.blocked_ms)
        << ", \"gflops\": " << jnum(flops / (r.blocked_ms * 1e6))
        << ", \"bytes_moved\": " << r.bytes_moved
+       << ", \"isa\": \"" << gemmIsaName(activeGemmIsa()) << "\""
        << ", \"max_abs_diff\": " << jnum(r.max_abs_diff) << "}"
        << (last ? "" : ",") << "\n";
 }

@@ -8,7 +8,7 @@
 # Default mode runs the microbench in --quick mode, then checks that
 # the output is valid JSON with the primepar-bench-runtime-v1 schema,
 # that no timing is NaN/absent, that every kernel matched its naive
-# reference exactly, and that results were bit-identical across thread
+# reference exactly and names the GEMM tier it ran on, and that results were bit-identical across thread
 # counts.
 #
 # --planner (the `planner_opttime` gate) runs the planner A/B sweep at
@@ -186,6 +186,8 @@ for k in kernels:
         finite(k.get(field), f"kernels[{name}].{field}")
     if k["blocked_ms"] <= 0:
         fail(f"kernels[{name}].blocked_ms not positive")
+    if k.get("isa") not in ("sse2", "avx2", "avx512f"):
+        fail(f"kernels[{name}].isa is not a GEMM tier: {k.get('isa')!r}")
     if k.get("max_abs_diff") != 0:
         fail(f"kernels[{name}] diverged from the naive reference: "
              f"max_abs_diff={k.get('max_abs_diff')}")

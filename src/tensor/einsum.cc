@@ -26,15 +26,14 @@ hasDuplicates(const std::vector<int> &labels)
     return false;
 }
 
-/** Parameters of a batched-GEMM view of a labelled contraction. */
-struct GemmPlan
+/** Label groups of a batched-GEMM view of a labelled contraction. */
+struct GemmLayout
 {
-    std::int64_t batches = 1;
-    std::int64_t m = 1;
-    std::int64_t n = 1;
-    std::int64_t k = 1;
+    std::vector<int> batch, m, n, k;
     bool trans_a = false;
     bool trans_b = false;
+    /** The GEMM's A operand is the contraction's b (and B is a). */
+    bool swap = false;
 };
 
 std::vector<int>
@@ -47,33 +46,29 @@ concat(const std::vector<int> &x, const std::vector<int> &y)
 
 /**
  * Recognize a contraction that is a batched GEMM over contiguous label
- * groups. Classify each label by membership (batch = in a, b and out;
- * m = a and out; n = b and out; k = a and b only) and require each
- * tensor's label list to be its groups concatenated in a row-major
- * compatible order. The contracted group must keep the same internal
- * order in both inputs, so the flattened GEMM contraction index walks
- * the k labels exactly like the odometer fallback does — that is what
- * keeps the fast path bit-identical to naive::contract.
+ * groups, with @p a_dims as the GEMM's A operand. Classify each label
+ * by membership (batch = in a, b and out; m = a and out; n = b and
+ * out; k = a and b only) and require each tensor's label list to be
+ * its groups concatenated in a row-major compatible order. The
+ * contracted group must keep the same internal order in both inputs,
+ * so the flattened GEMM contraction index walks the k labels exactly
+ * like the odometer fallback does — that is what keeps the fast path
+ * bit-identical to naive::contract.
  */
 bool
-planGemm(const std::vector<int> &a_dims, const std::vector<int> &b_dims,
-         const std::vector<int> &out_dims,
-         const std::map<int, std::int64_t> &extent, GemmPlan &plan)
+layoutAs(const std::vector<int> &a_dims, const std::vector<int> &b_dims,
+         const std::vector<int> &out_dims, GemmLayout &g)
 {
-    if (hasDuplicates(a_dims) || hasDuplicates(b_dims) ||
-        hasDuplicates(out_dims))
-        return false;
-
-    std::vector<int> batch, m_labels, n_labels, k_labels;
+    g = GemmLayout{};
     for (int l : out_dims) {
         const bool in_a = contains(a_dims, l);
         const bool in_b = contains(b_dims, l);
         if (in_a && in_b)
-            batch.push_back(l);
+            g.batch.push_back(l);
         else if (in_a)
-            m_labels.push_back(l);
+            g.m.push_back(l);
         else if (in_b)
-            n_labels.push_back(l);
+            g.n.push_back(l);
         else
             return false; // output-only label: not a contraction
     }
@@ -81,47 +76,67 @@ planGemm(const std::vector<int> &a_dims, const std::vector<int> &b_dims,
         if (!contains(out_dims, l)) {
             if (!contains(b_dims, l))
                 return false; // summed label missing from b
-            k_labels.push_back(l);
+            g.k.push_back(l);
         }
     }
     for (int l : b_dims) {
         if (!contains(out_dims, l) && !contains(a_dims, l))
             return false;
     }
-    if (k_labels.empty())
+    if (g.k.empty())
         return false; // outer product; GEMM with k=0 would be a no-op
 
-    if (out_dims != concat(concat(batch, m_labels), n_labels))
+    if (out_dims != concat(concat(g.batch, g.m), g.n))
         return false;
 
-    if (a_dims == concat(concat(batch, m_labels), k_labels))
-        plan.trans_a = false;
-    else if (a_dims == concat(concat(batch, k_labels), m_labels))
-        plan.trans_a = true;
+    if (a_dims == concat(concat(g.batch, g.m), g.k))
+        g.trans_a = false;
+    else if (a_dims == concat(concat(g.batch, g.k), g.m))
+        g.trans_a = true;
     else
         return false;
 
-    if (b_dims == concat(concat(batch, k_labels), n_labels))
-        plan.trans_b = false;
-    else if (b_dims == concat(concat(batch, n_labels), k_labels))
-        plan.trans_b = true;
+    if (b_dims == concat(concat(g.batch, g.k), g.n))
+        g.trans_b = false;
+    else if (b_dims == concat(concat(g.batch, g.n), g.k))
+        g.trans_b = true;
     else
         return false;
+    return true;
+}
 
-    auto product = [&](const std::vector<int> &labels) {
-        std::int64_t p = 1;
-        for (int l : labels)
-            p *= extent.at(l);
-        return p;
-    };
-    plan.batches = product(batch);
-    plan.m = product(m_labels);
-    plan.n = product(n_labels);
-    plan.k = product(k_labels);
+/**
+ * The GEMM fast path's layout: a as A first, else b as A with the
+ * operands swapped. The swap is exact: each term's product is the same
+ * IEEE multiply with its operands commuted, and the k labels are still
+ * walked in the same ascending order, so every output element adds
+ * the same terms in the same sequence.
+ */
+bool
+planGemm(const std::vector<int> &a_dims, const std::vector<int> &b_dims,
+         const std::vector<int> &out_dims, GemmLayout &g)
+{
+    if (hasDuplicates(a_dims) || hasDuplicates(b_dims) ||
+        hasDuplicates(out_dims))
+        return false;
+    if (layoutAs(a_dims, b_dims, out_dims, g))
+        return true;
+    if (!layoutAs(b_dims, a_dims, out_dims, g))
+        return false;
+    g.swap = true;
     return true;
 }
 
 } // namespace
+
+bool
+contractionRunsAsGemm(const std::vector<int> &a_dims,
+                      const std::vector<int> &b_dims,
+                      const std::vector<int> &out_dims)
+{
+    GemmLayout g;
+    return planGemm(a_dims, b_dims, out_dims, g);
+}
 
 void
 contractProduct(const Tensor &a, const std::vector<int> &a_dims,
@@ -169,20 +184,29 @@ contractProduct(const Tensor &a, const std::vector<int> &a_dims,
 
     // Fast path: every executor contraction (linear layers, attention
     // score / context matmuls and their backward passes) is a batched
-    // GEMM over contiguous label groups. Detect that shape and run the
-    // blocked kernel; the per-element term order is unchanged.
-    GemmPlan plan;
-    if (planGemm(a_dims, b_dims, out_dims, extent, plan)) {
-        const float *ap = a.data();
-        const float *bp = b.data();
+    // GEMM over contiguous label groups, possibly with the operands
+    // swapped (contractionRunsAsGemm; test_gemm checks the claim for
+    // both block builders). Detect that shape and run the blocked
+    // kernel; the per-element term order is unchanged.
+    GemmLayout g;
+    if (planGemm(a_dims, b_dims, out_dims, g)) {
+        auto product = [&](const std::vector<int> &labels) {
+            std::int64_t p = 1;
+            for (int l : labels)
+                p *= extent.at(l);
+            return p;
+        };
+        const std::int64_t batches = product(g.batch);
+        const std::int64_t m = product(g.m);
+        const std::int64_t n = product(g.n);
+        const std::int64_t k = product(g.k);
+        const float *ap = g.swap ? b.data() : a.data();
+        const float *bp = g.swap ? a.data() : b.data();
         float *op = out.data();
-        const std::int64_t a_sz = plan.m * plan.k;
-        const std::int64_t b_sz = plan.k * plan.n;
-        const std::int64_t o_sz = plan.m * plan.n;
-        for (std::int64_t bt = 0; bt < plan.batches; ++bt)
-            gemmAccumulate(ap + bt * a_sz, bp + bt * b_sz,
-                           op + bt * o_sz, plan.m, plan.n, plan.k,
-                           plan.trans_a, plan.trans_b);
+        for (std::int64_t bt = 0; bt < batches; ++bt)
+            gemmAccumulate(ap + bt * m * k, bp + bt * k * n,
+                           op + bt * m * n, m, n, k, g.trans_a,
+                           g.trans_b);
         return;
     }
 

@@ -33,6 +33,16 @@ void contractProduct(const Tensor &a, const std::vector<int> &a_dims,
                      const Tensor &b, const std::vector<int> &b_dims,
                      Tensor &out, const std::vector<int> &out_dims);
 
+/**
+ * True when contractProduct runs this labelling on the blocked GEMM
+ * (a batched GEMM over contiguous label groups, in either operand
+ * order) rather than on the scalar odometer. Depends on labels only,
+ * not extents.
+ */
+bool contractionRunsAsGemm(const std::vector<int> &a_dims,
+                           const std::vector<int> &b_dims,
+                           const std::vector<int> &out_dims);
+
 } // namespace primepar
 
 #endif // PRIMEPAR_TENSOR_EINSUM_HH

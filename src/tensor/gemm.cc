@@ -7,110 +7,30 @@
 
 #if defined(__GNUC__) || defined(__clang__)
 #define PRIMEPAR_RESTRICT __restrict__
+#define PRIMEPAR_GEMM_SIMD 1
+#define PRIMEPAR_ALWAYS_INLINE inline __attribute__((always_inline))
 #else
 #define PRIMEPAR_RESTRICT
+#define PRIMEPAR_ALWAYS_INLINE inline
+#endif
+
+#if PRIMEPAR_GEMM_SIMD && (defined(__x86_64__) || defined(__i386__))
+#define PRIMEPAR_GEMM_X86 1
 #endif
 
 namespace primepar {
 
 namespace {
 
-// Blocking parameters. NR*4 bytes is the C-tile row held in vector
-// registers; KC*NR*4 bytes (8 KiB) is the B panel a register tile
-// streams, sized to stay L1-resident across the i loop.
-constexpr std::int64_t MR = 4;
-constexpr std::int64_t NR = 8;
+// Contraction block: a register tile streams a KC-row B panel, sized
+// to stay L1-resident across the i loop (32 KiB at the widest,
+// 32-column tile).
 constexpr std::int64_t KC = 256;
 
-#if defined(__GNUC__) || defined(__clang__)
-#define PRIMEPAR_GEMM_SIMD 1
-typedef float v4sf __attribute__((vector_size(16)));
-
-inline v4sf
-loadu(const float *p)
-{
-    v4sf v;
-    __builtin_memcpy(&v, p, sizeof(v));
-    return v;
-}
-
-inline void
-storeu(float *p, v4sf v)
-{
-    __builtin_memcpy(p, &v, sizeof(v));
-}
-
-inline v4sf
-splat(float x)
-{
-    return (v4sf){x, x, x, x};
-}
-
-/**
- * Register micro-kernel: C[4][8] += A-rows x B-panel over l in
- * [l0, l1). @p a points at the row block (element (r, l) at
- * a[r*ars + l*acs]), @p b at column j0 of the full B (row l at
- * b + l*ldb), @p c at the tile origin.
- */
-inline void
-micro4x8(const float *PRIMEPAR_RESTRICT a, std::int64_t ars,
-         std::int64_t acs, const float *PRIMEPAR_RESTRICT b,
-         std::int64_t ldb, float *PRIMEPAR_RESTRICT c, std::int64_t ldc,
-         std::int64_t l0, std::int64_t l1)
-{
-    v4sf c00 = loadu(c + 0 * ldc), c01 = loadu(c + 0 * ldc + 4);
-    v4sf c10 = loadu(c + 1 * ldc), c11 = loadu(c + 1 * ldc + 4);
-    v4sf c20 = loadu(c + 2 * ldc), c21 = loadu(c + 2 * ldc + 4);
-    v4sf c30 = loadu(c + 3 * ldc), c31 = loadu(c + 3 * ldc + 4);
-    for (std::int64_t l = l0; l < l1; ++l) {
-        const float *PRIMEPAR_RESTRICT brow = b + l * ldb;
-        const v4sf b0 = loadu(brow);
-        const v4sf b1 = loadu(brow + 4);
-        const v4sf a0 = splat(a[0 * ars + l * acs]);
-        c00 += a0 * b0;
-        c01 += a0 * b1;
-        const v4sf a1 = splat(a[1 * ars + l * acs]);
-        c10 += a1 * b0;
-        c11 += a1 * b1;
-        const v4sf a2 = splat(a[2 * ars + l * acs]);
-        c20 += a2 * b0;
-        c21 += a2 * b1;
-        const v4sf a3 = splat(a[3 * ars + l * acs]);
-        c30 += a3 * b0;
-        c31 += a3 * b1;
-    }
-    storeu(c + 0 * ldc, c00);
-    storeu(c + 0 * ldc + 4, c01);
-    storeu(c + 1 * ldc, c10);
-    storeu(c + 1 * ldc + 4, c11);
-    storeu(c + 2 * ldc, c20);
-    storeu(c + 2 * ldc + 4, c21);
-    storeu(c + 3 * ldc, c30);
-    storeu(c + 3 * ldc + 4, c31);
-}
-
-/** Single-row variant of micro4x8 for the m % MR edge. */
-inline void
-micro1x8(const float *PRIMEPAR_RESTRICT a, std::int64_t acs,
-         const float *PRIMEPAR_RESTRICT b, std::int64_t ldb,
-         float *PRIMEPAR_RESTRICT c, std::int64_t l0, std::int64_t l1)
-{
-    v4sf c0 = loadu(c);
-    v4sf c1 = loadu(c + 4);
-    for (std::int64_t l = l0; l < l1; ++l) {
-        const float *PRIMEPAR_RESTRICT brow = b + l * ldb;
-        const v4sf av = splat(a[l * acs]);
-        c0 += av * loadu(brow);
-        c1 += av * loadu(brow + 4);
-    }
-    storeu(c, c0);
-    storeu(c + 4, c1);
-}
-#endif // PRIMEPAR_GEMM_SIMD
-
-/** Scalar edge kernel, same ascending-l term order: C[i][j0..n) over
- *  rows [i0, i1). */
-void
+/** Scalar edge kernel, same ascending-l term order: C[i][j0..j1) over
+ *  rows [i0, i1). Inlined into each tier, so the compiler may
+ *  vectorize the j loop — still one mul and one add per element. */
+PRIMEPAR_ALWAYS_INLINE void
 edgeCols(const float *PRIMEPAR_RESTRICT a, std::int64_t ars,
          std::int64_t acs, const float *PRIMEPAR_RESTRICT b,
          std::int64_t ldb, float *PRIMEPAR_RESTRICT c, std::int64_t ldc,
@@ -128,11 +48,86 @@ edgeCols(const float *PRIMEPAR_RESTRICT a, std::int64_t ars,
     }
 }
 
+#if PRIMEPAR_GEMM_SIMD
+/** W-lane float vector: W = 4, 8, 16 fill an SSE, AVX, AVX-512 register. */
+template <int W>
+struct Lanes
+{
+    typedef float type __attribute__((vector_size(W * sizeof(float))));
+};
+
+/**
+ * Register micro-kernel: C[R][NV*W] += A-rows x B-panel over l in
+ * [l0, l1), with R*NV accumulator vectors live across the loop. @p a
+ * points at the row block (element (r, l) at a[r*ars + l*acs]), @p b
+ * at column j0 of the full B (row l at b + l*ldb), @p c at the tile
+ * origin. Each lane is one output element and gets one separate
+ * multiply and add per l, in ascending l.
+ */
+template <int R, int W, int NV>
+PRIMEPAR_ALWAYS_INLINE void
+microTile(const float *PRIMEPAR_RESTRICT a, std::int64_t ars,
+          std::int64_t acs, const float *PRIMEPAR_RESTRICT b,
+          std::int64_t ldb, float *PRIMEPAR_RESTRICT c, std::int64_t ldc,
+          std::int64_t l0, std::int64_t l1)
+{
+    using V = typename Lanes<W>::type;
+    V acc[R][NV];
+    for (int r = 0; r < R; ++r)
+        for (int v = 0; v < NV; ++v)
+            __builtin_memcpy(&acc[r][v], c + r * ldc + v * W, sizeof(V));
+    for (std::int64_t l = l0; l < l1; ++l) {
+        const float *PRIMEPAR_RESTRICT brow = b + l * ldb;
+        V bv[NV];
+        for (int v = 0; v < NV; ++v)
+            __builtin_memcpy(&bv[v], brow + v * W, sizeof(V));
+        for (int r = 0; r < R; ++r) {
+            // Scalar operand: GCC broadcasts it once per row, where a
+            // lane-by-lane fill compiled to masked inserts.
+            const float x = a[r * ars + l * acs];
+            for (int v = 0; v < NV; ++v)
+                acc[r][v] += x * bv[v];
+        }
+    }
+    for (int r = 0; r < R; ++r)
+        for (int v = 0; v < NV; ++v)
+            __builtin_memcpy(c + r * ldc + v * W, &acc[r][v], sizeof(V));
+}
+
+/**
+ * Cover the full NV*W-wide column panels from @p j0 on with R x (NV*W)
+ * tiles (leftover rows take the single-row tile) and return the first
+ * column left uncovered.
+ */
+template <int R, int W, int NV>
+PRIMEPAR_ALWAYS_INLINE std::int64_t
+columnPanels(const float *PRIMEPAR_RESTRICT a, std::int64_t ars,
+             std::int64_t acs, const float *PRIMEPAR_RESTRICT b,
+             float *PRIMEPAR_RESTRICT c, std::int64_t m, std::int64_t n,
+             std::int64_t j0, std::int64_t l0, std::int64_t l1)
+{
+    constexpr std::int64_t cols = NV * W;
+    for (; j0 + cols <= n; j0 += cols) {
+        std::int64_t i0 = 0;
+        for (; i0 + R <= m; i0 += R)
+            microTile<R, W, NV>(a + i0 * ars, ars, acs, b + j0, n,
+                                c + i0 * n + j0, n, l0, l1);
+        for (; i0 < m; ++i0)
+            microTile<1, W, NV>(a + i0 * ars, ars, acs, b + j0, n,
+                                c + i0 * n + j0, n, l0, l1);
+    }
+    return j0;
+}
+#endif // PRIMEPAR_GEMM_SIMD
+
 /**
  * Blocked C[m,n] += A x B with B dense row-major k x n. A is accessed
- * as A(i,l) = a[i*ars + l*acs], which covers both orientations.
+ * as A(i,l) = a[i*ars + l*acs], which covers both orientations. The
+ * widest tile of @p Isa takes the full column panels; each narrower
+ * tile, then the scalar edge, takes what is left.
  */
-void
+template <GemmIsa Isa>
+PRIMEPAR_ALWAYS_INLINE void
 gemmPanels(const float *PRIMEPAR_RESTRICT a, std::int64_t ars,
            std::int64_t acs, const float *PRIMEPAR_RESTRICT b,
            float *PRIMEPAR_RESTRICT c, std::int64_t m, std::int64_t n,
@@ -140,22 +135,71 @@ gemmPanels(const float *PRIMEPAR_RESTRICT a, std::int64_t ars,
 {
     for (std::int64_t l0 = 0; l0 < k; l0 += KC) {
         const std::int64_t l1 = std::min(k, l0 + KC);
-#if PRIMEPAR_GEMM_SIMD
         std::int64_t j0 = 0;
-        for (; j0 + NR <= n; j0 += NR) {
-            std::int64_t i0 = 0;
-            for (; i0 + MR <= m; i0 += MR)
-                micro4x8(a + i0 * ars, ars, acs, b + j0, n,
-                         c + i0 * n + j0, n, l0, l1);
-            for (; i0 < m; ++i0)
-                micro1x8(a + i0 * ars, acs, b + j0, n, c + i0 * n + j0,
-                         l0, l1);
+#if PRIMEPAR_GEMM_SIMD
+        if constexpr (Isa == GemmIsa::Avx512f) {
+            j0 = columnPanels<8, 16, 2>(a, ars, acs, b, c, m, n, j0, l0, l1);
+            j0 = columnPanels<8, 16, 1>(a, ars, acs, b, c, m, n, j0, l0, l1);
+            j0 = columnPanels<6, 8, 1>(a, ars, acs, b, c, m, n, j0, l0, l1);
+        } else if constexpr (Isa == GemmIsa::Avx2) {
+            j0 = columnPanels<6, 8, 2>(a, ars, acs, b, c, m, n, j0, l0, l1);
+            j0 = columnPanels<6, 8, 1>(a, ars, acs, b, c, m, n, j0, l0, l1);
+        } else {
+            j0 = columnPanels<4, 4, 2>(a, ars, acs, b, c, m, n, j0, l0, l1);
         }
+#endif
         if (j0 < n)
             edgeCols(a, ars, acs, b, n, c, n, 0, m, j0, n, l0, l1);
-#else
-        edgeCols(a, ars, acs, b, n, c, n, 0, m, 0, n, l0, l1);
+    }
+}
+
+using PanelsFn = void (*)(const float *, std::int64_t, std::int64_t,
+                          const float *, float *, std::int64_t,
+                          std::int64_t, std::int64_t);
+
+// One out-of-line instance per tier, each compiled for its ISA: the
+// templates above are always_inline so they take the caller's target.
+// The kernel TU keeps -ffp-contract=off, so no tier fuses mul and add.
+void
+panelsSse2(const float *a, std::int64_t ars, std::int64_t acs,
+           const float *b, float *c, std::int64_t m, std::int64_t n,
+           std::int64_t k)
+{
+    gemmPanels<GemmIsa::Sse2>(a, ars, acs, b, c, m, n, k);
+}
+
+#if PRIMEPAR_GEMM_X86
+__attribute__((target("avx2"))) void
+panelsAvx2(const float *a, std::int64_t ars, std::int64_t acs,
+           const float *b, float *c, std::int64_t m, std::int64_t n,
+           std::int64_t k)
+{
+    gemmPanels<GemmIsa::Avx2>(a, ars, acs, b, c, m, n, k);
+}
+
+__attribute__((target("avx512f"))) void
+panelsAvx512f(const float *a, std::int64_t ars, std::int64_t acs,
+              const float *b, float *c, std::int64_t m, std::int64_t n,
+              std::int64_t k)
+{
+    gemmPanels<GemmIsa::Avx512f>(a, ars, acs, b, c, m, n, k);
+}
 #endif
+
+PanelsFn
+panelsFor(GemmIsa isa)
+{
+    PRIMEPAR_ASSERT(detail::hostSupportsGemmIsa(isa), "GEMM tier ",
+                    gemmIsaName(isa), " is not supported on this host");
+    switch (isa) {
+#if PRIMEPAR_GEMM_X86
+    case GemmIsa::Avx512f:
+        return panelsAvx512f;
+    case GemmIsa::Avx2:
+        return panelsAvx2;
+#endif
+    default:
+        return panelsSse2;
     }
 }
 
@@ -176,11 +220,10 @@ packTranspose(const float *PRIMEPAR_RESTRICT src, float *PRIMEPAR_RESTRICT dst,
     }
 }
 
-} // namespace
-
 void
-gemmAccumulate(const float *a, const float *b, float *c, std::int64_t m,
-               std::int64_t n, std::int64_t k, bool trans_a, bool trans_b)
+gemmWith(PanelsFn panels, const float *a, const float *b, float *c,
+         std::int64_t m, std::int64_t n, std::int64_t k, bool trans_a,
+         bool trans_b)
 {
     PRIMEPAR_ASSERT(m >= 0 && n >= 0 && k >= 0, "negative GEMM extent");
     if (m == 0 || n == 0 || k == 0)
@@ -190,14 +233,83 @@ gemmAccumulate(const float *a, const float *b, float *c, std::int64_t m,
     const std::int64_t acs = trans_a ? m : 1;
 
     if (!trans_b) {
-        gemmPanels(a, ars, acs, b, c, m, n, k);
+        panels(a, ars, acs, b, c, m, n, k);
         return;
     }
     // Repack B^T so the inner kernel streams contiguous rows; the
     // pooled workspace makes this allocation-free in steady state.
     Workspace packed(k * n);
     packTranspose(b, packed.data(), n, k);
-    gemmPanels(a, ars, acs, packed.data(), c, m, n, k);
+    panels(a, ars, acs, packed.data(), c, m, n, k);
 }
+
+} // namespace
+
+const char *
+gemmIsaName(GemmIsa isa)
+{
+    switch (isa) {
+    case GemmIsa::Avx512f:
+        return "avx512f";
+    case GemmIsa::Avx2:
+        return "avx2";
+    case GemmIsa::Sse2:
+        break;
+    }
+    return "sse2";
+}
+
+GemmIsa
+activeGemmIsa()
+{
+    static const GemmIsa isa = [] {
+        for (GemmIsa t : {GemmIsa::Avx512f, GemmIsa::Avx2})
+            if (detail::hostSupportsGemmIsa(t))
+                return t;
+        return GemmIsa::Sse2;
+    }();
+    return isa;
+}
+
+void
+gemmAccumulate(const float *a, const float *b, float *c, std::int64_t m,
+               std::int64_t n, std::int64_t k, bool trans_a, bool trans_b)
+{
+    static const PanelsFn panels = panelsFor(activeGemmIsa());
+    gemmWith(panels, a, b, c, m, n, k, trans_a, trans_b);
+}
+
+namespace detail {
+
+bool
+hostSupportsGemmIsa(GemmIsa isa)
+{
+#if PRIMEPAR_GEMM_X86
+    // Needed when the first GEMM runs from a static initializer.
+    __builtin_cpu_init();
+#endif
+    switch (isa) {
+    case GemmIsa::Sse2:
+        return true;
+#if PRIMEPAR_GEMM_X86
+    case GemmIsa::Avx2:
+        return __builtin_cpu_supports("avx2");
+    case GemmIsa::Avx512f:
+        return __builtin_cpu_supports("avx512f");
+#endif
+    default:
+        return false;
+    }
+}
+
+void
+gemmAccumulateOn(GemmIsa isa, const float *a, const float *b, float *c,
+                 std::int64_t m, std::int64_t n, std::int64_t k,
+                 bool trans_a, bool trans_b)
+{
+    gemmWith(panelsFor(isa), a, b, c, m, n, k, trans_a, trans_b);
+}
+
+} // namespace detail
 
 } // namespace primepar

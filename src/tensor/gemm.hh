@@ -6,14 +6,18 @@
  * linearGradient, batched attention matmuls and the executor's generic
  * contractions (via the einsum GEMM fast path). The blocking scheme
  * (DESIGN.md "Runtime performance") keeps B panels L1-resident and a
- * 4x8 register tile of C live across the contraction block.
+ * register tile of C live across the contraction block. The tile is
+ * as wide as the host allows: SSE2 4x8, AVX2 6x16 or AVX-512F 8x32,
+ * picked once per process (activeGemmIsa()).
  *
  * Determinism contract: for every output element C[i][j] the products
  * A(i,l)*B(l,j) are added in ascending l order, one term at a time —
  * exactly the order of the naive triple loop. Blocking, register
  * accumulation and SIMD over *distinct* output elements never
  * reassociate a single element's sum, so the result is bit-identical
- * to the naive reference kernels below at any block size.
+ * to the naive reference kernels below at any block size and on every
+ * tier. No tier uses FMA: the kernel TU is built with
+ * -ffp-contract=off, so every term is a separate multiply and add.
  */
 
 #ifndef PRIMEPAR_TENSOR_GEMM_HH
@@ -22,6 +26,21 @@
 #include "tensor.hh"
 
 namespace primepar {
+
+/** SIMD tiers of the GEMM micro-kernel, narrowest first. */
+enum class GemmIsa
+{
+    Sse2,   ///< 4-lane vectors, 4x8 tile (the x86-64 baseline)
+    Avx2,   ///< 8-lane vectors, 6x16 tile
+    Avx512f ///< 16-lane vectors, 8x32 tile
+};
+
+/** "sse2", "avx2" or "avx512f". */
+const char *gemmIsaName(GemmIsa isa);
+
+/** The tier gemmAccumulate runs on: the widest one the host CPU
+ *  supports, chosen once per process. */
+GemmIsa activeGemmIsa();
 
 /**
  * C[m,n] += A x B with ascending-l accumulation order per element.
@@ -38,6 +57,18 @@ namespace primepar {
 void gemmAccumulate(const float *a, const float *b, float *c,
                     std::int64_t m, std::int64_t n, std::int64_t k,
                     bool trans_a, bool trans_b);
+
+/** Test seam: run one specific tier instead of the active one. */
+namespace detail {
+
+bool hostSupportsGemmIsa(GemmIsa isa);
+
+/** gemmAccumulate on tier @p isa, which the host must support. */
+void gemmAccumulateOn(GemmIsa isa, const float *a, const float *b,
+                      float *c, std::int64_t m, std::int64_t n,
+                      std::int64_t k, bool trans_a, bool trans_b);
+
+} // namespace detail
 
 /**
  * Naive reference kernels (seed-fidelity triple loops, compiled at

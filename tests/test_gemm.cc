@@ -5,16 +5,21 @@
  * The blocked/SIMD GEMM promises *bit-identical* results to the naive
  * seed loops (gemm.hh's determinism contract) — not allClose, exact
  * float equality, across odd sizes that exercise every micro-kernel
- * edge case. Also covers NaN/Inf propagation (the seed's `v == 0`
- * shortcut silently dropped them), the einsum GEMM fast path against
- * the odometer, slice/assignSlice fast paths, and BufferPool reuse.
+ * edge case, on every SIMD tier the host supports. Also covers NaN/Inf
+ * propagation (the seed's `v == 0` shortcut silently dropped them), the
+ * einsum GEMM fast path against the odometer (operand swap included),
+ * that every executor contraction takes that fast path,
+ * slice/assignSlice fast paths, and BufferPool reuse.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iostream>
 #include <limits>
+#include <string>
 
+#include "graph/transformer.hh"
 #include "tensor/einsum.hh"
 #include "tensor/gemm.hh"
 #include "tensor/ops.hh"
@@ -22,8 +27,9 @@
 namespace primepar {
 namespace {
 
-// Sizes straddling the micro-kernel tile boundaries (MR=4, NR=8,
-// KC=256): exact multiples, off-by-one edges, tiny and tall/skinny.
+// Sizes straddling the micro-kernel tile boundaries (rows 4/6/8,
+// columns 8/16/32, KC=256): exact multiples, off-by-one edges, tiny and
+// tall/skinny.
 struct Dims
 {
     std::int64_t m, n, k;
@@ -123,6 +129,74 @@ TEST(BlockedKernels, ZeroTimesNanPropagates)
     EXPECT_TRUE(std::isnan(dw.at({1, 0})));
 }
 
+/** C = A x B on one GEMM tier, from a zeroed C (A m x k or k x m, B
+ *  k x n or n x k, as batchedMatmul lays them out). */
+Tensor
+gemmOnTier(GemmIsa isa, const Tensor &a, const Tensor &b, std::int64_t m,
+           std::int64_t n, std::int64_t k, bool ta, bool tb)
+{
+    Tensor c(Shape{m, n});
+    detail::gemmAccumulateOn(isa, a.data(), b.data(), c.data(), m, n, k,
+                             ta, tb);
+    return c;
+}
+
+TEST(BlockedKernels, EveryHostIsaBitIdenticalToNaive)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    Rng rng(17);
+    std::string skipped;
+    for (const GemmIsa isa :
+         {GemmIsa::Sse2, GemmIsa::Avx2, GemmIsa::Avx512f}) {
+        const std::string name = gemmIsaName(isa);
+        if (!detail::hostSupportsGemmIsa(isa)) {
+            skipped += (skipped.empty() ? "" : ",") + name;
+            std::cout << "[  SKIPPED ] GEMM tier " << name
+                      << ": not supported by this host\n";
+            continue;
+        }
+        for (const std::int64_t m : {1, 7, 8, 9, 13})
+            for (const std::int64_t n : {1, 8, 31, 32, 33, 47})
+                for (const std::int64_t k : {1, 255, 256, 257})
+                    for (const bool ta : {false, true})
+                        for (const bool tb : {false, true}) {
+                            const Tensor a =
+                                ta ? Tensor::random({k, m}, rng)
+                                   : Tensor::random({m, k}, rng);
+                            const Tensor b =
+                                tb ? Tensor::random({n, k}, rng)
+                                   : Tensor::random({k, n}, rng);
+                            EXPECT_EQ(
+                                gemmOnTier(isa, a, b, m, n, k, ta, tb)
+                                    .maxAbsDiff(naive::batchedMatmul(
+                                        a, b, ta, tb)),
+                                0.0f)
+                                << name << " " << m << "x" << n << "x"
+                                << k << " trans_a=" << ta
+                                << " trans_b=" << tb;
+                        }
+
+        // 0 * NaN and 0 * inf stay NaN in the wide tiles and the
+        // scalar edge alike: an all-zero A against NaN/inf in the
+        // first and the last column of B.
+        const std::int64_t m = 9, n = 33, k = 3;
+        const Tensor a(Shape{m, k});
+        Tensor b = Tensor::random({k, n}, rng);
+        b.at({1, 0}) = nan;
+        b.at({2, n - 1}) = inf;
+        const Tensor c = gemmOnTier(isa, a, b, m, n, k, false, false);
+        const Tensor ref = naive::batchedMatmul(a, b);
+        for (std::int64_t i = 0; i < m; ++i)
+            for (const std::int64_t j : {std::int64_t{0}, n - 1}) {
+                EXPECT_TRUE(std::isnan(c.at({i, j}))) << name;
+                EXPECT_TRUE(std::isnan(ref.at({i, j})));
+            }
+        EXPECT_EQ(c.at({0, 1}), 0.0f) << name;
+    }
+    RecordProperty("skipped_tiers", skipped);
+}
+
 TEST(Einsum, GemmFastPathBitIdenticalToOdometer)
 {
     Rng rng(15);
@@ -156,25 +230,86 @@ TEST(Einsum, GemmFastPathBitIdenticalToOdometer)
         naive::contract(in, {2, 0}, go, {2, 1}, ref, {0, 1});
         EXPECT_EQ(fast.maxAbsDiff(ref), 0.0f);
     }
-    // A shape the fast path must NOT take (out-of-order output
-    // labels): the specialized-inner-loop fallback must still match.
+    // Output labels in b-then-a order: the fast path takes it with
+    // the operands swapped (out = b x a).
     {
         const Tensor a = Tensor::random({4, 6}, rng);
         const Tensor b = Tensor::random({6, 5}, rng);
+        ASSERT_TRUE(contractionRunsAsGemm({0, 1}, {1, 2}, {2, 0}));
         Tensor fast(Shape{5, 4}), ref(Shape{5, 4});
         contractProduct(a, {0, 1}, b, {1, 2}, fast, {2, 0});
         naive::contract(a, {0, 1}, b, {1, 2}, ref, {2, 0});
+        EXPECT_EQ(fast.maxAbsDiff(ref), 0.0f);
+    }
+    // The attention-context dV pass, batched and swapped:
+    // dV[b,h,m2,e] += dO[b,h,m,e] * A[b,h,m,m2].
+    {
+        const Tensor d_o = Tensor::random({2, 3, 19, 9}, rng);
+        const Tensor attn = Tensor::random({2, 3, 19, 35}, rng);
+        ASSERT_TRUE(contractionRunsAsGemm({0, 1, 2, 4}, {0, 1, 2, 3},
+                                          {0, 1, 3, 4}));
+        Tensor fast(Shape{2, 3, 35, 9}), ref(Shape{2, 3, 35, 9});
+        contractProduct(d_o, {0, 1, 2, 4}, attn, {0, 1, 2, 3}, fast,
+                        {0, 1, 3, 4});
+        naive::contract(d_o, {0, 1, 2, 4}, attn, {0, 1, 2, 3}, ref,
+                        {0, 1, 3, 4});
+        EXPECT_EQ(fast.maxAbsDiff(ref), 0.0f);
+    }
+    // Interleaved output labels (a, b, a) fit neither operand order:
+    // the specialized-inner-loop fallback must still match.
+    {
+        const Tensor a = Tensor::random({4, 6, 3}, rng);
+        const Tensor b = Tensor::random({6, 5}, rng);
+        ASSERT_FALSE(contractionRunsAsGemm({0, 1, 3}, {1, 2}, {0, 2, 3}));
+        Tensor fast(Shape{4, 5, 3}), ref(Shape{4, 5, 3});
+        contractProduct(a, {0, 1, 3}, b, {1, 2}, fast, {0, 2, 3});
+        naive::contract(a, {0, 1, 3}, b, {1, 2}, ref, {0, 2, 3});
         EXPECT_EQ(fast.maxAbsDiff(ref), 0.0f);
     }
     // Outer product (no contracted label) also falls back.
     {
         const Tensor a = Tensor::random({3}, rng);
         const Tensor b = Tensor::random({4}, rng);
+        ASSERT_FALSE(contractionRunsAsGemm({0}, {1}, {0, 1}));
         Tensor fast(Shape{3, 4}), ref(Shape{3, 4});
         contractProduct(a, {0}, b, {1}, fast, {0, 1});
         naive::contract(a, {0}, b, {1}, ref, {0, 1});
         EXPECT_EQ(fast.maxAbsDiff(ref), 0.0f);
     }
+}
+
+TEST(Einsum, EveryExecutorContractionRunsAsGemm)
+{
+    // The SPMD executor hands each linear/matmul pass to
+    // contractProduct with the op's tensor labels; every one of them
+    // must take the blocked GEMM, not the scalar odometer.
+    ModelConfig cfg;
+    cfg.name = "coverage";
+    cfg.hiddenSize = 64;
+    cfg.numHeads = 4;
+    cfg.ffnSize = 128;
+    cfg.seqLength = 16;
+    cfg.numLayers = 1;
+    int passes = 0;
+    for (const CompGraph &graph :
+         {buildTransformerBlock(cfg, 2), buildMlpBlock(cfg, 2)}) {
+        for (int node = 0; node < graph.numNodes(); ++node) {
+            const OpSpec &op = graph.node(node);
+            if (op.kind != "linear" && op.kind != "matmul")
+                continue;
+            for (const PassSpec &pass : op.passes) {
+                ASSERT_EQ(pass.operands.size(), 2u);
+                EXPECT_TRUE(contractionRunsAsGemm(
+                    op.tensors[pass.operands[0].tensor].dims,
+                    op.tensors[pass.operands[1].tensor].dims,
+                    op.tensors[pass.output.tensor].dims))
+                    << op.name << " " << op.refName(pass.output);
+                ++passes;
+            }
+        }
+    }
+    // 6 contraction ops x 3 passes in the block, 2 x 3 in the MLP.
+    EXPECT_EQ(passes, 24);
 }
 
 TEST(TensorSlice, FastPathsMatchElementwiseSemantics)
