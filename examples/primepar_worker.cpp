@@ -16,17 +16,20 @@
  *   primepar_worker --connect HOST:PORT [--threads T]
  *       Runs one worker: registers its data-plane listener with the
  *       coordinator, receives its id / the world / the job document,
- *       and trains over TcpTransport in SPMD lockstep with its peers —
- *       sharded by default (tensor data only for its owned device
- *       ranks; --replicated on the coordinator restores full
- *       replication). On a permanent peer failure it consults the
- *       coordinator (suspect RPC), adopts the re-planned world, and
- *       resumes from its checkpoint on the survivors — down to a
- *       plain InProcessTransport when it is the last one standing.
+ *       and trains over TcpTransport in SPMD lockstep with its peers,
+ *       materializing tensor data only for its owned device ranks
+ *       (a `--workers 1` job owns every device and is the
+ *       bit-identity reference for multi-worker runs). On a permanent
+ *       peer failure it consults the coordinator (suspect RPC),
+ *       adopts the re-planned world, and resumes from its checkpoint
+ *       on the survivors — down to a plain InProcessTransport when it
+ *       is the last one standing.
  *       Connecting into a *degraded* job re-joins it: the coordinator
  *       pauses the survivors at a barrier step, grows the grid back,
  *       and the new worker restores a survivor's checkpoint snapshot
  *       so training resumes on the full grid as if never degraded.
+ *       Its last stdout line is `worker N peak_rss_kb K`, the
+ *       process's own peak resident set.
  *
  * Exit codes follow the runtime taxonomy (runtime/errors.hh):
  *   0 ok   1 internal   2 usage   3 transient fault
@@ -75,8 +78,6 @@ struct Options
     int checkpointEvery = 0;
     int heartbeatMs = 100;
     int missLimit = 5;
-    /** Full lockstep replication instead of sharded execution. */
-    bool replicated = false;
     /** Workers resume from their own checkpoint file when present. */
     bool resume = false;
 };
@@ -137,8 +138,6 @@ parseArgs(int argc, char **argv)
             opts.heartbeatMs = std::atoi(next());
         } else if (arg == "--miss-limit") {
             opts.missLimit = std::atoi(next());
-        } else if (arg == "--replicated") {
-            opts.replicated = true;
         } else if (arg == "--resume") {
             opts.resume = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -153,7 +152,7 @@ parseArgs(int argc, char **argv)
                 "           [--checkpoint-dir DIR]"
                 " [--checkpoint-every N]\n"
                 "           [--heartbeat-ms MS] [--miss-limit N]\n"
-                "           [--replicated] [--resume]\n"
+                "           [--resume]\n"
                 "   or: primepar_worker --connect HOST:PORT"
                 " [--threads T]\n"
                 "exit codes: 0 ok, 1 internal, 2 usage, 3 transient"
@@ -180,6 +179,21 @@ parseArgs(int argc, char **argv)
         std::exit(exitcode::Usage);
     }
     return opts;
+}
+
+/** This process's own peak resident set (`VmHWM`, KiB), or -1 when
+ *  /proc is unavailable. Unlike wait4's ru_maxrss it does not inherit
+ *  the forking parent's high-water mark across exec. */
+long
+ownPeakRssKb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmHWM:", 0) == 0)
+            return std::atol(line.c_str() + 6);
+    }
+    return -1;
 }
 
 int
@@ -224,8 +238,6 @@ runCoordinator(const Options &opts)
     job.set("checkpoint_dir", JsonValue(opts.checkpointDir));
     job.set("checkpoint_every",
             JsonValue(static_cast<std::int64_t>(opts.checkpointEvery)));
-    job.set("replicated",
-            JsonValue(static_cast<std::int64_t>(opts.replicated)));
     job.set("resume",
             JsonValue(static_cast<std::int64_t>(opts.resume)));
     JsonValue dist = JsonValue::object();
@@ -305,8 +317,6 @@ runWorker(const Options &opts)
         if (const JsonValue *v = d->find("miss_limit"))
             dopts.heartbeatMissLimit = static_cast<int>(v->asNumber());
     }
-    // Sharded unless the job asks for full lockstep replication.
-    dopts.sharded = jobInt("replicated", 0) == 0;
     client.startHeartbeats(dopts.heartbeatMs);
 
     const std::int64_t steps = jobInt("steps", 6);
@@ -383,9 +393,9 @@ runWorker(const Options &opts)
                     " — superseded",
                 worldRef->generation, worldRef->generation);
         if (worldRef->numBits != bits) {
-            // The grid shrank without a worker dying (an emulated
-            // in-process device failure, replicated in every
-            // process): same workers, deterministically re-placed.
+            // The grid shrank without a worker dying (an in-process
+            // device failure, emulated identically in every process):
+            // same workers, deterministically re-placed.
             worldRef->numBits = bits;
             DistWorld::placeDevices(worldRef->workers, bits);
         }
@@ -441,12 +451,12 @@ runWorker(const Options &opts)
         try {
             stats = trainer.trainStep();
         } catch (const FencedWorkerError &) {
-            // In sharded mode a worker may exchange nothing with the
-            // peer that died, so the first sign of a degrade is a
-            // newer-generation frame from a survivor. Adopt the new
-            // world and roll back to the shared checkpoint — lockstep
-            // guarantees every survivor's latest checkpoint is at the
-            // same step, so the replay stays deterministic.
+            // A worker may exchange nothing with the peer that died,
+            // so the first sign of a degrade is a newer-generation
+            // frame from a survivor. Adopt the new world and roll back
+            // to the shared checkpoint — lockstep guarantees every
+            // survivor's latest checkpoint is at the same step, so the
+            // replay stays deterministic.
             if (topts.runtime.checkpoint.path.empty())
                 throw;
             DistWorld next = client.fetchWorld();
@@ -498,6 +508,9 @@ runWorker(const Options &opts)
     client.stopHeartbeats();
     std::printf("worker %lld done\n",
                 static_cast<long long>(client.workerId()));
+    std::printf("worker %lld peak_rss_kb %ld\n",
+                static_cast<long long>(client.workerId()),
+                ownPeakRssKb());
     return exitcode::Ok;
 }
 

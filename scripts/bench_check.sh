@@ -288,19 +288,20 @@ rss = doc.get("worker_rss")
 if not isinstance(rss, dict):
     fail("worker_rss missing")
 for field in ("workers", "devices", "sharded_peak_kb",
-              "replicated_peak_kb", "ratio", "budget"):
+              "single_worker_peak_kb", "ratio", "budget"):
     finite(rss.get(field), f"worker_rss.{field}")
-if rss["sharded_peak_kb"] <= 0 or rss["replicated_peak_kb"] <= 0:
+if rss["sharded_peak_kb"] <= 0 or rss["single_worker_peak_kb"] <= 0:
     fail("worker_rss peaks not positive — did the forked jobs run?")
 # Sharded workers materialize tensor data only for owned device
-# ranks: at full size each one's peak RSS must be <= 0.5x a fully
-# replicated worker's. The quick-mode model is tiny, so the fixed
-# process baseline dominates and only a loose sanity bound applies.
+# ranks: at full size each one's peak RSS must be <= 0.5x that of a
+# single worker owning every device. The quick-mode model is tiny, so
+# the fixed process baseline dominates and only a loose sanity bound
+# applies.
 if rss["ratio"] > rss["budget"]:
-    fail(f"sharded/replicated peak-RSS ratio {rss['ratio']:.3f} "
+    fail(f"sharded/single-worker peak-RSS ratio {rss['ratio']:.3f} "
          f"exceeds the {rss['budget']} budget (sharded "
-         f"{rss['sharded_peak_kb']} KiB, replicated "
-         f"{rss['replicated_peak_kb']} KiB)")
+         f"{rss['sharded_peak_kb']} KiB, single worker "
+         f"{rss['single_worker_peak_kb']} KiB)")
 
 pool = doc.get("buffer_pool")
 if not isinstance(pool, dict):
@@ -314,5 +315,5 @@ print(f"bench_check: OK ({len(kernels)} kernels: {names}; "
       f"{fo['overhead_pct']:.2f}%; observer overhead "
       f"{oo['overhead_pct']:.2f}%; overlap {ov['speedup']:.2f}x at "
       f"{ov['efficiency']:.0%} hidden; pack {bw['pack_ratio']:.2f}x; "
-      f"sharded RSS {rss['ratio']:.2f}x replicated)")
+      f"sharded RSS {rss['ratio']:.2f}x single worker)")
 EOF

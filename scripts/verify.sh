@@ -13,7 +13,7 @@
 #      parseable metrics snapshot.
 #   3. Distributed smoke: run the dist-labelled scenarios
 #      (ctest -L dist), then launch a real coordinator + 2 worker
-#      processes on localhost (sharded execution is the default),
+#      processes on localhost (each owns a shard of the devices),
 #      SIGKILL one mid-step and require the job to finish degraded
 #      onto the survivor via replanForSurvivors + checkpoint restore.
 #      Then the re-join smoke: a 3-worker job loses one to SIGKILL, a

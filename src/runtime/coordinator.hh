@@ -49,7 +49,7 @@
  *
  * Loss reports are recorded from the lowest-id reporting worker per
  * step; a differing loss from another worker in the same generation is
- * counted as a divergence (the SPMD replicas must agree bit-for-bit).
+ * counted as a divergence (the SPMD workers must agree bit-for-bit).
  */
 
 #ifndef PRIMEPAR_RUNTIME_COORDINATOR_HH
@@ -122,7 +122,7 @@ class Coordinator
     std::map<std::int64_t, double> losses() const;
     std::uint64_t generation() const;
     int workersLost() const;
-    /** Same-generation loss mismatches between replicas. */
+    /** Same-generation loss mismatches between workers. */
     int divergences() const;
 
     /** Receives onWorkerUp / onWorkerLost (not owned). */

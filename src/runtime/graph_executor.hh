@@ -73,7 +73,7 @@ class SpmdGraphExecutor
      *        every node's executor (construction-time; see
      *        ExecutionOptions::overlapComm).
      * @param owned device ranks this process materializes data for
-     *        (default: all — replicated execution; see
+     *        (default: all — single-owner execution; see
      *        ExecutionOptions::ownedDevices).
      */
     SpmdGraphExecutor(const CompGraph &graph,
@@ -116,10 +116,6 @@ class SpmdGraphExecutor
 
   private:
     std::string edgeKey(const GraphEdge &e) const;
-    /** Gradient of node @p n's output: external or accumulated from
-     *  consumers. */
-    Tensor outputGradient(int n, const GraphIO &io,
-                          const std::map<std::string, Tensor> &grads);
 
     const CompGraph &graph;
     /** Shared worker pool for every node's executor (null = serial). */

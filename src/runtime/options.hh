@@ -45,7 +45,7 @@ struct ExecutionOptions
      *  Construction-time only. Bit-identical either way. */
     bool overlapComm = true;
     /** Device ranks this process materializes tensor data for. The
-     *  default span covers every rank (replicated execution); sharded
+     *  default span covers every rank (one process owns every device);
      *  multi-process runs narrow it to the local worker's DistWorld
      *  slice. BlockTrainer fills it from Transport::ownedDevices(),
      *  so only hand-built executors set it directly. */
@@ -68,13 +68,6 @@ struct DistOptions
      *  declared failed (each waits the jittered exponential backoff,
      *  see retryBackoffUs). */
     int reconnectAttempts = 3;
-    /** Shard executor state across workers: each process materializes
-     *  tensor data / journals / pool buffers only for the device ranks
-     *  it owns in the DistWorld placement, and non-local slices move
-     *  over the wire on demand. Off restores full lockstep
-     *  replication (every worker emulates all 2^n devices), which is
-     *  bit-identical but costs W× the memory. */
-    bool sharded = true;
 };
 
 /** Checkpointing and permanent-failure recovery. */

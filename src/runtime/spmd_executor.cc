@@ -148,7 +148,7 @@ SpmdOpExecutor::gather(const TensorRef &ref) const
     // span, everyone else receives exactly once — so the pairwise
     // wire order matches on both ends of every socket. The channel
     // pins the identity codec (tcp_transport), keeping the gathered
-    // bytes equal to the owner's, i.e. to a replicated run's.
+    // bytes equal to the owner's, i.e. to a one-worker run's.
     const std::vector<DeviceSpan> peers =
         (!ownedSpan.all() && transport) ? transport->peerSpans()
                                         : std::vector<DeviceSpan>{};
@@ -604,7 +604,7 @@ SpmdOpExecutor::runPass(int pass_index,
                 // an owned rank; the members are still walked in the
                 // same ascending order on every worker, so the
                 // leader's owner adds the partials in exactly the
-                // order a replicated run would.
+                // order a one-worker run would.
                 Tensor sum;
                 if (leader_local)
                     sum = out_store[leader].data;

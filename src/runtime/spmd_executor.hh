@@ -97,8 +97,8 @@ class SpmdOpExecutor
      *        bits either way, and a transfer fault rolls back exactly
      *        the step it belongs to.
      * @param owned device ranks this process materializes tensor data
-     *        for. The default span owns every rank (replicated); a
-     *        narrowed span (sharded multi-process execution) keeps the
+     *        for. The default span owns every rank (single owner); a
+     *        narrowed span (multi-process execution) keeps the
      *        partition tuples of all 2^n devices but allocates data,
      *        undo-log copies and staging buffers only inside the
      *        span — non-local transfer endpoints then require a
@@ -297,8 +297,8 @@ class SpmdOpExecutor
     /** True when any observer (user or internal guard) is attached. */
     bool observed() const { return !observers.empty(); }
 
-    /** Sharded-span helpers. The replicated default span owns every
-     *  rank, so these collapse to [0, numDevices). */
+    /** Owned-span helpers. The default span owns every rank, so
+     *  these collapse to [0, numDevices). */
     bool ownsDev(std::int64_t dev) const { return ownedSpan.owns(dev); }
     std::int64_t
     ownedFirst() const
@@ -326,7 +326,7 @@ class SpmdOpExecutor
     Transport *transport = nullptr;
     const bool overlapComm;
     /** Ranks whose tensor data this process materializes; default =
-     *  all (replicated). Partition tuples stay global either way. */
+     *  all (single owner). Partition tuples stay global either way. */
     const DeviceSpan ownedSpan;
     /** The dedicated communication thread (lazily started). Only one
      *  batch is ever in flight and every other transfer runs strictly

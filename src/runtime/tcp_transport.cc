@@ -35,10 +35,11 @@ sleepUs(double us)
     }
 }
 
-/** Per-channel wire codec, with the sharded all-gather pinned to the
+/** Per-channel wire codec, with the all-gather pinned to the
  *  identity codec: a gathered slice must reproduce the owner's bytes
  *  exactly (the owner keeps its local copy un-decoded), or a lossy
- *  codec would make sharded gathers diverge from replicated ones. */
+ *  codec would make a multi-worker gather diverge from a one-worker
+ *  run's. */
 CodecKind
 wireCodec(const TransportOptions &opts, const std::string &channel)
 {
@@ -335,33 +336,6 @@ TcpTransport::ensurePeer(std::int64_t peer, const TransferTag &tag)
 }
 
 TransferReceipt
-TcpTransport::localReplay(const Tensor &payload, Tensor &dst,
-                          const char *channel)
-{
-    const CodecKind codec = wireCodec(opts, channel);
-    const std::size_t payload_bytes =
-        static_cast<std::size_t>(payload.numel()) * sizeof(float);
-    if (dst.shape() != payload.shape())
-        dst = Tensor::uninitialized(payload.shape());
-    if (codec == CodecKind::None) {
-        std::memcpy(dst.data(), payload.data(), payload_bytes);
-        return {static_cast<std::int64_t>(payload_bytes),
-                static_cast<std::int64_t>(payload_bytes)};
-    }
-    // Codec round-trip so every replica matches what the real
-    // receiver decodes from the wire bytes.
-    Workspace scratch(static_cast<std::int64_t>(
-        (codecBound(codec, payload.numel()) + 3) / 4));
-    std::uint8_t *const wire =
-        reinterpret_cast<std::uint8_t *>(scratch.data());
-    const std::size_t wire_bytes =
-        codecEncode(codec, payload.data(), payload.numel(), wire);
-    codecDecode(codec, wire, wire_bytes, dst.data(), payload.numel());
-    return {static_cast<std::int64_t>(payload_bytes),
-            static_cast<std::int64_t>(wire_bytes)};
-}
-
-TransferReceipt
 TcpTransport::transferInto(const TransferTag &tag_in,
                            const Tensor &payload, Tensor &dst)
 {
@@ -373,33 +347,26 @@ TcpTransport::transferInto(const TransferTag &tag_in,
                     "transfer endpoints ", tag.sender, "->",
                     tag.receiver, " outside the placed device range");
 
+    if (senderOwner != world_.myWorker &&
+        receiverOwner != world_.myWorker) {
+        // Both endpoints live on other workers: the owners move the
+        // bytes without this process (the executor's span-aware paths
+        // should not even issue it — this is the safe no-op).
+        return {};
+    }
     if (senderOwner == receiverOwner) {
-        if (dist.sharded && senderOwner != world_.myWorker) {
-            // Sharded: a transfer internal to another worker does not
-            // involve this process (the executor's span-aware paths
-            // should not even issue it — this is the safe no-op).
-            return {};
-        }
-        // Both endpoints live on one worker: delegate to the
-        // in-process transport.
+        // Both endpoints live here: delegate to the in-process
+        // transport.
         return inner->transferInto(tag_in, payload, dst);
     }
     if (world_.myWorker == senderOwner)
-        return sendWire(tag, payload, dst, receiverOwner);
-    if (world_.myWorker == receiverOwner)
-        return recvWire(tag, payload, dst, senderOwner);
-    if (dist.sharded) {
-        // Sharded: the two owners move the bytes between themselves.
-        return {};
-    }
-    return localReplay(payload, dst, tag.channel);
+        return sendWire(tag, payload, receiverOwner);
+    return recvWire(tag, payload, dst, senderOwner);
 }
 
 DeviceSpan
 TcpTransport::ownedDevices() const
 {
-    if (!dist.sharded)
-        return {};
     const WorkerInfo *me = world_.find(world_.myWorker);
     PRIMEPAR_ASSERT(me != nullptr, "worker ", world_.myWorker,
                     " is not part of the world");
@@ -410,8 +377,6 @@ std::vector<DeviceSpan>
 TcpTransport::peerSpans() const
 {
     std::vector<DeviceSpan> spans;
-    if (!dist.sharded)
-        return spans;
     for (const WorkerInfo &w : world_.workers) {
         if (w.worker == world_.myWorker || w.numDevices <= 0)
             continue;
@@ -422,7 +387,7 @@ TcpTransport::peerSpans() const
 
 TransferReceipt
 TcpTransport::sendWire(const TransferTag &tag, const Tensor &payload,
-                       Tensor &dst, std::int64_t peer)
+                       std::int64_t peer)
 {
     const double t0 = observer ? observerNowUs() : 0.0;
     const CodecKind codec = wireCodec(opts, tag.channel);
@@ -569,24 +534,9 @@ TcpTransport::sendWire(const TransferTag &tag, const Tensor &payload,
                 break;
             }
 
-            // Acknowledged delivery: advance the pair seq. In
-            // replicated mode, also fill the local replica from the
-            // exact bytes that crossed the wire; in sharded mode the
-            // receiver is the only process materializing this value
-            // and @p dst is just the caller's scratch.
+            // Acknowledged delivery: advance the pair seq. The
+            // receiver is the only process materializing this value.
             ++wireSeq[peer];
-            if (!dist.sharded) {
-                if (dst.shape() != payload.shape())
-                    dst = Tensor::uninitialized(payload.shape());
-                if (codec != CodecKind::None) {
-                    codecDecode(codec, f.payload.data(),
-                                f.payload.size(), dst.data(),
-                                payload.numel());
-                } else {
-                    std::memcpy(dst.data(), f.payload.data(),
-                                payload_bytes);
-                }
-            }
             const TransferReceipt receipt{
                 static_cast<std::int64_t>(payload_bytes),
                 static_cast<std::int64_t>(f.payload.size())};

@@ -16,21 +16,13 @@
  * load-bearing, and the bit-identical-to-InProcess acceptance test a
  * real test).
  *
- * Two modes share this wire protocol (DistOptions::sharded):
- *
- *   - **Sharded** (default): each worker materializes tensor data only
- *     for its owned ranks (Transport::ownedDevices narrows the
- *     executors' span), so per-worker resident memory scales ~1/W.
- *     Transfers between two remote workers do not involve this
- *     process at all; gathers of full tensors all-gather the
- *     non-local slices over the codec-exempt "gather" channel, so
- *     gathered bytes equal the owners' exactly.
- *
- *   - **Replicated** (sharded = false): all 2^n emulated devices
- *     exist in every process; workers owning neither endpoint of a
- *     transfer replay it locally (codec round-trip included) so all
- *     replicas stay bit-identical. Costs W× the memory of sharded
- *     but keeps every gather local.
+ * Each worker materializes tensor data only for its owned ranks
+ * (Transport::ownedDevices narrows the executors' span), so per-worker
+ * resident memory shrinks as W grows. Transfers between two other workers do
+ * not involve this process at all; gathers of full tensors all-gather
+ * the non-local slices over the codec-exempt "gather" channel, so
+ * gathered bytes equal the owners' exactly. A one-worker run owns
+ * every device and is the bit-identity oracle for multi-worker runs.
  *
  * ## Lockstep rollback
  *
@@ -142,15 +134,11 @@ class TcpTransport : public Transport
     void setHealth(RuntimeHealth *h) override;
     void setObserver(RuntimeObserver *o) override;
 
-    /** Sharded mode (DistOptions::sharded, default): the local
-     *  worker's contiguous DistWorld slice — the executors then
-     *  materialize tensor data only for those ranks. Replicated mode
-     *  (sharded = false) reports the all-devices span, restoring full
-     *  lockstep replication. */
+    /** The local worker's contiguous DistWorld slice — the executors
+     *  materialize tensor data only for those ranks. */
     DeviceSpan ownedDevices() const override;
 
-    /** The other alive workers' placement slices in world order
-     *  (empty in replicated mode). */
+    /** The other alive workers' placement slices in world order. */
     std::vector<DeviceSpan> peerSpans() const override;
 
     const DistWorld &world() const { return world_; }
@@ -158,13 +146,8 @@ class TcpTransport : public Transport
   private:
     NetSocket &ensurePeer(std::int64_t peer, const TransferTag &tag);
     void dropPeer(std::int64_t peer);
-    /** Deliver by local replay (sender-owner and non-participants):
-     *  codec round-trip so every replica matches the wire decode. */
-    TransferReceipt localReplay(const Tensor &payload, Tensor &dst,
-                                const char *channel);
     TransferReceipt sendWire(const TransferTag &tag,
-                             const Tensor &payload, Tensor &dst,
-                             std::int64_t peer);
+                             const Tensor &payload, std::int64_t peer);
     TransferReceipt recvWire(const TransferTag &tag,
                              const Tensor &payload, Tensor &dst,
                              std::int64_t peer);
@@ -184,8 +167,8 @@ class TcpTransport : public Transport
     /** Accepted-but-unexpected connections, keyed by Hello sender. */
     std::map<std::int64_t, NetSocket> stash;
     std::map<std::int64_t, bool> everConnected;
-    /** Local replicas of remote-owned transfers route through this so
-     *  classic injected faults behave identically in every process. */
+    /** Transfers with both endpoints on this worker route through
+     *  this, so classic injected faults behave as in-process. */
     std::unique_ptr<InProcessTransport> inner;
 };
 

@@ -105,7 +105,7 @@ BlockTrainer::buildExecutor(const DeviceFailedError *cause)
     rt.numBits = bits_;
     rt.execution.ownedDevices = transport->ownedDevices();
     exec = std::make_unique<SpmdGraphExecutor>(graph, strategies, rt);
-    installTransformerBlockTransforms(*exec, opts.model, opts.batch);
+    installTransformerBlockTransforms(*exec, opts.model);
     transport->setHealth(&health_);
     exec->setTransport(transport.get());
     exec->setHealth(&health_, opts.runtime.guard);

@@ -47,10 +47,8 @@ headMerge(std::int64_t h, std::int64_t heads, std::int64_t embed)
 
 void
 installTransformerBlockTransforms(SpmdGraphExecutor &exec,
-                                  const ModelConfig &cfg,
-                                  std::int64_t batch)
+                                  const ModelConfig &cfg)
 {
-    (void)batch;
     const std::int64_t h = cfg.hiddenSize;
     const std::int64_t heads = cfg.numHeads;
     const std::int64_t e = cfg.headEmbed();

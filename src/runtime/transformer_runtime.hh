@@ -18,10 +18,9 @@
 namespace primepar {
 
 /** Install the QKV-split and head-merge transforms for a block built
- *  by buildTransformerBlock(cfg, batch). */
+ *  by buildTransformerBlock(cfg, batch) at any batch. */
 void installTransformerBlockTransforms(SpmdGraphExecutor &exec,
-                                       const ModelConfig &cfg,
-                                       std::int64_t batch);
+                                       const ModelConfig &cfg);
 
 /**
  * Random parameters for every node of a transformer block, keyed as

@@ -76,9 +76,9 @@ struct TransferReceipt
 
 /**
  * A contiguous range of device ranks one participant materializes.
- * The default-constructed span means "all devices" — the replicated
- * mode every single-process transport runs in. A sharded TcpTransport
- * reports the owning worker's slice of the DistWorld placement, and
+ * The default-constructed span means "all devices" — the single-owner
+ * mode every single-process transport runs in. A TcpTransport reports
+ * the owning worker's slice of the DistWorld placement, and
  * the executors then allocate tensor data, journal snapshots and
  * BufferPool storage only for ranks inside the span (partition tuples
  * stay global: they are a few int64s per device and every transfer
@@ -87,7 +87,7 @@ struct TransferReceipt
 struct DeviceSpan
 {
     std::int64_t first = 0;
-    /** Number of owned ranks; -1 = every device (replicated). */
+    /** Number of owned ranks; -1 = every device. */
     std::int64_t count = -1;
 
     bool all() const { return count < 0; }
@@ -153,9 +153,10 @@ class Transport
     virtual void setObserver(RuntimeObserver *o) { (void)o; }
 
     /** Device ranks this participant materializes locally. The
-     *  default span owns every rank (replicated execution); a sharded
-     *  transport narrows it to the local worker's placement slice and
-     *  the executors skip allocating data for the rest. */
+     *  default span owns every rank (single-owner execution); a
+     *  multi-process transport narrows it to the local worker's
+     *  placement slice and the executors skip allocating data for
+     *  the rest. */
     virtual DeviceSpan ownedDevices() const { return {}; }
 
     /** The other participants' owned spans (empty when this transport

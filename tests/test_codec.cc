@@ -317,7 +317,7 @@ TEST(CodecTransport, GraphRunWithPackedChannelsIsBitIdentical)
     const auto plan = defaultBlockPlan(graph, 2);
     auto runWith = [&](Transport *t) {
         SpmdGraphExecutor exec(graph, plan, 2, 1);
-        installTransformerBlockTransforms(exec, cfg, 2);
+        installTransformerBlockTransforms(exec, cfg);
         if (t)
             exec.setTransport(t);
         exec.beginStep(0);

@@ -56,7 +56,7 @@ struct BlockCase
         CommVolume *volume = nullptr)
     {
         SpmdGraphExecutor exec(graph, plan, 2, threads, overlap);
-        installTransformerBlockTransforms(exec, cfg, 2);
+        installTransformerBlockTransforms(exec, cfg);
         if (transport)
             exec.setTransport(transport);
         if (health)
@@ -737,9 +737,10 @@ TEST(FaultSpec, ParsesNetFaultsAndWorkerKill)
 TEST(Transport, NetFaultsAreNoOpsInProcess)
 {
     // Socket faults are enacted by the wire *sender* only; the
-    // in-process transport (and every non-participant replica of a
-    // wire transfer) must ignore them completely — otherwise the
-    // replicated fault pattern would diverge across worker processes.
+    // in-process transport (also the one a TcpTransport hands
+    // worker-local transfers to) must ignore them completely —
+    // otherwise a one-worker run would diverge from a multi-worker
+    // run under the same fault spec.
     BlockCase c;
     const auto plan = defaultBlockPlan(c.graph, 2);
     const GraphResult ref = c.run(plan, nullptr, nullptr);

@@ -130,7 +130,7 @@ struct BlockFixture
     makeExec(const std::vector<PartitionSeq> &plan, int bits)
     {
         SpmdGraphExecutor exec(graph, plan, bits);
-        installTransformerBlockTransforms(exec, cfg, 2);
+        installTransformerBlockTransforms(exec, cfg);
         return exec;
     }
 
@@ -231,12 +231,12 @@ TEST(GraphExecutor, BitIdenticalAcrossThreadCounts)
     GraphResult ref;
     {
         SpmdGraphExecutor serial(f.graph, *plan, 2, 1);
-        installTransformerBlockTransforms(serial, f.cfg, 2);
+        installTransformerBlockTransforms(serial, f.cfg);
         ref = serial.run(f.io);
     }
     for (const int threads : {2, 0}) {
         SpmdGraphExecutor exec(f.graph, *plan, 2, threads);
-        installTransformerBlockTransforms(exec, f.cfg, 2);
+        installTransformerBlockTransforms(exec, f.cfg);
         const GraphResult got = exec.run(f.io);
         EXPECT_EQ(got.output.maxAbsDiff(ref.output), 0.0f)
             << "threads=" << threads;
