@@ -43,7 +43,7 @@ ablationFidelity()
     std::vector<double> model_cost, sim_cost;
     for (const auto &seq : space) {
         const OpPlan plan(op, seq, 3);
-        model_cost.push_back(cm.intraCost(plan).latencyUs);
+        model_cost.push_back(cm.intraCost(op, seq).latencyUs);
         SimContext ctx(topo);
         for (Phase ph :
              {Phase::Forward, Phase::Backward, Phase::Gradient})

@@ -21,7 +21,14 @@
  *    bench_table2_opttime --sweep [--json FILE] [--devices 4,8,16]
  *                         [--threads 1,2,4] \
  *                         [--models "OPT 6.7B,Llama2 7B"] \
- *                         [--prune on|off|both] [--beam N]
+ *                         [--prune on|off|both] [--beam N] [--reps N]
+ *
+ *    --reps N runs every cell N times (plans must agree bit for bit)
+ *    and reports the run of median search time. --json stamps the
+ *    record with the measured sources' commit (see
+ *    bench::sourceCommit()). An existing record of the same commit is
+ *    extended cell by cell; one of another commit moves to the new
+ *    record's `history` list.
  *
  *    The sweep scales to big topologies (--devices 512,1024,...,4096):
  *    above 64 devices it bounds the per-operator space
@@ -36,9 +43,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,6 +54,7 @@
 #include "common.hh"
 #include "runtime/errors.hh"
 #include "support/bits.hh"
+#include "support/json.hh"
 #include "support/parallel.hh"
 
 using namespace primepar;
@@ -101,6 +110,8 @@ struct SweepOptions
     std::vector<ModelConfig> models;
     int pruneMode = 1;  // 0 = off, 1 = on, 2 = both (A/B)
     int beamWidth = -1; // -1 = auto by device count
+    /** Runs per cell; the cell reports its median-time run. */
+    int reps = 1;
 };
 
 /** Beam default: exact up to 64 devices, then narrow with scale so
@@ -148,6 +159,78 @@ struct SweepCell
     int beamWidth = 0;
     DpResult result;
 };
+
+/** Bit-identical plan and costs. */
+bool
+samePlan(const DpResult &a, const DpResult &b)
+{
+    return a.layerCost == b.layerCost && a.totalCost == b.totalCost &&
+           a.strategies == b.strategies;
+}
+
+/** Cells of one sweep record that measure the same configuration. */
+bool
+sameCell(const JsonValue &a, const JsonValue &b)
+{
+    for (const char *key :
+         {"model", "devices", "num_threads", "prune", "beam_width"}) {
+        if (a.at(key).toString(0) != b.at(key).toString(0))
+            return false;
+    }
+    return true;
+}
+
+/**
+ * Fold the record already at @p path into @p record. A record of the
+ * same commit is extended: its cells are replaced by re-measured ones
+ * or kept, and its other members stay, so several sweeps build up one
+ * commit's record. A record of another commit moves, whole, to the end
+ * of the new record's `history` list (after its own history).
+ */
+JsonValue
+withPreviousRecord(const std::string &path, JsonValue record)
+{
+    // An empty file (e.g. fresh from mktemp) holds no record.
+    if (!std::filesystem::exists(path) ||
+        std::filesystem::file_size(path) == 0)
+        return record;
+    const JsonValue prev = loadJsonFile(path);
+    const JsonValue *prev_commit = prev.find("commit");
+    if (prev_commit &&
+        prev_commit->toString(0) == record.at("commit").toString(0)) {
+        JsonValue merged = prev;
+        JsonValue results = JsonValue::array();
+        const auto &fresh = record.at("results").items();
+        for (const JsonValue &old_cell : prev.at("results").items()) {
+            if (std::none_of(fresh.begin(), fresh.end(),
+                             [&](const JsonValue &c) {
+                                 return sameCell(c, old_cell);
+                             }))
+                results.push(old_cell);
+        }
+        for (const JsonValue &cell : fresh)
+            results.push(cell);
+        merged.set("host_threads", record.at("host_threads"));
+        merged.set("deterministic",
+                   prev.at("deterministic").asBool() &&
+                       record.at("deterministic").asBool());
+        merged.set("results", std::move(results));
+        return merged;
+    }
+    JsonValue history = JsonValue::array();
+    JsonValue archived = JsonValue::object();
+    for (const auto &[key, value] : prev.members()) {
+        if (key != "history")
+            archived.set(key, value);
+    }
+    if (const JsonValue *older = prev.find("history")) {
+        for (const JsonValue &entry : older->items())
+            history.push(entry);
+    }
+    history.push(std::move(archived));
+    record.set("history", std::move(history));
+    return record;
+}
 
 int
 runSweep(const SweepOptions &opts)
@@ -205,9 +288,29 @@ runSweep(const SweepOptions &opts)
                             devices > 1024 ? 4 : 8;
                         dp.pilotWidth = 8;
                     }
-                    const DpResult r =
-                        SegmentedDpOptimizer(graph, cost, dp)
-                            .optimize();
+                    // Repeats must plan bit-identically; the cell
+                    // reports the run of median search time.
+                    std::vector<DpResult> runs;
+                    for (int rep = 0; rep < opts.reps; ++rep) {
+                        runs.push_back(
+                            SegmentedDpOptimizer(graph, cost, dp)
+                                .optimize());
+                        if (!samePlan(runs.back(), runs.front())) {
+                            consistent = false;
+                            std::fprintf(stderr,
+                                         "CONSISTENCY VIOLATION: %s @ "
+                                         "%d devices: repeat %d "
+                                         "diverges\n",
+                                         model.name.c_str(), devices,
+                                         rep);
+                        }
+                    }
+                    std::sort(runs.begin(), runs.end(),
+                              [](const DpResult &a, const DpResult &b) {
+                                  return a.optimizationMs <
+                                         b.optimizationMs;
+                              });
+                    const DpResult r = runs[runs.size() / 2];
 
                     SweepCell cell;
                     cell.model = model.name;
@@ -220,9 +323,7 @@ runSweep(const SweepOptions &opts)
                     if (!have_baseline) {
                         baseline_ms = r.optimizationMs;
                     } else if (!r.truncated && !baseline.truncated &&
-                               (r.layerCost != baseline.layerCost ||
-                                r.totalCost != baseline.totalCost ||
-                                r.strategies != baseline.strategies)) {
+                               !samePlan(r, baseline)) {
                         // Exact runs must agree bit-identically across
                         // thread counts AND across prune on/off.
                         consistent = false;
@@ -258,39 +359,45 @@ runSweep(const SweepOptions &opts)
     std::printf("%s", table.render().c_str());
 
     if (!opts.jsonPath.empty()) {
-        std::ostringstream os;
-        os << "{\n  \"host_threads\": " << hardwareConcurrency()
-           << ",\n  \"deterministic\": "
-           << (consistent ? "true" : "false") << ",\n  \"results\": [";
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            const SweepCell &c = cells[i];
+        JsonValue record = JsonValue::object();
+        record.set("bench", "planner_opttime");
+        record.set("commit", sourceCommit(PRIMEPAR_SOURCE_DIR));
+        record.set("host_threads", hardwareConcurrency());
+        record.set("deterministic", consistent);
+        JsonValue results = JsonValue::array();
+        for (const SweepCell &c : cells) {
             const DpResult &r = c.result;
-            os << (i ? "," : "") << "\n    {\"model\": \"" << c.model
-               << "\", \"devices\": " << c.devices
-               << ", \"num_threads\": " << c.numThreads
-               << ", \"prune\": " << (c.pruned ? "true" : "false")
-               << ", \"beam_width\": " << c.beamWidth
-               << ", \"search_ms\": " << r.optimizationMs
-               << ", \"catalog_ms\": " << r.catalogMs
-               << ", \"pilot_ms\": " << r.pilotMs
-               << ", \"table_ms\": " << r.edgeTableMs
-               << ", \"dp_ms\": " << r.dpMs
-               << ", \"candidates_total\": " << r.candidatesTotal
-               << ", \"candidates_kept\": " << r.candidatesKept
-               << ", \"states_pruned\": " << r.statesPruned
-               << ", \"truncated\": " << (r.truncated ? "true" : "false")
-               << ", \"gap_pct\": " << r.gapPct
-               << ", \"layer_cost_us\": " << r.layerCost
-               << ", \"total_cost_us\": " << r.totalCost << "}";
+            JsonValue cell = JsonValue::object();
+            cell.set("model", c.model);
+            cell.set("devices", c.devices);
+            cell.set("num_threads", c.numThreads);
+            cell.set("prune", c.pruned);
+            cell.set("beam_width", c.beamWidth);
+            cell.set("reps", opts.reps);
+            cell.set("search_ms", r.optimizationMs);
+            cell.set("catalog_ms", r.catalogMs);
+            cell.set("pilot_ms", r.pilotMs);
+            cell.set("table_ms", r.edgeTableMs);
+            cell.set("dp_ms", r.dpMs);
+            cell.set("candidates_total", r.candidatesTotal);
+            cell.set("candidates_kept", r.candidatesKept);
+            cell.set("states_pruned", r.statesPruned);
+            cell.set("truncated", r.truncated);
+            cell.set("gap_pct", r.gapPct);
+            cell.set("layer_cost_us", r.layerCost);
+            cell.set("total_cost_us", r.totalCost);
+            results.push(std::move(cell));
         }
-        os << "\n  ]\n}\n";
-        std::ofstream out(opts.jsonPath);
-        if (!out) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         opts.jsonPath.c_str());
+        record.set("results", std::move(results));
+        try {
+            saveJsonFile(opts.jsonPath,
+                         withPreviousRecord(opts.jsonPath,
+                                            std::move(record)));
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "cannot write %s: %s\n",
+                         opts.jsonPath.c_str(), e.what());
             return 1;
         }
-        out << os.str();
         std::printf("wrote %s\n", opts.jsonPath.c_str());
     }
     return consistent ? 0 : 1;
@@ -358,6 +465,8 @@ run(int argc, char **argv)
                                  mode + "')");
         } else if (std::strcmp(argv[i], "--beam") == 0) {
             sweep.beamWidth = std::atoi(next());
+        } else if (std::strcmp(argv[i], "--reps") == 0) {
+            sweep.reps = std::atoi(next());
         } else if (std::strcmp(argv[i], "--models") == 0) {
             model_names.clear();
             std::stringstream ss(next());
@@ -378,6 +487,8 @@ run(int argc, char **argv)
         }
         if (sweep.beamWidth > 0 && sweep.beamWidth < 2)
             throw InputError("--beam must be 0 (exact) or >= 2");
+        if (sweep.reps < 1)
+            throw InputError("--reps must be >= 1");
         if (sweep.threads.empty())
             sweep.threads = defaultThreadSweep();
         for (const std::string &name : model_names)

@@ -1,5 +1,7 @@
 #include "common.hh"
 
+#include <cstdio>
+
 namespace primepar {
 namespace bench {
 
@@ -70,6 +72,57 @@ compareSystems(const ModelConfig &model, int devices, std::int64_t batch,
         measure("PrimePar", model, topo, graph, pp.strategies));
 
     return results;
+}
+
+namespace {
+
+/** First line of @p cmd's stdout, or "" when it fails. */
+std::string
+commandLine(const std::string &cmd)
+{
+    FILE *pipe = popen(cmd.c_str(), "r");
+    if (!pipe)
+        return "";
+    char buf[256] = {};
+    const bool got = std::fgets(buf, sizeof buf, pipe) != nullptr;
+    const int status = pclose(pipe);
+    if (!got || status != 0)
+        return "";
+    std::string line(buf);
+    while (!line.empty() && (line.back() == '\n' || line.back() == '\r'))
+        line.pop_back();
+    return line;
+}
+
+} // namespace
+
+std::string
+sourceCommit(const std::string &root)
+{
+    const std::string git = "git -C '" + root + "' ";
+    const std::string head =
+        commandLine(git + "rev-parse HEAD 2>/dev/null");
+    if (!head.empty()) {
+        // Any porcelain line for src/ means the sources are not HEAD's.
+        const bool dirty =
+            !commandLine(git + "status --porcelain -- src 2>/dev/null")
+                 .empty();
+        return dirty ? head + "-dirty" : head;
+    }
+    // perfbench/run.py's commit_id() digest, computed the same way.
+    return commandLine(R"(python3 -c "
+import hashlib, os, sys
+root = sys.argv[1]
+digest = hashlib.sha256()
+for dirpath, dirnames, filenames in os.walk(os.path.join(root, 'src')):
+    dirnames.sort()
+    for name in sorted(filenames):
+        path = os.path.join(dirpath, name)
+        digest.update(os.path.relpath(path, root).encode())
+        with open(path, 'rb') as f:
+            digest.update(f.read())
+print('src-sha256:' + digest.hexdigest()[:16])
+" ')" + root + "'");
 }
 
 } // namespace bench

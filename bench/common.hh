@@ -62,6 +62,14 @@ std::vector<SystemResult> compareSystems(const ModelConfig &model,
 double tokensPerSecond(const ModelConfig &model, std::int64_t batch,
                        double iteration_us);
 
+/**
+ * Identity of the sources under @p root that a record measures:
+ * `git rev-parse HEAD`, suffixed "-dirty" when src/ has an uncommitted
+ * change; outside git, the "src-sha256:" digest of src/ that
+ * perfbench/run.py stamps (via python3).
+ */
+std::string sourceCommit(const std::string &root);
+
 } // namespace bench
 } // namespace primepar
 

@@ -235,9 +235,9 @@ main(int argc, char **argv)
     }
 
     // ---- Ring shift set: one framed transfer per device. ----
-    // CostModel::ringSetLatency charges one model evaluation per
-    // ShiftSet, so the fit measures a whole set (numDevices
-    // transfers through InProcessTransport) vs bytes per transfer.
+    // CostModel::intraCost charges one model evaluation per ring
+    // shift, so the fit measures a whole set (numDevices transfers
+    // through InProcessTransport) vs bytes per transfer.
     std::printf("[3/5] ring shift set (%d transfers/set)\n",
                 opts.devices);
     {
@@ -436,8 +436,7 @@ main(int argc, char **argv)
 
     double worst_rel = 0.0;
     for (const Case &c : cases) {
-        const OpPlan plan(c.op, c.seq, bits);
-        const double predicted = cost.intraCost(plan).latencyUs;
+        const double predicted = cost.intraCost(c.op, c.seq).latencyUs;
         SpmdOpExecutor exec(c.op, c.seq, bits);
         exec.setThreadPool(&pool);
         exec.setTransport(&transport);

@@ -78,13 +78,10 @@ bestMegatronPlan(const CompGraph &graph, const CostModel &cost_model)
             continue;
 
         double total = 0.0;
-        std::vector<OpPlan> plans;
-        plans.reserve(graph.numNodes());
-        for (int n = 0; n < graph.numNodes(); ++n) {
-            plans.emplace_back(graph.node(n), (*strategies)[n],
-                               cost_model.topology().numBits());
-            total += cost_model.intraCost(plans.back()).weighted;
-        }
+        const auto &seqs = *strategies;
+        const int bits = cost_model.topology().numBits();
+        for (int n = 0; n < graph.numNodes(); ++n)
+            total += cost_model.intraCost(graph.node(n), seqs[n]).weighted;
         for (const GraphEdge &e : graph.edges()) {
             const OpSpec &producer = graph.node(e.src);
             const OpSpec &consumer = graph.node(e.dst);
@@ -92,19 +89,20 @@ bestMegatronPlan(const CompGraph &graph, const CostModel &cost_model)
             EdgeDimMap consumer_map;
             for (int dim : consumer.tensors[e.dstTensor].dims)
                 consumer_map.push_back(dim);
+            const int src_last = seqs[e.src].temporalSteps() - 1;
+            const int dst_last = seqs[e.dst].temporalSteps() - 1;
             const auto have = layoutOf(
-                producer, plans[e.src].dsi,
+                producer, seqs[e.src], bits,
                 {producer.outputTensor, false}, Phase::Forward,
-                plans[e.src].dsi.steps() - 1, e.dimMap, sizes);
+                src_last, e.dimMap, sizes);
             const auto need = layoutOf(
-                consumer, plans[e.dst].dsi, {e.dstTensor, false},
+                consumer, seqs[e.dst], bits, {e.dstTensor, false},
                 Phase::Forward, 0, consumer_map, sizes);
             const auto have_b = layoutOf(
-                consumer, plans[e.dst].dsi, {e.dstTensor, true},
-                Phase::Backward, plans[e.dst].dsi.steps() - 1,
-                consumer_map, sizes);
+                consumer, seqs[e.dst], bits, {e.dstTensor, true},
+                Phase::Backward, dst_last, consumer_map, sizes);
             const auto need_b = layoutOf(
-                producer, plans[e.src].dsi,
+                producer, seqs[e.src], bits,
                 {producer.outputTensor, true}, Phase::Backward, 0,
                 e.dimMap, sizes);
             const auto f = cost_model.trafficSplit(have, need);

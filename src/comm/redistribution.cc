@@ -1,6 +1,7 @@
 #include "redistribution.hh"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 
 #include "support/logging.hh"
@@ -16,10 +17,12 @@ TensorLayout::boxVolume(std::int64_t device) const
     return v;
 }
 
-TensorLayout
-layoutOf(const OpSpec &op, const DsiTable &dsi, const TensorRef &ref,
-         Phase phase, int t, const EdgeDimMap &dim_map,
-         const std::vector<std::int64_t> &transfer_sizes)
+namespace {
+
+void
+checkDimMap(const OpSpec &op, const TensorRef &ref,
+            const EdgeDimMap &dim_map,
+            const std::vector<std::int64_t> &transfer_sizes)
 {
     PRIMEPAR_ASSERT(dim_map.size() == transfer_sizes.size(),
                     "edge dim map size mismatch");
@@ -33,6 +36,30 @@ layoutOf(const OpSpec &op, const DsiTable &dsi, const TensorRef &ref,
                         " absent from tensor ", op.refName(ref), " of ",
                         op.name);
     }
+}
+
+/**
+ * Slice @p idx of @p slices of an op dim, rescaled into transfer-dim
+ * units: slice j of s covers [j/s, (j+1)/s) of the dimension.
+ * Floor-based boundaries tile the dim exactly even when the transfer
+ * size is not divisible by the slice count (e.g. 112 heads over 32
+ * ways). Slice counts are powers of two, so the floor is a shift.
+ */
+SliceRange
+rescaledSlice(std::int64_t idx, std::int64_t slices, std::int64_t size)
+{
+    const int shift = std::countr_zero(static_cast<std::uint64_t>(slices));
+    return {(idx * size) >> shift, ((idx + 1) * size) >> shift};
+}
+
+} // namespace
+
+TensorLayout
+layoutOf(const OpSpec &op, const DsiTable &dsi, const TensorRef &ref,
+         Phase phase, int t, const EdgeDimMap &dim_map,
+         const std::vector<std::int64_t> &transfer_sizes)
+{
+    checkDimMap(op, ref, dim_map, transfer_sizes);
     TensorLayout layout;
     layout.dimSizes = transfer_sizes;
     layout.deviceBox.resize(dsi.numDevices());
@@ -42,23 +69,71 @@ layoutOf(const OpSpec &op, const DsiTable &dsi, const TensorRef &ref,
         box.reserve(dim_map.size());
         for (std::size_t i = 0; i < dim_map.size(); ++i) {
             const int op_dim = dim_map[i];
-            if (op_dim < 0) {
-                box.push_back({0, transfer_sizes[i]});
-                continue;
-            }
-            // Rescale the op-dim slice into transfer-dim units: slice
-            // j of s slices covers [j/s, (j+1)/s) of the dimension.
-            // Floor-based boundaries tile the dim exactly even when
-            // the transfer size is not divisible by the slice count
-            // (e.g. 112 heads over 32 ways).
-            const std::int64_t s = dsi.sliceCount(op_dim);
-            const std::int64_t idx = dsi.value(phase, dev, t, op_dim);
-            const std::int64_t start = idx * transfer_sizes[i] / s;
-            const std::int64_t end = (idx + 1) * transfer_sizes[i] / s;
-            box.push_back({start, end});
+            box.push_back(op_dim < 0
+                              ? SliceRange{0, transfer_sizes[i]}
+                              : rescaledSlice(
+                                    dsi.value(phase, dev, t, op_dim),
+                                    dsi.sliceCount(op_dim),
+                                    transfer_sizes[i]));
         }
     }
     return layout;
+}
+
+void
+layoutBoxes(const OpSpec &op, const PartitionSeq &seq, int num_bits,
+            const TensorRef &ref, Phase phase, int t,
+            const EdgeDimMap &dim_map,
+            const std::vector<std::int64_t> &transfer_sizes,
+            std::vector<SliceRange> &boxes)
+{
+    checkDimMap(op, ref, dim_map, transfer_sizes);
+    PRIMEPAR_ASSERT(seq.numBits() == num_bits, "sequence consumes ",
+                    seq.numBits(), " bits, expected ", num_bits);
+    const std::vector<std::int64_t> slices = seq.sliceCounts(op);
+    const std::int64_t devices = std::int64_t{1} << num_bits;
+    const std::size_t dims = dim_map.size();
+    boxes.resize(static_cast<std::size_t>(devices) * dims);
+    std::vector<std::int64_t> idx(op.dims.size());
+    for (std::int64_t dev = 0; dev < devices; ++dev) {
+        evaluateDsi(op, seq, num_bits, phase, dev, t, idx.data());
+        SliceRange *box = boxes.data() + dev * dims;
+        for (std::size_t i = 0; i < dims; ++i) {
+            const int op_dim = dim_map[i];
+            box[i] = op_dim < 0 ? SliceRange{0, transfer_sizes[i]}
+                                : rescaledSlice(idx[op_dim],
+                                                slices[op_dim],
+                                                transfer_sizes[i]);
+        }
+    }
+}
+
+TensorLayout
+layoutFromBoxes(const SliceRange *boxes, std::int64_t devices,
+                const std::vector<std::int64_t> &transfer_sizes)
+{
+    TensorLayout layout;
+    layout.dimSizes = transfer_sizes;
+    layout.deviceBox.resize(static_cast<std::size_t>(devices));
+    const std::size_t dims = transfer_sizes.size();
+    for (std::size_t dev = 0; dev < layout.deviceBox.size(); ++dev) {
+        layout.deviceBox[dev].assign(boxes + dev * dims,
+                                     boxes + (dev + 1) * dims);
+    }
+    return layout;
+}
+
+TensorLayout
+layoutOf(const OpSpec &op, const PartitionSeq &seq, int num_bits,
+         const TensorRef &ref, Phase phase, int t,
+         const EdgeDimMap &dim_map,
+         const std::vector<std::int64_t> &transfer_sizes)
+{
+    std::vector<SliceRange> boxes;
+    layoutBoxes(op, seq, num_bits, ref, phase, t, dim_map, transfer_sizes,
+                boxes);
+    return layoutFromBoxes(boxes.data(), std::int64_t{1} << num_bits,
+                           transfer_sizes);
 }
 
 RedistPlan

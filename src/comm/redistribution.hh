@@ -19,6 +19,7 @@
 
 #include "partition/dsi.hh"
 #include "partition/op_spec.hh"
+#include "partition/partition_step.hh"
 #include "topology/cluster.hh"
 
 namespace primepar {
@@ -60,6 +61,29 @@ using EdgeDimMap = std::vector<int>;
 TensorLayout layoutOf(const OpSpec &op, const DsiTable &dsi,
                       const TensorRef &ref, Phase phase, int t,
                       const EdgeDimMap &dim_map,
+                      const std::vector<std::int64_t> &transfer_sizes);
+
+/**
+ * The boxes of layoutOf() read straight off @p seq: Algorithm 1 at
+ * each device (evaluateDsi()) instead of a DsiTable, written flat to
+ * @p boxes as [device * dim_map.size() + i]. Pricing many candidate
+ * sequences this way builds no per-sequence table.
+ */
+void layoutBoxes(const OpSpec &op, const PartitionSeq &seq, int num_bits,
+                 const TensorRef &ref, Phase phase, int t,
+                 const EdgeDimMap &dim_map,
+                 const std::vector<std::int64_t> &transfer_sizes,
+                 std::vector<SliceRange> &boxes);
+
+/** The layout of @p devices flat @p boxes, laid out as layoutBoxes()
+ * writes them: transfer_sizes.size() ranges per device. */
+TensorLayout layoutFromBoxes(const SliceRange *boxes, std::int64_t devices,
+                             const std::vector<std::int64_t> &transfer_sizes);
+
+/** layoutOf() of @p seq over @p num_bits bits, via layoutBoxes(). */
+TensorLayout layoutOf(const OpSpec &op, const PartitionSeq &seq,
+                      int num_bits, const TensorRef &ref, Phase phase,
+                      int t, const EdgeDimMap &dim_map,
                       const std::vector<std::int64_t> &transfer_sizes);
 
 /** One box moved from one device to another. */

@@ -56,6 +56,18 @@ costFingerprint(const ClusterTopology &topo, const ProfiledModels &models,
     return os.str();
 }
 
+/** Group indicator of a device-id bit mask (bit 0 = d_1). */
+GroupIndicator
+indicatorOf(std::int64_t mask, int num_bits)
+{
+    GroupIndicator bits;
+    for (int b = 0; b < num_bits; ++b) {
+        if ((mask >> (num_bits - 1 - b)) & 1)
+            bits.push_back(b);
+    }
+    return bits;
+}
+
 } // namespace
 
 CostModel::CostModel(const ClusterTopology &topo_in,
@@ -107,46 +119,53 @@ CostModel::CostModel(const ClusterTopology &topo_in,
     }
 }
 
-double
-CostModel::ringSetLatency(const OpSpec &op, const ShiftSet &set) const
+bool
+CostModel::crossesNode(const std::vector<Transfer> &moves,
+                       std::int64_t group_mask) const
 {
-    if (set.transfers.empty())
-        return 0.0;
-    const double bytes =
-        static_cast<double>(set.elementsPerTransfer) * op.bytesPerElement;
-    bool cross_node = false;
-    for (const Transfer &tr : set.transfers) {
-        if (!topo.sameNode(tr.sender, tr.receiver)) {
-            cross_node = true;
-            break;
+    if (topo.kind() == ClusterTopology::Kind::Hierarchical) {
+        // Node = high device-id bits: a move crosses nodes iff it
+        // flips one, in every ring group alike.
+        const std::int64_t node_bits =
+            (std::int64_t{topo.numDevices()} - 1) & ~(topo.gpusPerNode() - 1);
+        for (const Transfer &tr : moves) {
+            if ((tr.receiver ^ tr.sender) & node_bits)
+                return true;
+        }
+        return false;
+    }
+    // No bitwise node test (torus neighbours): check every group.
+    for (std::int64_t base = 0; base < topo.numDevices(); ++base) {
+        if (base & group_mask)
+            continue;
+        for (const Transfer &tr : moves) {
+            if (!topo.sameNode(base | tr.sender, base | tr.receiver))
+                return true;
         }
     }
-    return models.ringHop[cross_node ? 1 : 0](bytes);
+    return false;
 }
 
 IntraCost
-CostModel::intraCost(const OpPlan &plan) const
+CostModel::intraCost(const OpSpec &op, const PartitionSeq &seq) const
 {
-    const OpSpec &op = *plan.op;
-    const DsiTable &dsi = plan.dsi;
+    SymbolicComm comm(op, seq, topo.numBits());
+    const int steps = comm.steps();
+    const double devices = static_cast<double>(topo.numDevices());
+    std::vector<char> shifted(op.tensors.size(), 0);
+    std::vector<double> ring(steps);
     IntraCost cost;
 
     for (std::size_t p = 0; p < op.passes.size(); ++p) {
         const PassSpec &pass = op.passes[p];
-        const PassComm &comm = plan.passComms[p];
-        const int steps = dsi.steps();
 
         // Per-step sub-operator kernel latency.
-        const double flops =
-            op.passFlops(pass) /
-            (static_cast<double>(dsi.numDevices()) * steps);
+        const double flops = op.passFlops(pass) / (devices * steps);
         double bytes = 0.0;
         for (const TensorRef &ref : pass.operands)
-            bytes += static_cast<double>(
-                         dsi.tensorSliceNumel(op, ref.tensor)) *
+            bytes += static_cast<double>(comm.sliceNumel(ref.tensor)) *
                      op.bytesPerElement;
-        bytes += static_cast<double>(
-                     dsi.tensorSliceNumel(op, pass.output.tensor)) *
+        bytes += static_cast<double>(comm.sliceNumel(pass.output.tensor)) *
                  op.bytesPerElement;
         const bool math_bound =
             op.kind == "linear" || op.kind == "matmul";
@@ -154,26 +173,37 @@ CostModel::intraCost(const OpPlan &plan) const
                                   ? models.matmulKernel(flops)
                                   : models.memoryKernel(bytes);
 
+        // Ring latency per step: every shift hops once, over a slow
+        // link if any of its transfers crosses nodes.
+        std::fill(ring.begin(), ring.end(), 0.0);
+        comm.forEachShift(static_cast<int>(p),
+                          [&](int t, const TensorRef &ref,
+                              const std::vector<Transfer> &moves) {
+            shifted[ref.tensor] = 1;
+            const double payload =
+                static_cast<double>(comm.sliceNumel(ref.tensor)) *
+                op.bytesPerElement;
+            const bool cross = crossesNode(moves, comm.groupMask());
+            ring[t] += models.ringHop[cross ? 1 : 0](payload);
+        });
+
         // Eq. 7: sum over steps of max(compute, ring).
         for (int t = 0; t < steps; ++t) {
-            double ring = 0.0;
-            for (const ShiftSet &set : comm.stepShifts[t])
-                ring += ringSetLatency(op, set);
-            for (const ShiftSet &set : comm.accShifts[t])
-                ring += ringSetLatency(op, set);
-            cost.latencyUs += std::max(kernel, ring);
+            cost.latencyUs += std::max(kernel, ring[t]);
             cost.computeUs += kernel;
-            cost.ringUs += ring;
+            cost.ringUs += ring[t];
         }
 
-        // Grouped all-reduce through the fitted pattern model.
-        if (comm.allReduce.has_value()) {
-            const AllReduceSpec &spec = *comm.allReduce;
+        // Grouped all-reduce of partial sums through the fitted
+        // pattern model.
+        const std::int64_t shared =
+            comm.sharedBits(pass.output, pass.phase, steps - 1);
+        if (shared != 0) {
             const double payload =
-                static_cast<double>(spec.elementsPerDevice) *
+                static_cast<double>(comm.sliceNumel(pass.output.tensor)) *
                 op.bytesPerElement;
             const GroupPatternKey key =
-                groupPatternKey(topo, spec.indicator);
+                groupPatternKey(topo, indicatorOf(shared, topo.numBits()));
             const auto it = models.allReduce.find(key);
             PRIMEPAR_ASSERT(it != models.allReduce.end(),
                             "no profiled all-reduce model for pattern");
@@ -185,35 +215,18 @@ CostModel::intraCost(const OpPlan &plan) const
 
     // Layernorm expectation exchange when the normalized dimension is
     // split spatially (paper Sec. 3.2, "potential all-reduce of
-    // expectations").
+    // expectations") over the bits that slice it.
     if (op.normalizedDim >= 0 &&
-        dsi.sliceCount(op.normalizedDim) > 1) {
-        const TensorRef out{op.outputTensor, false};
-        GroupIndicator bits;
-        // Bits that slice the normalized dim: probe via footprint of a
-        // pseudo-tensor — reuse the full footprint of the output and
-        // intersect with the dim's variation.
-        const int n = dsi.numBits();
-        for (int b = 0; b < n; ++b) {
-            const std::int64_t mask = std::int64_t{1} << (n - 1 - b);
-            bool affects = false;
-            for (std::int64_t dev = 0;
-                 dev < dsi.numDevices() && !affects; ++dev) {
-                if (dsi.value(Phase::Forward, dev, 0,
-                              op.normalizedDim) !=
-                    dsi.value(Phase::Forward, dev ^ mask, 0,
-                              op.normalizedDim))
-                    affects = true;
-            }
-            if (affects)
-                bits.push_back(b);
-        }
-        if (!bits.empty()) {
+        comm.sliceCounts()[op.normalizedDim] > 1) {
+        const std::int64_t split =
+            comm.dimBits(op.normalizedDim, Phase::Forward, 0);
+        if (split != 0) {
             const std::int64_t rows =
-                dsi.tensorSliceNumel(op, out.tensor) /
-                dsi.sliceExtent(op.normalizedDim);
+                comm.sliceNumel(op.outputTensor) /
+                comm.sliceExtent(op.normalizedDim);
             const double payload = static_cast<double>(rows) * 2 * 4;
-            const GroupPatternKey key = groupPatternKey(topo, bits);
+            const GroupPatternKey key =
+                groupPatternKey(topo, indicatorOf(split, topo.numBits()));
             const auto it = models.allReduce.find(key);
             if (it != models.allReduce.end()) {
                 const double dur = it->second(payload);
@@ -224,7 +237,7 @@ CostModel::intraCost(const OpPlan &plan) const
     }
 
     cost.memoryBytes =
-        opMemory(op, plan.seq, dsi, plan.passComms, memParams).total();
+        opMemory(op, comm.sliceCounts(), shifted, memParams).total();
     cost.weighted =
         cost.latencyUs + alpha * cost.memoryBytes / (1024.0 * 1024.0);
     return cost;

@@ -19,9 +19,9 @@
 #include <string>
 
 #include "comm/redistribution.hh"
+#include "partition/comm_pattern.hh"
 #include "profiler.hh"
 #include "sim/memory.hh"
-#include "sim/op_sim.hh"
 
 namespace primepar {
 
@@ -49,8 +49,13 @@ class CostModel
     CostModel(const ClusterTopology &topo, ProfiledModels models,
               double alpha_memory = 0.0);
 
-    /** Evaluate Eq. 7 for a prepared operator plan. */
-    IntraCost intraCost(const OpPlan &plan) const;
+    /**
+     * Evaluate Eq. 7 for @p seq on @p op. Every term is read off the
+     * sequence's bit structure (SymbolicComm), so no per-device DSI
+     * table or communication schedule is built: this is what lets a
+     * catalog price every enumerated sequence cheaply.
+     */
+    IntraCost intraCost(const OpSpec &op, const PartitionSeq &seq) const;
 
     /** Redistribution traffic split by link class, in elements. */
     struct TrafficSplit
@@ -132,6 +137,8 @@ class CostModel
     double redistLatencyUs(double intra_bytes, double inter_bytes) const;
 
     const ClusterTopology &topology() const { return topo; }
+    const ProfiledModels &profiledModels() const { return models; }
+    const MemoryModelParams &memoryParams() const { return memParams; }
     double alphaMemory() const { return alpha; }
 
     /**
@@ -144,7 +151,11 @@ class CostModel
     const std::string &fingerprint() const { return fp; }
 
   private:
-    double ringSetLatency(const OpSpec &op, const ShiftSet &set) const;
+    /** True iff some ring group moves a slice of a shift over a slow
+     *  link; @p moves is group 0 of the shift (SymbolicComm::shift()),
+     *  @p group_mask the PSquare bits. */
+    bool crossesNode(const std::vector<Transfer> &moves,
+                     std::int64_t group_mask) const;
 
     const ClusterTopology &topo;
     ProfiledModels models;

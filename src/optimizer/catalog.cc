@@ -1,6 +1,8 @@
 #include "catalog.hh"
 
 #include <algorithm>
+#include <cstring>
+#include <type_traits>
 #include <unordered_map>
 
 #include "catalog_cache.hh"
@@ -9,22 +11,6 @@
 namespace primepar {
 
 namespace {
-
-/** Fill plans[s] / intraCost[s] for every sequence of @p catalog, in
- *  parallel over the sequences (each index writes its own slot). */
-void
-evaluateCatalog(NodeCatalog &catalog, const OpSpec &op,
-                const CostModel &cost, int num_bits, ThreadPool *pool)
-{
-    catalog.plans.resize(catalog.seqs.size());
-    catalog.intraCost.resize(catalog.seqs.size());
-    parallelFor(pool, catalog.seqs.size(), [&](std::size_t s) {
-        catalog.plans[s] =
-            std::make_unique<OpPlan>(op, catalog.seqs[s], num_bits);
-        catalog.intraCost[s] =
-            cost.intraCost(*catalog.plans[s]).weighted;
-    });
-}
 
 /** Enumeration over-collects this factor past the budget, so the
  *  final keep-best cut runs on *evaluated* intra costs rather than the
@@ -58,40 +44,19 @@ trimToBudget(NodeCatalog &catalog, int budget)
     std::sort(idx.begin(), idx.end());
 
     std::vector<PartitionSeq> seqs;
-    std::vector<std::unique_ptr<OpPlan>> plans;
     std::vector<double> intra;
     seqs.reserve(idx.size());
-    plans.reserve(idx.size());
     intra.reserve(idx.size());
     for (int i : idx) {
         seqs.push_back(std::move(catalog.seqs[i]));
-        plans.push_back(std::move(catalog.plans[i]));
         intra.push_back(catalog.intraCost[i]);
     }
     catalog.seqs = std::move(seqs);
-    catalog.plans = std::move(plans);
     catalog.intraCost = std::move(intra);
     catalog.truncated = true;
 }
 
 } // namespace
-
-NodeCatalog
-buildNodeCatalog(const CompGraph &graph, int node, const CostModel &cost,
-                 const SpaceOptions &opts, ThreadPool *pool)
-{
-    const OpSpec &op = graph.node(node);
-    NodeCatalog catalog;
-    catalog.node = node;
-    EnumerationInfo info;
-    catalog.seqs = enumerateSequences(op, cost.topology().numBits(),
-                                      enumerationOptions(opts), &info);
-    catalog.spaceSize = info.totalSequences;
-    catalog.truncated = info.truncated;
-    evaluateCatalog(catalog, op, cost, cost.topology().numBits(), pool);
-    trimToBudget(catalog, opts.candidateBudget);
-    return catalog;
-}
 
 std::vector<std::shared_ptr<const NodeCatalog>>
 buildAllNodeCatalogs(const CompGraph &graph, const CostModel &cost,
@@ -148,7 +113,6 @@ buildAllNodeCatalogs(const CompGraph &graph, const CostModel &cost,
                                            enum_opts, &info);
         catalog->spaceSize = info.totalSequences;
         catalog->truncated = info.truncated;
-        catalog->plans.resize(catalog->seqs.size());
         catalog->intraCost.resize(catalog->seqs.size());
         offset[b + 1] = offset[b] + catalog->seqs.size();
         fresh[b] = std::move(catalog);
@@ -161,11 +125,9 @@ buildAllNodeCatalogs(const CompGraph &graph, const CostModel &cost,
             1;
         NodeCatalog &catalog = *fresh[b];
         const std::size_t s = w - offset[b];
-        const OpSpec &op = graph.node(catalog.node);
-        catalog.plans[s] =
-            std::make_unique<OpPlan>(op, catalog.seqs[s], num_bits);
         catalog.intraCost[s] =
-            cost.intraCost(*catalog.plans[s]).weighted;
+            cost.intraCost(graph.node(catalog.node), catalog.seqs[s])
+                .weighted;
     });
 
     for (std::size_t b = 0; b < to_build.size(); ++b) {
@@ -198,60 +160,80 @@ struct LayoutClasses
     std::vector<int> classOf;      ///< per sequence
 };
 
-/** Byte-serialize a device-box set for hashed class lookup and memo
- *  interning. Every box of a layout has one range per transfer dim,
- *  so the leading device count and the stream length fix the shape:
- *  the flat stream is unambiguous across edges too. */
+/** Byte-serialize the flat device boxes of a layout (layoutBoxes())
+ * for hashed class lookup and memo interning: the device count, then
+ * every range. Every box of a layout has one range per transfer dim,
+ * so the leading device count and the stream length fix the shape:
+ * the flat stream is unambiguous across edges too. */
 std::string
-boxKey(const std::vector<std::vector<SliceRange>> &device_box)
+boxKey(std::int64_t devices, const std::vector<SliceRange> &boxes)
 {
     std::string key;
-    std::size_t ranges = 0;
-    for (const auto &box : device_box)
-        ranges += box.size();
-    key.reserve(sizeof(std::int64_t) * (2 * ranges + 1));
+    key.reserve(sizeof(std::int64_t) * (2 * boxes.size() + 1));
     const auto append = [&key](std::int64_t v) {
         key.append(reinterpret_cast<const char *>(&v), sizeof(v));
     };
-    append(static_cast<std::int64_t>(device_box.size()));
-    for (const auto &box : device_box) {
-        for (const SliceRange &r : box) {
-            append(r.start);
-            append(r.end);
-        }
+    append(devices);
+    for (const SliceRange &r : boxes) {
+        append(r.start);
+        append(r.end);
     }
     return key;
+}
+
+/** The layout whose boxKey() is @p key: its ranges are the flat
+ * layoutBoxes() of the layout, byte for byte. */
+TensorLayout
+layoutOfKey(const std::string &key, const std::vector<std::int64_t> &sizes)
+{
+    static_assert(std::is_trivially_copyable_v<SliceRange> &&
+                  sizeof(SliceRange) == 2 * sizeof(std::int64_t));
+    std::int64_t devices = 0;
+    std::memcpy(&devices, key.data(), sizeof devices);
+    std::vector<SliceRange> boxes((key.size() - sizeof devices) /
+                                  sizeof(SliceRange));
+    std::memcpy(boxes.data(), key.data() + sizeof devices,
+                boxes.size() * sizeof(SliceRange));
+    return layoutFromBoxes(boxes.data(), devices, sizes);
 }
 
 LayoutClasses
 classify(const OpSpec &op, const NodeCatalog &catalog,
          const std::vector<std::int32_t> *cand, const TensorRef &ref,
          Phase phase, bool at_end, const EdgeDimMap &map,
-         const std::vector<std::int64_t> &sizes, ThreadPool *pool)
+         const std::vector<std::int64_t> &sizes, int num_bits,
+         ThreadPool *pool)
 {
-    // Boundary layouts of all candidate positions (parallel, one slot
-    // each), then a serial hashed dedup in position order.
+    // Boundary box keys of all candidate positions (parallel, one
+    // slot each), then a serial hashed dedup in position order; only
+    // a new class materializes its TensorLayout, decoded from its key.
     const std::size_t count =
         cand ? cand->size() : static_cast<std::size_t>(catalog.size());
-    std::vector<TensorLayout> layouts(count);
-    parallelFor(pool, layouts.size(), [&](std::size_t p) {
-        const std::size_t s =
-            cand ? static_cast<std::size_t>((*cand)[p]) : p;
-        const DsiTable &dsi = catalog.plans[s]->dsi;
-        const int t = at_end ? dsi.steps() - 1 : 0;
-        layouts[p] = layoutOf(op, dsi, ref, phase, t, map, sizes);
+    const auto seq_of = [&](std::size_t p) -> const PartitionSeq & {
+        return catalog.seqs[cand ? static_cast<std::size_t>((*cand)[p])
+                                 : p];
+    };
+    const auto step_of = [&](const PartitionSeq &seq) {
+        return at_end ? seq.temporalSteps() - 1 : 0;
+    };
+    std::vector<std::string> keys(count);
+    parallelFor(pool, count, [&](std::size_t p) {
+        std::vector<SliceRange> boxes;
+        const PartitionSeq &seq = seq_of(p);
+        layoutBoxes(op, seq, num_bits, ref, phase, step_of(seq), map,
+                    sizes, boxes);
+        keys[p] = boxKey(std::int64_t{1} << num_bits, boxes);
     });
 
     LayoutClasses result;
     std::unordered_map<std::string, int> seen;
-    seen.reserve(layouts.size());
+    seen.reserve(count);
     result.classOf.reserve(count);
     for (std::size_t p = 0; p < count; ++p) {
         auto [it, inserted] = seen.emplace(
-            boxKey(layouts[p].deviceBox),
-            static_cast<int>(result.classes.size()));
+            std::move(keys[p]), static_cast<int>(result.classes.size()));
         if (inserted) {
-            result.classes.push_back(std::move(layouts[p]));
+            result.classes.push_back(layoutOfKey(it->first, sizes));
             result.keys.push_back(it->first);
         }
         result.classOf.push_back(it->second);
@@ -270,6 +252,7 @@ buildEdgeCostTable(const CompGraph &graph, const GraphEdge &edge,
     const OpSpec &producer = graph.node(edge.src);
     const OpSpec &consumer = graph.node(edge.dst);
     const auto sizes = graph.transferSizes(edge);
+    const int num_bits = cost.topology().numBits();
 
     EdgeDimMap producer_map = edge.dimMap;
     EdgeDimMap consumer_map;
@@ -280,19 +263,19 @@ buildEdgeCostTable(const CompGraph &graph, const GraphEdge &edge,
     const auto have_fwd = classify(producer, src, topts.srcCandidates,
                                    {producer.outputTensor, false},
                                    Phase::Forward, true, producer_map,
-                                   sizes, pool);
+                                   sizes, num_bits, pool);
     const auto need_fwd = classify(consumer, dst, topts.dstCandidates,
                                    {edge.dstTensor, false},
                                    Phase::Forward, false, consumer_map,
-                                   sizes, pool);
+                                   sizes, num_bits, pool);
     const auto have_bwd = classify(consumer, dst, topts.dstCandidates,
                                    {edge.dstTensor, true},
                                    Phase::Backward, true, consumer_map,
-                                   sizes, pool);
+                                   sizes, num_bits, pool);
     const auto need_bwd = classify(producer, src, topts.srcCandidates,
                                    {producer.outputTensor, true},
                                    Phase::Backward, false, producer_map,
-                                   sizes, pool);
+                                   sizes, num_bits, pool);
 
     const int src_count = topts.srcCandidates
                               ? static_cast<int>(topts.srcCandidates->size())

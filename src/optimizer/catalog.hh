@@ -44,8 +44,9 @@ struct NodeCatalog
      *  (all sharers are structurally identical). */
     int node = -1;
     std::vector<PartitionSeq> seqs;
-    std::vector<std::unique_ptr<OpPlan>> plans;
-    /** Eq. 7 weighted intra cost per sequence. */
+    /** Eq. 7 weighted intra cost per sequence
+     *  (CostModel::intraCost(), priced from the sequence alone: the
+     *  catalog holds no per-device plan). */
     std::vector<double> intraCost;
     /** Leaves of the full partition space (>= seqs.size()). */
     std::size_t spaceSize = 0;
@@ -56,12 +57,6 @@ struct NodeCatalog
 
     int size() const { return static_cast<int>(seqs.size()); }
 };
-
-/** Build the catalog of a node under the given space options. */
-NodeCatalog buildNodeCatalog(const CompGraph &graph, int node,
-                             const CostModel &cost,
-                             const SpaceOptions &opts,
-                             ThreadPool *pool = nullptr);
 
 /** Outcome counters of a buildAllNodeCatalogs call. */
 struct CatalogBuildStats
@@ -76,9 +71,9 @@ struct CatalogBuildStats
 /**
  * Build (or fetch) the catalogs of every node of @p graph. Nodes with
  * identical structural keys share one catalog; @p cache (optional)
- * extends the sharing across optimizer invocations. Plan and cost
- * evaluation is flattened over all (node, sequence) pairs and run on
- * @p pool (optional).
+ * extends the sharing across optimizer invocations. Cost evaluation
+ * is flattened over all (node, sequence) pairs and run on @p pool
+ * (optional).
  */
 std::vector<std::shared_ptr<const NodeCatalog>>
 buildAllNodeCatalogs(const CompGraph &graph, const CostModel &cost,

@@ -97,7 +97,8 @@ deriveShift(const OpSpec &op, const DsiTable &dsi, const TensorRef &ref,
     return shift;
 }
 
-/** Index of the first/last pass whose operands include @p ref. */
+} // namespace
+
 int
 firstPassUsing(const OpSpec &op, const TensorRef &ref)
 {
@@ -119,8 +120,6 @@ lastPassUsing(const OpSpec &op, const TensorRef &ref)
     }
     return -1;
 }
-
-} // namespace
 
 PassComm
 derivePassComm(const OpSpec &op, const PartitionSeq &seq,
@@ -254,6 +253,170 @@ tensorFootprintBits(const OpSpec &op, const DsiTable &dsi,
             bits.push_back(b);
     }
     return bits;
+}
+
+SymbolicComm::SymbolicComm(const OpSpec &op_in, const PartitionSeq &seq,
+                           int num_bits)
+    : op(op_in), slices(seq.sliceCounts(op_in)),
+      byDimBits(op_in.dims.size(), 0)
+{
+    PRIMEPAR_ASSERT(seq.numBits() == num_bits,
+                    "sequence consumes ", seq.numBits(), " bits, expected ",
+                    num_bits, " for op ", op.name);
+    const std::string err = seq.validate(op);
+    PRIMEPAR_ASSERT(err.empty(), "invalid sequence for ", op.name, ": ",
+                    err);
+    int cursor = 0;
+    for (const PartitionStep &step : seq.steps()) {
+        if (step.kind == PartitionStep::Kind::ByDim) {
+            byDimBits[step.dim] |= std::int64_t{1}
+                                   << (num_bits - 1 - cursor);
+        } else {
+            k = step.k;
+            side = 1 << k;
+            low = num_bits - cursor - 2 * k;
+            gridMask = (std::int64_t{1} << (2 * k)) - 1;
+            coords.resize(static_cast<std::size_t>(gridMask) + 1);
+            for (std::size_t x = 0; x < coords.size(); ++x) {
+                coords[x] = pSquareCoord(static_cast<std::int64_t>(x)
+                                             << low,
+                                         num_bits, cursor, k);
+            }
+        }
+        cursor += step.bits();
+    }
+}
+
+std::int64_t
+SymbolicComm::sliceNumel(int tensor) const
+{
+    std::int64_t n = 1;
+    for (int d : op.tensors[tensor].dims)
+        n *= sliceExtent(d);
+    return n;
+}
+
+std::int64_t
+SymbolicComm::component(const PSquareIndex &at, int dim) const
+{
+    const PSquareDims &psq = *op.psquare;
+    if (dim == psq.m)
+        return at.m;
+    if (dim == psq.n)
+        return at.n;
+    return dim == psq.k ? at.k : -1;
+}
+
+std::int64_t
+SymbolicComm::gridKey(const TensorRef &ref, Phase phase, int t,
+                      std::size_t x) const
+{
+    const PSquareIndex at = pSquareIndex(phase, coords[x], t, k);
+    std::int64_t key = 0;
+    for (int d : op.tensors[ref.tensor].dims) {
+        const std::int64_t c = component(at, d);
+        if (c >= 0)
+            key = key * side + c;
+    }
+    return key;
+}
+
+std::int64_t
+SymbolicComm::keySpace(const TensorRef &ref) const
+{
+    std::int64_t space = 1;
+    for (int d : op.tensors[ref.tensor].dims) {
+        if (component(PSquareIndex{}, d) >= 0)
+            space *= side;
+    }
+    return space;
+}
+
+const std::vector<Transfer> &
+SymbolicComm::shift(const TensorRef &ref, Phase from_phase, int from_t,
+                    Phase to_phase, int to_t)
+{
+    moves.clear();
+    if (k == 0)
+        return moves; // DSIs are identical in every phase and step
+    const std::size_t cells = coords.size();
+    fromKey.resize(cells);
+    toKey.resize(cells);
+    bool any = false;
+    for (std::size_t x = 0; x < cells; ++x) {
+        fromKey[x] = gridKey(ref, from_phase, from_t, x);
+        toKey[x] = gridKey(ref, to_phase, to_t, x);
+        any |= fromKey[x] != toKey[x];
+    }
+    if (!any)
+        return moves;
+
+    // The unique group peer holding each slice (-2: several do).
+    holder.assign(static_cast<std::size_t>(keySpace(ref)), -1);
+    for (std::size_t x = 0; x < cells; ++x) {
+        std::int32_t &h = holder[fromKey[x]];
+        h = h == -1 ? static_cast<std::int32_t>(x) : -2;
+    }
+    for (std::size_t x = 0; x < cells; ++x) {
+        if (toKey[x] == fromKey[x])
+            continue;
+        const std::int32_t sender = holder[toKey[x]];
+        PRIMEPAR_ASSERT(sender != -2, "ambiguous ring sender for ",
+                        op.refName(ref), " of ", op.name);
+        PRIMEPAR_ASSERT(sender >= 0, "no holder of needed slice of ",
+                        op.refName(ref), " for device ",
+                        static_cast<std::int64_t>(x) << low, " of op ",
+                        op.name);
+        moves.push_back({static_cast<std::int64_t>(x) << low,
+                         std::int64_t{sender} << low});
+    }
+    return moves;
+}
+
+std::int64_t
+SymbolicComm::sharedBits(const TensorRef &ref, Phase phase, int t)
+{
+    const auto &dims = op.tensors[ref.tensor].dims;
+    std::int64_t mask = 0;
+    for (std::size_t d = 0; d < slices.size(); ++d) {
+        if (std::find(dims.begin(), dims.end(), static_cast<int>(d)) ==
+            dims.end())
+            mask |= byDimBits[d];
+    }
+    if (k == 0)
+        return mask;
+    // Within a group, devices share a block iff their keys match; the
+    // bits they differ in vary within an all-reduce group.
+    holder.assign(static_cast<std::size_t>(keySpace(ref)), -1);
+    std::int64_t varying = 0;
+    for (std::size_t x = 0; x < coords.size(); ++x) {
+        std::int32_t &h = holder[gridKey(ref, phase, t, x)];
+        if (h < 0)
+            h = static_cast<std::int32_t>(x);
+        else
+            varying |= static_cast<std::int64_t>(x) ^ h;
+    }
+    return mask | varying << low;
+}
+
+std::int64_t
+SymbolicComm::dimBits(int dim, Phase phase, int t) const
+{
+    std::int64_t mask = byDimBits[dim];
+    if (k == 0 || component(PSquareIndex{}, dim) < 0)
+        return mask;
+    for (int bit = 0; bit < 2 * k; ++bit) {
+        const std::size_t flip = std::size_t{1} << bit;
+        for (std::size_t x = 0; x < coords.size(); ++x) {
+            if (component(pSquareIndex(phase, coords[x], t, k), dim) !=
+                component(pSquareIndex(phase, coords[x ^ flip], t, k),
+                          dim)) {
+                mask |= static_cast<std::int64_t>(flip) << low;
+                break;
+            }
+        }
+    }
+    return mask;
 }
 
 } // namespace primepar

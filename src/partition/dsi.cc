@@ -1,6 +1,5 @@
 #include "dsi.hh"
 
-#include "support/bits.hh"
 #include "support/logging.hh"
 
 namespace primepar {
@@ -26,61 +25,11 @@ DsiTable::DsiTable(const OpSpec &op, const PartitionSeq &seq, int num_bits)
 
     constexpr Phase kPhases[] = {Phase::Forward, Phase::Backward,
                                  Phase::Gradient};
-
-    for (std::int64_t dev = 0; dev < devices; ++dev) {
-        const DeviceId id(num_bits, dev);
-        for (int t = 0; t < nSteps; ++t) {
-            for (Phase phase : kPhases) {
-                std::vector<std::int64_t> idx(dims, 0);
-                int bit_cursor = 0;
-                for (const auto &step : seq.steps()) {
-                    if (step.kind == PartitionStep::Kind::ByDim) {
-                        // Eqs. 2-3: identical update in every phase.
-                        idx[step.dim] =
-                            2 * idx[step.dim] + id.bit(bit_cursor);
-                        bit_cursor += 1;
-                        continue;
-                    }
-
-                    // PSquare: Alg. 1 lines 8-21 / Eqs. 4-6.
-                    const int k = step.k;
-                    const std::int64_t side = std::int64_t{1} << k;
-                    std::int64_t r = 0, c = 0;
-                    for (int j = 0; j < k; ++j) {
-                        r = 2 * r + id.bit(bit_cursor + 2 * j);
-                        c = 2 * c + id.bit(bit_cursor + 2 * j + 1);
-                    }
-                    bit_cursor += 2 * k;
-
-                    const PSquareDims &psq = *op.psquare;
-                    const std::int64_t delta =
-                        t == static_cast<int>(side) - 1 ? 1 : 0;
-                    std::int64_t im = 0, in = 0, ik = 0;
-                    switch (phase) {
-                      case Phase::Forward:
-                        im = positiveMod(r, side);
-                        in = positiveMod(r + c + t, side);
-                        ik = positiveMod(c, side);
-                        break;
-                      case Phase::Backward:
-                        im = positiveMod(r, side);
-                        in = positiveMod(r + c - 1, side);
-                        ik = positiveMod(c + t, side);
-                        break;
-                      case Phase::Gradient:
-                        im = positiveMod(r + t, side);
-                        in = positiveMod(r + c - 1 + delta, side);
-                        ik = positiveMod(c - 1 + delta, side);
-                        break;
-                    }
-                    idx[psq.m] = side * idx[psq.m] + im;
-                    idx[psq.n] = side * idx[psq.n] + in;
-                    idx[psq.k] = side * idx[psq.k] + ik;
-                }
-                for (std::size_t d = 0; d < dims; ++d)
-                    table[flat(phase, dev, t, static_cast<int>(d))] =
-                        idx[d];
-            }
+    for (Phase phase : kPhases) {
+        for (std::int64_t dev = 0; dev < devices; ++dev) {
+            for (int t = 0; t < nSteps; ++t)
+                evaluateDsi(op, seq, num_bits, phase, dev, t,
+                            &table[flat(phase, dev, t, 0)]);
         }
     }
 }

@@ -23,6 +23,7 @@
 #ifndef PRIMEPAR_PARTITION_DSI_HH
 #define PRIMEPAR_PARTITION_DSI_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -51,6 +52,92 @@ struct SliceRange
 
     auto operator<=>(const SliceRange &) const = default;
 };
+
+/** Grid coordinates (r, c) of a device in a PSquare group. */
+struct PSquareCoord
+{
+    std::int64_t r = 0;
+    std::int64_t c = 0;
+};
+
+/**
+ * Alg. 1 lines 8-13: the (r, c) of @p device in the PSquare step
+ * P_{2^k x 2^k} whose 2k consecutive device-id bits start at bit
+ * @p cursor (bit 0 = d_1): r reads the even bits, c the odd ones.
+ */
+inline PSquareCoord
+pSquareCoord(std::int64_t device, int num_bits, int cursor, int k)
+{
+    PSquareCoord at;
+    for (int j = 0; j < k; ++j) {
+        const int shift = num_bits - 1 - (cursor + 2 * j);
+        at.r = 2 * at.r + ((device >> shift) & 1);
+        at.c = 2 * at.c + ((device >> (shift - 1)) & 1);
+    }
+    return at;
+}
+
+/** Slice indices (I_M, I_N, I_K) of one PSquare grid point. */
+struct PSquareIndex
+{
+    std::int64_t m = 0;
+    std::int64_t n = 0;
+    std::int64_t k = 0;
+};
+
+/** Eqs. 4-6 for grid point @p at of P_{2^k x 2^k} at step @p t. */
+inline PSquareIndex
+pSquareIndex(Phase phase, PSquareCoord at, int t, int k)
+{
+    const std::int64_t side = std::int64_t{1} << k;
+    // mod 2^k: in two's complement the mask is the non-negative
+    // modulus, negative arguments included.
+    const auto mod = [side](std::int64_t x) { return x & (side - 1); };
+    const std::int64_t r = at.r;
+    const std::int64_t c = at.c;
+    const std::int64_t delta = t == side - 1 ? 1 : 0;
+    switch (phase) {
+      case Phase::Forward:
+        return {mod(r), mod(r + c + t), mod(c)};
+      case Phase::Backward:
+        return {mod(r), mod(r + c - 1), mod(c + t)};
+      case Phase::Gradient:
+        break;
+    }
+    return {mod(r + t), mod(r + c - 1 + delta), mod(c - 1 + delta)};
+}
+
+/**
+ * Algorithm 1 at one point: write I_dim(phase, device, t) of every dim
+ * of @p op under @p seq to idx[0 .. op.dims.size()). The sequence is
+ * not validated here (DsiTable does that).
+ */
+inline void
+evaluateDsi(const OpSpec &op, const PartitionSeq &seq, int num_bits,
+            Phase phase, std::int64_t device, int t, std::int64_t *idx)
+{
+    std::fill(idx, idx + op.dims.size(), 0);
+    int cursor = 0;
+    for (const PartitionStep &step : seq.steps()) {
+        if (step.kind == PartitionStep::Kind::ByDim) {
+            // Eqs. 2-3: identical update in every phase.
+            idx[step.dim] = 2 * idx[step.dim] +
+                            ((device >> (num_bits - 1 - cursor)) & 1);
+            cursor += 1;
+            continue;
+        }
+        // PSquare: Alg. 1 lines 8-21.
+        const std::int64_t side = std::int64_t{1} << step.k;
+        const PSquareIndex at = pSquareIndex(
+            phase, pSquareCoord(device, num_bits, cursor, step.k), t,
+            step.k);
+        const PSquareDims &psq = *op.psquare;
+        idx[psq.m] = side * idx[psq.m] + at.m;
+        idx[psq.n] = side * idx[psq.n] + at.n;
+        idx[psq.k] = side * idx[psq.k] + at.k;
+        cursor += step.bits();
+    }
+}
 
 /** Fully evaluated DSI table for one (operator, sequence) pair. */
 class DsiTable

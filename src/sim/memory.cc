@@ -1,6 +1,6 @@
 #include "memory.hh"
 
-#include <set>
+#include <algorithm>
 
 namespace primepar {
 
@@ -22,11 +22,35 @@ opMemory(const OpSpec &op, const PartitionSeq &seq, const DsiTable &dsi,
          const std::vector<PassComm> &pass_comms,
          const MemoryModelParams &params)
 {
+    std::vector<std::int64_t> slices(op.dims.size());
+    for (std::size_t d = 0; d < slices.size(); ++d)
+        slices[d] = dsi.sliceCount(static_cast<int>(d));
+    std::vector<char> shifted(op.tensors.size(), 0);
+    if (params.doubleBuffers && seq.hasPSquare()) {
+        for (const PassComm &comm : pass_comms) {
+            for (const auto &step : comm.stepShifts)
+                for (const ShiftSet &set : step)
+                    shifted[set.tensor.tensor] = 1;
+            for (const auto &step : comm.accShifts)
+                for (const ShiftSet &set : step)
+                    shifted[set.tensor.tensor] = 1;
+        }
+    }
+    return opMemory(op, slices, shifted, params);
+}
+
+OpMemory
+opMemory(const OpSpec &op, const std::vector<std::int64_t> &slice_counts,
+         const std::vector<char> &ring_shifted,
+         const MemoryModelParams &params)
+{
     OpMemory mem;
 
     auto slice_bytes = [&](int tensor) {
-        return static_cast<double>(dsi.tensorSliceNumel(op, tensor)) *
-               op.bytesPerElement;
+        std::int64_t numel = 1;
+        for (int d : op.tensors[tensor].dims)
+            numel *= op.dims[d].size / slice_counts[d];
+        return static_cast<double>(numel) * op.bytesPerElement;
     };
 
     for (std::size_t t = 0; t < op.tensors.size(); ++t) {
@@ -50,19 +74,12 @@ opMemory(const OpSpec &op, const PartitionSeq &seq, const DsiTable &dsi,
         mem.workingBytes = std::max(mem.workingBytes, working);
     }
 
-    if (params.doubleBuffers && seq.hasPSquare()) {
+    if (params.doubleBuffers) {
         // One extra buffer per distinct tensor moved by ring shifts.
-        std::set<int> shifted;
-        for (const PassComm &comm : pass_comms) {
-            for (const auto &step : comm.stepShifts)
-                for (const ShiftSet &set : step)
-                    shifted.insert(set.tensor.tensor);
-            for (const auto &step : comm.accShifts)
-                for (const ShiftSet &set : step)
-                    shifted.insert(set.tensor.tensor);
+        for (std::size_t t = 0; t < op.tensors.size(); ++t) {
+            if (ring_shifted[t])
+                mem.doubleBufferBytes += slice_bytes(static_cast<int>(t));
         }
-        for (int t : shifted)
-            mem.doubleBufferBytes += slice_bytes(t);
     }
     return mem;
 }

@@ -51,6 +51,17 @@ struct OpMemory
     }
 };
 
+/**
+ * Per-device memory of @p op whose dims are cut into @p slice_counts
+ * slices, where @p ring_shifted flags (per tensor) the tensors a ring
+ * shift moves: each needs a double buffer. The DSI overloads below
+ * reduce to this.
+ */
+OpMemory opMemory(const OpSpec &op,
+                  const std::vector<std::int64_t> &slice_counts,
+                  const std::vector<char> &ring_shifted,
+                  const MemoryModelParams &params = {});
+
 /** Per-device memory of @p op under the partition described by @p dsi. */
 OpMemory opMemory(const OpSpec &op, const PartitionSeq &seq,
                   const DsiTable &dsi,

@@ -49,13 +49,11 @@ TEST(CostModel, PSquareBeatsRowColumnOnBigLinear)
     const CostModel cm(topo, profileModels(topo));
     const OpSpec op = makeLinearOp("fc", 8, 2048, 12288, 49152);
 
-    const OpPlan psq(op, PartitionSeq({PartitionStep::pSquare(1)}), 2);
-    const OpPlan row(op,
-                     PartitionSeq({PartitionStep::byDim(2),
-                                   PartitionStep::byDim(2)}),
-                     2);
-    const IntraCost c_psq = cm.intraCost(psq);
-    const IntraCost c_row = cm.intraCost(row);
+    const PartitionSeq psq({PartitionStep::pSquare(1)});
+    const PartitionSeq row(
+        {PartitionStep::byDim(2), PartitionStep::byDim(2)});
+    const IntraCost c_psq = cm.intraCost(op, psq);
+    const IntraCost c_row = cm.intraCost(op, row);
     EXPECT_EQ(c_psq.allReduceUs, 0.0);
     EXPECT_GT(c_row.allReduceUs, 0.0);
     EXPECT_LT(c_psq.latencyUs, c_row.latencyUs);
@@ -69,13 +67,12 @@ TEST(CostModel, AlphaWeightsMemory)
     const CostModel no_alpha(topo, models, 0.0);
     const CostModel with_alpha(topo, models, 10.0);
     const OpSpec op = makeLinearOp("fc", 8, 1024, 1024, 1024);
-    const OpPlan plan(op, PartitionSeq({PartitionStep::byDim(1),
-                                        PartitionStep::byDim(1)}),
-                      2);
-    EXPECT_EQ(no_alpha.intraCost(plan).weighted,
-              no_alpha.intraCost(plan).latencyUs);
-    EXPECT_GT(with_alpha.intraCost(plan).weighted,
-              with_alpha.intraCost(plan).latencyUs);
+    const PartitionSeq seq(
+        {PartitionStep::byDim(1), PartitionStep::byDim(1)});
+    EXPECT_EQ(no_alpha.intraCost(op, seq).weighted,
+              no_alpha.intraCost(op, seq).latencyUs);
+    EXPECT_GT(with_alpha.intraCost(op, seq).weighted,
+              with_alpha.intraCost(op, seq).latencyUs);
 }
 
 TEST(CostModel, TrafficElementsMatchesEq9)
@@ -243,7 +240,7 @@ TEST(CostModel, RankingAgreesWithSimulator)
     std::vector<double> model_cost, sim_cost;
     for (const auto &seq : space) {
         const OpPlan plan(op, seq, 3);
-        model_cost.push_back(cm.intraCost(plan).latencyUs);
+        model_cost.push_back(cm.intraCost(op, seq).latencyUs);
         SimContext ctx(topo);
         for (Phase ph :
              {Phase::Forward, Phase::Backward, Phase::Gradient})
@@ -292,18 +289,14 @@ TEST(CostModel, LayerNormSplitFeatureCostsExpectationExchange)
     const CostModel cm(topo, profileModels(topo));
     const OpSpec op = makeLayerNormOp("ln", 8, 2048, 4096);
 
-    const OpPlan row_split(
-        op, PartitionSeq({PartitionStep::byDim(1),
-                          PartitionStep::byDim(1)}),
-        2);
-    const OpPlan feat_split(
-        op, PartitionSeq({PartitionStep::byDim(2),
-                          PartitionStep::byDim(2)}),
-        2);
+    const PartitionSeq row_split(
+        {PartitionStep::byDim(1), PartitionStep::byDim(1)});
+    const PartitionSeq feat_split(
+        {PartitionStep::byDim(2), PartitionStep::byDim(2)});
     // Splitting rows: gradient all-reduce of gamma only. Splitting the
     // normalized dim additionally pays the expectation exchange.
-    const IntraCost c_row = cm.intraCost(row_split);
-    const IntraCost c_feat = cm.intraCost(feat_split);
+    const IntraCost c_row = cm.intraCost(op, row_split);
+    const IntraCost c_feat = cm.intraCost(op, feat_split);
     EXPECT_GT(c_feat.allReduceUs, 0.0);
     EXPECT_GT(c_row.allReduceUs, 0.0);
 }

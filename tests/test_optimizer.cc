@@ -7,12 +7,15 @@
  */
 
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <set>
 
 #include <gtest/gtest.h>
 
 #include "baselines/megatron.hh"
 #include "graph/transformer.hh"
+#include "intra_cost_oracle.hh"
 #include "optimizer/catalog.hh"
 #include "optimizer/catalog_cache.hh"
 #include "optimizer/segmented_dp.hh"
@@ -42,9 +45,9 @@ struct SmallFixture
 TEST(Catalog, BuildsAllSequencesWithCosts)
 {
     SmallFixture f;
-    const auto cat = buildNodeCatalog(f.graph, 0, f.cost, {});
+    const auto catalogs = buildAllNodeCatalogs(f.graph, f.cost, {});
+    const NodeCatalog &cat = *catalogs[0];
     EXPECT_GT(cat.size(), 16); // 4^2 ByDim + PSquare variants
-    EXPECT_EQ(cat.seqs.size(), cat.plans.size());
     EXPECT_EQ(cat.seqs.size(), cat.intraCost.size());
     for (double c : cat.intraCost)
         EXPECT_GT(c, 0.0);
@@ -53,8 +56,9 @@ TEST(Catalog, BuildsAllSequencesWithCosts)
 TEST(Catalog, EdgeTableSymmetryForAlignedPairs)
 {
     SmallFixture f;
-    const auto src = buildNodeCatalog(f.graph, 0, f.cost, {});
-    const auto dst = buildNodeCatalog(f.graph, 1, f.cost, {});
+    const auto catalogs = buildAllNodeCatalogs(f.graph, f.cost, {});
+    const NodeCatalog &src = *catalogs[0];
+    const NodeCatalog &dst = *catalogs[1];
     const auto table = buildEdgeCostTable(
         f.graph, f.graph.edges()[0], src, dst, f.cost);
     EXPECT_EQ(table.srcSize, src.size());
@@ -87,6 +91,113 @@ TEST(Catalog, EdgeTableSymmetryForAlignedPairs)
             relu_mm = i;
     ASSERT_GE(relu_mm, 0);
     EXPECT_GT(table.at(fc1_bk, relu_mm), 0.0);
+}
+
+/**
+ * The symbolic catalog against the per-device OpPlan oracle, for the
+ * first @p per_node sequences of every node's catalog: the Eq. 7 cost
+ * (every IntraCost field, byte for byte, and the catalog's stored
+ * weighted cost) and the four boundary layouts each edge classifies —
+ * forward end/start and backward end/start — device by device.
+ */
+void
+expectSymbolicMatchesOracle(const CompGraph &g, const CostModel &cost,
+                            const SpaceOptions &space, int per_node)
+{
+    const int bits = cost.topology().numBits();
+    const auto catalogs = buildAllNodeCatalogs(g, cost, space);
+    std::set<const NodeCatalog *> priced;
+    for (int node = 0; node < g.numNodes(); ++node) {
+        const OpSpec &op = g.node(node);
+        const NodeCatalog &cat = *catalogs[node];
+        // Nodes sharing a catalog are structurally identical.
+        const bool fresh = priced.insert(&cat).second;
+        for (int s = 0; s < std::min(cat.size(), per_node); ++s) {
+            const PartitionSeq &seq = cat.seqs[s];
+            const std::string where =
+                std::to_string(cost.topology().numDevices()) +
+                " devices, " + op.name + " " + seq.toString(op);
+            if (fresh) {
+                const IntraCost want =
+                    oracleIntraCost(cost, OpPlan(op, seq, bits));
+                const IntraCost got = cost.intraCost(op, seq);
+                EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+                    << where << ": latency " << got.latencyUs << " vs "
+                    << want.latencyUs << ", ring " << got.ringUs << " vs "
+                    << want.ringUs << ", all-reduce " << got.allReduceUs
+                    << " vs " << want.allReduceUs << ", memory "
+                    << got.memoryBytes << " vs " << want.memoryBytes;
+                EXPECT_EQ(std::memcmp(&cat.intraCost[s], &want.weighted,
+                                      sizeof want.weighted),
+                          0)
+                    << where;
+            }
+            const DsiTable dsi(op, seq, bits);
+            const int last = dsi.steps() - 1;
+            for (const GraphEdge &e : g.edges()) {
+                if (e.src != node && e.dst != node)
+                    continue;
+                const auto sizes = g.transferSizes(e);
+                EdgeDimMap consumer_map;
+                for (int d : g.node(e.dst).tensors[e.dstTensor].dims)
+                    consumer_map.push_back(d);
+                const auto check = [&](const TensorRef &ref, Phase phase,
+                                       int t, const EdgeDimMap &map) {
+                    const TensorLayout want =
+                        layoutOf(op, dsi, ref, phase, t, map, sizes);
+                    const TensorLayout got = layoutOf(
+                        op, seq, bits, ref, phase, t, map, sizes);
+                    EXPECT_EQ(got.dimSizes, want.dimSizes) << where;
+                    ASSERT_EQ(got.numDevices(), want.numDevices());
+                    for (std::int64_t dev = 0; dev < got.numDevices();
+                         ++dev) {
+                        EXPECT_TRUE(got.deviceBox[dev] ==
+                                    want.deviceBox[dev])
+                            << where << ", edge " << e.src << " -> "
+                            << e.dst << ", " << phaseName(phase)
+                            << " t=" << t << ", device " << dev;
+                    }
+                };
+                if (e.src == node) {
+                    check({op.outputTensor, false}, Phase::Forward, last,
+                          e.dimMap);
+                    check({op.outputTensor, true}, Phase::Backward, 0,
+                          e.dimMap);
+                }
+                if (e.dst == node) {
+                    check({e.dstTensor, false}, Phase::Forward, 0,
+                          consumer_map);
+                    check({e.dstTensor, true}, Phase::Backward, last,
+                          consumer_map);
+                }
+            }
+        }
+    }
+}
+
+TEST(Catalog, SymbolicCostMatchesOpPlanOracle)
+{
+    const ModelConfig cfg = opt6p7b();
+    const CompGraph block = buildTransformerBlock(cfg, 8);
+    const CompGraph mlp = buildMlpBlock(cfg, 8);
+    const auto all = std::numeric_limits<int>::max();
+    for (const ClusterTopology &topo :
+         {ClusterTopology::paperCluster(4), ClusterTopology::paperCluster(8),
+          ClusterTopology::paperCluster(16),
+          ClusterTopology::paperCluster(32), ClusterTopology::torus2d(4)}) {
+        const CostModel cost(topo, profileModels(topo));
+        expectSymbolicMatchesOracle(block, cost, {}, all);
+        expectSymbolicMatchesOracle(mlp, cost, {}, all);
+    }
+
+    // The big-topology beam: the first 16 sequences per node, under
+    // the 512-device bounds bench_table2_opttime plans with.
+    const ClusterTopology big = ClusterTopology::paperCluster(512);
+    const CostModel cost(big, profileModels(big));
+    SpaceOptions beam;
+    beam.maxTemporalSteps = 8;
+    beam.candidateBudget = 16;
+    expectSymbolicMatchesOracle(block, cost, beam, 16);
 }
 
 TEST(Catalog, EdgeTableMemoMatchesFreshEvaluation)
