@@ -49,15 +49,9 @@ compareSystems(const ModelConfig &model, int devices, std::int64_t batch,
     results.push_back(
         measure("Megatron", model, topo, graph, megatron.strategies));
 
-    // The spatial-only search is a subspace of PrimePar's, but the
-    // catalogs differ (PSquare sequences excluded), so the shared
-    // cache helps across *cells*, not across the two searches.
-    const auto cache = std::make_shared<CatalogCache>();
-
     DpOptions alpa_opts;
     alpa_opts.numLayers = model.numLayers;
     alpa_opts.numThreads = num_threads;
-    alpa_opts.catalogCache = cache;
     const DpResult alpa = alpaOptimize(graph, cost, alpa_opts);
     results.push_back(
         measure("Alpa", model, topo, graph, alpa.strategies));
@@ -65,7 +59,6 @@ compareSystems(const ModelConfig &model, int devices, std::int64_t batch,
     DpOptions opts;
     opts.numLayers = model.numLayers;
     opts.numThreads = num_threads;
-    opts.catalogCache = cache;
     const DpResult pp =
         SegmentedDpOptimizer(graph, cost, opts).optimize();
     results.push_back(

@@ -64,16 +64,11 @@ main()
                     plan.config.dataParallel, plan.config.modelParallel);
         add_row("Megatron", plan.strategies, 0.0);
     }
-    // One catalog cache across the alpha sweep: alpha is part of the
-    // cost fingerprint, so entries never alias, and repeated searches
-    // under one alpha (or alpha = 0 rebuilds) reuse their catalogs.
-    const auto cache = std::make_shared<CatalogCache>();
     for (double alpha : {0.0, 20.0}) {
         const CostModel cost(topo, models, alpha);
         DpOptions opts;
         opts.numLayers = model.numLayers;
         opts.numThreads = 0; // all hardware threads; plan unchanged
-        opts.catalogCache = cache;
         const DpResult pp =
             SegmentedDpOptimizer(graph, cost, opts).optimize();
         const std::string name =

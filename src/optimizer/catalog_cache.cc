@@ -3,8 +3,6 @@
 #include <bit>
 #include <sstream>
 
-#include "runtime/metrics.hh"
-
 namespace primepar {
 
 namespace {
@@ -118,134 +116,6 @@ CatalogCache::misses() const
 {
     std::lock_guard<std::mutex> lock(mu);
     return missCount;
-}
-
-std::shared_ptr<const DpSegment>
-CatalogCache::findSegment(const std::string &key)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    const auto it = segments.find(key);
-    if (it == segments.end()) {
-        ++segmentMissCount;
-        return nullptr;
-    }
-    ++segmentHitCount;
-    segmentLru.splice(segmentLru.begin(), segmentLru,
-                      it->second.lruPos);
-    return it->second.segment;
-}
-
-/** Drop LRU segments until @p needed bytes fit within the budget.
- *  Caller holds mu. */
-void
-CatalogCache::evictSegmentsLocked(std::size_t needed)
-{
-    while (segmentByteCount + needed > segmentByteBudget &&
-           !segmentLru.empty()) {
-        const auto victim = segments.find(segmentLru.back());
-        segmentByteCount -= victim->second.bytes;
-        segments.erase(victim);
-        segmentLru.pop_back();
-        ++segmentEvictCount;
-        if (metrics)
-            metrics->add("planner.cache_evicted");
-    }
-}
-
-std::shared_ptr<const DpSegment>
-CatalogCache::insertSegment(const std::string &key,
-                            std::shared_ptr<const DpSegment> segment)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    const auto it = segments.find(key);
-    if (it != segments.end())
-        return it->second.segment;
-    const std::size_t bytes = segment->bytes();
-    if (bytes > segmentByteBudget) {
-        // Larger than the whole cache: usable, just not resident.
-        ++segmentRejectCount;
-        if (metrics)
-            metrics->add("planner.cache_rejected");
-        return segment;
-    }
-    evictSegmentsLocked(bytes);
-    segmentByteCount += bytes;
-    segmentLru.push_front(key);
-    segments.emplace(key,
-                     SegmentSlot{segment, bytes, segmentLru.begin()});
-    return segment;
-}
-
-void
-CatalogCache::setSegmentByteBudget(std::size_t bytes)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    segmentByteBudget = bytes;
-    evictSegmentsLocked(0);
-}
-
-std::size_t
-CatalogCache::segmentBytes() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return segmentByteCount;
-}
-
-std::size_t
-CatalogCache::segmentHits() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return segmentHitCount;
-}
-
-std::size_t
-CatalogCache::segmentMisses() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return segmentMissCount;
-}
-
-std::size_t
-CatalogCache::segmentEvictions() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return segmentEvictCount;
-}
-
-std::size_t
-CatalogCache::segmentRejections() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return segmentRejectCount;
-}
-
-void
-CatalogCache::setMetrics(MetricsRegistry *m)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    metrics = m;
-}
-
-std::shared_ptr<const PlanCacheEntry>
-CatalogCache::findPlan(const std::string &key)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    const auto it = plans.find(key);
-    if (it == plans.end()) {
-        ++planMissCount;
-        return nullptr;
-    }
-    ++planHitCount;
-    return it->second;
-}
-
-std::shared_ptr<const PlanCacheEntry>
-CatalogCache::insertPlan(const std::string &key,
-                         std::shared_ptr<const PlanCacheEntry> plan)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    const auto [it, inserted] = plans.emplace(key, std::move(plan));
-    return it->second;
 }
 
 } // namespace primepar

@@ -2,32 +2,30 @@
  * @file
  * Memoization of node catalogs across structurally identical operators.
  *
- * Transformer models repeat the same operator structures many times —
+ * Transformer models repeat the same operator structures many times:
  * the two layernorms and the two residual adds of one block are
- * already identical, and cluster-search loops re-plan the same graph
- * against many configurations. A catalog depends only on the
- * *structure* of the operator (dims, tensors, passes — not its name),
- * the device-id bit count, the space options, and the cost model's
- * parameter fingerprint, so catalogs are shared through a thread-safe
- * cache keyed by exactly those inputs.
+ * already identical. A catalog depends only on the *structure* of the
+ * operator (dims, tensors, passes — not its name), the device-id bit
+ * count, the space options, and the cost model's parameter
+ * fingerprint, so catalogs are shared through a thread-safe cache
+ * keyed by exactly those inputs. Every run deduplicates its own nodes;
+ * a caller-supplied cache also carries catalogs across runs whose keys
+ * match (the plan service shares one across requests). Whole plans are
+ * memoized by the plan service, not here (serve/plan_service.hh).
  */
 
 #ifndef PRIMEPAR_OPTIMIZER_CATALOG_CACHE_HH
 #define PRIMEPAR_OPTIMIZER_CATALOG_CACHE_HH
 
 #include <cstddef>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 
 #include "catalog.hh"
-#include "dp_core.hh"
 
 namespace primepar {
-
-class MetricsRegistry;
 
 /**
  * Serialize everything a catalog's contents depend on: the structural
@@ -40,15 +38,7 @@ std::string catalogKey(const OpSpec &op, int num_bits,
                        const std::string &cost_fingerprint);
 
 /**
- * Thread-safe shared-ownership store for the planner's memoizable
- * artifacts. Three keyspaces share one instance:
- *   - node catalogs (catalogKey);
- *   - solved segment Bellman matrices (the planner's segment keys,
- *     which serialize the member catalogs' keys, the surviving
- *     candidate lists, and the interior edge structure) under a byte
- *     budget — matrices at large device counts are the dominant
- *     memory cost;
- *   - whole-plan results (graph-level keys).
+ * Thread-safe shared-ownership store of node catalogs (catalogKey).
  * Entries are immutable once inserted; concurrent inserts under the
  * same key keep the first entry (later callers adopt it), so all
  * holders share one object.
@@ -72,81 +62,12 @@ class CatalogCache
     /** find() calls that returned nullptr. */
     std::size_t misses() const;
 
-    /** Look up a solved segment; nullptr when absent. A hit marks the
-     *  entry most-recently-used. */
-    std::shared_ptr<const DpSegment> findSegment(const std::string &key);
-
-    /**
-     * Insert a solved segment under the byte budget, evicting
-     * least-recently-used entries to make room (a long-lived plan
-     * server must keep caching its *current* hot keys, not the first
-     * keys it ever saw). A segment larger than the whole budget is
-     * rejected — still returned for use, just not resident. Eviction
-     * and rejection counts surface through segmentEvictions() /
-     * segmentRejections() and, when a registry is attached, the
-     * planner.cache_evicted / planner.cache_rejected counters.
-     */
-    std::shared_ptr<const DpSegment>
-    insertSegment(const std::string &key,
-                  std::shared_ptr<const DpSegment> segment);
-
-    /** Cap on resident segment bytes (default 512 MiB). Shrinking it
-     *  below the resident size evicts LRU entries immediately. */
-    void setSegmentByteBudget(std::size_t bytes);
-    std::size_t segmentBytes() const;
-    std::size_t segmentHits() const;
-    std::size_t segmentMisses() const;
-    /** Segments displaced to make room for newer ones. */
-    std::size_t segmentEvictions() const;
-    /** Segments never stored because they alone exceed the budget. */
-    std::size_t segmentRejections() const;
-
-    /** Optional sink for planner.cache_evicted / planner.cache_rejected
-     *  counters (not owned; may be nullptr). */
-    void setMetrics(MetricsRegistry *m);
-
-    /** Look up a whole-plan result; nullptr when absent. */
-    std::shared_ptr<const PlanCacheEntry> findPlan(const std::string &key);
-
-    /** Insert a whole-plan result (first insert wins). */
-    std::shared_ptr<const PlanCacheEntry>
-    insertPlan(const std::string &key,
-               std::shared_ptr<const PlanCacheEntry> plan);
-
-    std::size_t planHits() const;
-    std::size_t planMisses() const;
-
   private:
     mutable std::mutex mu;
     std::unordered_map<std::string, std::shared_ptr<const NodeCatalog>>
         entries;
     std::size_t hitCount = 0;
     std::size_t missCount = 0;
-
-    /** Resident segment plus its position in the LRU order. */
-    struct SegmentSlot
-    {
-        std::shared_ptr<const DpSegment> segment;
-        std::size_t bytes = 0;
-        std::list<std::string>::iterator lruPos;
-    };
-    void evictSegmentsLocked(std::size_t needed);
-
-    std::unordered_map<std::string, SegmentSlot> segments;
-    /** Keys from most- to least-recently used. */
-    std::list<std::string> segmentLru;
-    std::size_t segmentByteBudget = std::size_t{512} << 20;
-    std::size_t segmentByteCount = 0;
-    std::size_t segmentHitCount = 0;
-    std::size_t segmentMissCount = 0;
-    std::size_t segmentEvictCount = 0;
-    std::size_t segmentRejectCount = 0;
-    MetricsRegistry *metrics = nullptr;
-
-    std::unordered_map<std::string, std::shared_ptr<const PlanCacheEntry>>
-        plans;
-    std::size_t planHitCount = 0;
-    std::size_t planMissCount = 0;
 };
 
 } // namespace primepar

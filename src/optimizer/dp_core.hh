@@ -1,14 +1,12 @@
 /**
  * @file
- * Shared dense-matrix and cached-result types of the segmented DP.
+ * Shared dense-matrix and result types of the segmented DP.
  *
  * The Bellman matrices of one solved segment (DpSegment) and the final
- * outcome of one optimization run (PlanCacheEntry) are plain data:
- * they depend only on the structural inputs serialized into their
- * cache keys, so CatalogCache can store them across optimizer
- * invocations (scale-aware memoization — replanning after failures and
- * repeated bench sweep cells hit warm entries instead of re-running
- * the Bellman passes).
+ * outcome of one optimization run (PlanCacheEntry) are plain data.
+ * PlanCacheEntry is the record the persistent plan store (PPS1,
+ * serve/plan_store.hh) and the plan service's in-memory flight table
+ * keep under planCacheKey.
  */
 
 #ifndef PRIMEPAR_OPTIMIZER_DP_CORE_HH
@@ -70,7 +68,7 @@ struct ArgMat
 /**
  * Bellman state of one solved segment [a, c]. Matrix rows/columns are
  * *candidate positions* (indices into the candidate lists the segment
- * was solved over, which the cache key serializes in full).
+ * was solved over).
  */
 struct DpSegment
 {
@@ -79,19 +77,9 @@ struct DpSegment
     /** args[j - a - 1].at(pa, p_{j+1}) = best p_j, for j+1 in
      *  (a+1, c]. */
     std::vector<ArgMat> args;
-
-    /** Approximate resident size (for the cache byte budget). */
-    std::size_t
-    bytes() const
-    {
-        std::size_t total = C.v.size() * sizeof(double);
-        for (const ArgMat &m : args)
-            total += m.v.size() * sizeof(std::int32_t);
-        return total;
-    }
 };
 
-/** Cached final result of one optimization run. */
+/** Final result of one optimization run, as stored and served. */
 struct PlanCacheEntry
 {
     std::vector<PartitionSeq> strategies;

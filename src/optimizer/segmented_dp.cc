@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "cost/profiler.hh"
+#include "dp_core.hh"
 #include "runtime/metrics.hh"
 #include "support/logging.hh"
 #include "support/parallel.hh"
@@ -133,18 +134,14 @@ struct DpContext
         return minPrefix.back() - (minPrefix[j + 1] - minPrefix[a]);
     }
 
-    /** Build tables for the non-skipped edges (parallel) and the
-     *  (src, dst) adjacency index. @p skip (optional, per edge) marks
-     *  edges interior to cache-served segments — their tables are
-     *  never read, so construction is elided entirely. */
+    /** Build every edge's table (parallel) and the (src, dst)
+     *  adjacency index. */
     void
-    buildTables(const std::vector<char> *skip = nullptr)
+    buildTables()
     {
         const auto &edges = graph.edges();
         tables.resize(edges.size());
         parallelFor(pool, edges.size(), [&](std::size_t e) {
-            if (skip && (*skip)[e])
-                return;
             EdgeTableOptions topts;
             topts.srcCandidates = &cand[edges[e].src];
             topts.dstCandidates = &cand[edges[e].dst];
@@ -166,11 +163,8 @@ struct DpContext
                                            cat(edges[e].dst), cost, pool,
                                            topts);
         });
-        for (std::size_t e = 0; e < edges.size(); ++e) {
-            if (skip && (*skip)[e])
-                continue;
+        for (std::size_t e = 0; e < edges.size(); ++e)
             edgeIndex[{edges[e].src, edges[e].dst}].push_back(e);
-        }
     }
 
     /** Sum of the cost tables of all edges src -> dst (inf-free). */
@@ -331,43 +325,30 @@ struct CoreOutcome
     std::vector<int> choice; ///< candidate position per node
     double layerCost = kInf;
     double totalCost = kInf;
-    int segmentCacheHits = 0;
 };
 
 /**
- * Solve all segments (or adopt cache-served ones), fold the merges,
- * select the boundary state, reconstruct. The candidate lists, edge
- * tables, and pruning threshold all live in @p ctx.
+ * Solve all segments, fold the merges, select the boundary state,
+ * reconstruct. The candidate lists, edge tables, and pruning threshold
+ * all live in @p ctx.
  */
 CoreOutcome
 runCore(DpContext &ctx, const DpOptions &opts,
-        const std::vector<int> &boundaries,
-        const std::vector<std::shared_ptr<const DpSegment>> *presolved,
-        CatalogCache *seg_store, const std::vector<std::string> *seg_keys)
+        const std::vector<int> &boundaries)
 {
     CoreOutcome out;
     const CompGraph &graph = ctx.graph;
 
-    std::vector<std::shared_ptr<const DpSegment>> segments;
-    for (std::size_t b = 0; b + 1 < boundaries.size(); ++b) {
-        if (presolved && (*presolved)[b]) {
-            segments.push_back((*presolved)[b]);
-            ++out.segmentCacheHits;
-            continue;
-        }
-        auto seg = std::make_shared<DpSegment>(
+    std::vector<DpSegment> segments;
+    for (std::size_t b = 0; b + 1 < boundaries.size(); ++b)
+        segments.push_back(
             solveSegment(ctx, boundaries[b], boundaries[b + 1]));
-        std::shared_ptr<const DpSegment> stored = std::move(seg);
-        if (seg_store && seg_keys)
-            stored = seg_store->insertSegment((*seg_keys)[b], stored);
-        segments.push_back(std::move(stored));
-    }
 
-    Mat total = segments[0]->C;
-    const int total_a = segments[0]->a;
+    Mat total = segments[0].C;
+    const int total_a = segments[0].a;
     std::vector<Merge> merges;
     for (std::size_t s = 1; s < segments.size(); ++s) {
-        const DpSegment &right = *segments[s];
+        const DpSegment &right = segments[s];
         const int b = right.a;
         // Edges crossing the merge point must span the merged range.
         for (const GraphEdge &e : graph.edges()) {
@@ -472,8 +453,7 @@ runCore(DpContext &ctx, const DpOptions &opts,
             right_state = pb;
         }
     }
-    for (const auto &segp : segments) {
-        const DpSegment &seg = *segp;
+    for (const DpSegment &seg : segments) {
         const int pa = choice[seg.a];
         int pnext = choice[seg.c];
         PRIMEPAR_ASSERT(pa >= 0 && pnext >= 0,
@@ -578,70 +558,15 @@ pilotCandidates(DpContext &pilot, const DpOptions &opts)
 
 void
 appendEdgeStructure(std::ostringstream &os, const CompGraph &graph,
-                    const GraphEdge &e, int base)
+                    const GraphEdge &e)
 {
-    os << 'e' << (e.src - base) << ',' << (e.dst - base) << ','
-       << e.dstTensor << ':';
+    os << 'e' << e.src << ',' << e.dst << ',' << e.dstTensor << ':';
     for (const int d : e.dimMap)
         os << d << '.';
     os << ':';
     for (const std::int64_t s : graph.transferSizes(e))
         os << s << ',';
     os << ';';
-}
-
-void
-appendCandidates(std::ostringstream &os,
-                 const std::vector<std::int32_t> &cl)
-{
-    const std::uint64_t n = cl.size();
-    os.write(reinterpret_cast<const char *>(&n), sizeof(n));
-    os.write(reinterpret_cast<const char *>(cl.data()),
-             static_cast<std::streamsize>(cl.size() *
-                                          sizeof(std::int32_t)));
-}
-
-/** Cache key of one solved segment: member catalogs (via catalogKey,
- *  which covers the space options and the cost fingerprint), the
- *  surviving candidate lists in full, and the interior edge
- *  structure. */
-std::string
-segmentKey(const DpContext &ctx, const SpaceOptions &space, int a, int c)
-{
-    const int num_bits = ctx.cost.topology().numBits();
-    std::ostringstream os;
-    os << "seg;";
-    for (int n = a; n <= c; ++n) {
-        os << catalogKey(ctx.graph.node(n), num_bits, space,
-                         ctx.cost.fingerprint())
-           << '#';
-        appendCandidates(os, ctx.cand[n]);
-    }
-    for (const GraphEdge &e : ctx.graph.edges()) {
-        if (e.src >= a && e.dst <= c)
-            appendEdgeStructure(os, ctx.graph, e, a);
-    }
-    return os.str();
-}
-
-/** Cache key of a whole optimization run. */
-std::string
-planKey(const CompGraph &graph, const CostModel &cost,
-        const SpaceOptions &space, const DpOptions &opts)
-{
-    const int num_bits = cost.topology().numBits();
-    std::ostringstream os;
-    os << "plan;" << opts.numLayers << ';'
-       << (opts.pruneDominated ? 1 : 0) << ';' << opts.beamWidth << ';'
-       << opts.pilotWidth << ';';
-    for (int n = 0; n < graph.numNodes(); ++n) {
-        os << catalogKey(graph.node(n), num_bits, space,
-                         cost.fingerprint())
-           << '#';
-    }
-    for (const GraphEdge &e : graph.edges())
-        appendEdgeStructure(os, graph, e, 0);
-    return os.str();
 }
 
 void
@@ -654,8 +579,6 @@ recordMetrics(MetricsRegistry *m, const DpResult &r)
     m->add("planner.candidates_total", r.candidatesTotal);
     m->add("planner.candidates_kept", r.candidatesKept);
     m->add("planner.states_pruned", r.statesPruned);
-    m->add("planner.segment_cache_hits", r.segmentCacheHits);
-    m->add("planner.plan_cache_hits", r.planCacheHit ? 1 : 0);
     m->add("planner.truncated", r.truncated ? 1 : 0);
     m->observe("planner.catalog_ms", r.catalogMs);
     m->observe("planner.pilot_ms", r.pilotMs);
@@ -675,7 +598,19 @@ planCacheKey(const CompGraph &graph, const CostModel &cost,
     SpaceOptions space = opts.space;
     if (opts.beamWidth > 0)
         space.candidateBudget = opts.beamWidth;
-    return planKey(graph, cost, space, opts);
+    const int num_bits = cost.topology().numBits();
+    std::ostringstream os;
+    os << "plan;" << opts.numLayers << ';'
+       << (opts.pruneDominated ? 1 : 0) << ';' << opts.beamWidth << ';'
+       << opts.pilotWidth << ';';
+    for (int n = 0; n < graph.numNodes(); ++n) {
+        os << catalogKey(graph.node(n), num_bits, space,
+                         cost.fingerprint())
+           << '#';
+    }
+    for (const GraphEdge &e : graph.edges())
+        appendEdgeStructure(os, graph, e);
+    return os.str();
 }
 
 SegmentedDpOptimizer::SegmentedDpOptimizer(const CompGraph &graph_in,
@@ -695,35 +630,6 @@ SegmentedDpOptimizer::optimize()
     SpaceOptions space = opts.space;
     if (opts.beamWidth > 0)
         space.candidateBudget = opts.beamWidth;
-
-    if (opts.catalogCache && opts.metrics)
-        opts.catalogCache->setMetrics(opts.metrics);
-
-    // Whole-plan memoization (pruning modes only: the exhaustive
-    // reference stays the untouched timing baseline).
-    CatalogCache *cache =
-        opts.pruneDominated ? opts.catalogCache.get() : nullptr;
-    std::string plan_key;
-    if (cache) {
-        plan_key = planKey(graph, cost, space, opts);
-        if (const auto hit = cache->findPlan(plan_key)) {
-            result.strategies = hit->strategies;
-            result.layerCost = hit->layerCost;
-            result.totalCost = hit->totalCost;
-            result.candidatesTotal = hit->candidatesTotal;
-            result.candidatesKept = hit->candidatesKept;
-            result.truncated = hit->truncated;
-            result.lowerBoundUs = hit->lowerBoundUs;
-            result.gapPct = hit->gapPct;
-            result.planCacheHit = true;
-            // A plan hit subsumes per-node catalog reuse: every node
-            // was served from the cache without being rebuilt.
-            result.catalogCacheHits = graph.numNodes();
-            result.optimizationMs = msSince(t0);
-            recordMetrics(opts.metrics, result);
-            return result;
-        }
-    }
 
     DpContext ctx(graph, cost, &pool);
     CatalogBuildStats cat_stats;
@@ -754,8 +660,7 @@ SegmentedDpOptimizer::optimize()
         pilotCandidates(pilot, opts);
         pilot.finishCandidates();
         pilot.buildTables();
-        const CoreOutcome po =
-            runCore(pilot, opts, boundaries, nullptr, nullptr, nullptr);
+        const CoreOutcome po = runCore(pilot, opts, boundaries);
         // Layer-space threshold. For stacked layers, a layer cost L_c
         // participates in a better-than-UB plan only if
         // numLayers*L_c - (numLayers-1)*headIntra <= UB for some
@@ -833,41 +738,12 @@ SegmentedDpOptimizer::optimize()
     for (int n = 0; n < num_nodes; ++n)
         result.candidatesKept += ctx.candSize(n);
 
-    // Segment memoization: cache-served segments skip both their
-    // Bellman pass and the construction of every interior edge table.
-    std::vector<std::string> seg_keys;
-    std::vector<std::shared_ptr<const DpSegment>> presolved;
-    std::vector<char> skip_edges;
-    if (cache) {
-        const std::size_t num_segments = boundaries.size() - 1;
-        seg_keys.resize(num_segments);
-        presolved.resize(num_segments);
-        skip_edges.assign(graph.edges().size(), 0);
-        for (std::size_t s = 0; s < num_segments; ++s) {
-            seg_keys[s] = segmentKey(ctx, space, boundaries[s],
-                                     boundaries[s + 1]);
-            presolved[s] = cache->findSegment(seg_keys[s]);
-            if (!presolved[s])
-                continue;
-            const auto &edges = graph.edges();
-            for (std::size_t e = 0; e < edges.size(); ++e) {
-                if (edges[e].src >= boundaries[s] &&
-                    edges[e].dst <= boundaries[s + 1])
-                    skip_edges[e] = 1;
-            }
-        }
-    }
-
     const auto t1 = Clock::now();
-    ctx.buildTables(skip_edges.empty() ? nullptr : &skip_edges);
+    ctx.buildTables();
     result.edgeTableMs = msSince(t1);
 
     const auto t2 = Clock::now();
-    const CoreOutcome core =
-        runCore(ctx, opts, boundaries,
-                presolved.empty() ? nullptr : &presolved, cache,
-                seg_keys.empty() ? nullptr : &seg_keys);
-    result.segmentCacheHits = core.segmentCacheHits;
+    const CoreOutcome core = runCore(ctx, opts, boundaries);
     result.statesPruned = ctx.statesPruned;
     for (int n = 0; n < num_nodes; ++n) {
         result.strategies.push_back(
@@ -901,19 +777,6 @@ SegmentedDpOptimizer::optimize()
                 ? std::max(0.0, (result.layerCost - lb) /
                                     result.layerCost * 100.0)
                 : 0.0;
-    }
-
-    if (cache) {
-        auto entry = std::make_shared<PlanCacheEntry>();
-        entry->strategies = result.strategies;
-        entry->layerCost = result.layerCost;
-        entry->totalCost = result.totalCost;
-        entry->candidatesTotal = result.candidatesTotal;
-        entry->candidatesKept = result.candidatesKept;
-        entry->truncated = result.truncated;
-        entry->lowerBoundUs = result.lowerBoundUs;
-        entry->gapPct = result.gapPct;
-        cache->insertPlan(plan_key, std::move(entry));
     }
 
     result.optimizationMs = msSince(t0);

@@ -18,13 +18,14 @@
  * identical nodes are shared, optionally across invocations through a
  * caller-supplied CatalogCache.
  *
- * Large topologies are handled by three composable layers (DESIGN.md
+ * Large topologies are handled by two composable layers (DESIGN.md
  * Sec. 11): exact dominance pruning driven by a pilot upper bound
  * (DpOptions::pruneDominated — byte-identical results, order-of-
- * magnitude faster), an explicitly approximate beam over each
- * operator's space with a certified cost gap (DpOptions::beamWidth),
- * and memoization of pruned catalogs, solved segments, and whole plans
- * in the CatalogCache.
+ * magnitude faster) and an explicitly approximate beam over each
+ * operator's space with a certified cost gap (DpOptions::beamWidth).
+ * Every run solves every segment; whole plans are memoized outside
+ * the optimizer, by the plan service (serve/plan_service.hh) under
+ * planCacheKey.
  */
 
 #ifndef PRIMEPAR_OPTIMIZER_SEGMENTED_DP_HH
@@ -52,8 +53,7 @@ struct DpOptions
     int numThreads = 0;
     /** Optional catalog store shared across runs (and with
      *  bruteForceOptimize). nullptr still deduplicates identical
-     *  nodes within the run. With pruning enabled it additionally
-     *  memoizes solved segments and whole plans. */
+     *  nodes within the run. */
     std::shared_ptr<CatalogCache> catalogCache;
 
     /**
@@ -130,11 +130,6 @@ struct DpResult
     /** Certified relative suboptimality bound of layerCost, percent.
      *  Exactly 0 when the result is provably optimal. */
     double gapPct = 0.0;
-
-    /** Segments of this run served from the cache's segment store. */
-    int segmentCacheHits = 0;
-    /** Whole result served from the cache's plan store. */
-    bool planCacheHit = false;
 };
 
 /** The optimizer: builds catalogs and tables, runs the segmented DP. */
@@ -166,8 +161,8 @@ DpResult bruteForceOptimize(const CompGraph &graph, const CostModel &cost,
                             int num_threads = 1);
 
 /**
- * Cache key of a whole optimization run — the key
- * CatalogCache::findPlan and the persistent plan store share. Covers
+ * Cache key of a whole optimization run — the key of the persistent
+ * plan store and the plan service's in-memory flights. Covers
  * every input the resulting plan depends on: the structural operator
  * signatures (via catalogKey, which folds in the device-bit count,
  * the space options, and CostModel::fingerprint()), the edge

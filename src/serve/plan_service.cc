@@ -99,7 +99,7 @@ entryFromResult(const DpResult &result)
 
 PlanService::PlanService(PlanServiceOptions options)
     : opts(std::move(options)),
-      cache(std::make_shared<CatalogCache>())
+      catalogs(std::make_shared<CatalogCache>())
 {
     if (opts.metrics) {
         metrics = opts.metrics;
@@ -109,7 +109,6 @@ PlanService::PlanService(PlanServiceOptions options)
     }
     if (opts.dpSlots < 1)
         opts.dpSlots = 1;
-    cache->setMetrics(metrics);
 
     auto snapshot = std::make_shared<PlanStore>();
     if (!opts.storePath.empty()) {
@@ -177,21 +176,17 @@ PlanService::plan(const PlanRequest &req)
     PlanResponse resp;
     try {
         req.validate();
-        RequestContext ctx(req, opts.dpThreads, cache);
+        RequestContext ctx(req, opts.dpThreads, catalogs);
 
         // Layer 1: the persistent store snapshot.
         if (auto entry = storeSnapshot()->find(ctx.key)) {
             metrics->add("serve.store_hits");
             fillResponse(resp, *entry, ctx.graph);
             resp.source = "store";
-        }
-        // Layer 2: the in-process whole-plan memo.
-        else if (auto memo = cache->findPlan(ctx.key)) {
-            metrics->add("serve.cache_hits");
-            fillResponse(resp, *memo, ctx.graph);
-            resp.source = "cache";
         } else {
-            // Layer 3/4: single-flight, then an admitted DP run.
+            // Layers 2-4: the flight table. A finished flight is the
+            // in-process memo, a running one is joined, and a missing
+            // one makes this request the leader of an admitted DP run.
             std::shared_ptr<Flight> flight;
             bool leader = false;
             {
@@ -206,13 +201,24 @@ PlanService::plan(const PlanRequest &req)
                 }
             }
             if (!leader) {
-                metrics->add("serve.coalesced");
-                std::unique_lock<std::mutex> wait(flight->mu);
-                flight->cv.wait(wait, [&] { return flight->done; });
-                if (!flight->entry)
-                    throw RuntimeError(flight->error);
-                fillResponse(resp, *flight->entry, ctx.graph);
-                resp.source = "flight";
+                std::shared_ptr<const PlanCacheEntry> entry;
+                std::string error;
+                bool waited = false;
+                {
+                    std::unique_lock<std::mutex> wait(flight->mu);
+                    waited = !flight->done;
+                    flight->cv.wait(wait, [&] { return flight->done; });
+                    entry = flight->entry;
+                    error = flight->error;
+                }
+                if (waited)
+                    metrics->add("serve.coalesced");
+                if (!entry)
+                    throw RuntimeError(error);
+                if (!waited)
+                    metrics->add("serve.cache_hits");
+                fillResponse(resp, *entry, ctx.graph);
+                resp.source = waited ? "flight" : "cache";
             } else {
                 std::shared_ptr<const PlanCacheEntry> produced;
                 std::string failure;
@@ -249,9 +255,11 @@ PlanService::plan(const PlanRequest &req)
                 } catch (const std::exception &e) {
                     failure = e.what();
                 }
-                // Publish to waiters and retire the flight — even on
-                // failure, or waiters would block forever.
-                {
+                // Publish to waiters — even on failure, or they would
+                // block forever. A finished flight stays as the memo of
+                // its key; a failed one is retired, so the next
+                // identical request runs the DP again.
+                if (!produced) {
                     std::lock_guard<std::mutex> lock(mu);
                     flights.erase(ctx.key);
                 }

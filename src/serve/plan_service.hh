@@ -8,7 +8,8 @@
  *
  *   1. the mmap'd persistent store snapshot ("store") — survives
  *      restarts, shared read-only by all threads, microseconds;
- *   2. the in-process CatalogCache whole-plan memo ("cache");
+ *   2. a finished flight of the same key ("cache") — the in-process
+ *      memo, which answers when there is no store or its write failed;
  *   3. single-flight coalescing ("flight") — concurrent identical
  *      requests block on the one DP already computing their key, so
  *      a thundering herd costs exactly one DP run;
@@ -19,7 +20,9 @@
  * After a DP run the leader merges the new plan into the store image
  * and republishes it atomically (tmp + rename), then remaps — so the
  * next restart, and every other process watching the same path,
- * starts warm.
+ * starts warm. The flight stays in the table as the memo of its key;
+ * a failed flight is erased, so its key is planned again next time.
+ * Catalogs are shared across DP runs through one CatalogCache.
  *
  * Metrics (serve.* namespace, primepar-metrics-v1 schema):
  *   serve.requests, serve.store_hits, serve.cache_hits,
@@ -48,8 +51,8 @@ class MetricsRegistry;
 
 struct PlanServiceOptions
 {
-    /** Persistent store path; empty disables persistence (the
-     *  in-process caches still work). */
+    /** Persistent store path; empty disables persistence (finished
+     *  flights still answer repeats from memory). */
     std::string storePath;
     /** Concurrent DP runs admitted; further distinct requests queue. */
     int dpSlots = 2;
@@ -78,7 +81,8 @@ class PlanService
     std::size_t storeSize() const;
 
   private:
-    /** One in-flight DP computation; waiters block on cv. */
+    /** One DP computation of a key; waiters block on cv until done.
+     *  A finished flight with an entry is the key's in-process memo. */
     struct Flight
     {
         std::mutex mu;
@@ -95,12 +99,13 @@ class PlanService
     std::unique_ptr<MetricsRegistry> ownedMetrics;
     MetricsRegistry *metrics = nullptr;
 
-    /** Shared across DP runs: catalogs, segments, whole plans. */
-    std::shared_ptr<CatalogCache> cache;
+    /** Node catalogs, shared across DP runs. */
+    std::shared_ptr<CatalogCache> catalogs;
 
     mutable std::mutex mu;
     std::condition_variable slotCv;
     int slotsInUse = 0;
+    /** Running and finished flights by planCacheKey. */
     std::unordered_map<std::string, std::shared_ptr<Flight>> flights;
     std::shared_ptr<const PlanStore> store;
 

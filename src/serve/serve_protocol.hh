@@ -66,8 +66,9 @@ struct PlanResponse
     /** Diagnostic when !ok. */
     std::string error;
     /** Where the plan came from: "store" (persistent mmap'd store),
-     *  "cache" (in-process plan memo), "flight" (coalesced onto a
-     *  concurrent identical request), or "dp" (fresh DP run). */
+     *  "cache" (an earlier identical request's finished DP, kept in
+     *  memory), "flight" (coalesced onto a concurrent identical
+     *  request), or "dp" (fresh DP run). */
     std::string source;
     /** Chosen partition sequence per graph node. */
     std::vector<PartitionSeq> strategies;

@@ -331,6 +331,43 @@ TEST(PlanService, PersistsPlansAcrossServiceInstances)
                              sizeof(double)));
 }
 
+// Without a store (or with one that cannot be written) a repeat is
+// answered by the finished flight kept in memory, not by a second DP.
+TEST(PlanService, AnswersRepeatsFromMemory)
+{
+    {
+        PlanService service(PlanServiceOptions{});
+        const PlanResponse cold = service.plan(tinyRequest());
+        ASSERT_TRUE(cold.ok) << cold.error;
+        EXPECT_EQ(cold.source, "dp");
+        const PlanResponse again = service.plan(tinyRequest());
+        ASSERT_TRUE(again.ok) << again.error;
+        EXPECT_EQ(again.source, "cache");
+        EXPECT_EQ(again.strategies, cold.strategies);
+        EXPECT_EQ(0, std::memcmp(&again.layerCostUs, &cold.layerCostUs,
+                                 sizeof(double)));
+        MetricsRegistry &metrics = service.metricsRegistry();
+        EXPECT_EQ(metrics.counter("serve.dp_runs"), 1);
+        EXPECT_EQ(metrics.counter("serve.cache_hits"), 1);
+    }
+
+    // A store in a directory that does not exist: the publish fails,
+    // and the plan is still served from memory.
+    PlanServiceOptions opts;
+    opts.storePath = scratchDir() + "/missing/plans.pps";
+    PlanService service(opts);
+    const PlanResponse cold = service.plan(tinyRequest());
+    ASSERT_TRUE(cold.ok) << cold.error;
+    EXPECT_EQ(cold.source, "dp");
+    MetricsRegistry &metrics = service.metricsRegistry();
+    EXPECT_EQ(metrics.counter("serve.store_write_failures"), 1);
+    const PlanResponse again = service.plan(tinyRequest());
+    ASSERT_TRUE(again.ok) << again.error;
+    EXPECT_EQ(again.source, "cache");
+    EXPECT_EQ(again.strategies, cold.strategies);
+    EXPECT_EQ(metrics.counter("serve.dp_runs"), 1);
+}
+
 // The single-flight core: many threads asking for the same key must
 // cost exactly one DP run, and every waiter must get the identical
 // plan. Distinct keys each get their own run, throttled through the
