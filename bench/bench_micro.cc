@@ -439,17 +439,17 @@ emitFaultOverhead(std::ostream &os, bool quick)
     installTransformerBlockTransforms(base_exec, cfg);
 
     // Same step, but every transfer goes through the transport with
-    // checksums + header verification on (no injector, no guard): the
-    // cost a fault-free run pays for being protectable.
+    // payload checksum + header verification (no injector, no guard,
+    // no observer): the cost a fault-free run pays for being
+    // protectable.
     RuntimeHealth health;
+    health.guard.enabled = false;
     InProcessTransport transport({}, nullptr, &health);
     SpmdGraphExecutor fault_exec(graph, plan, 2, 0,
                                  /*overlap_comm=*/false);
     installTransformerBlockTransforms(fault_exec, cfg);
     fault_exec.setTransport(&transport);
-    GuardOptions guard;
-    guard.enabled = false;
-    fault_exec.setHealth(&health, guard);
+    fault_exec.setHealth(&health);
 
     // Interleave the two variants round-by-round (alternating which
     // goes first) so machine-wide drift hits both alike;
@@ -539,16 +539,17 @@ emitObserverOverhead(std::ostream &os, bool quick)
     TracingObserver tracer;
     MetricsRegistry registry;
     MetricsObserver metrics(&registry);
-    ObserverChain chain;
-    chain.add(&tracer);
-    chain.add(&metrics);
-    InProcessTransport traced_transport;
-    traced_transport.setObserver(&chain);
+    // The guard stays off: this section prices the observers alone.
+    RuntimeHealth traced_health;
+    traced_health.guard.enabled = false;
+    traced_health.addObserver(&tracer);
+    traced_health.addObserver(&metrics);
+    InProcessTransport traced_transport({}, nullptr, &traced_health);
     SpmdGraphExecutor traced_exec(graph, plan, 2, 0,
                                   /*overlap_comm=*/false);
     installTransformerBlockTransforms(traced_exec, cfg);
     traced_exec.setTransport(&traced_transport);
-    traced_exec.addObserver(&chain);
+    traced_exec.setHealth(&traced_health);
 
     GraphResult base_result, traced_result;
     double base_ms = 0.0, traced_ms = 0.0;
@@ -669,7 +670,10 @@ emitOverlapEfficiency(std::ostream &os, bool quick)
     // One traced async run for the overlap accounting: how much of
     // the summed Ring span time lies under a Compute span.
     TracingObserver tracer;
-    async_exec.addObserver(&tracer);
+    RuntimeHealth traced_health;
+    traced_health.guard.enabled = false;
+    traced_health.addObserver(&tracer);
+    async_exec.setHealth(&traced_health);
     async_exec.run(io);
     const OverlapStats ov = tracer.overlapStats();
 

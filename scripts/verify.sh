@@ -38,14 +38,16 @@
 #   6. Configure + build a ThreadSanitizer tree (build-tsan/) with
 #      -DPRIMEPAR_SANITIZE=thread and run the Parallel.*,
 #      SpmdExecutor.*, Transport.*, Trainer.*, GraphExecutor.*,
-#      Catalog.*, SegmentedDp.*, Pruning.*, CostModel.*, PlanService.*
-#      and PlanServer.* suites there: the thread pool's completion
-#      handshake, the executor's comm worker running a step's shift
-#      batch while the compute pool accumulates, joined before the
-#      commit, the planner's edge tables sharing one TrafficMemo across
-#      pool threads, and the plan service's flight table shared by
-#      concurrent requests (PlanStore.* stays out: it forks a writer
-#      and SIGKILLs it). Any race report fails the gate.
+#      Catalog.*, SegmentedDp.*, Pruning.*, CostModel.*, PlanService.*,
+#      PlanServer.*, Observer.*, CodecTransport.* and Guard.* suites
+#      there: the thread pool's completion handshake, the executor's
+#      comm worker running a step's shift batch while the compute pool
+#      accumulates, joined before the commit, RuntimeHealth fanning
+#      spans out to observers from compute-pool threads, the planner's
+#      edge tables sharing one TrafficMemo across pool threads, and
+#      the plan service's flight table shared by concurrent requests
+#      (PlanStore.* stays out: it forks a writer and SIGKILLs it). Any
+#      race report fails the gate.
 #
 # --quick skips a sanitizer reconfigure when its build tree is already
 # configured. Exits non-zero on the first failure.
@@ -329,12 +331,12 @@ if [ "$QUICK" -eq 0 ] || [ ! -f "$ROOT/build-tsan/CMakeCache.txt" ]; then
 fi
 cmake --build "$ROOT/build-tsan" -j"$(nproc)" \
     --target test_support test_runtime test_fault test_graph_executor \
-    test_optimizer test_cost test_serve
+    test_optimizer test_cost test_serve test_observer test_codec
 
-echo "== sanitizer (TSan): pool + executor + transport + trainer + planner + serve tests =="
+echo "== sanitizer (TSan): pool + executor + transport + trainer + observer + planner + serve tests =="
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     ctest --test-dir "$ROOT/build-tsan" --output-on-failure \
-    -R '^(Parallel|SpmdExecutor|Transport|Trainer|GraphExecutor|Catalog|SegmentedDp|Pruning|CostModel|PlanService|PlanServer)\.' \
+    -R '^(Parallel|SpmdExecutor|Transport|Trainer|GraphExecutor|Catalog|SegmentedDp|Pruning|CostModel|PlanService|PlanServer|Observer|CodecTransport|Guard)\.' \
     -j"$(nproc)"
 
 echo "verify.sh: all gates passed"

@@ -365,7 +365,7 @@ Coordinator::readerLoop(WorkerState &w)
                     lossGen[step] = f.generation;
                 } else if (f.generation == lossGen[step] &&
                            it->second != loss) {
-                    // Replicas must agree bit-for-bit within a
+                    // Workers must agree bit-for-bit within a
                     // generation. Keep the lowest-id reporter's value.
                     ++diverged;
                     PRIMEPAR_INFORM(

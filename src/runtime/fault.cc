@@ -1,6 +1,5 @@
 #include "fault.hh"
 
-#include <cmath>
 #include <cstring>
 #include <sstream>
 
@@ -310,93 +309,6 @@ FaultInjector::consumeWorkerKill(std::int64_t step, std::int64_t worker)
         --sf.fires;
         return true;
     }
-    return false;
-}
-
-void
-RuntimeHealth::recordEvent(FaultEvent event)
-{
-    log.push_back(std::move(event));
-    while (log.size() > maxEvents)
-        log.pop_front();
-}
-
-bool
-RuntimeHealth::allClear() const
-{
-    return dropsDetected == 0 && corruptionsDetected == 0 &&
-           headerMismatches == 0 && stragglers == 0 &&
-           reconnects == 0 && fencedFrames == 0 &&
-           stepRollbacks == 0 && deviceFailures == 0 &&
-           workersLost == 0 && anomalies.total() == 0;
-}
-
-std::string
-RuntimeHealth::report() const
-{
-    std::ostringstream os;
-    os << "RuntimeHealth:\n"
-       << "  transfers          " << transfers << " (" << bytesMoved
-       << " bytes, " << bytesOnWire << " on wire)\n"
-       << "  drops detected     " << dropsDetected << "\n"
-       << "  corrupt payloads   " << corruptionsDetected << "\n"
-       << "  header mismatches  " << headerMismatches << "\n"
-       << "  stragglers         " << stragglers << " ("
-       << simulatedDelayUs << " us simulated delay)\n"
-       << "  retries            " << retries << "\n"
-       << "  reconnects         " << reconnects << "\n"
-       << "  fenced frames      " << fencedFrames << "\n"
-       << "  step rollbacks     " << stepRollbacks << "\n"
-       << "  device failures    " << deviceFailures << "\n"
-       << "  workers lost       " << workersLost << "\n"
-       << "  replans            " << replans << "\n"
-       << "  ckpt restores      " << checkpointRestores << "\n"
-       << "  anomalies          nan=" << anomalies.nan
-       << " inf=" << anomalies.inf
-       << " explosion=" << anomalies.explosion << "\n";
-    if (!log.empty()) {
-        os << "  last events (" << log.size() << "):\n";
-        for (const FaultEvent &e : log) {
-            os << "    step " << e.step << " "
-               << faultKindName(e.kind) << " " << e.tensor;
-            if (e.sender >= 0)
-                os << " " << e.sender << "->" << e.receiver;
-            os << " attempt " << e.attempt << ": " << e.detail << "\n";
-        }
-    }
-    return os.str();
-}
-
-bool
-guardTensor(RuntimeHealth &health, const GuardOptions &opts,
-            const std::string &name, std::int64_t step, const Tensor &t)
-{
-    if (!opts.enabled)
-        return true;
-    std::int64_t nan = 0, inf = 0, explosion = 0;
-    const float *p = t.data();
-    const std::int64_t n = t.numel();
-    for (std::int64_t i = 0; i < n; ++i) {
-        const float v = p[i];
-        if (std::isnan(v)) {
-            ++nan;
-        } else if (std::isinf(v)) {
-            ++inf;
-        } else if (std::fabs(v) > opts.explosionThreshold) {
-            ++explosion;
-        }
-    }
-    if (nan == 0 && inf == 0 && explosion == 0)
-        return true;
-    health.anomalies.nan += nan;
-    health.anomalies.inf += inf;
-    health.anomalies.explosion += explosion;
-    std::ostringstream detail;
-    detail << "numeric anomaly in " << name << ": " << nan << " NaN, "
-           << inf << " Inf, " << explosion << " >|"
-           << opts.explosionThreshold << "| of " << n << " elements";
-    health.recordEvent(
-        {FaultKind::None, detail.str(), name, step, -1, -1, 0});
     return false;
 }
 

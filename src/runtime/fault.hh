@@ -1,6 +1,7 @@
 /**
  * @file
- * Fault taxonomy, deterministic fault injection, and runtime health.
+ * Fault taxonomy, deterministic fault injection, and the payload
+ * checksum.
  *
  * PrimePar's spatial-temporal primitive makes every training step a
  * long chain of per-step ring shifts and grouped all-reduces, so the
@@ -13,22 +14,20 @@
  *  - FaultInjector, a seedable injector whose probabilistic decisions
  *    are a pure hash of (seed, transfer identity, attempt), so a fault
  *    pattern replays identically at any thread count;
- *  - RuntimeHealth, the structured report every detection, retry,
- *    rollback, and numeric anomaly funnels into;
- *  - the numeric anomaly guard: a cheap NaN/Inf/explosion scan applied
- *    to activations and gradients at phase boundaries.
+ *  - FaultEvent, one logged detection or recovery, and GuardOptions,
+ *    the NaN/Inf/explosion guard's settings (RuntimeHealth, the sink
+ *    both feed, lives in observer.hh);
+ *  - the payload checksum the transports verify on delivery.
  */
 
 #ifndef PRIMEPAR_RUNTIME_FAULT_HH
 #define PRIMEPAR_RUNTIME_FAULT_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "partition/op_spec.hh"
-#include "tensor/tensor.hh"
 
 namespace primepar {
 
@@ -149,16 +148,6 @@ class FaultInjector
     FaultSpec spec_;
 };
 
-/** Counters of NaN/Inf/explosion detections. */
-struct AnomalyCounts
-{
-    std::int64_t nan = 0;
-    std::int64_t inf = 0;
-    std::int64_t explosion = 0;
-
-    std::int64_t total() const { return nan + inf + explosion; }
-};
-
 /** One noteworthy event, kept in RuntimeHealth's bounded log. */
 struct FaultEvent
 {
@@ -169,76 +158,24 @@ struct FaultEvent
     std::int64_t sender = -1;
     std::int64_t receiver = -1;
     int attempt = 0;
+
+    /** The @p kind event of attempt @p attempt of transfer @p tag. */
+    static FaultEvent
+    at(const TransferTag &tag, FaultKind kind, std::string detail,
+       int attempt)
+    {
+        return {kind,       std::move(detail), tag.tensor, tag.trainStep,
+                tag.sender, tag.receiver,      attempt};
+    }
 };
 
-/**
- * Structured health report of one runtime instance. Every transport
- * detection, retry, rollback, device failure, checkpoint restore and
- * numeric anomaly is recorded here; `report()` renders the summary the
- * acceptance criteria ask for.
- */
-class RuntimeHealth
-{
-  public:
-    // Transport counters.
-    std::int64_t transfers = 0;
-    std::int64_t bytesMoved = 0;
-    std::int64_t bytesOnWire = 0; ///< post-codec bytes (== bytesMoved raw)
-    std::int64_t dropsDetected = 0;
-    std::int64_t corruptionsDetected = 0;  ///< payload checksum mismatch
-    std::int64_t headerMismatches = 0;     ///< seq/step tag mismatch
-    std::int64_t stragglers = 0;
-    std::int64_t retries = 0;
-    double simulatedDelayUs = 0.0;
-
-    // Distributed-transport counters.
-    std::int64_t reconnects = 0;     ///< successful re-dials
-    std::int64_t fencedFrames = 0;   ///< frames rejected as stale-gen
-
-    // Recovery counters.
-    std::int64_t stepRollbacks = 0;
-    std::int64_t deviceFailures = 0;
-    std::int64_t replans = 0;
-    std::int64_t checkpointRestores = 0;
-    std::int64_t workersLost = 0;
-
-    AnomalyCounts anomalies;
-
-    /** Append to the bounded event log (oldest entries evicted). */
-    void recordEvent(FaultEvent event);
-
-    const std::deque<FaultEvent> &events() const { return log; }
-
-    /** True if nothing bad — detected fault, anomaly, failure — ever
-     *  happened. Detected-and-recovered faults clear this too: the
-     *  caller distinguishes "survived faults" from "saw none". */
-    bool allClear() const;
-
-    /** Human-readable multi-line summary. */
-    std::string report() const;
-
-    void reset() { *this = RuntimeHealth{}; }
-
-  private:
-    std::deque<FaultEvent> log;
-    std::size_t maxEvents = 256;
-};
-
-/** Numeric anomaly guard configuration. */
+/** Numeric anomaly guard configuration (RuntimeHealth::guard). */
 struct GuardOptions
 {
     bool enabled = true;
     /** |x| beyond this counts as an explosion. */
     float explosionThreshold = 1e6f;
 };
-
-/**
- * Scan @p t for NaN/Inf/explosions; record findings into @p health
- * under @p name. Returns true when the tensor is clean.
- */
-bool guardTensor(RuntimeHealth &health, const GuardOptions &opts,
-                 const std::string &name, std::int64_t step,
-                 const Tensor &t);
 
 /**
  * Fast 64-bit checksum over a byte range: eight additive 64-bit lanes

@@ -44,17 +44,10 @@ SpmdGraphExecutor::setTransport(Transport *t)
 }
 
 void
-SpmdGraphExecutor::setHealth(RuntimeHealth *h, GuardOptions g)
+SpmdGraphExecutor::setHealth(RuntimeHealth *h)
 {
     for (auto &e : execs)
-        e->setHealth(h, g);
-}
-
-void
-SpmdGraphExecutor::addObserver(RuntimeObserver *o)
-{
-    for (auto &e : execs)
-        e->addObserver(o);
+        e->setHealth(h);
 }
 
 void

@@ -10,7 +10,8 @@
  * boundaries like QKV-split and head reshapes), gradients of
  * multi-consumer tensors accumulate, and the final results must match
  * single-device training — the graph-level completion of the per-op
- * equivalence proof.
+ * equivalence proof. Every node's executor reports to the one
+ * RuntimeHealth given to setHealth().
  */
 
 #ifndef PRIMEPAR_RUNTIME_GRAPH_EXECUTOR_HH
@@ -103,13 +104,9 @@ class SpmdGraphExecutor
      *  owned; nullptr restores direct in-process copies). */
     void setTransport(Transport *t);
 
-    /** Record detections and numeric-anomaly findings of every node
-     *  into @p h (not owned). */
-    void setHealth(RuntimeHealth *h, GuardOptions g = GuardOptions{});
-
-    /** Attach @p o (not owned) to every node's executor; it receives
-     *  spans, tensor-produced and rollback events of the whole graph. */
-    void addObserver(RuntimeObserver *o);
+    /** Report every node's events — rollbacks, pass outputs for the
+     *  guard, spans for attached observers — to @p h (not owned). */
+    void setHealth(RuntimeHealth *h);
 
     /** Stamp subsequent transfers with train step @p s. */
     void beginStep(std::int64_t s);

@@ -1,39 +1,41 @@
 /**
  * @file
- * The unified runtime observability API.
+ * The runtime's one event path: RuntimeObserver callbacks and the
+ * RuntimeHealth sink that counts every event and fans it out.
  *
- * Before this interface existed, instrumentation was ad-hoc: the
- * simulator had its Trace, the transport updated RuntimeHealth
- * counters directly, and the executor called the NaN/Inf guard inline.
- * RuntimeObserver collapses all of it behind one set of callbacks that
- * SpmdOpExecutor, InProcessTransport and BlockTrainer invoke at their
- * instrumentation points:
+ * SpmdOpExecutor, the transports (InProcessTransport, TcpTransport)
+ * and BlockTrainer each hold one RuntimeHealth pointer and report each
+ * event once, through the RuntimeHealth method named after it. That
+ * method counts the event (the health counters `report()` renders),
+ * keeps noteworthy ones in a bounded log, and then forwards the
+ * matching RuntimeObserver callback to every attached observer:
  *
  *  - onSpan: per-device wall-clock execution spans (compute, ring
  *    send-recv, all-reduce, redistribution, checkpoint) — the real
  *    runtime's analogue of the simulator's Fig. 9 timeline;
  *  - onTransfer / onFault / onRollback: transport-level delivery,
  *    detection and recovery events;
- *  - onTensorProduced: every pass output at its phase boundary (the
- *    numeric-anomaly guard is an observer now, see GuardObserver);
+ *  - onTensorProduced: every pass output at its phase boundary, after
+ *    RuntimeHealth's numeric-anomaly guard has scanned it;
  *  - onStepBegin / onStepEnd / onCheckpoint: training-loop milestones.
  *
  * Concrete observers: TracingObserver (fills a Trace for Chrome-trace
- * or ASCII export), MetricsObserver (metrics.hh), GuardObserver (the
- * migrated NaN/Inf/explosion scan), and ObserverChain (fan-out).
+ * or ASCII export) and MetricsObserver (metrics.hh).
  *
- * Threading contract: onSpan and onTensorProduced may be invoked
- * concurrently from per-device worker threads; implementations must be
- * thread-safe for those. All other callbacks arrive from the
- * executor's serial sections. All hooks default to no-ops, so the
- * tracing-off cost is one null/empty check at each instrumentation
- * point (budgeted < 3% in bench_micro's observer_overhead section).
+ * Threading contract: onSpan may be invoked concurrently from
+ * per-device worker threads; implementations must be thread-safe for
+ * it. All other callbacks arrive from the runtime's serial sections.
+ * Spans, their labels and every timestamp are produced only while an
+ * observer is attached (RuntimeHealth::observed()), so the tracing-off
+ * cost is one empty check at each instrumentation point (budgeted
+ * < 3% in bench_micro's observer_overhead section).
  */
 
 #ifndef PRIMEPAR_RUNTIME_OBSERVER_HH
 #define PRIMEPAR_RUNTIME_OBSERVER_HH
 
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -155,92 +157,148 @@ class RuntimeObserver
     }
 };
 
+/** Counters of NaN/Inf/explosion detections. */
+struct AnomalyCounts
+{
+    std::int64_t nan = 0;
+    std::int64_t inf = 0;
+    std::int64_t explosion = 0;
+
+    std::int64_t total() const { return nan + inf + explosion; }
+};
+
 /**
- * Fan-out to several observers (not owned), in add() order. empty()
- * is the runtime's fast path: instrumentation points check it before
- * taking any timestamp.
+ * Structured health report of one runtime instance, and the single
+ * entry point of its events. Each event method counts exactly what
+ * the event means for the health counters, logs noteworthy events,
+ * then forwards the unchanged RuntimeObserver callback to the attached
+ * observers in attach order. `report()` renders the summary.
+ *
+ * Methods taking @p start_us pair with clockUs(): the caller stamps
+ * the event's start with it, and the wall time is computed only when
+ * an observer will read it. span() may be called concurrently from
+ * worker threads (it counts nothing); every other method is called
+ * from the runtime's serial sections. Attach observers and set the
+ * guard before running.
  */
-class ObserverChain : public RuntimeObserver
+class RuntimeHealth
 {
   public:
-    void
-    add(RuntimeObserver *o)
-    {
-        if (o)
-            list.push_back(o);
-    }
+    // Transport counters.
+    std::int64_t transfers = 0;
+    std::int64_t bytesMoved = 0;
+    /** Post-codec bytes; equals bytesMoved only without a codec. */
+    std::int64_t bytesOnWire = 0;
+    std::int64_t dropsDetected = 0;
+    std::int64_t corruptionsDetected = 0;  ///< payload checksum mismatch
+    std::int64_t headerMismatches = 0;     ///< seq/step tag mismatch
+    std::int64_t stragglers = 0;
+    std::int64_t retries = 0;
+    double simulatedDelayUs = 0.0;
 
-    void clear() { list.clear(); }
-    bool empty() const { return list.empty(); }
+    // Distributed-transport counters.
+    std::int64_t reconnects = 0;     ///< successful re-dials
+    std::int64_t fencedFrames = 0;   ///< frames rejected as stale-gen
 
-    void
-    onStepBegin(std::int64_t step) override
-    {
-        for (auto *o : list)
-            o->onStepBegin(step);
-    }
-    void
-    onStepEnd(std::int64_t step, double wall_us) override
-    {
-        for (auto *o : list)
-            o->onStepEnd(step, wall_us);
-    }
-    void
-    onSpan(std::int64_t device, SpanKind kind, const std::string &label,
-           double start_us, double end_us) override
-    {
-        for (auto *o : list)
-            o->onSpan(device, kind, label, start_us, end_us);
-    }
-    void
-    onTransfer(const TransferTag &tag, std::int64_t bytes,
-               std::int64_t wire_bytes, int attempts,
-               double wall_us) override
-    {
-        for (auto *o : list)
-            o->onTransfer(tag, bytes, wire_bytes, attempts, wall_us);
-    }
-    void
-    onFault(const FaultEvent &event) override
-    {
-        for (auto *o : list)
-            o->onFault(event);
-    }
-    void
-    onRollback(std::int64_t step) override
-    {
-        for (auto *o : list)
-            o->onRollback(step);
-    }
-    void
-    onTensorProduced(const std::string &name, std::int64_t step,
-                     const Tensor &t) override
-    {
-        for (auto *o : list)
-            o->onTensorProduced(name, step, t);
-    }
-    void
-    onCheckpoint(bool save, std::int64_t step, double wall_us) override
-    {
-        for (auto *o : list)
-            o->onCheckpoint(save, step, wall_us);
-    }
-    void
-    onWorkerUp(std::int64_t worker, std::uint64_t generation) override
-    {
-        for (auto *o : list)
-            o->onWorkerUp(worker, generation);
-    }
-    void
-    onWorkerLost(std::int64_t worker, std::uint64_t generation,
-                 const std::string &reason) override
-    {
-        for (auto *o : list)
-            o->onWorkerLost(worker, generation, reason);
-    }
+    // Recovery counters.
+    std::int64_t stepRollbacks = 0;
+    std::int64_t deviceFailures = 0;
+    std::int64_t replans = 0;
+    std::int64_t checkpointRestores = 0;
+    std::int64_t workersLost = 0;
+
+    AnomalyCounts anomalies;
+
+    /** The numeric-anomaly guard tensorProduced() applies. */
+    GuardOptions guard;
+
+    /** Attach @p o (not owned; nullptr is ignored). */
+    void addObserver(RuntimeObserver *o);
+
+    /** True when an observer is attached: only then are spans and
+     *  timestamps produced. */
+    bool observed() const { return !observers.empty(); }
+
+    /** True when produced tensors are wanted: by the guard or by an
+     *  observer. */
+    bool watchesTensors() const { return guard.enabled || observed(); }
+
+    /** Start stamp of a timed event: observerNowUs() when observed,
+     *  else 0 (no clock read). */
+    double clockUs() const { return observed() ? observerNowUs() : 0.0; }
+
+    // ---- Events ----
+
+    /** A transfer was delivered after @p attempts attempts. */
+    void transferred(const TransferTag &tag, std::int64_t raw_bytes,
+                     std::int64_t wire_bytes, int attempts,
+                     double start_us);
+
+    /** A detected fault: bumps @p counter (a detection counter or
+     *  deviceFailures), adds @p delay_us of simulated delay, logs
+     *  @p event; onFault. */
+    void faultDetected(std::int64_t RuntimeHealth::*counter,
+                       const FaultEvent &event, double delay_us = 0.0);
+
+    /** A failed attempt is retried; @p backoff_us of simulated wait
+     *  (0 when the transport really sleeps). */
+    void retried(double backoff_us = 0.0);
+
+    /** A lost peer connection was re-dialed. */
+    void reconnected() { ++reconnects; }
+
+    /** A frame or handshake of a superseded generation was rejected;
+     *  logged, no callback. */
+    void fenced(const FaultEvent &event);
+
+    /** Worker @p worker is unreachable: a device failure and a lost
+     *  worker; onFault, then onWorkerLost. */
+    void workerLost(const FaultEvent &event, std::int64_t worker,
+                    std::uint64_t generation, const std::string &reason);
+
+    /** The temporal step of @p event was rolled back; onRollback. */
+    void rolledBack(const FaultEvent &event);
+
+    /** A pass output materialized: the guard scans it;
+     *  onTensorProduced. */
+    void tensorProduced(const std::string &name, std::int64_t step,
+                        const Tensor &t);
+
+    /** One execution span; onSpan. Callers check observed() before
+     *  building the label or reading the clock. */
+    void span(std::int64_t device, SpanKind kind, const std::string &label,
+              double start_us, double end_us);
+
+    void stepBegan(std::int64_t step);
+    void stepEnded(std::int64_t step, double start_us);
+    /** A checkpoint was saved (@p save) or restored. */
+    void checkpointed(bool save, std::int64_t step, double start_us);
+
+    /** Append to the bounded event log (oldest entries evicted). */
+    void recordEvent(FaultEvent event);
+
+    const std::deque<FaultEvent> &events() const { return log; }
+
+    /** True if nothing bad — detected fault, anomaly, failure — ever
+     *  happened. Detected-and-recovered faults clear this too: the
+     *  caller distinguishes "survived faults" from "saw none". */
+    bool allClear() const;
+
+    /** Human-readable multi-line summary. */
+    std::string report() const;
+
+    /** Zero the counters and the event log; the observers and the
+     *  guard stay. */
+    void reset();
 
   private:
-    std::vector<RuntimeObserver *> list;
+    /** The guard: count NaN/Inf/explosions of @p t, log a finding. */
+    void scan(const std::string &name, std::int64_t step,
+              const Tensor &t);
+
+    std::vector<RuntimeObserver *> observers;
+    std::deque<FaultEvent> log;
+    std::size_t maxEvents = 256;
 };
 
 /**
@@ -274,29 +332,6 @@ class TracingObserver : public RuntimeObserver
     mutable std::mutex mu;
     Trace trace;
     double baseUs;
-};
-
-/**
- * The numeric-anomaly guard as an observer: scans every produced
- * tensor for NaN/Inf/explosions and records findings into a
- * RuntimeHealth (not owned). This replaces the executor's former
- * inline guardTensor call; SpmdOpExecutor::setHealth installs one
- * internally for backward compatibility. Thread-safe.
- */
-class GuardObserver : public RuntimeObserver
-{
-  public:
-    GuardObserver(RuntimeHealth *health, GuardOptions opts = {})
-        : health(health), opts(opts)
-    {}
-
-    void onTensorProduced(const std::string &name, std::int64_t step,
-                          const Tensor &t) override;
-
-  private:
-    std::mutex mu;
-    RuntimeHealth *health;
-    GuardOptions opts;
 };
 
 } // namespace primepar

@@ -41,40 +41,6 @@ SpmdOpExecutor::idByName(const std::string &name) const
                              : static_cast<int>(it - names.begin());
 }
 
-void
-SpmdOpExecutor::setHealth(RuntimeHealth *h, GuardOptions g)
-{
-    health = h;
-    guard = g;
-    ownedGuard = h ? std::make_unique<GuardObserver>(h, g) : nullptr;
-    rebuildObserverChain();
-}
-
-void
-SpmdOpExecutor::addObserver(RuntimeObserver *o)
-{
-    if (o)
-        userObservers.push_back(o);
-    rebuildObserverChain();
-}
-
-void
-SpmdOpExecutor::clearObservers()
-{
-    userObservers.clear();
-    rebuildObserverChain();
-}
-
-void
-SpmdOpExecutor::rebuildObserverChain()
-{
-    observers.clear();
-    for (RuntimeObserver *o : userObservers)
-        observers.add(o);
-    if (ownedGuard)
-        observers.add(ownedGuard.get());
-}
-
 std::vector<std::int64_t>
 SpmdOpExecutor::tupleAt(const TensorRef &ref, Phase phase,
                         std::int64_t dev, int t) const
@@ -121,8 +87,8 @@ SpmdOpExecutor::scatter(const TensorRef &ref, const Tensor &full,
                             sliceFor(ref, full, phase, d, t);
                     store[dev].tuple = tupleAt(ref, phase, d, t);
                     if (tracing)
-                        observers.onSpan(d, SpanKind::Redist, label, t0,
-                                         observerNowUs());
+                        health->span(d, SpanKind::Redist, label, t0,
+                                     observerNowUs());
                 });
     stores[tensorId(ref)] = std::move(store);
 }
@@ -265,10 +231,9 @@ SpmdOpExecutor::runShifts(ShiftBatch &batch)
             recv.staged = *recv.src;
         }
         if (batch.traced)
-            observers.onSpan(recv.receiver, SpanKind::Ring,
-                             std::string(batch.channel) + " " +
-                                 names[recv.id],
-                             t0, observerNowUs());
+            health->span(recv.receiver, SpanKind::Ring,
+                         std::string(batch.channel) + " " + names[recv.id],
+                         t0, observerNowUs());
     }
 }
 
@@ -310,16 +275,13 @@ SpmdOpExecutor::runJournaled(int out_id,
             stores[out_id] = std::move(out_log);
             aux = std::move(aux_log);
             commStats = volume_log;
-            if (health) {
-                ++health->stepRollbacks;
-                health->recordEvent(
+            if (health)
+                health->rolledBack(
                     {FaultKind::None,
                      std::string("temporal step rolled back after: ") +
                          err.what(),
                      err.tensor, err.step, err.sender, err.receiver,
                      tries});
-            }
-            observers.onRollback(err.step);
         }
     }
 }
@@ -549,9 +511,9 @@ SpmdOpExecutor::runPass(int pass_index,
                         const Tensor partial = computeLocal(pass, d);
                         out_store[d].data.add(partial);
                         if (tracing)
-                            observers.onSpan(d, SpanKind::Compute,
-                                             compute_label, t0,
-                                             observerNowUs());
+                            health->span(d, SpanKind::Compute,
+                                         compute_label, t0,
+                                         observerNowUs());
                     });
             } catch (...) {
                 // Never unwind past an in-flight batch — the batch
@@ -573,8 +535,8 @@ SpmdOpExecutor::runPass(int pass_index,
                 const double t0 = tracing ? observerNowUs() : 0.0;
                 commWorker.wait();
                 if (tracing)
-                    observers.onSpan(0, SpanKind::RingJoin, "ring join",
-                                     t0, observerNowUs());
+                    health->span(0, SpanKind::RingJoin, "ring join",
+                                 t0, observerNowUs());
             } else {
                 runShifts(ring);
             }
@@ -696,9 +658,9 @@ SpmdOpExecutor::runPass(int pass_index,
                     spec.elementsPerDevice *
                     static_cast<std::int64_t>(group.size() - 1);
                 if (tracing)
-                    observers.onSpan(group[0], SpanKind::AllReduce,
-                                     out_key + " allreduce", g0,
-                                     observerNowUs());
+                    health->span(group[0], SpanKind::AllReduce,
+                                 out_key + " allreduce", g0,
+                                 observerNowUs());
             }
             ++commStats.allReduceCount;
         });
@@ -706,16 +668,16 @@ SpmdOpExecutor::runPass(int pass_index,
 
     // Phase boundary: every pass output — an activation (Forward), an
     // input gradient (Backward), or a weight gradient (Gradient) — is
-    // announced to the observers. The numeric anomaly guard (a
-    // GuardObserver installed by setHealth) scans it here; emitted
-    // from this serial section, so event order is deterministic.
-    if (observed()) {
+    // reported to the health sink, whose numeric anomaly guard scans
+    // it before the observers see it; emitted from this serial
+    // section, so event order is deterministic.
+    if (health && health->watchesTensors()) {
         const TensorStore &out_store = stores[out_id];
         for (std::int64_t dev = ownedFirst();
              dev < ownedFirst() + ownedCount(); ++dev) {
-            observers.onTensorProduced(op.name + "." + names[out_id] +
-                                           "@dev" + std::to_string(dev),
-                                       trainStep, out_store[dev].data);
+            health->tensorProduced(op.name + "." + names[out_id] +
+                                       "@dev" + std::to_string(dev),
+                                   trainStep, out_store[dev].data);
         }
     }
 }

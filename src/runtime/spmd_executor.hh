@@ -19,6 +19,11 @@
  * runtime. Transfers move tensor values between emulated device
  * stores; byte counters record exactly the traffic a real deployment
  * would issue.
+ *
+ * The executor reports its events — spans, pass outputs, step
+ * rollbacks — once each to the RuntimeHealth given to setHealth()
+ * (observer.hh), which counts them, runs the numeric-anomaly guard
+ * and forwards them to its observers.
  */
 
 #ifndef PRIMEPAR_RUNTIME_SPMD_EXECUTOR_HH
@@ -26,11 +31,9 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "fault.hh"
 #include "observer.hh"
 #include "transport.hh"
 
@@ -164,27 +167,15 @@ class SpmdOpExecutor
     void setTransport(Transport *t) { transport = t; }
 
     /**
-     * Record transport detections and numeric-anomaly guard findings
-     * into @p h (not owned). Implemented on the observer API: this
-     * installs an internal GuardObserver that scans every pass output
-     * — activations, input gradients, weight gradients — for
-     * NaN/Inf/explosions at its phase boundary.
+     * Report this executor's events to @p h (not owned; nullptr =
+     * none): every pass output — activation, input gradient, weight
+     * gradient — at its phase boundary (h's guard scans it for
+     * NaN/Inf/explosions), step rollbacks, and, while an observer is
+     * attached to @p h, per-device Compute spans and Ring / RingJoin /
+     * AllReduce / Redist transfer spans. Without observers the span
+     * points reduce to one branch each.
      */
-    void setHealth(RuntimeHealth *h, GuardOptions g = GuardOptions{});
-
-    /**
-     * Attach an observer (not owned; may be called several times, all
-     * attached observers see every event). The executor emits
-     * per-device Compute spans, Ring / AllReduce / Redist transfer
-     * spans, onTensorProduced for every pass output, and onRollback.
-     * With no observers attached the instrumentation points reduce to
-     * one branch each.
-     */
-    void addObserver(RuntimeObserver *o);
-
-    /** Detach all externally attached observers (the internal guard
-     *  installed by setHealth stays). */
-    void clearObservers();
+    void setHealth(RuntimeHealth *h) { health = h; }
 
     /** Stamp subsequent transfers / guard findings with train step
      *  @p s (forwards to the transport when one is attached). */
@@ -292,10 +283,8 @@ class SpmdOpExecutor
      * exhausted mid-step.
      */
     void runJournaled(int out_id, const std::function<void()> &body);
-    /** Rebuild the fan-out chain from user observers + owned guard. */
-    void rebuildObserverChain();
-    /** True when any observer (user or internal guard) is attached. */
-    bool observed() const { return !observers.empty(); }
+    /** True when spans are wanted (an observer is attached). */
+    bool observed() const { return health && health->observed(); }
 
     /** Owned-span helpers. The default span owns every rank, so
      *  these collapse to [0, numDevices). */
@@ -333,13 +322,8 @@ class SpmdOpExecutor
      *  after its join, so the transport sees a serial, deterministic
      *  transfer order. */
     SerialWorker commWorker;
+    /** The one sink of this executor's events (not owned). */
     RuntimeHealth *health = nullptr;
-    GuardOptions guard;
-    /** Fan-out target of every instrumentation point. */
-    ObserverChain observers;
-    std::vector<RuntimeObserver *> userObservers;
-    /** The migrated NaN/Inf guard, owned, installed by setHealth. */
-    std::unique_ptr<GuardObserver> ownedGuard;
     std::int64_t trainStep = 0;
 };
 

@@ -163,20 +163,6 @@ TcpTransport::TcpTransport(TransportOptions opts_in, DistOptions dist_in,
 TcpTransport::~TcpTransport() = default;
 
 void
-TcpTransport::setHealth(RuntimeHealth *h)
-{
-    health = h;
-    inner->setHealth(h);
-}
-
-void
-TcpTransport::setObserver(RuntimeObserver *o)
-{
-    observer = o;
-    inner->setObserver(o);
-}
-
-void
 TcpTransport::beginStep(std::int64_t step)
 {
     trainStep = step;
@@ -276,15 +262,13 @@ TcpTransport::ensurePeer(std::int64_t peer, const TransferTag &tag)
                     // A zombie from a superseded generation: tell it
                     // so, then refuse the connection.
                     ack.status = FrameStatus::Fenced;
-                    if (health) {
-                        ++health->fencedFrames;
-                        health->recordEvent(
+                    if (health)
+                        health->fenced(
                             {FaultKind::None,
                              "fenced stale-generation worker " +
                                  std::to_string(hello.sender),
                              tag.tensor, tag.trainStep, hello.sender,
                              world_.myWorker, attempt});
-                    }
                     writeFrame(s, ack, dist.connectTimeoutMs);
                     continue;
                 }
@@ -301,7 +285,7 @@ TcpTransport::ensurePeer(std::int64_t peer, const TransferTag &tag)
             }
         }
         if (health && everConnected[peer])
-            ++health->reconnects;
+            health->reconnected();
         everConnected[peer] = true;
         conns[peer] = std::move(s);
         return conns[peer];
@@ -312,21 +296,16 @@ TcpTransport::ensurePeer(std::int64_t peer, const TransferTag &tag)
     // degrades the grid.
     const std::int64_t peerDevice =
         world_.ownerOf(tag.sender) == peer ? tag.sender : tag.receiver;
-    const FaultEvent event{
-        FaultKind::DeviceFail,
-        "worker " + std::to_string(peer) + " unreachable after " +
-            std::to_string(budget) + " connect attempts",
-        tag.tensor, tag.trainStep, tag.sender, tag.receiver, 0};
-    if (health) {
-        ++health->deviceFailures;
-        ++health->workersLost;
-        health->recordEvent(event);
-    }
-    if (observer) {
-        observer->onFault(event);
-        observer->onWorkerLost(peer, world_.generation,
-                               "unreachable: connect budget exhausted");
-    }
+    if (health)
+        health->workerLost(
+            FaultEvent::at(tag, FaultKind::DeviceFail,
+                           "worker " + std::to_string(peer) +
+                               " unreachable after " +
+                               std::to_string(budget) +
+                               " connect attempts",
+                           0),
+            peer, world_.generation,
+            "unreachable: connect budget exhausted");
     throw DeviceFailedError(
         "worker " + std::to_string(peer) +
             " (owner of device " + std::to_string(peerDevice) +
@@ -389,7 +368,7 @@ TransferReceipt
 TcpTransport::sendWire(const TransferTag &tag, const Tensor &payload,
                        std::int64_t peer)
 {
-    const double t0 = observer ? observerNowUs() : 0.0;
+    const double t0 = health ? health->clockUs() : 0.0;
     const CodecKind codec = wireCodec(opts, tag.channel);
     const std::size_t payload_bytes =
         static_cast<std::size_t>(payload.numel()) * sizeof(float);
@@ -399,32 +378,22 @@ TcpTransport::sendWire(const TransferTag &tag, const Tensor &payload,
                   (codecBound(codec, payload.numel()) + 3) / 4)
             : 0);
 
-    auto recordFault = [&](FaultKind kind,
-                           std::int64_t RuntimeHealth::*counter,
-                           const char *detail, int attempt) {
-        const FaultEvent event{kind, detail, tag.tensor, tag.trainStep,
-                               tag.sender, tag.receiver, attempt};
-        if (health) {
-            ++(health->*counter);
-            health->recordEvent(event);
-        }
-        if (observer)
-            observer->onFault(event);
-    };
-
     for (int attempt = 0; attempt < opts.maxAttempts; ++attempt) {
         if (attempt > 0) {
             if (health)
-                ++health->retries;
+                health->retried();
             sleepUs(retryBackoffUs(opts, wireSeq[peer], attempt - 1));
         }
         const FaultKind net =
             injector ? injector->decideNet(tag, attempt)
                      : FaultKind::None;
         if (net == FaultKind::NetDrop) {
-            recordFault(net, &RuntimeHealth::dropsDetected,
-                        "injected connection drop before send",
-                        attempt);
+            if (health)
+                health->faultDetected(
+                    &RuntimeHealth::dropsDetected,
+                    FaultEvent::at(tag, net,
+                                   "injected connection drop before send",
+                                   attempt));
             dropPeer(peer);
             continue;
         }
@@ -454,10 +423,13 @@ TcpTransport::sendWire(const TransferTag &tag, const Tensor &payload,
         f.checksum = checksumBytes(f.payload.data(), f.payload.size());
 
         if (net == FaultKind::NetDelay) {
-            recordFault(net, &RuntimeHealth::stragglers,
-                        "injected link stall before send", attempt);
             if (health)
-                health->simulatedDelayUs += 8.0 * opts.backoffUs;
+                health->faultDetected(
+                    &RuntimeHealth::stragglers,
+                    FaultEvent::at(tag, net,
+                                   "injected link stall before send",
+                                   attempt),
+                    8.0 * opts.backoffUs);
             sleepUs(8.0 * opts.backoffUs);
         }
 
@@ -473,15 +445,21 @@ TcpTransport::sendWire(const TransferTag &tag, const Tensor &payload,
         const IoResult wrote = writeFrame(
             s, f, dist.transferDeadlineMs, truncate_to);
         if (net == FaultKind::NetTruncate) {
-            recordFault(net, &RuntimeHealth::dropsDetected,
-                        "injected truncated frame", attempt);
+            if (health)
+                health->faultDetected(
+                    &RuntimeHealth::dropsDetected,
+                    FaultEvent::at(tag, net, "injected truncated frame",
+                                   attempt));
             dropPeer(peer);
             continue;
         }
         if (wrote != IoResult::Ok) {
-            recordFault(FaultKind::NetDrop,
-                        &RuntimeHealth::dropsDetected,
-                        "send failed: connection lost", attempt);
+            if (health)
+                health->faultDetected(
+                    &RuntimeHealth::dropsDetected,
+                    FaultEvent::at(tag, FaultKind::NetDrop,
+                                   "send failed: connection lost",
+                                   attempt));
             dropPeer(peer);
             continue;
         }
@@ -493,12 +471,15 @@ TcpTransport::sendWire(const TransferTag &tag, const Tensor &payload,
             const IoResult r =
                 readFrame(s, ack, dist.transferDeadlineMs);
             if (r != IoResult::Ok) {
-                recordFault(FaultKind::NetDrop,
-                            &RuntimeHealth::dropsDetected,
+                if (health)
+                    health->faultDetected(
+                        &RuntimeHealth::dropsDetected,
+                        FaultEvent::at(
+                            tag, FaultKind::NetDrop,
                             r == IoResult::Timeout
                                 ? "ack deadline passed"
                                 : "connection lost awaiting ack",
-                            attempt);
+                            attempt));
                 dropPeer(peer);
                 nextAttempt = true;
                 break;
@@ -527,9 +508,12 @@ TcpTransport::sendWire(const TransferTag &tag, const Tensor &payload,
             if (ack.seq != f.seq)
                 continue; // stale ack of an earlier seq
             if (ack.status == FrameStatus::Reject) {
-                recordFault(FaultKind::Corrupt,
-                            &RuntimeHealth::corruptionsDetected,
-                            "receiver rejected frame (NACK)", attempt);
+                if (health)
+                    health->faultDetected(
+                        &RuntimeHealth::corruptionsDetected,
+                        FaultEvent::at(tag, FaultKind::Corrupt,
+                                       "receiver rejected frame (NACK)",
+                                       attempt));
                 nextAttempt = true;
                 break;
             }
@@ -540,15 +524,9 @@ TcpTransport::sendWire(const TransferTag &tag, const Tensor &payload,
             const TransferReceipt receipt{
                 static_cast<std::int64_t>(payload_bytes),
                 static_cast<std::int64_t>(f.payload.size())};
-            if (health) {
-                ++health->transfers;
-                health->bytesMoved += receipt.rawBytes;
-                health->bytesOnWire += receipt.wireBytes;
-            }
-            if (observer)
-                observer->onTransfer(tag, receipt.rawBytes,
-                                     receipt.wireBytes, attempt + 1,
-                                     observerNowUs() - t0);
+            if (health)
+                health->transferred(tag, receipt.rawBytes,
+                                    receipt.wireBytes, attempt + 1, t0);
             return receipt;
         }
     }
@@ -576,7 +554,7 @@ TransferReceipt
 TcpTransport::recvWire(const TransferTag &tag, const Tensor &payload,
                        Tensor &dst, std::int64_t peer)
 {
-    const double t0 = observer ? observerNowUs() : 0.0;
+    const double t0 = health ? health->clockUs() : 0.0;
     const CodecKind codec = wireCodec(opts, tag.channel);
     // Sharded receives pass an empty payload (this process has no
     // local copy of the sender's value); the pre-sized destination
@@ -588,19 +566,6 @@ TcpTransport::recvWire(const TransferTag &tag, const Tensor &payload,
                     tag.tensor);
     const std::size_t payload_bytes =
         static_cast<std::size_t>(elems) * sizeof(float);
-
-    auto recordFault = [&](FaultKind kind,
-                           std::int64_t RuntimeHealth::*counter,
-                           const char *detail, int attempt) {
-        const FaultEvent event{kind, detail, tag.tensor, tag.trainStep,
-                               tag.sender, tag.receiver, attempt};
-        if (health) {
-            ++(health->*counter);
-            health->recordEvent(event);
-        }
-        if (observer)
-            observer->onFault(event);
-    };
 
     auto sendAck = [&](NetSocket &s, std::uint64_t seq,
                        FrameStatus status) {
@@ -621,19 +586,23 @@ TcpTransport::recvWire(const TransferTag &tag, const Tensor &payload,
         WireFrame f;
         const IoResult r = readFrame(s, f, dist.transferDeadlineMs);
         if (r == IoResult::Timeout) {
-            recordFault(FaultKind::Drop,
-                        &RuntimeHealth::dropsDetected,
-                        "transfer deadline passed (dropped?)",
-                        attempt);
+            if (health)
+                health->faultDetected(
+                    &RuntimeHealth::dropsDetected,
+                    FaultEvent::at(tag, FaultKind::Drop,
+                                   "transfer deadline passed (dropped?)",
+                                   attempt));
             continue;
         }
         if (r != IoResult::Ok) {
-            recordFault(FaultKind::NetDrop,
-                        &RuntimeHealth::dropsDetected,
-                        r == IoResult::Closed
-                            ? "connection closed mid-transfer"
-                            : "malformed frame on the wire",
-                        attempt);
+            if (health)
+                health->faultDetected(
+                    &RuntimeHealth::dropsDetected,
+                    FaultEvent::at(tag, FaultKind::NetDrop,
+                                   r == IoResult::Closed
+                                       ? "connection closed mid-transfer"
+                                       : "malformed frame on the wire",
+                                   attempt));
             dropPeer(peer);
             continue;
         }
@@ -654,7 +623,11 @@ TcpTransport::recvWire(const TransferTag &tag, const Tensor &payload,
 
         if (f.generation < world_.generation) {
             if (health)
-                ++health->fencedFrames;
+                health->fenced(FaultEvent::at(
+                    tag, FaultKind::None,
+                    "fenced frame of stale generation " +
+                        std::to_string(f.generation),
+                    attempt));
             sendAck(s, f.seq, FrameStatus::Fenced);
             continue;
         }
@@ -676,28 +649,35 @@ TcpTransport::recvWire(const TransferTag &tag, const Tensor &payload,
             f.sender == tag.sender && f.receiver == tag.receiver &&
             f.tensor == tag.tensor && f.channel == tag.channel;
         if (!headerOk) {
-            recordFault(FaultKind::Corrupt,
-                        &RuntimeHealth::headerMismatches,
-                        "frame header does not match the expected "
-                        "transfer",
-                        attempt);
+            if (health)
+                health->faultDetected(
+                    &RuntimeHealth::headerMismatches,
+                    FaultEvent::at(tag, FaultKind::Corrupt,
+                                   "frame header does not match the "
+                                   "expected transfer",
+                                   attempt));
             sendAck(s, f.seq, FrameStatus::Reject);
             continue;
         }
         if (checksumBytes(f.payload.data(), f.payload.size()) !=
             f.checksum) {
-            recordFault(FaultKind::Corrupt,
-                        &RuntimeHealth::corruptionsDetected,
-                        "payload checksum mismatch", attempt);
+            if (health)
+                health->faultDetected(
+                    &RuntimeHealth::corruptionsDetected,
+                    FaultEvent::at(tag, FaultKind::Corrupt,
+                                   "payload checksum mismatch", attempt));
             sendAck(s, f.seq, FrameStatus::Reject);
             continue;
         }
         if (codec == CodecKind::None &&
             f.payload.size() != payload_bytes) {
-            recordFault(FaultKind::Corrupt,
-                        &RuntimeHealth::headerMismatches,
-                        "payload size does not match the tensor",
-                        attempt);
+            if (health)
+                health->faultDetected(
+                    &RuntimeHealth::headerMismatches,
+                    FaultEvent::at(tag, FaultKind::Corrupt,
+                                   "payload size does not match the "
+                                   "tensor",
+                                   attempt));
             sendAck(s, f.seq, FrameStatus::Reject);
             continue;
         }
@@ -718,15 +698,9 @@ TcpTransport::recvWire(const TransferTag &tag, const Tensor &payload,
         const TransferReceipt receipt{
             static_cast<std::int64_t>(payload_bytes),
             static_cast<std::int64_t>(f.payload.size())};
-        if (health) {
-            ++health->transfers;
-            health->bytesMoved += receipt.rawBytes;
-            health->bytesOnWire += receipt.wireBytes;
-        }
-        if (observer)
-            observer->onTransfer(tag, receipt.rawBytes,
-                                 receipt.wireBytes, attempt + 1,
-                                 observerNowUs() - t0);
+        if (health)
+            health->transferred(tag, receipt.rawBytes, receipt.wireBytes,
+                                attempt + 1, t0);
         return receipt;
     }
 

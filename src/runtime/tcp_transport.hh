@@ -12,7 +12,7 @@
  * *different* workers really crosses TCP: the sender's owner encodes
  * and ships the payload, the receiver's owner delivers the wire bytes
  * as authoritative (it does not shortcut to a local copy — that is
- * what makes the checksums, sequence numbers and generation fencing
+ * what makes the checksum, sequence numbers and generation fencing
  * load-bearing, and the bit-identical-to-InProcess acceptance test a
  * real test).
  *
@@ -109,7 +109,8 @@ class TcpTransport : public Transport
     /**
      * @p listener is the worker's data-plane listener (not owned; it
      * outlives transport rebuilds so the port registered with the
-     * coordinator stays valid across re-plans).
+     * coordinator stays valid across re-plans). @p health receives
+     * every wire and in-process event (not owned; nullptr = none).
      */
     TcpTransport(TransportOptions opts, DistOptions dist,
                  DistWorld world, NetListener *listener,
@@ -130,9 +131,6 @@ class TcpTransport : public Transport
 
     /** Real sockets can always fail: journaling is always on. */
     bool faultTolerant() const override { return true; }
-
-    void setHealth(RuntimeHealth *h) override;
-    void setObserver(RuntimeObserver *o) override;
 
     /** The local worker's contiguous DistWorld slice — the executors
      *  materialize tensor data only for those ranks. */
@@ -159,7 +157,6 @@ class TcpTransport : public Transport
     NetListener *listener;
     std::shared_ptr<FaultInjector> injector;
     RuntimeHealth *health = nullptr;
-    RuntimeObserver *observer = nullptr;
     std::int64_t trainStep = 0;
     /** Per-peer wire sequence, advanced on acknowledged delivery. */
     std::map<std::int64_t, std::uint64_t> wireSeq;

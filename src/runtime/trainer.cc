@@ -75,6 +75,7 @@ BlockTrainer::BlockTrainer(TrainerOptions opts_in)
                                 : defaultBlockPlan(graph, bits_);
     if (opts.runtime.faults.enabled())
         injector = std::make_shared<FaultInjector>(opts.runtime.faults);
+    health_.guard = opts.runtime.guard;
     if (!opts.transportFactory) {
         // Uniform construction path: in-process training is just the
         // default factory, not a special case in buildExecutor.
@@ -106,19 +107,16 @@ BlockTrainer::buildExecutor(const DeviceFailedError *cause)
     rt.execution.ownedDevices = transport->ownedDevices();
     exec = std::make_unique<SpmdGraphExecutor>(graph, strategies, rt);
     installTransformerBlockTransforms(*exec, opts.model);
-    transport->setHealth(&health_);
     exec->setTransport(transport.get());
-    exec->setHealth(&health_, opts.runtime.guard);
-    // One chain serves the whole stack; its address is stable, so
-    // observers attached later still reach the rebuilt executor.
-    exec->addObserver(&observers_);
-    transport->setObserver(&observers_);
+    // One sink serves the whole stack; its address is stable, so
+    // observers attached later still reach a rebuilt executor.
+    exec->setHealth(&health_);
 }
 
 void
 BlockTrainer::addObserver(RuntimeObserver *o)
 {
-    observers_.add(o);
+    health_.addObserver(o);
 }
 
 GraphIO
@@ -164,10 +162,8 @@ BlockTrainer::trainStep()
     for (;;) {
         const std::int64_t s = step_;
         try {
-            const bool watched = !observers_.empty();
-            const double t0 = watched ? observerNowUs() : 0.0;
-            if (watched)
-                observers_.onStepBegin(s);
+            const double t0 = health_.clockUs();
+            health_.stepBegan(s);
             const GraphIO io = makeBatch(s);
             exec->beginStep(s);
             const GraphResult res = exec->run(io);
@@ -185,8 +181,7 @@ BlockTrainer::trainStep()
 
             applyUpdate(res.d_params);
             ++step_;
-            if (watched)
-                observers_.onStepEnd(s, observerNowUs() - t0);
+            health_.stepEnded(s, t0);
             const CheckpointOptions &ck = opts.runtime.checkpoint;
             if (!ck.path.empty() && ck.every > 0 &&
                 step_ % ck.every == 0) {
@@ -217,8 +212,7 @@ BlockTrainer::saveCheckpointNow()
 {
     PRIMEPAR_ASSERT(!opts.runtime.checkpoint.path.empty(),
                     "no checkpoint path configured");
-    const bool watched = !observers_.empty();
-    const double t0 = watched ? observerNowUs() : 0.0;
+    const double t0 = health_.clockUs();
     const Checkpoint ck = checkpoint();
     saveCheckpoint(opts.runtime.checkpoint.path, ck);
     if (opts.runtime.checkpoint.keepHistory)
@@ -226,8 +220,7 @@ BlockTrainer::saveCheckpointNow()
                            std::to_string(step_),
                        ck);
     checkpointOnDisk = true;
-    if (watched)
-        observers_.onCheckpoint(true, step_, observerNowUs() - t0);
+    health_.checkpointed(true, step_, t0);
 }
 
 void
@@ -241,12 +234,10 @@ BlockTrainer::restoreFrom(const Checkpoint &ck)
 void
 BlockTrainer::resumeFromCheckpointFile()
 {
-    const bool watched = !observers_.empty();
-    const double t0 = watched ? observerNowUs() : 0.0;
+    const double t0 = health_.clockUs();
     restoreFrom(loadCheckpoint(opts.runtime.checkpoint.path));
     checkpointOnDisk = true;
-    if (watched)
-        observers_.onCheckpoint(false, step_, observerNowUs() - t0);
+    health_.checkpointed(false, step_, t0);
 }
 
 void

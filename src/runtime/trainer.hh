@@ -12,6 +12,10 @@
  * restoring from the last checkpoint. Batches are a pure function of
  * (seed, step), so a resumed or degraded run replays the exact loss
  * trajectory of the uninterrupted one.
+ *
+ * The trainer, its executors and its transport all report their
+ * events once to the trainer's RuntimeHealth (health()), which counts
+ * them and fans them out to the observers attached with addObserver().
  */
 
 #ifndef PRIMEPAR_RUNTIME_TRAINER_HH
@@ -132,11 +136,11 @@ class BlockTrainer
     void resyncTo(int newBits);
 
     /**
-     * Attach an observer (not owned) to the whole training stack: it
-     * receives step begin/end and checkpoint events from the trainer,
-     * spans / tensor-produced / rollback events from the executors,
-     * and transfer / fault events from the transport — surviving
-     * executor rebuilds after grid degradation.
+     * Attach an observer (not owned) to health(), the sink of the
+     * whole training stack: it receives step begin/end and checkpoint
+     * events from the trainer, spans / tensor-produced / rollback
+     * events from the executors, and transfer / fault events from the
+     * transport — surviving executor rebuilds after grid degradation.
      */
     void addObserver(RuntimeObserver *o);
 
@@ -169,10 +173,10 @@ class BlockTrainer
     std::map<std::string, Tensor> params;
     std::map<std::string, Tensor> velocity;
 
+    /** The sink every layer reports to: the transport factory and
+     *  the executor get its address on every (re)build, and
+     *  addObserver() attaches to it. */
     RuntimeHealth health_;
-    /** All attached observers; wired as one chain into the executor
-     *  and transport on every (re)build. */
-    ObserverChain observers_;
     std::shared_ptr<FaultInjector> injector;
     std::unique_ptr<Transport> transport;
     std::unique_ptr<SpmdGraphExecutor> exec;

@@ -80,16 +80,11 @@ InProcessTransport::transferInto(const TransferTag &tag_in,
 
     auto failDevice = [&](std::int64_t device) -> void {
         dead.insert(device);
-        const FaultEvent event{FaultKind::DeviceFail,
-                               "permanent device failure", tag.tensor,
-                               tag.trainStep, tag.sender, tag.receiver,
-                               0};
-        if (health) {
-            ++health->deviceFailures;
-            health->recordEvent(event);
-        }
-        if (observer)
-            observer->onFault(event);
+        if (health)
+            health->faultDetected(
+                &RuntimeHealth::deviceFailures,
+                FaultEvent::at(tag, FaultKind::DeviceFail,
+                               "permanent device failure", 0));
         throw DeviceFailedError(
             "device " + std::to_string(device) +
                 " failed permanently during " + transferContext(tag),
@@ -104,7 +99,7 @@ InProcessTransport::transferInto(const TransferTag &tag_in,
 
     const std::size_t payload_bytes =
         static_cast<std::size_t>(payload.numel()) * sizeof(float);
-    const double t0 = observer ? observerNowUs() : 0.0;
+    const double t0 = health ? health->clockUs() : 0.0;
 
     // Pooled scratch holding the encoded stream when this channel has
     // a codec; the steady state recycles the same buffer every step.
@@ -118,26 +113,11 @@ InProcessTransport::transferInto(const TransferTag &tag_in,
     std::size_t wire_bytes = payload_bytes;
 
     for (int attempt = 0; attempt < opts.maxAttempts; ++attempt) {
+        // The previous attempt failed a check: account its backoff.
+        if (attempt > 0 && health)
+            health->retried(retryBackoffUs(opts, nextSeq, attempt - 1));
         const FaultKind fault =
             injector ? injector->decide(tag, attempt) : FaultKind::None;
-
-        auto recordFault = [&](std::int64_t RuntimeHealth::*counter,
-                               const char *detail) {
-            const FaultEvent event{fault, detail, tag.tensor,
-                                   tag.trainStep, tag.sender,
-                                   tag.receiver, attempt};
-            if (health) {
-                ++(health->*counter);
-                if (attempt + 1 < opts.maxAttempts) {
-                    ++health->retries;
-                    health->simulatedDelayUs +=
-                        retryBackoffUs(opts, nextSeq, attempt);
-                }
-                health->recordEvent(event);
-            }
-            if (observer)
-                observer->onFault(event);
-        };
 
         if (fault == FaultKind::DeviceFail) {
             // The fault hits whichever endpoint the schedule named;
@@ -146,8 +126,12 @@ InProcessTransport::transferInto(const TransferTag &tag_in,
         }
         if (fault == FaultKind::Drop) {
             // The message never arrives; the receiver times out.
-            recordFault(&RuntimeHealth::dropsDetected,
-                        "transfer timed out (dropped)");
+            if (health)
+                health->faultDetected(
+                    &RuntimeHealth::dropsDetected,
+                    FaultEvent::at(tag, fault,
+                                   "transfer timed out (dropped)",
+                                   attempt));
             continue;
         }
 
@@ -170,30 +154,23 @@ InProcessTransport::transferInto(const TransferTag &tag_in,
             // faults.
             wire_bytes = codecEncode(codec, payload.data(),
                                      payload.numel(), wire);
-            if (opts.checksums)
-                msg.checksum = checksumBytes(wire, wire_bytes);
-        } else if (opts.checksums) {
+            msg.checksum = checksumBytes(wire, wire_bytes);
+        } else {
             if (dst.shape() != payload.shape())
                 dst = Tensor::uninitialized(payload.shape());
             msg.checksum = checksumCopyBytes(
                 dst.data(), payload.data(), payload_bytes);
-        } else {
-            dst = payload;
         }
 
         if (fault == FaultKind::Delay) {
             // Straggler: delivery succeeds but late. Track the delay;
             // the simulator's FaultSimModel mirrors it in latency.
-            const FaultEvent event{fault, "straggling transfer",
-                                   tag.tensor, tag.trainStep,
-                                   tag.sender, tag.receiver, attempt};
-            if (health) {
-                ++health->stragglers;
-                health->simulatedDelayUs += 8.0 * opts.backoffUs;
-                health->recordEvent(event);
-            }
-            if (observer)
-                observer->onFault(event);
+            if (health)
+                health->faultDetected(
+                    &RuntimeHealth::stragglers,
+                    FaultEvent::at(tag, fault, "straggling transfer",
+                                   attempt),
+                    8.0 * opts.backoffUs);
         } else if (fault == FaultKind::Corrupt) {
             // Corrupt either the payload or the header tags — the low
             // hash bit picks which, so both detection paths run. With
@@ -215,23 +192,28 @@ InProcessTransport::transferInto(const TransferTag &tag_in,
         }
 
         // ---- Delivery-side verification ----
-        if (opts.checksums) {
-            if (msg.trainStep != tag.trainStep || msg.seq != nextSeq ||
-                msg.phase != static_cast<int>(tag.phase) ||
-                msg.temporalStep != tag.temporalStep) {
-                recordFault(&RuntimeHealth::headerMismatches,
-                            "stale or misordered message rejected");
-                continue;
-            }
-            const std::uint64_t got =
-                codec != CodecKind::None
-                    ? checksumBytes(wire, wire_bytes)
-                    : checksumBytes(dst.data(), payload_bytes);
-            if (got != msg.checksum) {
-                recordFault(&RuntimeHealth::corruptionsDetected,
-                            "payload checksum mismatch");
-                continue;
-            }
+        if (msg.trainStep != tag.trainStep || msg.seq != nextSeq ||
+            msg.phase != static_cast<int>(tag.phase) ||
+            msg.temporalStep != tag.temporalStep) {
+            if (health)
+                health->faultDetected(
+                    &RuntimeHealth::headerMismatches,
+                    FaultEvent::at(tag, fault,
+                                   "stale or misordered message rejected",
+                                   attempt));
+            continue;
+        }
+        const std::uint64_t got =
+            codec != CodecKind::None
+                ? checksumBytes(wire, wire_bytes)
+                : checksumBytes(dst.data(), payload_bytes);
+        if (got != msg.checksum) {
+            if (health)
+                health->faultDetected(
+                    &RuntimeHealth::corruptionsDetected,
+                    FaultEvent::at(tag, fault, "payload checksum mismatch",
+                                   attempt));
+            continue;
         }
 
         // Verified frame: unpack the encoded stream into the
@@ -263,15 +245,9 @@ InProcessTransport::transferInto(const TransferTag &tag_in,
         const TransferReceipt receipt{
             static_cast<std::int64_t>(payload_bytes),
             static_cast<std::int64_t>(wire_bytes)};
-        if (health) {
-            ++health->transfers;
-            health->bytesMoved += receipt.rawBytes;
-            health->bytesOnWire += receipt.wireBytes;
-        }
-        if (observer)
-            observer->onTransfer(tag, receipt.rawBytes,
-                                 receipt.wireBytes, attempt + 1,
-                                 observerNowUs() - t0);
+        if (health)
+            health->transferred(tag, receipt.rawBytes, receipt.wireBytes,
+                                attempt + 1, t0);
         return receipt;
     }
 

@@ -18,6 +18,12 @@
  * (drop / corrupt payload / corrupt header / delay / kill device), so
  * every detection and recovery path is exercised by tests rather than
  * trusted.
+ *
+ * A transport reports each delivery, detection, retry and device
+ * failure once, to the RuntimeHealth it was constructed with
+ * (observer.hh), which counts the event and forwards it to the
+ * attached observers. That constructor argument is the only way to
+ * attach one.
  */
 
 #ifndef PRIMEPAR_RUNTIME_TRANSPORT_HH
@@ -33,13 +39,12 @@
 
 namespace primepar {
 
-class RuntimeObserver;
+class RuntimeHealth;
 
-/** Behavior knobs of the default transport. */
+/** Behavior knobs of the default transport. Header tags and the
+ *  payload checksum are always verified on delivery. */
 struct TransportOptions
 {
-    /** Verify payload checksums and header tags on delivery. */
-    bool checksums = true;
     /** Transfer attempts before escalating to TransientFaultError. */
     int maxAttempts = 4;
     /** Base of the exponential retry backoff. Attempt k waits
@@ -145,13 +150,6 @@ class Transport
      *  temporal steps for rollback. */
     virtual bool faultTolerant() const { return false; }
 
-    /** Attach a health sink (not owned; nullptr detaches). */
-    virtual void setHealth(RuntimeHealth *h) { (void)h; }
-
-    /** Report every delivered transfer (bytes, attempts, wall time)
-     *  and detected fault to @p o (not owned; nullptr detaches). */
-    virtual void setObserver(RuntimeObserver *o) { (void)o; }
-
     /** Device ranks this participant materializes locally. The
      *  default span owns every rank (single-owner execution); a
      *  multi-process transport narrows it to the local worker's
@@ -178,6 +176,7 @@ class Transport
 class InProcessTransport : public Transport
 {
   public:
+    /** @p health receives every event (not owned; nullptr = none). */
     explicit InProcessTransport(
         TransportOptions opts = {},
         std::shared_ptr<FaultInjector> injector = nullptr,
@@ -191,17 +190,12 @@ class InProcessTransport : public Transport
 
     bool faultTolerant() const override { return injector != nullptr; }
 
-    void setHealth(RuntimeHealth *h) override { health = h; }
-
-    void setObserver(RuntimeObserver *o) override { observer = o; }
-
     const std::set<std::int64_t> &deadDevices() const { return dead; }
 
   private:
     TransportOptions opts;
     std::shared_ptr<FaultInjector> injector;
     RuntimeHealth *health = nullptr;
-    RuntimeObserver *observer = nullptr;
     std::int64_t trainStep = 0;
     std::uint64_t nextSeq = 0;
     std::set<std::int64_t> dead;

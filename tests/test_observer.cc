@@ -1,11 +1,13 @@
 /**
  * @file
- * Tests of the unified RuntimeObserver API: span emission from the
- * real executor, metrics determinism across thread counts, the
- * migrated NaN/Inf guard, trainer-level milestones, calibration JSON
- * round-trips, and the deprecated flat-option alias.
+ * Tests of the runtime event path: span emission from the real
+ * executor, RuntimeHealth's fan-out to its observers, metrics
+ * determinism across thread counts, the NaN/Inf guard, trainer-level
+ * milestones, health and metrics counting each event once,
+ * calibration JSON round-trips, and the nested runtime options.
  */
 
+#include <atomic>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -36,11 +38,13 @@ linearInputs(Rng &rng)
     };
 }
 
-/** Counts every callback; used to test chain fan-out and coverage. */
+/** Counts every callback; used to test fan-out and coverage. */
 struct CountingObserver : RuntimeObserver
 {
-    int stepBegins = 0, stepEnds = 0, spans = 0, transfers = 0;
+    int stepBegins = 0, stepEnds = 0, transfers = 0;
     int faults = 0, rollbacks = 0, tensors = 0, checkpoints = 0;
+    /** onSpan may arrive concurrently (compute pool, comm worker). */
+    std::atomic<int> spans{0};
 
     void onStepBegin(std::int64_t) override { ++stepBegins; }
     void onStepEnd(std::int64_t, double) override { ++stepEnds; }
@@ -77,16 +81,18 @@ TEST(Observer, ExecutorEmitsSpansOfEveryRuntimeKind)
     const auto inputs = linearInputs(rng);
 
     TracingObserver tracer;
+    RuntimeHealth health;
+    health.addObserver(&tracer);
     InProcessTransport transport;
     SpmdOpExecutor exec(op, parseSequence(op, "P2x2"), 2);
     exec.setTransport(&transport);
-    exec.addObserver(&tracer);
+    exec.setHealth(&health);
     (void)exec.run(inputs);
     // A contracted split all-reduces the partial outputs (PSquare
     // instead migrates accumulators, so it emits no AllReduce span).
     SpmdOpExecutor split(op, parseSequence(op, "N,N"), 2);
     split.setTransport(&transport);
-    split.addObserver(&tracer);
+    split.setHealth(&health);
     (void)split.run(inputs);
 
     const Trace trace = tracer.snapshot();
@@ -116,34 +122,51 @@ TEST(Observer, ExecutorEmitsSpansOfEveryRuntimeKind)
 
 TEST(Observer, ChainFansOutToEveryMember)
 {
+    // RuntimeHealth is the one fan-out: each event method forwards its
+    // callback to every attached observer.
     CountingObserver a, b;
-    ObserverChain chain;
-    EXPECT_TRUE(chain.empty());
-    chain.add(&a);
-    chain.add(&b);
-    chain.add(nullptr); // ignored
-    EXPECT_FALSE(chain.empty());
+    RuntimeHealth health;
+    EXPECT_FALSE(health.observed());
+    health.addObserver(&a);
+    health.addObserver(&b);
+    health.addObserver(nullptr); // ignored
+    EXPECT_TRUE(health.observed());
 
-    chain.onStepBegin(0);
-    chain.onStepEnd(0, 1.0);
-    chain.onSpan(0, SpanKind::Compute, "x", 0.0, 1.0);
-    chain.onTransfer(TransferTag{}, 64, 64, 1, 1.0);
-    chain.onFault(FaultEvent{});
-    chain.onRollback(0);
+    health.stepBegan(0);
+    health.stepEnded(0, health.clockUs());
+    health.span(0, SpanKind::Compute, "x", 0.0, 1.0);
+    health.transferred(TransferTag{}, 64, 64, 1, health.clockUs());
+    health.faultDetected(&RuntimeHealth::dropsDetected, FaultEvent{});
+    health.rolledBack(FaultEvent{});
     Tensor t(Shape{1});
-    chain.onTensorProduced("x", 0, t);
-    chain.onCheckpoint(true, 0, 1.0);
+    health.tensorProduced("x", 0, t);
+    health.checkpointed(true, 0, health.clockUs());
 
     for (const CountingObserver *o : {&a, &b}) {
         EXPECT_EQ(o->stepBegins, 1);
         EXPECT_EQ(o->stepEnds, 1);
-        EXPECT_EQ(o->spans, 1);
+        EXPECT_EQ(o->spans.load(), 1);
         EXPECT_EQ(o->transfers, 1);
         EXPECT_EQ(o->faults, 1);
         EXPECT_EQ(o->rollbacks, 1);
         EXPECT_EQ(o->tensors, 1);
         EXPECT_EQ(o->checkpoints, 1);
     }
+
+    // Each event is counted once; reset() clears the counters and the
+    // log but keeps the observers and the guard.
+    EXPECT_EQ(health.transfers, 1);
+    EXPECT_EQ(health.bytesMoved, 64);
+    EXPECT_EQ(health.dropsDetected, 1);
+    EXPECT_EQ(health.stepRollbacks, 1);
+    EXPECT_EQ(health.events().size(), 2u);
+    health.guard.enabled = false;
+    health.reset();
+    EXPECT_EQ(health.transfers, 0);
+    EXPECT_EQ(health.stepRollbacks, 0);
+    EXPECT_TRUE(health.events().empty());
+    EXPECT_TRUE(health.observed());
+    EXPECT_FALSE(health.guard.enabled);
 }
 
 TEST(Observer, MetricsCountersAreThreadCountInvariant)
@@ -156,14 +179,15 @@ TEST(Observer, MetricsCountersAreThreadCountInvariant)
         const auto inputs = linearInputs(rng);
         MetricsRegistry registry;
         MetricsObserver metrics(&registry);
-        InProcessTransport transport;
-        transport.setObserver(&metrics);
+        RuntimeHealth health;
+        health.addObserver(&metrics);
+        InProcessTransport transport({}, nullptr, &health);
         ThreadPool pool(threads);
         SpmdOpExecutor exec(op, seq, 2);
         exec.setTransport(&transport);
         if (threads > 1)
             exec.setThreadPool(&pool);
-        exec.addObserver(&metrics);
+        exec.setHealth(&health);
         (void)exec.run(inputs);
         return registry.counters();
     };
@@ -187,7 +211,7 @@ TEST(Observer, GuardStillFeedsRuntimeHealthThroughSetHealth)
 
     RuntimeHealth health;
     SpmdOpExecutor exec(op, parseSequence(op, "P2x2"), 2);
-    exec.setHealth(&health, GuardOptions{});
+    exec.setHealth(&health);
     (void)exec.run(inputs);
 
     EXPECT_GT(health.anomalies.nan, 0);
@@ -260,11 +284,50 @@ TEST(Observer, TrainerReportsStepsAndCheckpoints)
     EXPECT_EQ(counting.stepBegins, 2);
     EXPECT_EQ(counting.stepEnds, 2);
     EXPECT_EQ(counting.checkpoints, 1);
-    EXPECT_GT(counting.spans, 0);     // executor spans reach the chain
+    EXPECT_GT(counting.spans.load(), 0); // executor spans reach it
     EXPECT_GT(counting.transfers, 0); // transport events reach it too
     const Histogram *lat = registry.histogram("step.latency_us");
     ASSERT_NE(lat, nullptr);
     EXPECT_EQ(lat->count(), 2);
+}
+
+TEST(Observer, HealthAndMetricsCountEveryEventOnce)
+{
+    // RuntimeHealth counts each event and forwards it to the metrics
+    // observer, so the two sinks must agree counter by counter — also
+    // under retries and a step rollback.
+    TrainerOptions opts;
+    opts.model.name = "tiny";
+    opts.model.hiddenSize = 8;
+    opts.model.numHeads = 2;
+    opts.model.ffnSize = 16;
+    opts.model.seqLength = 4;
+    opts.model.numLayers = 1;
+    opts.batch = 2;
+    opts.runtime.numBits = 2;
+    // corrupt fires == maxAttempts: one transfer exhausts its budget.
+    opts.runtime.faults =
+        FaultSpec::parse("drop=0.05,corrupt@step=1:dev=1:fires=4");
+
+    MetricsRegistry registry;
+    MetricsObserver metrics(&registry);
+    BlockTrainer trainer(opts);
+    trainer.addObserver(&metrics);
+    for (int s = 0; s < 3; ++s)
+        (void)trainer.trainStep();
+
+    const RuntimeHealth &h = trainer.health();
+    EXPECT_EQ(h.transfers, registry.counter("transport.transfers"));
+    EXPECT_EQ(h.bytesMoved, registry.counter("transport.bytes"));
+    EXPECT_EQ(h.bytesOnWire, registry.counter("transport.wire_bytes"));
+    EXPECT_EQ(h.stepRollbacks, registry.counter("executor.rollbacks"));
+    EXPECT_EQ(h.dropsDetected + h.corruptionsDetected +
+                  h.headerMismatches + h.stragglers + h.deviceFailures,
+              registry.counter("faults.detected"));
+    EXPECT_GE(h.stepRollbacks, 1);
+    EXPECT_GE(h.retries, 1);
+    EXPECT_GE(registry.counter("faults.detected"), 1);
+    EXPECT_GT(h.transfers, 0);
 }
 
 TEST(Observer, CalibrationJsonRoundTripsExactly)

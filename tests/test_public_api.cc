@@ -61,9 +61,11 @@ TEST(PublicApi, ObservabilitySurfaceThroughUmbrellaHeader)
     TracingObserver tracer;
     MetricsRegistry registry;
     MetricsObserver metrics(&registry);
+    RuntimeHealth health;
+    health.addObserver(&tracer);
+    health.addObserver(&metrics);
     SpmdOpExecutor exec(op, parseSequence(op, "P2x2"), 2);
-    exec.addObserver(&tracer);
-    exec.addObserver(&metrics);
+    exec.setHealth(&health);
     (void)exec.run(inputs);
 
     EXPECT_FALSE(tracer.snapshot().empty());
