@@ -9,7 +9,8 @@
  *    inner loops against regressions.
  *  - `--json [FILE]` (add `--quick` for CI sizes): the runtime
  *    microbench. Reports blocked-vs-naive kernel timings (ms, GFLOP/s,
- *    bytes moved, the SIMD tier that ran them), a partitioned training step across thread counts
+ *    bytes moved, the SIMD tier that ran them; gelu on every host
+ *    tier), a partitioned training step across thread counts
  *    (tokens/s, ring/all-reduce bytes, scaling efficiency), the
  *    fault-free overhead of the checksummed transport (budget < 3%),
  *    the overhead of the full observability stack (tracing + metrics,
@@ -51,6 +52,7 @@
 #include "runtime/transformer_runtime.hh"
 #include "runtime/transport.hh"
 #include "tensor/einsum.hh"
+#include "tensor/elementwise.hh"
 #include "tensor/gemm.hh"
 #include "tensor/ops.hh"
 
@@ -192,22 +194,36 @@ struct KernelReport
     std::int64_t m, n, k;
     double blocked_ms, naive_ms, max_abs_diff;
     std::int64_t bytes_moved;
+    double flops;
+    GemmIsa isa = activeGemmIsa();
 };
+
+double
+gemmFlops(std::int64_t m, std::int64_t n, std::int64_t k)
+{
+    return 2.0 * static_cast<double>(m) * static_cast<double>(n) *
+           static_cast<double>(k);
+}
+
+// Float operations per element of gelu / geluBackward on the fdlibm
+// path the typical element takes (1 <= |inner| < 22, one expm1
+// reconstruction branch): 37 for tanh (33 in expm1f) plus 8 and 18
+// around it. The vector kernels evaluate every branch, so this is the
+// algorithm's count, not the instructions retired.
+constexpr double kGeluFlops = 45.0;
+constexpr double kGeluBackwardFlops = 55.0;
 
 void
 emitKernel(std::ostream &os, const KernelReport &r, bool last)
 {
-    const double flops = 2.0 * static_cast<double>(r.m) *
-                         static_cast<double>(r.n) *
-                         static_cast<double>(r.k);
     os << "    {\"name\": \"" << r.name << "\", \"m\": " << r.m
        << ", \"n\": " << r.n << ", \"k\": " << r.k
        << ", \"blocked_ms\": " << jnum(r.blocked_ms)
        << ", \"naive_ms\": " << jnum(r.naive_ms)
        << ", \"speedup\": " << jnum(r.naive_ms / r.blocked_ms)
-       << ", \"gflops\": " << jnum(flops / (r.blocked_ms * 1e6))
+       << ", \"gflops\": " << jnum(r.flops / (r.blocked_ms * 1e6))
        << ", \"bytes_moved\": " << r.bytes_moved
-       << ", \"isa\": \"" << gemmIsaName(activeGemmIsa()) << "\""
+       << ", \"isa\": \"" << gemmIsaName(r.isa) << "\""
        << ", \"max_abs_diff\": " << jnum(r.max_abs_diff) << "}"
        << (last ? "" : ",") << "\n";
 }
@@ -233,7 +249,8 @@ runKernelBenches(bool quick)
             timeMs(1, [&] { ref = naive::linearForward(in, w); });
         reports.push_back({"linearForward", G, G, G, bms, nms,
                            static_cast<double>(blocked.maxAbsDiff(ref)),
-                           4 * (3 * G * G)});
+                           4 * (3 * G * G),
+                           gemmFlops(G, G, G)});
     }
     {
         const Tensor go = Tensor::random({S, S}, rng);
@@ -245,7 +262,8 @@ runKernelBenches(bool quick)
             timeMs(1, [&] { ref = naive::linearBackward(go, w); });
         reports.push_back({"linearBackward", S, S, S, bms, nms,
                            static_cast<double>(blocked.maxAbsDiff(ref)),
-                           4 * (3 * S * S)});
+                           4 * (3 * S * S),
+                           gemmFlops(S, S, S)});
     }
     {
         const Tensor in = Tensor::random({S, S}, rng);
@@ -257,7 +275,8 @@ runKernelBenches(bool quick)
             timeMs(1, [&] { ref = naive::linearGradient(in, go); });
         reports.push_back({"linearGradient", S, S, S, bms, nms,
                            static_cast<double>(blocked.maxAbsDiff(ref)),
-                           4 * (3 * S * S)});
+                           4 * (3 * S * S),
+                           gemmFlops(S, S, S)});
     }
     {
         const std::int64_t B = 8, M = quick ? 64 : 256;
@@ -270,7 +289,8 @@ runKernelBenches(bool quick)
             1, [&] { ref = naive::batchedMatmul(a, b, false, true); });
         reports.push_back({"batchedMatmulNT", B * M, M, M, bms, nms,
                            static_cast<double>(blocked.maxAbsDiff(ref)),
-                           4 * (3 * B * M * M)});
+                           4 * (3 * B * M * M),
+                           gemmFlops(B * M, M, M)});
     }
     {
         // The executor's generic contraction through the einsum GEMM
@@ -290,7 +310,47 @@ runKernelBenches(bool quick)
         });
         reports.push_back({"contractProduct", M, M, M, bms, nms,
                            static_cast<double>(blocked.maxAbsDiff(ref)),
-                           4 * (3 * M * M)});
+                           4 * (3 * M * M),
+                           gemmFlops(M, M, M)});
+    }
+    {
+        // The activation around every FFN contraction, on every tier
+        // the host supports ("gelu" is the active tier, "gelu.<isa>"
+        // the others), against the seed loops over std::tanh. Inputs
+        // span |inner| up to ~25, so every tanh branch is taken.
+        const std::int64_t E = quick ? (1 << 14) : (1 << 22);
+        Tensor x = Tensor::random({E}, rng);
+        x.scale(8.0f);
+        const Tensor dy = Tensor::random({E}, rng);
+        Tensor ref;
+        const double naive_fwd_ms =
+            timeMs(1, [&] { ref = naive::gelu(x); });
+        Tensor ref_bwd;
+        const double naive_bwd_ms =
+            timeMs(1, [&] { ref_bwd = naive::geluBackward(x, dy); });
+        Tensor out(Shape{E});
+        for (const GemmIsa isa :
+             {GemmIsa::Avx512f, GemmIsa::Avx2, GemmIsa::Sse2}) {
+            if (!detail::hostSupportsGemmIsa(isa))
+                continue;
+            const std::string suffix =
+                isa == activeGemmIsa() ? ""
+                                       : std::string(".") + gemmIsaName(isa);
+            double bms = timeMs(iters, [&] {
+                detail::geluOn(isa, x.data(), out.data(), E);
+            });
+            reports.push_back({"gelu" + suffix, E, 1, 1, bms, naive_fwd_ms,
+                               static_cast<double>(out.maxAbsDiff(ref)),
+                               4 * (2 * E), kGeluFlops * E, isa});
+            bms = timeMs(iters, [&] {
+                detail::geluBackwardOn(isa, x.data(), dy.data(),
+                                       out.data(), E);
+            });
+            reports.push_back(
+                {"geluBackward" + suffix, E, 1, 1, bms, naive_bwd_ms,
+                 static_cast<double>(out.maxAbsDiff(ref_bwd)),
+                 4 * (3 * E), kGeluBackwardFlops * E, isa});
+        }
     }
     return reports;
 }

@@ -5,7 +5,9 @@
 # Usage: verify.sh [--quick]
 #
 #   1. Configure + build the default tree (build/) and run the full
-#      ctest suite.
+#      ctest suite, then tanh_exhaustive: every host tier's vector tanh
+#      against std::tanh and the scalar fdlibm port on all 2^32 inputs
+#      (~1 min on 4 cores; not a ctest test for that reason).
 #   2. Calibration smoke: run primepar_calibrate --quick against the
 #      real runtime, gating on R^2 > 0.9 for every fitted pattern, and
 #      check the written ProfiledModels JSON round-trips; then a traced
@@ -26,8 +28,10 @@
 #      populated serve.request_us latency histogram (p50/p99).
 #   5. Configure + build a sanitizer tree (build-asan/) with
 #      -DPRIMEPAR_SANITIZE=ON (address+undefined) and run the fault-,
-#      codec-, planner-, dist- and serve-labelled tests there
-#      (ctest -L 'fault|codec|planner|dist|serve') — the transport's
+#      codec-, planner-, dist-, serve- and kernels-labelled tests there
+#      (ctest -L 'fault|codec|planner|dist|serve|kernels') — the
+#      elementwise kernels run padded tails at misaligned offsets, the
+#      transport's
 #      retry/rollback paths move buffers across emulated device
 #      boundaries, the async executor posts transfers into recycled
 #      pool buffers while compute runs, the codecs do raw byte-level
@@ -64,6 +68,9 @@ cmake --build "$ROOT/build" -j"$(nproc)"
 
 echo "== tier-1: ctest =="
 ctest --test-dir "$ROOT/build" --output-on-failure -j"$(nproc)"
+
+echo "== tanh_exhaustive: all 2^32 inputs on every host tier =="
+"$ROOT/build/tests/tanh_exhaustive"
 
 echo "== calibration smoke: fit models on the real runtime =="
 CAL_OUT="$(mktemp /tmp/calibration.XXXXXX.json)"
@@ -318,11 +325,11 @@ if [ "$QUICK" -eq 0 ] || [ ! -f "$ROOT/build-asan/CMakeCache.txt" ]; then
 fi
 cmake --build "$ROOT/build-asan" -j"$(nproc)" \
     --target test_fault test_codec test_optimizer test_dist \
-    test_serve primepar_worker
+    test_serve test_elementwise primepar_worker
 
-echo "== sanitizer: fault + codec + planner + dist + serve tests =="
+echo "== sanitizer: fault + codec + planner + dist + serve + kernels tests =="
 ctest --test-dir "$ROOT/build-asan" --output-on-failure \
-    -L 'fault|codec|planner|dist|serve' -j"$(nproc)"
+    -L 'fault|codec|planner|dist|serve|kernels' -j"$(nproc)"
 
 echo "== sanitizer (TSan): configure + build =="
 if [ "$QUICK" -eq 0 ] || [ ! -f "$ROOT/build-tsan/CMakeCache.txt" ]; then

@@ -1,7 +1,6 @@
 #include "observer.hh"
 
 #include <chrono>
-#include <cmath>
 #include <sstream>
 
 namespace primepar {
@@ -246,27 +245,17 @@ void
 RuntimeHealth::scan(const std::string &name, std::int64_t step,
                     const Tensor &t)
 {
-    std::int64_t nan = 0, inf = 0, explosion = 0;
-    const float *p = t.data();
     const std::int64_t n = t.numel();
-    for (std::int64_t i = 0; i < n; ++i) {
-        const float v = p[i];
-        if (std::isnan(v)) {
-            ++nan;
-        } else if (std::isinf(v)) {
-            ++inf;
-        } else if (std::fabs(v) > guard.explosionThreshold) {
-            ++explosion;
-        }
-    }
-    if (nan == 0 && inf == 0 && explosion == 0)
+    const AnomalyCounts found =
+        anomalyCounts(t.data(), n, guard.explosionThreshold);
+    if (found.total() == 0)
         return;
-    anomalies.nan += nan;
-    anomalies.inf += inf;
-    anomalies.explosion += explosion;
+    anomalies.nan += found.nan;
+    anomalies.inf += found.inf;
+    anomalies.explosion += found.explosion;
     std::ostringstream detail;
-    detail << "numeric anomaly in " << name << ": " << nan << " NaN, "
-           << inf << " Inf, " << explosion << " >|"
+    detail << "numeric anomaly in " << name << ": " << found.nan
+           << " NaN, " << found.inf << " Inf, " << found.explosion << " >|"
            << guard.explosionThreshold << "| of " << n << " elements";
     recordEvent({FaultKind::None, detail.str(), name, step, -1, -1, 0});
 }

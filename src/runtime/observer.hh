@@ -42,6 +42,7 @@
 
 #include "fault.hh"
 #include "sim/trace.hh"
+#include "tensor/elementwise.hh"
 #include "tensor/tensor.hh"
 
 namespace primepar {
@@ -155,16 +156,6 @@ class RuntimeObserver
         (void)generation;
         (void)reason;
     }
-};
-
-/** Counters of NaN/Inf/explosion detections. */
-struct AnomalyCounts
-{
-    std::int64_t nan = 0;
-    std::int64_t inf = 0;
-    std::int64_t explosion = 0;
-
-    std::int64_t total() const { return nan + inf + explosion; }
 };
 
 /**

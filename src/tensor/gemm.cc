@@ -3,20 +3,8 @@
 #include <algorithm>
 
 #include "buffer_pool.hh"
+#include "simd.hh"
 #include "support/logging.hh"
-
-#if defined(__GNUC__) || defined(__clang__)
-#define PRIMEPAR_RESTRICT __restrict__
-#define PRIMEPAR_GEMM_SIMD 1
-#define PRIMEPAR_ALWAYS_INLINE inline __attribute__((always_inline))
-#else
-#define PRIMEPAR_RESTRICT
-#define PRIMEPAR_ALWAYS_INLINE inline
-#endif
-
-#if PRIMEPAR_GEMM_SIMD && (defined(__x86_64__) || defined(__i386__))
-#define PRIMEPAR_GEMM_X86 1
-#endif
 
 namespace primepar {
 
@@ -48,14 +36,7 @@ edgeCols(const float *PRIMEPAR_RESTRICT a, std::int64_t ars,
     }
 }
 
-#if PRIMEPAR_GEMM_SIMD
-/** W-lane float vector: W = 4, 8, 16 fill an SSE, AVX, AVX-512 register. */
-template <int W>
-struct Lanes
-{
-    typedef float type __attribute__((vector_size(W * sizeof(float))));
-};
-
+#if PRIMEPAR_SIMD
 /**
  * Register micro-kernel: C[R][NV*W] += A-rows x B-panel over l in
  * [l0, l1), with R*NV accumulator vectors live across the loop. @p a
@@ -118,7 +99,7 @@ columnPanels(const float *PRIMEPAR_RESTRICT a, std::int64_t ars,
     }
     return j0;
 }
-#endif // PRIMEPAR_GEMM_SIMD
+#endif // PRIMEPAR_SIMD
 
 /**
  * Blocked C[m,n] += A x B with B dense row-major k x n. A is accessed
@@ -136,7 +117,7 @@ gemmPanels(const float *PRIMEPAR_RESTRICT a, std::int64_t ars,
     for (std::int64_t l0 = 0; l0 < k; l0 += KC) {
         const std::int64_t l1 = std::min(k, l0 + KC);
         std::int64_t j0 = 0;
-#if PRIMEPAR_GEMM_SIMD
+#if PRIMEPAR_SIMD
         if constexpr (Isa == GemmIsa::Avx512f) {
             j0 = columnPanels<8, 16, 2>(a, ars, acs, b, c, m, n, j0, l0, l1);
             j0 = columnPanels<8, 16, 1>(a, ars, acs, b, c, m, n, j0, l0, l1);
@@ -168,7 +149,7 @@ panelsSse2(const float *a, std::int64_t ars, std::int64_t acs,
     gemmPanels<GemmIsa::Sse2>(a, ars, acs, b, c, m, n, k);
 }
 
-#if PRIMEPAR_GEMM_X86
+#if PRIMEPAR_SIMD_X86
 __attribute__((target("avx2"))) void
 panelsAvx2(const float *a, std::int64_t ars, std::int64_t acs,
            const float *b, float *c, std::int64_t m, std::int64_t n,
@@ -192,7 +173,7 @@ panelsFor(GemmIsa isa)
     PRIMEPAR_ASSERT(detail::hostSupportsGemmIsa(isa), "GEMM tier ",
                     gemmIsaName(isa), " is not supported on this host");
     switch (isa) {
-#if PRIMEPAR_GEMM_X86
+#if PRIMEPAR_SIMD_X86
     case GemmIsa::Avx512f:
         return panelsAvx512f;
     case GemmIsa::Avx2:
@@ -284,14 +265,14 @@ namespace detail {
 bool
 hostSupportsGemmIsa(GemmIsa isa)
 {
-#if PRIMEPAR_GEMM_X86
+#if PRIMEPAR_SIMD_X86
     // Needed when the first GEMM runs from a static initializer.
     __builtin_cpu_init();
 #endif
     switch (isa) {
     case GemmIsa::Sse2:
         return true;
-#if PRIMEPAR_GEMM_X86
+#if PRIMEPAR_SIMD_X86
     case GemmIsa::Avx2:
         return __builtin_cpu_supports("avx2");
     case GemmIsa::Avx512f:

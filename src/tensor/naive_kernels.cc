@@ -1,7 +1,9 @@
 #include "gemm.hh"
 
 #include <algorithm>
+#include <cmath>
 
+#include "elementwise.hh"
 #include "support/logging.hh"
 
 namespace primepar {
@@ -228,6 +230,51 @@ contract(const Tensor &a, const std::vector<int> &a_dims, const Tensor &b,
         if (d < 0)
             break;
     }
+}
+
+namespace {
+
+constexpr float kGeluC = 0.7978845608028654f; // sqrt(2/pi)
+
+float
+geluScalar(float x)
+{
+    const float inner = kGeluC * (x + 0.044715f * x * x * x);
+    return 0.5f * x * (1.0f + std::tanh(inner));
+}
+
+float
+geluGradScalar(float x)
+{
+    const float inner = kGeluC * (x + 0.044715f * x * x * x);
+    const float t = std::tanh(inner);
+    const float dinner = kGeluC * (1.0f + 3.0f * 0.044715f * x * x);
+    return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * dinner;
+}
+
+} // namespace
+
+Tensor
+gelu(const Tensor &input)
+{
+    Tensor out(input.shape());
+    const float *in = input.data();
+    float *o = out.data();
+    for (std::int64_t i = 0; i < input.numel(); ++i)
+        o[i] = geluScalar(in[i]);
+    return out;
+}
+
+Tensor
+geluBackward(const Tensor &input, const Tensor &d_output)
+{
+    Tensor out(input.shape());
+    const float *in = input.data();
+    const float *gy = d_output.data();
+    float *o = out.data();
+    for (std::int64_t i = 0; i < input.numel(); ++i)
+        o[i] = gy[i] * geluGradScalar(in[i]);
+    return out;
 }
 
 } // namespace naive

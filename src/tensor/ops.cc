@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "elementwise.hh"
 #include "gemm.hh"
 #include "support/logging.hh"
 
@@ -252,36 +253,11 @@ layerNormBackward(const Tensor &input, const LayerNormResult &fwd,
     return grads;
 }
 
-namespace {
-
-constexpr float kGeluC = 0.7978845608028654f; // sqrt(2/pi)
-
-float
-geluScalar(float x)
-{
-    const float inner = kGeluC * (x + 0.044715f * x * x * x);
-    return 0.5f * x * (1.0f + std::tanh(inner));
-}
-
-float
-geluGradScalar(float x)
-{
-    const float inner = kGeluC * (x + 0.044715f * x * x * x);
-    const float t = std::tanh(inner);
-    const float dinner = kGeluC * (1.0f + 3.0f * 0.044715f * x * x);
-    return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * dinner;
-}
-
-} // namespace
-
 Tensor
 gelu(const Tensor &input)
 {
     Tensor out(input.shape());
-    const float *in = input.data();
-    float *o = out.data();
-    for (std::int64_t i = 0; i < input.numel(); ++i)
-        o[i] = geluScalar(in[i]);
+    geluKernel(input.data(), out.data(), input.numel());
     return out;
 }
 
@@ -291,11 +267,8 @@ geluBackward(const Tensor &input, const Tensor &d_output)
     PRIMEPAR_ASSERT(input.shape() == d_output.shape(),
                     "geluBackward shape mismatch");
     Tensor out(input.shape());
-    const float *in = input.data();
-    const float *gy = d_output.data();
-    float *o = out.data();
-    for (std::int64_t i = 0; i < input.numel(); ++i)
-        o[i] = gy[i] * geluGradScalar(in[i]);
+    geluBackwardKernel(input.data(), d_output.data(), out.data(),
+                       input.numel());
     return out;
 }
 

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "elementwise.hh"
 #include "support/logging.hh"
 
 namespace primepar {
@@ -274,10 +275,7 @@ Tensor::add(const Tensor &other)
     PRIMEPAR_ASSERT(other.shapeVec == shapeVec,
                     "add shape mismatch: ", shapeString(), " vs ",
                     other.shapeString());
-    float *p = storage.data();
-    const float *q = other.storage.data();
-    for (std::int64_t i = 0; i < count; ++i)
-        p[i] += q[i];
+    addKernel(storage.data(), other.storage.data(), count);
 }
 
 void
