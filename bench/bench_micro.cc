@@ -126,10 +126,11 @@ BM_TrafficSplit(benchmark::State &state)
                                Phase::Forward, 0, map, {8, 2048, 4096});
     const auto need = layoutOf(op, db, {op.outputTensor, false},
                                Phase::Forward, 0, map, {8, 2048, 4096});
-    const auto source = cm.prepareSource(have);
-    const auto prepared_need = cm.prepareNeed(need);
+    const auto have_boxes = flatBoxes(have);
+    const auto need_boxes = flatBoxes(need);
+    const auto source = cm.sourceView(have_boxes.data(), have.dimSizes);
     for (auto _ : state) {
-        const auto split = cm.trafficSplit(source, prepared_need);
+        const auto split = cm.trafficSplit(source, need_boxes.data());
         benchmark::DoNotOptimize(split.intraNode);
     }
 }

@@ -36,7 +36,9 @@
 #      boundaries, the async executor posts transfers into recycled
 #      pool buffers while compute runs, the codecs do raw byte-level
 #      bit packing, the pruned planner indexes dense edge tables
-#      through candidate-position indirection, and the plan store
+#      through candidate-position indirection and prices them from
+#      flat per-position box arrays and source views (test_cost and
+#      test_optimizer, both labelled planner), and the plan store
 #      decodes raw mmap'd bytes: exactly where lifetime and
 #      out-of-bounds bugs would hide.
 #   6. Configure + build a ThreadSanitizer tree (build-tsan/) with
@@ -48,7 +50,8 @@
 #      comm worker running a step's shift batch while the compute pool
 #      accumulates, joined before the commit, RuntimeHealth fanning
 #      spans out to observers from compute-pool threads, the planner's
-#      edge tables sharing one TrafficMemo across pool threads, and
+#      edge tables built on pool threads nested inside the per-edge
+#      parallel loop, each table slot written by one iteration, and
 #      the plan service's flight table shared by concurrent requests
 #      (PlanStore.* stays out: it forks a writer and SIGKILLs it). Any
 #      race report fails the gate.
@@ -324,7 +327,7 @@ if [ "$QUICK" -eq 0 ] || [ ! -f "$ROOT/build-asan/CMakeCache.txt" ]; then
         -DPRIMEPAR_SANITIZE=ON > /dev/null
 fi
 cmake --build "$ROOT/build-asan" -j"$(nproc)" \
-    --target test_fault test_codec test_optimizer test_dist \
+    --target test_fault test_codec test_cost test_optimizer test_dist \
     test_serve test_elementwise primepar_worker
 
 echo "== sanitizer: fault + codec + planner + dist + serve + kernels tests =="

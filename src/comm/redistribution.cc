@@ -85,7 +85,7 @@ layoutBoxes(const OpSpec &op, const PartitionSeq &seq, int num_bits,
             const TensorRef &ref, Phase phase, int t,
             const EdgeDimMap &dim_map,
             const std::vector<std::int64_t> &transfer_sizes,
-            std::vector<SliceRange> &boxes)
+            SliceRange *boxes)
 {
     checkDimMap(op, ref, dim_map, transfer_sizes);
     PRIMEPAR_ASSERT(seq.numBits() == num_bits, "sequence consumes ",
@@ -93,11 +93,10 @@ layoutBoxes(const OpSpec &op, const PartitionSeq &seq, int num_bits,
     const std::vector<std::int64_t> slices = seq.sliceCounts(op);
     const std::int64_t devices = std::int64_t{1} << num_bits;
     const std::size_t dims = dim_map.size();
-    boxes.resize(static_cast<std::size_t>(devices) * dims);
     std::vector<std::int64_t> idx(op.dims.size());
     for (std::int64_t dev = 0; dev < devices; ++dev) {
         evaluateDsi(op, seq, num_bits, phase, dev, t, idx.data());
-        SliceRange *box = boxes.data() + dev * dims;
+        SliceRange *box = boxes + dev * dims;
         for (std::size_t i = 0; i < dims; ++i) {
             const int op_dim = dim_map[i];
             box[i] = op_dim < 0 ? SliceRange{0, transfer_sizes[i]}
@@ -123,15 +122,27 @@ layoutFromBoxes(const SliceRange *boxes, std::int64_t devices,
     return layout;
 }
 
+std::vector<SliceRange>
+flatBoxes(const TensorLayout &layout)
+{
+    std::vector<SliceRange> boxes;
+    boxes.reserve(static_cast<std::size_t>(layout.numDevices()) *
+                  layout.dimSizes.size());
+    for (const auto &box : layout.deviceBox)
+        boxes.insert(boxes.end(), box.begin(), box.end());
+    return boxes;
+}
+
 TensorLayout
 layoutOf(const OpSpec &op, const PartitionSeq &seq, int num_bits,
          const TensorRef &ref, Phase phase, int t,
          const EdgeDimMap &dim_map,
          const std::vector<std::int64_t> &transfer_sizes)
 {
-    std::vector<SliceRange> boxes;
+    std::vector<SliceRange> boxes((std::size_t{1} << num_bits) *
+                                  dim_map.size());
     layoutBoxes(op, seq, num_bits, ref, phase, t, dim_map, transfer_sizes,
-                boxes);
+                boxes.data());
     return layoutFromBoxes(boxes.data(), std::int64_t{1} << num_bits,
                            transfer_sizes);
 }

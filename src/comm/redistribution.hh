@@ -66,19 +66,23 @@ TensorLayout layoutOf(const OpSpec &op, const DsiTable &dsi,
 /**
  * The boxes of layoutOf() read straight off @p seq: Algorithm 1 at
  * each device (evaluateDsi()) instead of a DsiTable, written flat to
- * @p boxes as [device * dim_map.size() + i]. Pricing many candidate
- * sequences this way builds no per-sequence table.
+ * @p boxes as [device * dim_map.size() + i], 2^num_bits devices.
+ * Pricing many candidate sequences this way builds no per-sequence
+ * table.
  */
 void layoutBoxes(const OpSpec &op, const PartitionSeq &seq, int num_bits,
                  const TensorRef &ref, Phase phase, int t,
                  const EdgeDimMap &dim_map,
                  const std::vector<std::int64_t> &transfer_sizes,
-                 std::vector<SliceRange> &boxes);
+                 SliceRange *boxes);
 
 /** The layout of @p devices flat @p boxes, laid out as layoutBoxes()
  * writes them: transfer_sizes.size() ranges per device. */
 TensorLayout layoutFromBoxes(const SliceRange *boxes, std::int64_t devices,
                              const std::vector<std::int64_t> &transfer_sizes);
+
+/** The inverse of layoutFromBoxes(): @p layout's device boxes, flat. */
+std::vector<SliceRange> flatBoxes(const TensorLayout &layout);
 
 /** layoutOf() of @p seq over @p num_bits bits, via layoutBoxes(). */
 TensorLayout layoutOf(const OpSpec &op, const PartitionSeq &seq,

@@ -243,35 +243,52 @@ CostModel::intraCost(const OpSpec &op, const PartitionSeq &seq) const
     return cost;
 }
 
-CostModel::PreparedSource
-CostModel::prepareSource(const TensorLayout &have) const
+CostModel::SourceView
+CostModel::sourceView(const SliceRange *boxes,
+                      const std::vector<std::int64_t> &dim_sizes) const
 {
-    PRIMEPAR_ASSERT(have.numDevices() == topo.numDevices(),
-                    "layout device mismatch");
-    PreparedSource src;
-    src.dims = static_cast<int>(have.deviceBox[0].size());
-    std::map<std::vector<SliceRange>, std::int32_t> index;
-    src.boxOfDevice.resize(static_cast<std::size_t>(have.numDevices()));
+    const int devices = topo.numDevices();
+    const int dims = static_cast<int>(dim_sizes.size());
+    const auto box_of = [&](std::int32_t dev) {
+        return boxes + static_cast<std::size_t>(dev) * dims;
+    };
+    const auto volume = [dims](const SliceRange *box) {
+        std::int64_t vol = 1;
+        for (int d = 0; d < dims; ++d)
+            vol *= box[d].length();
+        return vol;
+    };
+
+    // Distinct boxes: sort the devices by box, then number the runs.
+    std::vector<std::int32_t> order(devices);
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(),
+              [&](std::int32_t a, std::int32_t b) {
+        return std::lexicographical_compare(box_of(a), box_of(a) + dims,
+                                            box_of(b), box_of(b) + dims);
+    });
+    std::vector<std::int32_t> box_id(devices);
+    std::vector<std::int32_t> holder; // one device per distinct box
     std::int64_t covered = 0;
-    for (std::int64_t dev = 0; dev < have.numDevices(); ++dev) {
-        const auto &box = have.deviceBox[dev];
-        const auto [it, inserted] =
-            index.emplace(box, static_cast<std::int32_t>(index.size()));
-        if (inserted) {
-            src.boxes.insert(src.boxes.end(), box.begin(), box.end());
-            covered += have.boxVolume(dev);
+    for (int i = 0; i < devices; ++i) {
+        const std::int32_t dev = order[i];
+        if (i == 0 ||
+            !std::equal(box_of(dev), box_of(dev) + dims,
+                        box_of(order[i - 1]))) {
+            holder.push_back(dev);
+            covered += volume(box_of(dev));
         }
-        src.boxOfDevice[dev] = it->second;
+        box_id[dev] = static_cast<std::int32_t>(holder.size()) - 1;
     }
 
     // Per dim, distinct realized intervals must be pairwise disjoint
     // (layoutOf() gives each dim one slice partition), so distinct
     // boxes are disjoint; with the volume check they tile the tensor.
     std::vector<SliceRange> ivs;
-    for (int d = 0; d < src.dims; ++d) {
+    for (int d = 0; d < dims; ++d) {
         ivs.clear();
-        for (const auto &entry : index)
-            ivs.push_back(entry.first[d]);
+        for (const std::int32_t dev : holder)
+            ivs.push_back(box_of(dev)[d]);
         std::sort(ivs.begin(), ivs.end());
         ivs.erase(std::unique(ivs.begin(), ivs.end()), ivs.end());
         for (std::size_t i = 1; i < ivs.size(); ++i) {
@@ -281,122 +298,144 @@ CostModel::prepareSource(const TensorLayout &have) const
         }
     }
     std::int64_t tensor = 1;
-    for (const std::int64_t size : have.dimSizes)
+    for (const std::int64_t size : dim_sizes)
         tensor *= size;
     PRIMEPAR_ASSERT(covered == tensor, "source boxes cover ", covered,
                     " of ", tensor, " elements: not a tiling");
 
     // Distinct (domain, box) holdings, grouped by domain.
-    std::vector<std::pair<std::int32_t, std::int32_t>> held;
-    held.reserve(src.boxOfDevice.size());
-    for (std::size_t dev = 0; dev < src.boxOfDevice.size(); ++dev)
-        held.emplace_back(domainOf[dev], src.boxOfDevice[dev]);
+    std::vector<std::pair<std::int32_t, std::int32_t>> held(devices);
+    for (int dev = 0; dev < devices; ++dev)
+        held[dev] = {domainOf[dev], box_id[dev]};
     std::sort(held.begin(), held.end());
     held.erase(std::unique(held.begin(), held.end()), held.end());
-    src.domainStart.assign(static_cast<std::size_t>(numDomains) + 1, 0);
-    src.domainBoxes.reserve(held.size());
-    for (const auto &[dom, box] : held) {
-        ++src.domainStart[dom + 1];
-        src.domainBoxes.push_back(box);
-    }
-    std::partial_sum(src.domainStart.begin(), src.domainStart.end(),
-                     src.domainStart.begin());
-    return src;
-}
+    std::vector<std::int32_t> domain_start(numDomains + 1, 0);
+    for (const auto &h : held)
+        ++domain_start[h.first + 1];
+    std::partial_sum(domain_start.begin(), domain_start.end(),
+                     domain_start.begin());
 
-CostModel::PreparedNeed
-CostModel::prepareNeed(const TensorLayout &need) const
-{
-    PRIMEPAR_ASSERT(need.numDevices() == topo.numDevices(),
-                    "layout device mismatch");
-    PreparedNeed out;
-    std::map<std::vector<SliceRange>, std::int32_t> box_ids;
-    std::map<std::pair<std::int32_t, std::int32_t>, std::int32_t>
-        group_ids;
-    for (std::int64_t dev = 0; dev < need.numDevices(); ++dev) {
-        const auto [bit, binserted] = box_ids.emplace(
-            need.deviceBox[dev],
-            static_cast<std::int32_t>(out.boxes.size()));
-        if (binserted)
-            out.boxes.push_back(need.deviceBox[dev]);
-        const std::int32_t reach = reachOf[dev];
-        const auto [git, ginserted] = group_ids.emplace(
-            std::make_pair(bit->second, reach),
-            static_cast<std::int32_t>(out.groups.size()));
-        if (ginserted) {
-            PreparedNeed::Group g;
-            g.box = bit->second;
-            g.reach = reach;
-            out.groups.push_back(std::move(g));
+    // Node union per reach set. One domain's boxes are distinct
+    // already; across several (torus neighbours) they are
+    // deduplicated.
+    SourceView view;
+    view.dims = dims;
+    view.own = boxes;
+    view.unionStart.reserve(reachSets.size() + 1);
+    view.unionStart.push_back(0);
+    std::vector<std::int32_t> members;
+    std::vector<SliceRange> bound(dims);
+    for (const std::vector<std::int32_t> &reach : reachSets) {
+        members.clear();
+        for (const std::int32_t dom : reach) {
+            for (std::int32_t i = domain_start[dom];
+                 i < domain_start[dom + 1]; ++i)
+                members.push_back(held[i].second);
         }
-        out.groups[git->second].devices.push_back(
-            static_cast<std::int32_t>(dev));
+        if (reach.size() > 1) {
+            std::sort(members.begin(), members.end());
+            members.erase(std::unique(members.begin(), members.end()),
+                          members.end());
+        }
+        std::int64_t filled = 0;
+        std::copy(box_of(holder[members[0]]),
+                  box_of(holder[members[0]]) + dims, bound.begin());
+        for (const std::int32_t m : members) {
+            const SliceRange *box = box_of(holder[m]);
+            filled += volume(box);
+            for (int d = 0; d < dims; ++d) {
+                bound[d].start = std::min(bound[d].start, box[d].start);
+                bound[d].end = std::max(bound[d].end, box[d].end);
+            }
+        }
+        if (filled == volume(bound.data())) {
+            view.unionBoxes.insert(view.unionBoxes.end(), bound.begin(),
+                                   bound.end());
+        } else {
+            for (const std::int32_t m : members) {
+                view.unionBoxes.insert(view.unionBoxes.end(),
+                                       box_of(holder[m]),
+                                       box_of(holder[m]) + dims);
+            }
+        }
+        view.unionStart.push_back(
+            static_cast<std::int32_t>(view.unionBoxes.size() / dims));
     }
-    return out;
+    return view;
 }
 
+namespace {
+
+/** CostModel::trafficSplit() over @p devices receivers with reach set
+ *  ids @p reach_of. @p Dims fixes the box rank at compile time so the
+ *  per-box overlap unrolls; 0 reads it from the view. */
+template <int Dims>
 CostModel::TrafficSplit
-CostModel::trafficSplit(const PreparedSource &have,
-                        const PreparedNeed &need) const
+splitOverDevices(const CostModel::SourceView &have, const SliceRange *need,
+                 const std::int32_t *reach_of, int devices)
 {
-    const int dims = have.dims;
-    const auto overlap = [&](const std::vector<SliceRange> &need_box,
-                             std::int32_t box) {
-        const SliceRange *b =
-            have.boxes.data() + static_cast<std::size_t>(box) * dims;
+    const int dims = Dims > 0 ? Dims : have.dims;
+    const auto overlap = [dims](const SliceRange *a, const SliceRange *b) {
         std::int64_t vol = 1;
-        for (int d = 0; d < dims && vol != 0; ++d)
-            vol *= need_box[d].intersect(b[d]);
+        // Branch-free intersection: whether boxes meet is data
+        // dependent and mispredicts often.
+        for (int d = 0; d < dims; ++d)
+            vol *= std::max<std::int64_t>(
+                0, std::min(a[d].end, b[d].end) -
+                       std::max(a[d].start, b[d].start));
         return vol;
     };
 
-    TrafficSplit split;
-    std::vector<std::int32_t> seen;
-    for (const PreparedNeed::Group &g : need.groups) {
-        const auto &need_box = need.boxes[g.box];
-        const std::vector<std::int32_t> &reach = reachSets[g.reach];
-
-        // Fast share: the overlap with every distinct box held in a
-        // reached domain. One domain's boxes are distinct already;
-        // across several (torus neighbours) they are deduplicated.
+    CostModel::TrafficSplit split;
+    for (int dev = 0; dev < devices; ++dev) {
+        const SliceRange *box = need + static_cast<std::size_t>(dev) * dims;
+        const std::int32_t r = reach_of[dev];
         std::int64_t fast = 0;
-        seen.clear();
-        for (const std::int32_t dom : reach) {
-            for (std::int32_t i = have.domainStart[dom];
-                 i < have.domainStart[dom + 1]; ++i) {
-                const std::int32_t box = have.domainBoxes[i];
-                if (reach.size() > 1) {
-                    if (std::find(seen.begin(), seen.end(), box) !=
-                        seen.end())
-                        continue;
-                    seen.push_back(box);
-                }
-                fast += overlap(need_box, box);
-            }
-        }
-        // The source boxes tile the tensor: the rest of the need box
-        // comes over slow links.
-        std::int64_t slow = 1;
-        for (const SliceRange &r : need_box)
-            slow *= r.length();
-        slow -= fast;
-
-        // Each member device's own box was counted fast (a device
-        // reaches itself) but moves nothing: subtract its overlap.
-        for (const std::int32_t dev : g.devices) {
-            split.intraNode +=
-                fast - overlap(need_box, have.boxOfDevice[dev]);
-            split.interNode += slow;
-        }
+        for (std::int32_t i = have.unionStart[r];
+             i < have.unionStart[r + 1]; ++i)
+            fast += overlap(box, have.unionBoxes.data() +
+                                     static_cast<std::size_t>(i) * dims);
+        std::int64_t volume = 1;
+        for (int d = 0; d < dims; ++d)
+            volume *= box[d].length();
+        // The device's own box was counted fast (a device reaches
+        // itself) but moves nothing; the source boxes tile the
+        // tensor, so the rest of the need box comes over slow links.
+        split.intraNode +=
+            fast - overlap(box, have.own +
+                                    static_cast<std::size_t>(dev) * dims);
+        split.interNode += volume - fast;
     }
     return split;
+}
+
+} // namespace
+
+CostModel::TrafficSplit
+CostModel::trafficSplit(const SourceView &have, const SliceRange *need) const
+{
+    const int devices = topo.numDevices();
+    switch (have.dims) {
+    case 3:
+        return splitOverDevices<3>(have, need, reachOf.data(), devices);
+    case 4:
+        return splitOverDevices<4>(have, need, reachOf.data(), devices);
+    default:
+        return splitOverDevices<0>(have, need, reachOf.data(), devices);
+    }
 }
 
 CostModel::TrafficSplit
 CostModel::trafficSplit(const TensorLayout &have,
                         const TensorLayout &need) const
 {
-    return trafficSplit(prepareSource(have), prepareNeed(need));
+    PRIMEPAR_ASSERT(have.numDevices() == topo.numDevices() &&
+                        need.numDevices() == topo.numDevices(),
+                    "layout device mismatch");
+    const std::vector<SliceRange> have_boxes = flatBoxes(have);
+    const std::vector<SliceRange> need_boxes = flatBoxes(need);
+    return trafficSplit(sourceView(have_boxes.data(), have.dimSizes),
+                        need_boxes.data());
 }
 
 double

@@ -68,59 +68,46 @@ class CostModel
      * Node-union view of a source layout. The distinct boxes of a
      * layoutOf() layout tile the tensor: per dimension their intervals
      * are pairwise disjoint, and their volumes sum to the tensor's
-     * (prepareSource() asserts both). So the part of a need box a
+     * (sourceView() asserts both). So the part of a need box a
      * receiver can fetch over fast links is its overlap with the
-     * distinct boxes held in the fast-link domains it reaches, and
-     * the rest crosses slow links. Prepare once per source layout,
-     * then evaluate trafficSplit() against many destinations.
+     * union of the distinct boxes held in the fast-link domains it
+     * reaches, and the rest crosses slow links. Build once per source
+     * layout, then evaluate trafficSplit() against many destinations.
      */
-    struct PreparedSource
+    struct SourceView
     {
         int dims = 0;
-        /** Distinct boxes in first-holder order ([box * dims + d]). */
-        std::vector<SliceRange> boxes;
-        /** Each device's own box index. */
-        std::vector<std::int32_t> boxOfDevice;
-        /** Distinct boxes held per fast-link domain, CSR:
-         *  domainBoxes[domainStart[dom] .. domainStart[dom + 1]). */
-        std::vector<std::int32_t> domainStart;
-        std::vector<std::int32_t> domainBoxes;
+        /** The source's flat device boxes ([device * dims + d]). Not
+         *  owned: they must outlive the view. */
+        const SliceRange *own = nullptr;
+        /**
+         * Node union per reach set r: the boxes
+         * unionBoxes[unionStart[r] * dims .. unionStart[r + 1] * dims).
+         * One bounding box when the distinct boxes fill it (disjoint
+         * boxes whose volumes sum to it tile it), else the distinct
+         * boxes themselves.
+         */
+        std::vector<std::int32_t> unionStart;
+        std::vector<SliceRange> unionBoxes;
     };
 
-    /** Build the source view. */
-    PreparedSource prepareSource(const TensorLayout &have) const;
+    /** Build the view of the flat device boxes @p boxes of a layout
+     *  of a tensor with dims @p dim_sizes (layoutBoxes() order). */
+    SourceView sourceView(const SliceRange *boxes,
+                          const std::vector<std::int64_t> &dim_sizes) const;
 
     /**
-     * Destination view: devices grouped by (need box, fast-link reach)
-     * — all members see identical remote traffic, so the fast-link
-     * union is summed once per group.
+     * Plan-accurate traffic split of a redistribution into the flat
+     * device boxes @p need: the elements each device lacks, per source
+     * box, charged to the fast link class when a holder of that box
+     * shares a fast link (ClusterTopology::sameNode) with the
+     * receiver. Equals the link split of planRedistribution() with a
+     * topology.
      */
-    struct PreparedNeed
-    {
-        std::vector<std::vector<SliceRange>> boxes; ///< distinct
-        struct Group
-        {
-            std::int32_t box = 0;
-            std::int32_t reach = 0; ///< index into the reach sets
-            std::vector<std::int32_t> devices;
-        };
-        std::vector<Group> groups;
-    };
+    TrafficSplit trafficSplit(const SourceView &have,
+                              const SliceRange *need) const;
 
-    /** Build the destination view. */
-    PreparedNeed prepareNeed(const TensorLayout &need) const;
-
-    /**
-     * Plan-accurate traffic split of a redistribution: the elements
-     * each device lacks, per source box, charged to the fast link
-     * class when a holder of that box shares a fast link
-     * (ClusterTopology::sameNode) with the receiver. Equals the link
-     * split of planRedistribution() with a topology.
-     */
-    TrafficSplit trafficSplit(const PreparedSource &have,
-                              const PreparedNeed &need) const;
-
-    /** Convenience overload preparing both sides on the fly. */
+    /** Convenience overload flattening both layouts. */
     TrafficSplit trafficSplit(const TensorLayout &have,
                               const TensorLayout &need) const;
 

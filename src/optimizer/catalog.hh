@@ -5,13 +5,13 @@
  * The segmented DP works over, for every node, the enumerated
  * partition space with precomputed intra-operator costs, and for every
  * edge, a dense (producer-seq x consumer-seq) table of inter-operator
- * costs. Edge tables are built over *layout classes*: many sequences
- * induce the same boundary distribution of the transferred tensor, so
- * traffic is evaluated once per class pair instead of once per
- * sequence pair.
+ * costs. An edge table writes the boundary device boxes of every
+ * candidate sequence once per side, builds one node-union source view
+ * per producing position, and prices each sequence pair straight from
+ * those flat boxes.
  *
  * Construction is embarrassingly parallel (one output slot per
- * sequence / class pair / sequence pair) and accepts an optional
+ * sequence / position / sequence pair) and accepts an optional
  * ThreadPool; results are identical at any thread count. Catalogs of
  * structurally identical nodes are shared via CatalogCache (see
  * catalog_cache.hh).
@@ -22,9 +22,7 @@
 
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cost/cost_model.hh"
@@ -97,28 +95,7 @@ struct EdgeCostTable
     }
 };
 
-/**
- * Cross-edge memo of class-pair traffic splits. Traffic depends only
- * on the two boundary device-box geometries and the topology, so
- * edges carrying identically-shaped tensors (most of a transformer
- * block) ask the same questions — one run-scoped memo answers them
- * once. Each geometry is interned once to a 32-bit id and a pair is
- * keyed (have id << 32) | need id. Ids depend on the order parallel
- * edges arrive in, but each names exactly one geometry, so the
- * values stay deterministic. Thread-safe; a duplicate concurrent
- * computation stores the same integers.
- */
-struct TrafficMemo
-{
-    std::mutex mutex;
-    /** Interned geometries: byte-serialized device boxes -> id. */
-    std::unordered_map<std::string, std::uint32_t> ids;
-    std::unordered_map<std::uint64_t, CostModel::TrafficSplit> map;
-    /** Pair lookups answered from @ref map. */
-    std::uint64_t hits = 0;
-};
-
-/** Table-construction knobs (defaults: every pair, no memo). */
+/** Table-construction knobs (defaults: every pair). */
 struct EdgeTableOptions
 {
     /**
@@ -138,8 +115,6 @@ struct EdgeTableOptions
      * +inf (the default) evaluates every pair.
      */
     double pairBudget = std::numeric_limits<double>::infinity();
-    /** Optional cross-edge traffic memo (see TrafficMemo). */
-    TrafficMemo *memo = nullptr;
 };
 
 /**

@@ -69,8 +69,6 @@ struct DpContext
      *  the admissible completion bound exceed it are provably off
      *  every optimal plan. kInf = no pruning (exhaustive mode). */
     double ubLayer = kInf;
-    /** Run-scoped cross-edge traffic memo. */
-    TrafficMemo trafficMemo;
     /** Prefix sums of per-node minimum candidate intra cost, for the
      *  completion bound. */
     std::vector<double> minPrefix;
@@ -145,7 +143,6 @@ struct DpContext
             EdgeTableOptions topts;
             topts.srcCandidates = &cand[edges[e].src];
             topts.dstCandidates = &cand[edges[e].dst];
-            topts.memo = &trafficMemo;
             if (ubLayer < kInf) {
                 // Same admissible bound as the per-node slack filter,
                 // with both endpoints fixed: a pair costing more than

@@ -158,14 +158,16 @@ TEST(CostModel, TrafficSplitMatchesFullPlan)
             };
         std::int64_t checked = 0, fast_bytes = 0;
         for (const auto &[haves, needs] : phases) {
-            std::vector<CostModel::PreparedNeed> prepared_needs;
+            std::vector<std::vector<SliceRange>> need_boxes;
             for (const auto &need : needs)
-                prepared_needs.push_back(cm.prepareNeed(need));
+                need_boxes.push_back(flatBoxes(need));
             for (const auto &have : haves) {
-                const auto source = cm.prepareSource(have);
+                const auto have_boxes = flatBoxes(have);
+                const auto source =
+                    cm.sourceView(have_boxes.data(), have.dimSizes);
                 for (std::size_t n = 0; n < needs.size(); ++n) {
                     const auto split =
-                        cm.trafficSplit(source, prepared_needs[n]);
+                        cm.trafficSplit(source, need_boxes[n].data());
                     const RedistPlan plan =
                         planRedistribution(have, needs[n], &topo);
                     std::int64_t intra = 0, inter = 0;
@@ -191,29 +193,84 @@ TEST(CostModel, TrafficSplitMatchesFullPlan)
     }
 }
 
+TEST(CostModel, TrafficSplitMatchesFullPlanOnOtherRanks)
+{
+    // The evaluator unrolls its per-device loop for 3- and 4-dim
+    // boxes; transfer tensors of any other rank take the generic loop,
+    // which must agree with the full planner just the same. Rank 2
+    // drops the batch dim (its split becomes replication), rank 5 adds
+    // two dims no device splits.
+    const OpSpec op = makeLinearOp("fc", 16, 16, 16, 16);
+    struct Case
+    {
+        EdgeDimMap outMap, inMap;
+        std::vector<std::int64_t> sizes;
+    };
+    const std::vector<Case> cases{
+        {{1, 3}, {1, 2}, {16, 16}},
+        {{0, 1, 3, -1, -1}, {0, 1, 2, -1, -1}, {16, 16, 16, 2, 3}},
+    };
+    for (const ClusterTopology &topo :
+         {ClusterTopology::paperCluster(8), ClusterTopology::torus2d(4)}) {
+        const CostModel cm(topo, profileModels(topo));
+        const int bits = topo.numBits();
+        for (const Case &c : cases) {
+            const auto haves =
+                distinctLayouts(op, bits, {op.outputTensor, false},
+                                Phase::Forward, true, c.outMap, c.sizes);
+            const auto needs = distinctLayouts(
+                op, bits, {0, false}, Phase::Forward, false, c.inMap,
+                c.sizes);
+            std::int64_t checked = 0;
+            for (const auto &have : haves) {
+                for (const auto &need : needs) {
+                    const auto split = cm.trafficSplit(have, need);
+                    const RedistPlan plan =
+                        planRedistribution(have, need, &topo);
+                    std::int64_t intra = 0, inter = 0;
+                    for (const auto &tr : plan.transfers) {
+                        if (topo.sameNode(tr.src, tr.dst))
+                            intra += tr.elements;
+                        else
+                            inter += tr.elements;
+                    }
+                    ASSERT_EQ(split.intraNode, intra)
+                        << c.sizes.size() << " dims, pair " << checked;
+                    ASSERT_EQ(split.interNode, inter)
+                        << c.sizes.size() << " dims, pair " << checked;
+                    ++checked;
+                }
+            }
+            EXPECT_GT(checked, 10);
+        }
+    }
+}
+
 TEST(CostModelDeath, PrepareSourceRejectsOverlappingIntervals)
 {
     // A source whose per-dim intervals overlap is no product grid;
-    // the range query would double-count, so preparation refuses it.
+    // the node union would double-count, so the view refuses it.
     const ClusterTopology topo = ClusterTopology::paperCluster(2);
     const CostModel cm(topo, profileModels(topo));
     TensorLayout have;
     have.dimSizes = {6};
     have.deviceBox = {{SliceRange{0, 4}}, {SliceRange{2, 6}}};
-    EXPECT_DEATH(cm.prepareSource(have), "not a product grid");
+    EXPECT_DEATH(cm.sourceView(flatBoxes(have).data(), have.dimSizes),
+                 "not a product grid");
 }
 
 TEST(CostModelDeath, PrepareSourceRejectsUncoveredTensor)
 {
     // Disjoint boxes that leave a hole do not tile the tensor: the
     // slow-link share (need volume minus the fast share) would charge
-    // elements nobody holds, so preparation refuses it.
+    // elements nobody holds, so the view refuses it.
     const ClusterTopology topo = ClusterTopology::paperCluster(2);
     const CostModel cm(topo, profileModels(topo));
     TensorLayout have;
     have.dimSizes = {6};
     have.deviceBox = {{SliceRange{0, 2}}, {SliceRange{4, 6}}};
-    EXPECT_DEATH(cm.prepareSource(have), "not a tiling");
+    EXPECT_DEATH(cm.sourceView(flatBoxes(have).data(), have.dimSizes),
+                 "not a tiling");
 }
 
 TEST(CostModel, IntraCheaperThanInterRedistribution)

@@ -200,34 +200,71 @@ TEST(Catalog, SymbolicCostMatchesOpPlanOracle)
     expectSymbolicMatchesOracle(block, cost, beam, 16);
 }
 
-TEST(Catalog, EdgeTableMemoMatchesFreshEvaluation)
+TEST(Catalog, EdgeTableMatchesFullPlanPerPair)
 {
-    // Interned memo ids must name exactly one geometry: every edge
-    // table built through one shared memo is bit-identical to a fresh
-    // evaluation, and the memo must actually serve hits, so a key
-    // collision between two geometries would show.
+    // Every priced entry of an edge table is the forward plus backward
+    // link split of the full redistribution planner, through the
+    // fitted latency model: checked on a hierarchical cluster and on a
+    // torus (reach sets spanning several domains), on every edge, over
+    // a fixed stride of (producer, consumer) sequence pairs.
+    constexpr std::size_t kStride = 101;
     for (const ClusterTopology &topo : {ClusterTopology::paperCluster(16),
                                         ClusterTopology::torus2d(4)}) {
         const CostModel cost(topo, profileModels(topo));
+        const int bits = topo.numBits();
         const CompGraph g = buildTransformerBlock(opt6p7b(), 8);
         const auto catalogs = buildAllNodeCatalogs(g, cost, {});
-        TrafficMemo memo;
-        EdgeTableOptions shared;
-        shared.memo = &memo;
+        std::int64_t intra = 0, inter = 0;
+        const auto add_split = [&](const TensorLayout &have,
+                                   const TensorLayout &need) {
+            const RedistPlan plan = planRedistribution(have, need, &topo);
+            for (const BlockTransfer &tr : plan.transfers)
+                (topo.sameNode(tr.src, tr.dst) ? intra : inter) +=
+                    tr.elements;
+        };
+        std::size_t checked = 0;
         for (const GraphEdge &edge : g.edges()) {
+            const OpSpec &producer = g.node(edge.src);
+            const OpSpec &consumer = g.node(edge.dst);
             const NodeCatalog &src = *catalogs[edge.src];
             const NodeCatalog &dst = *catalogs[edge.dst];
-            const auto memoized =
-                buildEdgeCostTable(g, edge, src, dst, cost, nullptr, shared);
-            const auto fresh = buildEdgeCostTable(g, edge, src, dst, cost);
-            ASSERT_EQ(memoized.cost.size(), fresh.cost.size());
-            EXPECT_EQ(std::memcmp(memoized.cost.data(), fresh.cost.data(),
-                                  fresh.cost.size() * sizeof(float)),
-                      0)
-                << topo.numDevices() << " devices, edge " << edge.src
-                << " -> " << edge.dst;
+            const auto table = buildEdgeCostTable(g, edge, src, dst, cost);
+            const auto sizes = g.transferSizes(edge);
+            EdgeDimMap consumer_map;
+            for (int d : consumer.tensors[edge.dstTensor].dims)
+                consumer_map.push_back(d);
+            const TensorRef out{producer.outputTensor, false};
+            const TensorRef d_out{producer.outputTensor, true};
+            const TensorRef in{edge.dstTensor, false};
+            const TensorRef d_in{edge.dstTensor, true};
+            for (std::size_t idx = 0; idx < table.cost.size();
+                 idx += kStride) {
+                const PartitionSeq &a = src.seqs[idx / dst.size()];
+                const PartitionSeq &b = dst.seqs[idx % dst.size()];
+                intra = inter = 0;
+                add_split(layoutOf(producer, a, bits, out, Phase::Forward,
+                                   a.temporalSteps() - 1, edge.dimMap,
+                                   sizes),
+                          layoutOf(consumer, b, bits, in, Phase::Forward, 0,
+                                   consumer_map, sizes));
+                add_split(layoutOf(consumer, b, bits, d_in,
+                                   Phase::Backward, b.temporalSteps() - 1,
+                                   consumer_map, sizes),
+                          layoutOf(producer, a, bits, d_out,
+                                   Phase::Backward, 0, edge.dimMap,
+                                   sizes));
+                const double bpe = consumer.bytesPerElement;
+                const float want = static_cast<float>(cost.redistLatencyUs(
+                    static_cast<double>(intra) * bpe,
+                    static_cast<double>(inter) * bpe));
+                EXPECT_EQ(table.cost[idx], want)
+                    << topo.numDevices() << " devices, edge " << edge.src
+                    << " -> " << edge.dst << ", " << a.toString(producer)
+                    << " -> " << b.toString(consumer);
+                ++checked;
+            }
         }
-        EXPECT_GT(memo.hits, 0u);
+        EXPECT_GT(checked, 500u);
     }
 }
 
