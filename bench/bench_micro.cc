@@ -17,11 +17,13 @@
  *    same budget), the async comm/compute overlap win on a
  *    communication-heavy config over an emulated link (step speedup
  *    and fraction of transfer time hidden; budgets >= 1.15x and >=
- *    60% at full size), the per-codec bytes-on-wire of a
- *    bf16-rounded gradient payload (pack must cost <= 0.7x raw and
- *    round-trip exactly) and buffer pool statistics as a
- *    `primepar-bench-runtime-v1` JSON
- *    document, validated by scripts/bench_check.sh.
+ *    60% at full size), the per-worker peak RSS of a sharded TCP job
+ *    and buffer pool statistics as a `primepar-bench-runtime-v1` JSON
+ *    document, validated by scripts/bench_check.sh. The document
+ *    stamps `commit` with the measured sources' identity (see
+ *    bench::sourceCommit()). Written to FILE, an existing record of
+ *    another commit moves into the new record's `history` list; one
+ *    of the same commit is replaced.
  */
 
 #include <benchmark/benchmark.h>
@@ -31,8 +33,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -43,6 +43,7 @@
 #include <unistd.h>
 
 #include "baselines/megatron.hh"
+#include "common.hh"
 #include "cost/cost_model.hh"
 #include "partition/comm_pattern.hh"
 #include "partition/space.hh"
@@ -755,74 +756,6 @@ emitOverlapEfficiency(std::ostream &os, bool quick)
        << "  },\n";
 }
 
-/** Wire compression of a bit-packable gradient workload: bf16-rounded
- *  fp32 through each codec-equipped transport channel. Budget: the
- *  lossless pack stream is <= 0.7x the raw bytes, round-tripped
- *  exactly. */
-void
-emitBytesOnWire(std::ostream &os, bool quick)
-{
-    const std::int64_t n = quick ? (1 << 14) : (1 << 20);
-    Rng rng(4242);
-    Tensor grads = Tensor::random(Shape{n}, rng);
-    // Gradients that went through a bf16 stage: the canonical
-    // bit-packable payload (low 16 bits zero).
-    float *p = grads.data();
-    for (std::int64_t i = 0; i < n; ++i) {
-        std::uint32_t u;
-        std::memcpy(&u, &p[i], 4);
-        u &= 0xffff0000u;
-        std::memcpy(&p[i], &u, 4);
-    }
-
-    TransferTag tag;
-    tag.tensor = "dW";
-    tag.channel = "allreduce";
-    tag.sender = 0;
-    tag.receiver = 1;
-    const int iters = quick ? 2 : 5;
-
-    os << "  \"bytes_on_wire\": {\n"
-       << "    \"elements\": " << n << ",\n"
-       << "    \"raw_bytes\": " << 4 * n << ",\n"
-       << "    \"codecs\": [\n";
-
-    bool pack_exact = false;
-    double pack_ratio = 1.0;
-    const char *codecs[] = {"none", "pack", "bf16", "int8"};
-    for (std::size_t c = 0; c < 4; ++c) {
-        TransportOptions topts;
-        topts.codec = CodecConfig::parse(codecs[c]);
-        RuntimeHealth health;
-        InProcessTransport transport(topts, nullptr, &health);
-        Tensor recv;
-        const double ms = timeMs(
-            iters, [&] { transport.transferInto(tag, grads, recv); });
-        const std::int64_t wire = health.bytesOnWire /
-                                  std::max<std::int64_t>(
-                                      health.transfers, 1);
-        const double ratio = static_cast<double>(wire) /
-                             static_cast<double>(4 * n);
-        const bool exact = recv.maxAbsDiff(grads) == 0.0f;
-        if (std::string(codecs[c]) == "pack") {
-            pack_exact = exact;
-            pack_ratio = ratio;
-        }
-        os << "      {\"codec\": \"" << codecs[c]
-           << "\", \"wire_bytes\": " << wire
-           << ", \"ratio\": " << jnum(ratio)
-           << ", \"ms_per_transfer\": " << jnum(ms)
-           << ", \"exact\": " << (exact ? "true" : "false") << "}"
-           << (c + 1 < 4 ? "," : "") << "\n";
-    }
-
-    os << "    ],\n"
-       << "    \"pack_ratio\": " << jnum(pack_ratio) << ",\n"
-       << "    \"pack_exact_round_trip\": "
-       << (pack_exact ? "true" : "false") << "\n"
-       << "  },\n";
-}
-
 /** Fork a real distributed job — `primepar_worker --serve` plus
  *  @p numWorkers workers on its ephemeral port — and return the
  *  largest per-worker peak RSS (KiB), or -1 on launch failure. Each
@@ -937,6 +870,8 @@ runRuntimeBench(const std::string &out_path, bool quick)
     std::ostringstream os;
     os << "{\n"
        << "  \"schema\": \"primepar-bench-runtime-v1\",\n"
+       << "  \"commit\": \""
+       << bench::sourceCommit(PRIMEPAR_SOURCE_DIR) << "\",\n"
        << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
        << "  \"hardware_threads\": " << hardwareConcurrency() << ",\n";
 
@@ -951,7 +886,6 @@ runRuntimeBench(const std::string &out_path, bool quick)
     emitFaultOverhead(os, quick);
     emitObserverOverhead(os, quick);
     emitOverlapEfficiency(os, quick);
-    emitBytesOnWire(os, quick);
     emitWorkerRss(os, quick);
 
     const BufferPoolStats ps = BufferPool::global().stats();
@@ -964,15 +898,18 @@ runRuntimeBench(const std::string &out_path, bool quick)
 
     if (out_path.empty()) {
         std::cout << os.str();
-    } else {
-        std::ofstream f(out_path);
-        if (!f) {
-            std::cerr << "cannot open " << out_path << "\n";
-            return 1;
-        }
-        f << os.str();
-        std::cerr << "wrote " << out_path << "\n";
+        return 0;
     }
+    try {
+        saveJsonFile(out_path,
+                     bench::withPreviousRecord(out_path,
+                                               parseJson(os.str())));
+    } catch (const std::exception &e) {
+        std::cerr << "cannot write " << out_path << ": " << e.what()
+                  << "\n";
+        return 1;
+    }
+    std::cerr << "wrote " << out_path << "\n";
     return 0;
 }
 

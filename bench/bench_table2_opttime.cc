@@ -46,7 +46,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -181,55 +180,31 @@ sameCell(const JsonValue &a, const JsonValue &b)
 }
 
 /**
- * Fold the record already at @p path into @p record. A record of the
- * same commit is extended: its cells are replaced by re-measured ones
- * or kept, and its other members stay, so several sweeps build up one
- * commit's record. A record of another commit moves, whole, to the end
- * of the new record's `history` list (after its own history).
+ * A re-run of the same commit extends its record: cells are replaced
+ * by re-measured ones or kept, and the record's other members stay, so
+ * several sweeps build up one commit's record.
  */
 JsonValue
-withPreviousRecord(const std::string &path, JsonValue record)
+mergeSweeps(const JsonValue &prev, JsonValue record)
 {
-    // An empty file (e.g. fresh from mktemp) holds no record.
-    if (!std::filesystem::exists(path) ||
-        std::filesystem::file_size(path) == 0)
-        return record;
-    const JsonValue prev = loadJsonFile(path);
-    const JsonValue *prev_commit = prev.find("commit");
-    if (prev_commit &&
-        prev_commit->toString(0) == record.at("commit").toString(0)) {
-        JsonValue merged = prev;
-        JsonValue results = JsonValue::array();
-        const auto &fresh = record.at("results").items();
-        for (const JsonValue &old_cell : prev.at("results").items()) {
-            if (std::none_of(fresh.begin(), fresh.end(),
-                             [&](const JsonValue &c) {
-                                 return sameCell(c, old_cell);
-                             }))
-                results.push(old_cell);
-        }
-        for (const JsonValue &cell : fresh)
-            results.push(cell);
-        merged.set("host_threads", record.at("host_threads"));
-        merged.set("deterministic",
-                   prev.at("deterministic").asBool() &&
-                       record.at("deterministic").asBool());
-        merged.set("results", std::move(results));
-        return merged;
+    JsonValue merged = prev;
+    JsonValue results = JsonValue::array();
+    const auto &fresh = record.at("results").items();
+    for (const JsonValue &old_cell : prev.at("results").items()) {
+        if (std::none_of(fresh.begin(), fresh.end(),
+                         [&](const JsonValue &c) {
+                             return sameCell(c, old_cell);
+                         }))
+            results.push(old_cell);
     }
-    JsonValue history = JsonValue::array();
-    JsonValue archived = JsonValue::object();
-    for (const auto &[key, value] : prev.members()) {
-        if (key != "history")
-            archived.set(key, value);
-    }
-    if (const JsonValue *older = prev.find("history")) {
-        for (const JsonValue &entry : older->items())
-            history.push(entry);
-    }
-    history.push(std::move(archived));
-    record.set("history", std::move(history));
-    return record;
+    for (const JsonValue &cell : fresh)
+        results.push(cell);
+    merged.set("host_threads", record.at("host_threads"));
+    merged.set("deterministic",
+               prev.at("deterministic").asBool() &&
+                   record.at("deterministic").asBool());
+    merged.set("results", std::move(results));
+    return merged;
 }
 
 int
@@ -392,7 +367,8 @@ runSweep(const SweepOptions &opts)
         try {
             saveJsonFile(opts.jsonPath,
                          withPreviousRecord(opts.jsonPath,
-                                            std::move(record)));
+                                            std::move(record),
+                                            mergeSweeps));
         } catch (const std::exception &e) {
             std::fprintf(stderr, "cannot write %s: %s\n",
                          opts.jsonPath.c_str(), e.what());

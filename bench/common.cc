@@ -1,6 +1,7 @@
 #include "common.hh"
 
 #include <cstdio>
+#include <filesystem>
 
 namespace primepar {
 namespace bench {
@@ -116,6 +117,37 @@ for dirpath, dirnames, filenames in os.walk(os.path.join(root, 'src')):
             digest.update(f.read())
 print('src-sha256:' + digest.hexdigest()[:16])
 " ')" + root + "'");
+}
+
+JsonValue
+withPreviousRecord(const std::string &path, JsonValue record,
+                   const SameCommitMerge &sameCommit)
+{
+    if (!std::filesystem::exists(path) ||
+        std::filesystem::file_size(path) == 0)
+        return record;
+    const JsonValue prev = loadJsonFile(path);
+    const JsonValue *prev_commit = prev.find("commit");
+    const bool same_commit =
+        prev_commit &&
+        prev_commit->toString(0) == record.at("commit").toString(0);
+    if (same_commit && sameCommit)
+        return sameCommit(prev, std::move(record));
+    JsonValue history = JsonValue::array();
+    if (const JsonValue *older = prev.find("history")) {
+        for (const JsonValue &entry : older->items())
+            history.push(entry);
+    }
+    if (!same_commit) {
+        JsonValue archived = JsonValue::object();
+        for (const auto &[key, value] : prev.members()) {
+            if (key != "history")
+                archived.set(key, value);
+        }
+        history.push(std::move(archived));
+    }
+    record.set("history", std::move(history));
+    return record;
 }
 
 } // namespace bench

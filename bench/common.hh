@@ -12,6 +12,7 @@
 #ifndef PRIMEPAR_BENCH_COMMON_HH
 #define PRIMEPAR_BENCH_COMMON_HH
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "graph/transformer.hh"
 #include "optimizer/segmented_dp.hh"
 #include "sim/model_sim.hh"
+#include "support/json.hh"
 #include "support/table.hh"
 
 namespace primepar {
@@ -69,6 +71,23 @@ double tokensPerSecond(const ModelConfig &model, std::int64_t batch,
  * perfbench/run.py stamps (via python3).
  */
 std::string sourceCommit(const std::string &root);
+
+/** Builds the record to write from the previous record of the same
+ *  commit and the fresh one. */
+using SameCommitMerge =
+    std::function<JsonValue(const JsonValue &prev, JsonValue fresh)>;
+
+/**
+ * Fold the record already at @p path into the fresh @p record, whose
+ * `commit` member is set, so a record file holds one record per
+ * commit plus the history of earlier ones. A record of another commit
+ * moves, whole, to the end of the new record's `history` list (after
+ * its own history). A record of the same commit goes to
+ * @p sameCommit; without one, the fresh record replaces it and keeps
+ * its history. A missing or empty file holds no record.
+ */
+JsonValue withPreviousRecord(const std::string &path, JsonValue record,
+                             const SameCommitMerge &sameCommit = {});
 
 } // namespace bench
 } // namespace primepar

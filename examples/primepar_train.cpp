@@ -13,7 +13,7 @@
  *                  [--lr LR] [--momentum M] [--seed SEED]
  *                  [--checkpoint FILE] [--checkpoint-every N]
  *                  [--resume] [--fault-spec SPEC] [--plan dp|heuristic]
- *                  [--codec SPEC] [--no-overlap]
+ *                  [--no-overlap]
  *                  [--trace-out FILE] [--metrics-out FILE]
  *
  * Observability: --trace-out records every runtime span through a
@@ -25,12 +25,7 @@
  * Communication: ring shifts overlap with compute by default
  * (--no-overlap runs each step's shifts inline after compute instead
  * of on the comm thread — useful for A/B timing; both move the same
- * transfers in the same order and produce bit-identical results). --codec compresses
- * wire traffic per channel (see CodecConfig::parse), e.g.:
- *   --codec pack                  # lossless bit-packing, everywhere
- *   --codec "ring=pack,allreduce=bf16"
- * After training the demo prints raw vs on-wire bytes so the codec's
- * effect is visible.
+ * transfers in the same order and produce bit-identical results).
  *
  * Fault specs (see FaultSpec::parse), e.g.:
  *   --fault-spec "drop=0.01,corrupt=0.005,seed=7"
@@ -73,7 +68,6 @@ struct Options
     bool resume = false;
     std::string faultSpec;
     std::string plan = "heuristic";
-    std::string codec;
     bool overlap = true;
     std::string traceOut;
     std::string metricsOut;
@@ -125,8 +119,6 @@ parseArgs(int argc, char **argv)
             opts.faultSpec = next();
         } else if (arg == "--plan") {
             opts.plan = next();
-        } else if (arg == "--codec") {
-            opts.codec = next();
         } else if (arg == "--no-overlap") {
             opts.overlap = false;
         } else if (arg == "--trace-out") {
@@ -143,8 +135,7 @@ parseArgs(int argc, char **argv)
                 " [--checkpoint FILE]\n"
                 "            [--checkpoint-every N] [--resume]"
                 " [--fault-spec SPEC]\n"
-                "            [--plan dp|heuristic] [--codec SPEC]"
-                " [--no-overlap]\n"
+                "            [--plan dp|heuristic] [--no-overlap]\n"
                 "            [--trace-out FILE]"
                 " [--metrics-out FILE]\n"
                 "--no-overlap runs ring shifts inline after compute"
@@ -232,9 +223,6 @@ main(int argc, char **argv)
     try {
         if (!opts.faultSpec.empty())
             topts.runtime.faults = FaultSpec::parse(opts.faultSpec);
-        if (!opts.codec.empty())
-            topts.runtime.transport.codec =
-                CodecConfig::parse(opts.codec);
 
         std::printf("training %lldx%lldx%lld block on %d devices"
                     " (plan: %s%s)\n",
@@ -286,12 +274,11 @@ main(int argc, char **argv)
                         opts.metricsOut.c_str());
         }
 
-        // Communication volume: the last step's logical payloads plus
-        // the run's exact per-transfer raw/wire byte totals (these
-        // differ from CommVolume::rawBytes() when all-reduces ran —
-        // the wire carries gather + broadcast hops).
+        // Communication volume of the last step's logical payloads.
+        // The health report below holds the run's exact per-transfer
+        // byte total, which differs from CommVolume::rawBytes() when
+        // all-reduces ran (the wire carries gather + broadcast hops).
         const CommVolume comm = trainer.lastStepComm();
-        const RuntimeHealth &health = trainer.health();
         std::printf("\nlast step comm: %lld ring elements, "
                     "%lld all-reduce elements (%d reduces), "
                     "%lld raw bytes\n",
@@ -299,17 +286,6 @@ main(int argc, char **argv)
                     static_cast<long long>(comm.allReduceElements),
                     comm.allReduceCount,
                     static_cast<long long>(comm.rawBytes()));
-        if (health.transfers > 0 && health.bytesMoved > 0) {
-            std::printf(
-                "wire traffic (run total): raw %lld bytes, on wire "
-                "%lld bytes (%.2fx%s%s)\n",
-                static_cast<long long>(health.bytesMoved),
-                static_cast<long long>(health.bytesOnWire),
-                static_cast<double>(health.bytesOnWire) /
-                    static_cast<double>(health.bytesMoved),
-                opts.codec.empty() ? "" : ", codec ",
-                opts.codec.c_str());
-        }
 
         std::printf("\n%s\n", trainer.health().report().c_str());
         return 0;

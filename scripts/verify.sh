@@ -28,14 +28,14 @@
 #      populated serve.request_us latency histogram (p50/p99).
 #   5. Configure + build a sanitizer tree (build-asan/) with
 #      -DPRIMEPAR_SANITIZE=ON (address+undefined) and run the fault-,
-#      codec-, planner-, dist-, serve- and kernels-labelled tests there
-#      (ctest -L 'fault|codec|planner|dist|serve|kernels') — the
-#      elementwise kernels run padded tails at misaligned offsets, the
-#      transport's
+#      planner-, dist-, serve- and kernels-labelled tests there
+#      (ctest -L 'fault|planner|dist|serve|kernels') — the elementwise
+#      kernels run padded tails at misaligned offsets, the transport's
 #      retry/rollback paths move buffers across emulated device
 #      boundaries, the async executor posts transfers into recycled
-#      pool buffers while compute runs, the codecs do raw byte-level
-#      bit packing, the pruned planner indexes dense edge tables
+#      pool buffers while compute runs, the TCP receive copies wire
+#      bytes into a pre-sized destination behind its payload-size
+#      check, the pruned planner indexes dense edge tables
 #      through candidate-position indirection and prices them from
 #      flat per-position box arrays and source views (test_cost and
 #      test_optimizer, both labelled planner), and the plan store
@@ -45,16 +45,16 @@
 #      -DPRIMEPAR_SANITIZE=thread and run the Parallel.*,
 #      SpmdExecutor.*, Transport.*, Trainer.*, GraphExecutor.*,
 #      Catalog.*, SegmentedDp.*, Pruning.*, CostModel.*, PlanService.*,
-#      PlanServer.*, Observer.*, CodecTransport.* and Guard.* suites
-#      there: the thread pool's completion handshake, the executor's
-#      comm worker running a step's shift batch while the compute pool
-#      accumulates, joined before the commit, RuntimeHealth fanning
-#      spans out to observers from compute-pool threads, the planner's
-#      edge tables built on pool threads nested inside the per-edge
-#      parallel loop, each table slot written by one iteration, and
-#      the plan service's flight table shared by concurrent requests
-#      (PlanStore.* stays out: it forks a writer and SIGKILLs it). Any
-#      race report fails the gate.
+#      PlanServer.*, Observer.* and Guard.* suites there: the thread
+#      pool's completion handshake, the executor's comm worker running
+#      a step's shift batch while the compute pool accumulates, joined
+#      before the commit, RuntimeHealth fanning spans out to observers
+#      from compute-pool threads, the planner's edge tables built on
+#      pool threads nested inside the per-edge parallel loop, each
+#      table slot written by one iteration, and the plan service's
+#      flight table shared by concurrent requests (PlanStore.* stays
+#      out: it forks a writer and SIGKILLs it). Any race report fails
+#      the gate.
 #
 # --quick skips a sanitizer reconfigure when its build tree is already
 # configured. Exits non-zero on the first failure.
@@ -327,12 +327,12 @@ if [ "$QUICK" -eq 0 ] || [ ! -f "$ROOT/build-asan/CMakeCache.txt" ]; then
         -DPRIMEPAR_SANITIZE=ON > /dev/null
 fi
 cmake --build "$ROOT/build-asan" -j"$(nproc)" \
-    --target test_fault test_codec test_cost test_optimizer test_dist \
+    --target test_fault test_cost test_optimizer test_dist \
     test_serve test_elementwise primepar_worker
 
-echo "== sanitizer: fault + codec + planner + dist + serve + kernels tests =="
+echo "== sanitizer: fault + planner + dist + serve + kernels tests =="
 ctest --test-dir "$ROOT/build-asan" --output-on-failure \
-    -L 'fault|codec|planner|dist|serve|kernels' -j"$(nproc)"
+    -L 'fault|planner|dist|serve|kernels' -j"$(nproc)"
 
 echo "== sanitizer (TSan): configure + build =="
 if [ "$QUICK" -eq 0 ] || [ ! -f "$ROOT/build-tsan/CMakeCache.txt" ]; then
@@ -341,12 +341,12 @@ if [ "$QUICK" -eq 0 ] || [ ! -f "$ROOT/build-tsan/CMakeCache.txt" ]; then
 fi
 cmake --build "$ROOT/build-tsan" -j"$(nproc)" \
     --target test_support test_runtime test_fault test_graph_executor \
-    test_optimizer test_cost test_serve test_observer test_codec
+    test_optimizer test_cost test_serve test_observer
 
 echo "== sanitizer (TSan): pool + executor + transport + trainer + observer + planner + serve tests =="
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     ctest --test-dir "$ROOT/build-tsan" --output-on-failure \
-    -R '^(Parallel|SpmdExecutor|Transport|Trainer|GraphExecutor|Catalog|SegmentedDp|Pruning|CostModel|PlanService|PlanServer|Observer|CodecTransport|Guard)\.' \
+    -R '^(Parallel|SpmdExecutor|Transport|Trainer|GraphExecutor|Catalog|SegmentedDp|Pruning|CostModel|PlanService|PlanServer|Observer|Guard)\.' \
     -j"$(nproc)"
 
 echo "verify.sh: all gates passed"

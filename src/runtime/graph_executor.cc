@@ -210,7 +210,6 @@ SpmdGraphExecutor::stats() const
         total.ringElements += e->stats().ringElements;
         total.allReduceElements += e->stats().allReduceElements;
         total.allReduceCount += e->stats().allReduceCount;
-        total.wireBytes += e->stats().wireBytes;
     }
     return total;
 }

@@ -178,14 +178,13 @@ MetricsObserver::onTransfer(const TransferTag &tag, std::int64_t bytes,
                             std::int64_t wire_bytes, int attempts,
                             double wall_us)
 {
+    (void)wire_bytes;
     (void)attempts;
     reg->add("transport.transfers");
     reg->add("transport.bytes", bytes);
-    reg->add("transport.wire_bytes", wire_bytes);
     const std::string channel = tag.channel;
     reg->add("transport.transfers." + channel);
     reg->add("transport.bytes." + channel, bytes);
-    reg->add("transport.wire_bytes." + channel, wire_bytes);
     reg->observe("transport.transfer_us." + channel, wall_us);
 }
 

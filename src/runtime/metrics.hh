@@ -99,7 +99,6 @@ class MetricsRegistry
  * Counter schema (all deterministic):
  *   steps
  *   transport.transfers[.<channel>]   transport.bytes[.<channel>]
- *   transport.wire_bytes[.<channel>]  (post-codec bytes on the wire)
  *   faults.detected  faults.<kind>    executor.rollbacks
  *   anomalies.scans                   checkpoint.saves / .restores
  *   spans.<kind>

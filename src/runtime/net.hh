@@ -99,7 +99,7 @@ NetSocket netConnect(const std::string &host, int port,
 enum class FrameType : std::uint8_t {
     Hello = 1,     ///< data-plane handshake (sender = worker id)
     HelloAck = 2,  ///< handshake accepted
-    Data = 3,      ///< one tensor transfer (payload = encoded bytes)
+    Data = 3,      ///< one tensor transfer (payload = raw fp32 bytes)
     Ack = 4,       ///< answer to Data (status field)
     Heartbeat = 5, ///< worker liveness beacon (control plane)
     Ctrl = 6,      ///< control request (tensor = verb, payload = JSON)

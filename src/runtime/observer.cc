@@ -72,18 +72,16 @@ RuntimeHealth::addObserver(RuntimeObserver *o)
 }
 
 void
-RuntimeHealth::transferred(const TransferTag &tag, std::int64_t raw_bytes,
-                           std::int64_t wire_bytes, int attempts,
-                           double start_us)
+RuntimeHealth::transferred(const TransferTag &tag, std::int64_t bytes,
+                           int attempts, double start_us)
 {
     ++transfers;
-    bytesMoved += raw_bytes;
-    bytesOnWire += wire_bytes;
+    bytesMoved += bytes;
     if (observers.empty())
         return;
     const double wall_us = observerNowUs() - start_us;
     for (RuntimeObserver *o : observers)
-        o->onTransfer(tag, raw_bytes, wire_bytes, attempts, wall_us);
+        o->onTransfer(tag, bytes, bytes, attempts, wall_us);
 }
 
 void
@@ -202,7 +200,7 @@ RuntimeHealth::report() const
     std::ostringstream os;
     os << "RuntimeHealth:\n"
        << "  transfers          " << transfers << " (" << bytesMoved
-       << " bytes, " << bytesOnWire << " on wire)\n"
+       << " bytes)\n"
        << "  drops detected     " << dropsDetected << "\n"
        << "  corrupt payloads   " << corruptionsDetected << "\n"
        << "  header mismatches  " << headerMismatches << "\n"

@@ -86,9 +86,10 @@ class RuntimeObserver
         (void)end_us;
     }
 
-    /** One successfully delivered transfer of @p bytes payload bytes
-     *  — of which @p wire_bytes actually crossed the wire post-codec
-     *  — after @p attempts attempts, taking @p wall_us. */
+    /** One successfully delivered transfer of @p bytes raw fp32
+     *  payload bytes after @p attempts attempts, taking @p wall_us.
+     *  Payloads cross the wire as those raw bytes, so the runtime
+     *  passes @p wire_bytes equal to @p bytes. */
     virtual void
     onTransfer(const TransferTag &tag, std::int64_t bytes,
                std::int64_t wire_bytes, int attempts, double wall_us)
@@ -178,8 +179,6 @@ class RuntimeHealth
     // Transport counters.
     std::int64_t transfers = 0;
     std::int64_t bytesMoved = 0;
-    /** Post-codec bytes; equals bytesMoved only without a codec. */
-    std::int64_t bytesOnWire = 0;
     std::int64_t dropsDetected = 0;
     std::int64_t corruptionsDetected = 0;  ///< payload checksum mismatch
     std::int64_t headerMismatches = 0;     ///< seq/step tag mismatch
@@ -220,10 +219,10 @@ class RuntimeHealth
 
     // ---- Events ----
 
-    /** A transfer was delivered after @p attempts attempts. */
-    void transferred(const TransferTag &tag, std::int64_t raw_bytes,
-                     std::int64_t wire_bytes, int attempts,
-                     double start_us);
+    /** A transfer of @p bytes payload bytes was delivered after
+     *  @p attempts attempts. */
+    void transferred(const TransferTag &tag, std::int64_t bytes,
+                     int attempts, double start_us);
 
     /** A detected fault: bumps @p counter (a detection counter or
      *  deviceFailures), adds @p delay_us of simulated delay, logs

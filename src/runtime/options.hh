@@ -94,7 +94,7 @@ struct RuntimeOptions
     /** Device-id bits: 2^n emulated devices. */
     int numBits = 2;
     ExecutionOptions execution;
-    /** Transport framing: retry budget, backoff, codecs, link. */
+    /** Transport framing: retry budget, backoff, emulated link. */
     TransportOptions transport;
     /** Fault injection (disabled by default). */
     FaultSpec faults;

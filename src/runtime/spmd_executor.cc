@@ -112,9 +112,9 @@ SpmdOpExecutor::gather(const TensorRef &ref) const
     // participant walks the ranks in the same ascending order — the
     // owner multicasts each slice to one representative rank per peer
     // span, everyone else receives exactly once — so the pairwise
-    // wire order matches on both ends of every socket. The channel
-    // pins the identity codec (tcp_transport), keeping the gathered
-    // bytes equal to the owner's, i.e. to a one-worker run's.
+    // wire order matches on both ends of every socket. Slices travel
+    // as raw bytes, so the gathered values equal the owner's, i.e. a
+    // one-worker run's.
     const std::vector<DeviceSpan> peers =
         (!ownedSpan.all() && transport) ? transport->peerSpans()
                                         : std::vector<DeviceSpan>{};
@@ -224,9 +224,7 @@ SpmdOpExecutor::runShifts(ShiftBatch &batch)
             tag.temporalStep = batch.toT;
             tag.sender = recv.sender;
             tag.receiver = recv.receiver;
-            batch.wireBytes +=
-                transport->transferInto(tag, *recv.src, recv.staged)
-                    .wireBytes;
+            transport->transferInto(tag, *recv.src, recv.staged);
         } else if (!transport) {
             recv.staged = *recv.src;
         }
@@ -247,7 +245,6 @@ SpmdOpExecutor::commitShifts(ShiftBatch &batch)
         slot.tuple = std::move(recv.tuple);
     }
     commStats.ringElements += batch.elements;
-    commStats.wireBytes += batch.wireBytes;
 }
 
 void
@@ -595,20 +592,14 @@ SpmdOpExecutor::runPass(int pass_index,
                         const Tensor &payload =
                             member_local ? out_store[member].data
                                          : empty;
-                        commStats.wireBytes +=
-                            transport->transferInto(tag, payload, recv)
-                                .wireBytes;
+                        transport->transferInto(tag, payload, recv);
                         sum.add(recv);
                     } else {
                         // Only the member is owned here: wire-send
                         // its partial to the leader's owner.
                         Tensor scratch;
-                        commStats.wireBytes +=
-                            transport
-                                ->transferInto(
-                                    tag, out_store[member].data,
-                                    scratch)
-                                .wireBytes;
+                        transport->transferInto(
+                            tag, out_store[member].data, scratch);
                     }
                 }
                 for (std::size_t i = 0; i < group.size(); ++i) {
@@ -633,25 +624,17 @@ SpmdOpExecutor::runPass(int pass_index,
                     tag.sender = leader;
                     tag.receiver = member;
                     if (leader_local && member_local) {
-                        commStats.wireBytes +=
-                            transport
-                                ->transferInto(
-                                    tag, sum, out_store[member].data)
-                                .wireBytes;
+                        transport->transferInto(
+                            tag, sum, out_store[member].data);
                     } else if (leader_local) {
                         Tensor scratch;
-                        commStats.wireBytes +=
-                            transport->transferInto(tag, sum, scratch)
-                                .wireBytes;
+                        transport->transferInto(tag, sum, scratch);
                     } else {
                         // Only the member is owned: receive the
                         // reduced sum into its slot.
                         const Tensor empty;
-                        commStats.wireBytes +=
-                            transport
-                                ->transferInto(
-                                    tag, empty, out_store[member].data)
-                                .wireBytes;
+                        transport->transferInto(
+                            tag, empty, out_store[member].data);
                     }
                 }
                 commStats.allReduceElements +=

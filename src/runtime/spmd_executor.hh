@@ -61,11 +61,6 @@ struct CommVolume
     std::int64_t ringElements = 0;      ///< ring shift traffic
     std::int64_t allReduceElements = 0; ///< summed all-reduce payloads
     int allReduceCount = 0;             ///< number of grouped all-reduces
-    /** Post-codec bytes that actually crossed the transport (all
-     *  channels). 4 bytes per element when no codec is configured;
-     *  0 when transfers are direct in-process copies (no transport —
-     *  there is no wire). */
-    std::int64_t wireBytes = 0;
 
     /** Raw fp32 bytes of the counted communication volume. Note the
      *  all-reduce convention: allReduceElements counts each reduce's
@@ -226,9 +221,7 @@ class SpmdOpExecutor
         bool commitData = true;
     };
 
-    /** One step's shifts on one channel ("ring" or "acc"). wireBytes
-     *  is written by whichever thread runs the batch and read after
-     *  the join (synchronized by SerialWorker's wait()). */
+    /** One step's shifts on one channel ("ring" or "acc"). */
     struct ShiftBatch
     {
         const char *channel = "";
@@ -237,7 +230,6 @@ class SpmdOpExecutor
         bool traced = false;
         std::vector<PendingRecv> recvs;
         std::int64_t elements = 0;
-        std::int64_t wireBytes = 0;
     };
 
     /** Index of @p ref into stores / names: 2 * tensor + grad. */

@@ -9,7 +9,6 @@
 #include "errors.hh"
 #include "observer.hh"
 #include "support/logging.hh"
-#include "tensor/buffer_pool.hh"
 
 namespace primepar {
 
@@ -33,19 +32,6 @@ sleepUs(double us)
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::micro>(us));
     }
-}
-
-/** Per-channel wire codec, with the all-gather pinned to the
- *  identity codec: a gathered slice must reproduce the owner's bytes
- *  exactly (the owner keeps its local copy un-decoded), or a lossy
- *  codec would make a multi-worker gather diverge from a one-worker
- *  run's. */
-CodecKind
-wireCodec(const TransportOptions &opts, const std::string &channel)
-{
-    if (channel == "gather")
-        return CodecKind::None;
-    return opts.codec.forChannel(channel.c_str());
 }
 
 } // namespace
@@ -314,7 +300,7 @@ TcpTransport::ensurePeer(std::int64_t peer, const TransferTag &tag)
         peerDevice);
 }
 
-TransferReceipt
+void
 TcpTransport::transferInto(const TransferTag &tag_in,
                            const Tensor &payload, Tensor &dst)
 {
@@ -331,16 +317,17 @@ TcpTransport::transferInto(const TransferTag &tag_in,
         // Both endpoints live on other workers: the owners move the
         // bytes without this process (the executor's span-aware paths
         // should not even issue it — this is the safe no-op).
-        return {};
+        return;
     }
     if (senderOwner == receiverOwner) {
         // Both endpoints live here: delegate to the in-process
         // transport.
-        return inner->transferInto(tag_in, payload, dst);
+        inner->transferInto(tag_in, payload, dst);
+    } else if (world_.myWorker == senderOwner) {
+        sendWire(tag, payload, receiverOwner);
+    } else {
+        recvWire(tag, payload, dst, senderOwner);
     }
-    if (world_.myWorker == senderOwner)
-        return sendWire(tag, payload, receiverOwner);
-    return recvWire(tag, payload, dst, senderOwner);
 }
 
 DeviceSpan
@@ -364,19 +351,15 @@ TcpTransport::peerSpans() const
     return spans;
 }
 
-TransferReceipt
+void
 TcpTransport::sendWire(const TransferTag &tag, const Tensor &payload,
                        std::int64_t peer)
 {
     const double t0 = health ? health->clockUs() : 0.0;
-    const CodecKind codec = wireCodec(opts, tag.channel);
     const std::size_t payload_bytes =
         static_cast<std::size_t>(payload.numel()) * sizeof(float);
-    Workspace scratch(
-        codec != CodecKind::None
-            ? static_cast<std::int64_t>(
-                  (codecBound(codec, payload.numel()) + 3) / 4)
-            : 0);
+    const std::uint8_t *const raw =
+        reinterpret_cast<const std::uint8_t *>(payload.data());
 
     for (int attempt = 0; attempt < opts.maxAttempts; ++attempt) {
         if (attempt > 0) {
@@ -409,17 +392,7 @@ TcpTransport::sendWire(const TransferTag &tag, const Tensor &payload,
         f.receiver = tag.receiver;
         f.channel = tag.channel;
         f.tensor = tag.tensor;
-        if (codec != CodecKind::None) {
-            std::uint8_t *const wire =
-                reinterpret_cast<std::uint8_t *>(scratch.data());
-            const std::size_t wire_bytes = codecEncode(
-                codec, payload.data(), payload.numel(), wire);
-            f.payload.assign(wire, wire + wire_bytes);
-        } else {
-            const std::uint8_t *raw =
-                reinterpret_cast<const std::uint8_t *>(payload.data());
-            f.payload.assign(raw, raw + payload_bytes);
-        }
+        f.payload.assign(raw, raw + payload_bytes);
         f.checksum = checksumBytes(f.payload.data(), f.payload.size());
 
         if (net == FaultKind::NetDelay) {
@@ -521,13 +494,11 @@ TcpTransport::sendWire(const TransferTag &tag, const Tensor &payload,
             // Acknowledged delivery: advance the pair seq. The
             // receiver is the only process materializing this value.
             ++wireSeq[peer];
-            const TransferReceipt receipt{
-                static_cast<std::int64_t>(payload_bytes),
-                static_cast<std::int64_t>(f.payload.size())};
             if (health)
-                health->transferred(tag, receipt.rawBytes,
-                                    receipt.wireBytes, attempt + 1, t0);
-            return receipt;
+                health->transferred(
+                    tag, static_cast<std::int64_t>(payload_bytes),
+                    attempt + 1, t0);
+            return;
         }
     }
 
@@ -550,12 +521,11 @@ TcpTransport::sendWire(const TransferTag &tag, const Tensor &payload,
         tag.tensor, tag.sender, tag.receiver, tag.trainStep);
 }
 
-TransferReceipt
+void
 TcpTransport::recvWire(const TransferTag &tag, const Tensor &payload,
                        Tensor &dst, std::int64_t peer)
 {
     const double t0 = health ? health->clockUs() : 0.0;
-    const CodecKind codec = wireCodec(opts, tag.channel);
     // Sharded receives pass an empty payload (this process has no
     // local copy of the sender's value); the pre-sized destination
     // then defines the expected element count.
@@ -669,8 +639,7 @@ TcpTransport::recvWire(const TransferTag &tag, const Tensor &payload,
             sendAck(s, f.seq, FrameStatus::Reject);
             continue;
         }
-        if (codec == CodecKind::None &&
-            f.payload.size() != payload_bytes) {
+        if (f.payload.size() != payload_bytes) {
             if (health)
                 health->faultDetected(
                     &RuntimeHealth::headerMismatches,
@@ -687,21 +656,14 @@ TcpTransport::recvWire(const TransferTag &tag, const Tensor &payload,
         // caller's pre-sized destination shape.
         if (payload.numel() > 0 && dst.shape() != payload.shape())
             dst = Tensor::uninitialized(payload.shape());
-        if (codec != CodecKind::None) {
-            codecDecode(codec, f.payload.data(), f.payload.size(),
-                        dst.data(), elems);
-        } else {
-            std::memcpy(dst.data(), f.payload.data(), payload_bytes);
-        }
+        std::memcpy(dst.data(), f.payload.data(), payload_bytes);
         sendAck(s, f.seq, FrameStatus::Ok);
         ++wireSeq[peer];
-        const TransferReceipt receipt{
-            static_cast<std::int64_t>(payload_bytes),
-            static_cast<std::int64_t>(f.payload.size())};
         if (health)
-            health->transferred(tag, receipt.rawBytes, receipt.wireBytes,
-                                attempt + 1, t0);
-        return receipt;
+            health->transferred(
+                tag, static_cast<std::int64_t>(payload_bytes),
+                attempt + 1, t0);
+        return;
     }
 
     auto it = conns.find(peer);

@@ -9,8 +9,8 @@
  * a contiguous device range (DistWorld). A transfer whose endpoints
  * are owned by the same worker is delegated to an internal
  * InProcessTransport. A transfer whose endpoints are owned by
- * *different* workers really crosses TCP: the sender's owner encodes
- * and ships the payload, the receiver's owner delivers the wire bytes
+ * *different* workers really crosses TCP: the sender's owner ships
+ * the payload's raw fp32 bytes, the receiver's owner delivers the wire bytes
  * as authoritative (it does not shortcut to a local copy — that is
  * what makes the checksum, sequence numbers and generation fencing
  * load-bearing, and the bit-identical-to-InProcess acceptance test a
@@ -20,8 +20,8 @@
  * (Transport::ownedDevices narrows the executors' span), so per-worker
  * resident memory shrinks as W grows. Transfers between two other workers do
  * not involve this process at all; gathers of full tensors all-gather
- * the non-local slices over the codec-exempt "gather" channel, so
- * gathered bytes equal the owners' exactly. A one-worker run owns
+ * the non-local slices over the "gather" channel, so gathered bytes
+ * equal the owners' exactly. A one-worker run owns
  * every device and is the bit-identity oracle for multi-worker runs.
  *
  * ## Lockstep rollback
@@ -118,9 +118,8 @@ class TcpTransport : public Transport
                  RuntimeHealth *health = nullptr);
     ~TcpTransport() override;
 
-    TransferReceipt transferInto(const TransferTag &tag,
-                                 const Tensor &payload,
-                                 Tensor &dst) override;
+    void transferInto(const TransferTag &tag, const Tensor &payload,
+                      Tensor &dst) override;
 
     /**
      * Advance the step counter; also where a scheduled
@@ -144,11 +143,10 @@ class TcpTransport : public Transport
   private:
     NetSocket &ensurePeer(std::int64_t peer, const TransferTag &tag);
     void dropPeer(std::int64_t peer);
-    TransferReceipt sendWire(const TransferTag &tag,
-                             const Tensor &payload, std::int64_t peer);
-    TransferReceipt recvWire(const TransferTag &tag,
-                             const Tensor &payload, Tensor &dst,
-                             std::int64_t peer);
+    void sendWire(const TransferTag &tag, const Tensor &payload,
+                  std::int64_t peer);
+    void recvWire(const TransferTag &tag, const Tensor &payload,
+                  Tensor &dst, std::int64_t peer);
     void throwFenced(std::uint64_t theirGeneration);
 
     TransportOptions opts;

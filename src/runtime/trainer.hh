@@ -147,9 +147,8 @@ class BlockTrainer
     RuntimeHealth &health() { return health_; }
     const TrainerOptions &options() const { return opts; }
     std::int64_t step() const { return step_; }
-    /** Communication volume of the most recent training step — raw
-     *  ring/all-reduce elements plus post-codec bytes on the wire, so
-     *  callers can print the compression ratio per run. */
+    /** Communication volume of the most recent training step: ring
+     *  and all-reduce elements and the all-reduce count. */
     CommVolume lastStepComm() const { return exec->stats(); }
     /** Current grid size in bits (shrinks after a device failure). */
     int deviceBits() const { return bits_; }

@@ -8,7 +8,6 @@
 #include "errors.hh"
 #include "observer.hh"
 #include "support/logging.hh"
-#include "tensor/buffer_pool.hh"
 
 namespace primepar {
 
@@ -70,13 +69,12 @@ InProcessTransport::InProcessTransport(
                     "transport needs at least one attempt");
 }
 
-TransferReceipt
+void
 InProcessTransport::transferInto(const TransferTag &tag_in,
                                  const Tensor &payload, Tensor &dst)
 {
     TransferTag tag = tag_in;
     tag.trainStep = trainStep;
-    const CodecKind codec = opts.codec.forChannel(tag.channel);
 
     auto failDevice = [&](std::int64_t device) -> void {
         dead.insert(device);
@@ -101,17 +99,6 @@ InProcessTransport::transferInto(const TransferTag &tag_in,
         static_cast<std::size_t>(payload.numel()) * sizeof(float);
     const double t0 = health ? health->clockUs() : 0.0;
 
-    // Pooled scratch holding the encoded stream when this channel has
-    // a codec; the steady state recycles the same buffer every step.
-    Workspace scratch(
-        codec != CodecKind::None
-            ? static_cast<std::int64_t>(
-                  (codecBound(codec, payload.numel()) + 3) / 4)
-            : 0);
-    std::uint8_t *const wire =
-        reinterpret_cast<std::uint8_t *>(scratch.data());
-    std::size_t wire_bytes = payload_bytes;
-
     for (int attempt = 0; attempt < opts.maxAttempts; ++attempt) {
         // The previous attempt failed a check: account its backoff.
         if (attempt > 0 && health)
@@ -135,32 +122,20 @@ InProcessTransport::transferInto(const TransferTag &tag_in,
             continue;
         }
 
-        // Build the message. Codec-free path: one payload copy into
-        // the receiver's buffer (exactly what the transport-free path
-        // performed) plus the header; the send checksum is computed
-        // inside the copy pass, so the payload is read from memory
-        // once, not twice, and a same-shape destination recycles its
-        // storage. Codec path: encode into the wire scratch — the
-        // encoded bytes are the message body, so they are what gets
-        // checksummed, corrupted, verified, and only then decoded.
+        // Build the message: one payload copy into the receiver's
+        // buffer (exactly what the transport-free path performed) plus
+        // the header. The send checksum is computed inside the copy
+        // pass, so the payload is read from memory once, not twice,
+        // and a same-shape destination recycles its storage.
         Message msg;
         msg.seq = nextSeq;
         msg.trainStep = tag.trainStep;
         msg.phase = static_cast<int>(tag.phase);
         msg.temporalStep = tag.temporalStep;
-        if (codec != CodecKind::None) {
-            // Re-encoded per attempt so a corrupted retry starts from
-            // pristine bytes; extra attempts only occur under injected
-            // faults.
-            wire_bytes = codecEncode(codec, payload.data(),
-                                     payload.numel(), wire);
-            msg.checksum = checksumBytes(wire, wire_bytes);
-        } else {
-            if (dst.shape() != payload.shape())
-                dst = Tensor::uninitialized(payload.shape());
-            msg.checksum = checksumCopyBytes(
-                dst.data(), payload.data(), payload_bytes);
-        }
+        if (dst.shape() != payload.shape())
+            dst = Tensor::uninitialized(payload.shape());
+        msg.checksum =
+            checksumCopyBytes(dst.data(), payload.data(), payload_bytes);
 
         if (fault == FaultKind::Delay) {
             // Straggler: delivery succeeds but late. Track the delay;
@@ -173,21 +148,18 @@ InProcessTransport::transferInto(const TransferTag &tag_in,
                     8.0 * opts.backoffUs);
         } else if (fault == FaultKind::Corrupt) {
             // Corrupt either the payload or the header tags — the low
-            // hash bit picks which, so both detection paths run. With
-            // a codec the *encoded* bytes are flipped: detection must
-            // work on what the wire actually carries.
+            // hash bit picks which, so both detection paths run. The
+            // payload fault flips bits of one byte, which changes the
+            // payload whatever it holds; arithmetic on a value would
+            // not (x + 1 == x for |x| >= 2^24, inf and NaN).
             const bool header = (msg.seq ^ static_cast<std::uint64_t>(
                                                attempt)) & 1;
-            if (header || payload_bytes == 0 ||
-                (codec != CodecKind::None && wire_bytes == 0)) {
+            if (header || payload_bytes == 0) {
                 msg.trainStep ^= 0x40;
                 msg.seq ^= 0x1000;
-            } else if (codec != CodecKind::None) {
-                wire[msg.seq % wire_bytes] ^= 0x2a;
             } else {
-                const std::int64_t victim =
-                    static_cast<std::int64_t>(msg.seq) % dst.numel();
-                dst.data()[victim] += 1.0f;
+                reinterpret_cast<std::uint8_t *>(
+                    dst.data())[msg.seq % payload_bytes] ^= 0x2a;
             }
         }
 
@@ -203,11 +175,7 @@ InProcessTransport::transferInto(const TransferTag &tag_in,
                                    attempt));
             continue;
         }
-        const std::uint64_t got =
-            codec != CodecKind::None
-                ? checksumBytes(wire, wire_bytes)
-                : checksumBytes(dst.data(), payload_bytes);
-        if (got != msg.checksum) {
+        if (checksumBytes(dst.data(), payload_bytes) != msg.checksum) {
             if (health)
                 health->faultDetected(
                     &RuntimeHealth::corruptionsDetected,
@@ -216,24 +184,14 @@ InProcessTransport::transferInto(const TransferTag &tag_in,
             continue;
         }
 
-        // Verified frame: unpack the encoded stream into the
-        // receiver's buffer (every element is written, so recycled
-        // pool storage needs no zeroing).
-        if (codec != CodecKind::None) {
-            if (dst.shape() != payload.shape())
-                dst = Tensor::uninitialized(payload.shape());
-            codecDecode(codec, wire, wire_bytes, dst.data(),
-                        payload.numel());
-        }
-
         // Emulated wire time: latency plus serialization of the
-        // post-codec bytes. Spent as a real sleep — a link's
-        // in-flight time costs no host CPU, which is precisely the
-        // window the async executor's compute can fill.
+        // payload bytes. Spent as a real sleep — a link's in-flight
+        // time costs no host CPU, which is precisely the window the
+        // async executor's compute can fill.
         if (opts.linkLatencyUs > 0.0 || opts.linkBytesPerUs > 0.0) {
             double us = std::max(0.0, opts.linkLatencyUs);
             if (opts.linkBytesPerUs > 0.0)
-                us += static_cast<double>(wire_bytes) /
+                us += static_cast<double>(payload_bytes) /
                       opts.linkBytesPerUs;
             if (us > 0.0) {
                 std::this_thread::sleep_for(
@@ -242,13 +200,11 @@ InProcessTransport::transferInto(const TransferTag &tag_in,
         }
 
         ++nextSeq;
-        const TransferReceipt receipt{
-            static_cast<std::int64_t>(payload_bytes),
-            static_cast<std::int64_t>(wire_bytes)};
         if (health)
-            health->transferred(tag, receipt.rawBytes, receipt.wireBytes,
-                                attempt + 1, t0);
-        return receipt;
+            health->transferred(
+                tag, static_cast<std::int64_t>(payload_bytes),
+                attempt + 1, t0);
+        return;
     }
 
     throw TransientFaultError(

@@ -33,7 +33,6 @@
 #include <set>
 #include <vector>
 
-#include "codec.hh"
 #include "fault.hh"
 #include "tensor/tensor.hh"
 
@@ -56,27 +55,16 @@ struct TransportOptions
     double backoffCapUs = 5000.0;
     /** Seed of the deterministic jitter hash (so fault tests replay). */
     std::uint64_t backoffJitterSeed = 0x6a177e5ull;
-    /** Per-channel wire codec (codec.hh); default raw fp32 bytes.
-     *  The encoded stream is what gets checksummed and verified. */
-    CodecConfig codec;
     /** Emulated per-transfer link latency in microseconds, spent as a
      *  real sleep on the delivering thread. 0 disables (default).
      *  Unlike the checksum/copy cost, in-flight wire time consumes no
      *  host CPU — it is exactly what the async executor hides under
-     *  compute and what the codecs shrink. */
+     *  compute. */
     double linkLatencyUs = 0.0;
     /** Emulated link bandwidth in bytes per microsecond (1000 =
-     *  1 GB/s); adds wireBytes / linkBytesPerUs of in-flight time per
-     *  transfer. <= 0 means an infinitely fast link (default). */
+     *  1 GB/s); adds payload bytes / linkBytesPerUs of in-flight time
+     *  per transfer. <= 0 means an infinitely fast link (default). */
     double linkBytesPerUs = 0.0;
-};
-
-/** What one delivered transfer cost: the logical payload size and the
- *  bytes that actually crossed the (emulated) wire post-codec. */
-struct TransferReceipt
-{
-    std::int64_t rawBytes = 0;
-    std::int64_t wireBytes = 0;
 };
 
 /**
@@ -126,14 +114,13 @@ class Transport
      * Move one tensor value sender -> receiver, delivering into
      * @p dst (which must not alias @p payload; its storage is reused
      * when the shapes already match, so steady-state transfers touch
-     * no allocator). Returns the raw and post-codec byte counts.
+     * no allocator). The payload travels as its raw fp32 bytes.
      * Throws TransientFaultError when the retry budget is exhausted
      * and DeviceFailedError when an endpoint is dead; on throw @p dst
      * is unspecified and the caller's journal rollback discards it.
      */
-    virtual TransferReceipt transferInto(const TransferTag &tag,
-                                         const Tensor &payload,
-                                         Tensor &dst) = 0;
+    virtual void transferInto(const TransferTag &tag,
+                              const Tensor &payload, Tensor &dst) = 0;
 
     /** Convenience wrapper returning the delivered copy. */
     Tensor transfer(const TransferTag &tag, const Tensor &payload)
@@ -165,8 +152,7 @@ class Transport
 
 /**
  * The default transport: in-process value copies framed with
- * seq/step/checksum verification, optional per-channel wire codecs,
- * optional fault injection, and retry-with-backoff. Transfers are
+ * seq/step/checksum verification, optional fault injection, and retry-with-backoff. Transfers are
  * issued one at a time — from the executor's serial barrier sections,
  * or from its single comm worker while compute overlaps, with a join
  * between the two regimes — never concurrently, so no internal
@@ -182,9 +168,8 @@ class InProcessTransport : public Transport
         std::shared_ptr<FaultInjector> injector = nullptr,
         RuntimeHealth *health = nullptr);
 
-    TransferReceipt transferInto(const TransferTag &tag,
-                                 const Tensor &payload,
-                                 Tensor &dst) override;
+    void transferInto(const TransferTag &tag, const Tensor &payload,
+                      Tensor &dst) override;
 
     void beginStep(std::int64_t step) override { trainStep = step; }
 

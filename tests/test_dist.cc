@@ -3,8 +3,9 @@
  * Distributed-runtime tests, two layers:
  *
  *  - In-process units: DistWorld placement / JSON round-trip, the wire
- *    frame codec over a real loopback socket (including truncation and
- *    garbage detection), and malformed-world errors.
+ *    frame encoding over a real loopback socket (including truncation
+ *    and garbage detection), malformed-world errors, and a
+ *    TcpTransport receive against a raw socket peer.
  *
  *  - Process-level scenarios (labelled `dist` in CMake, with a hard
  *    timeout): the test forks the real `primepar_worker` binary — a
@@ -21,6 +22,7 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,6 +33,7 @@
 #include "runtime/errors.hh"
 #include "runtime/fault.hh"
 #include "runtime/net.hh"
+#include "runtime/observer.hh"
 #include "runtime/tcp_transport.hh"
 #include "support/json.hh"
 
@@ -105,7 +108,7 @@ TEST(DistWorld, JsonRoundTripsAndRejectsMalformedDocs)
 }
 
 // ---------------------------------------------------------------------------
-// Frame codec over a real loopback connection
+// Frame encoding over a real loopback connection
 
 struct LoopbackPair
 {
@@ -217,6 +220,110 @@ TEST(WireFrame, GarbageBytesAreMalformedNotAFrame)
               static_cast<ssize_t>(junk.size()));
     WireFrame got;
     EXPECT_EQ(readFrame(io.b, got, 2000), IoResult::Malformed);
+}
+
+// ---------------------------------------------------------------------------
+// TcpTransport receive path against a raw socket peer
+
+TEST(TcpTransport, ShortPayloadIsRejectedAndDstLeftUntouched)
+{
+    // The payload-size check is the only bound on the copy into the
+    // destination: a frame whose header and checksum verify but whose
+    // payload is 4 bytes short must be NACKed, never delivered.
+    NetListener listener;
+    listener.open(0);
+    DistWorld world;
+    world.generation = 1;
+    world.myWorker = 1;
+    world.numBits = 1;
+    world.workers.resize(2);
+    world.workers[0].worker = 0;
+    world.workers[0].firstDevice = 0;
+    world.workers[0].numDevices = 1;
+    world.workers[1].worker = 1;
+    world.workers[1].port = listener.port();
+    world.workers[1].firstDevice = 1;
+    world.workers[1].numDevices = 1;
+    TransportOptions topts;
+    topts.maxAttempts = 1; // the short frame exhausts the budget
+    DistOptions dopts;
+    dopts.transferDeadlineMs = 5000;
+    dopts.connectTimeoutMs = 5000;
+    RuntimeHealth health;
+    TcpTransport transport(topts, dopts, world, &listener, nullptr,
+                           &health);
+
+    TransferTag tag;
+    tag.tensor = "X";
+    tag.channel = "ring";
+    tag.sender = 0;
+    tag.receiver = 1;
+    const std::int64_t n = 16;
+    const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(float);
+    std::vector<float> src(bytes / sizeof(float));
+    for (std::int64_t i = 0; i < n; ++i)
+        src[static_cast<std::size_t>(i)] = 0.25f * static_cast<float>(i);
+    auto dataFrame = [&](std::size_t size) {
+        WireFrame f;
+        f.type = FrameType::Data;
+        f.generation = world.generation;
+        f.sender = tag.sender;
+        f.receiver = tag.receiver;
+        f.channel = tag.channel;
+        f.tensor = tag.tensor;
+        const auto *raw = reinterpret_cast<const std::uint8_t *>(src.data());
+        f.payload.assign(raw, raw + size);
+        f.checksum = checksumBytes(f.payload.data(), f.payload.size());
+        return f;
+    };
+
+    // Worker 0 is a raw socket: handshake, the short frame, then (after
+    // the receiver's NACK and Abort) the correct frame.
+    WireFrame helloAck, shortAck, abort, fullAck;
+    std::thread peer([&] {
+        NetSocket s = netConnect("127.0.0.1", listener.port(), 5000);
+        WireFrame hello;
+        hello.type = FrameType::Hello;
+        hello.generation = world.generation;
+        hello.sender = 0;
+        hello.receiver = 1;
+        if (writeFrame(s, hello) != IoResult::Ok ||
+            readFrame(s, helloAck, 5000) != IoResult::Ok ||
+            writeFrame(s, dataFrame(bytes - 4)) !=
+                IoResult::Ok ||
+            readFrame(s, shortAck, 5000) != IoResult::Ok ||
+            readFrame(s, abort, 5000) != IoResult::Ok ||
+            writeFrame(s, dataFrame(bytes)) != IoResult::Ok)
+            return;
+        readFrame(s, fullAck, 5000);
+    });
+
+    // A sharded receive: no local payload, a pre-sized destination.
+    Tensor dst(Shape{n});
+    for (std::int64_t i = 0; i < n; ++i)
+        dst.data()[i] = -404.0f;
+    const float *storage = dst.data();
+    EXPECT_THROW(transport.transferInto(tag, Tensor{}, dst),
+                 TransientFaultError);
+    EXPECT_EQ(health.headerMismatches, 1);
+    EXPECT_EQ(health.corruptionsDetected, 0);
+    EXPECT_EQ(health.transfers, 0);
+    for (std::int64_t i = 0; i < n; ++i)
+        EXPECT_EQ(dst.data()[i], -404.0f) << "i=" << i;
+
+    EXPECT_NO_THROW(transport.transferInto(tag, Tensor{}, dst));
+    peer.join();
+    EXPECT_EQ(helloAck.type, FrameType::HelloAck);
+    EXPECT_EQ(shortAck.type, FrameType::Ack);
+    EXPECT_EQ(shortAck.status, FrameStatus::Reject);
+    EXPECT_EQ(abort.type, FrameType::Abort);
+    EXPECT_EQ(fullAck.type, FrameType::Ack);
+    EXPECT_EQ(fullAck.status, FrameStatus::Ok);
+    EXPECT_EQ(health.transfers, 1);
+    EXPECT_EQ(health.bytesMoved, n * 4);
+    EXPECT_EQ(dst.data(), storage);
+    for (std::int64_t i = 0; i < n; ++i)
+        EXPECT_EQ(dst.data()[i], src[static_cast<std::size_t>(i)]);
 }
 
 // ---------------------------------------------------------------------------

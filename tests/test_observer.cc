@@ -135,7 +135,7 @@ TEST(Observer, ChainFansOutToEveryMember)
     health.stepBegan(0);
     health.stepEnded(0, health.clockUs());
     health.span(0, SpanKind::Compute, "x", 0.0, 1.0);
-    health.transferred(TransferTag{}, 64, 64, 1, health.clockUs());
+    health.transferred(TransferTag{}, 64, 1, health.clockUs());
     health.faultDetected(&RuntimeHealth::dropsDetected, FaultEvent{});
     health.rolledBack(FaultEvent{});
     Tensor t(Shape{1});
@@ -319,7 +319,6 @@ TEST(Observer, HealthAndMetricsCountEveryEventOnce)
     const RuntimeHealth &h = trainer.health();
     EXPECT_EQ(h.transfers, registry.counter("transport.transfers"));
     EXPECT_EQ(h.bytesMoved, registry.counter("transport.bytes"));
-    EXPECT_EQ(h.bytesOnWire, registry.counter("transport.wire_bytes"));
     EXPECT_EQ(h.stepRollbacks, registry.counter("executor.rollbacks"));
     EXPECT_EQ(h.dropsDetected + h.corruptionsDetected +
                   h.headerMismatches + h.stragglers + h.deviceFailures,

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "partition/space.hh"
-#include "runtime/codec.hh"
 #include "runtime/errors.hh"
 #include "runtime/spmd_executor.hh"
 #include "runtime/transport.hh"
@@ -494,27 +493,31 @@ TEST(BufferPool, InFlightGenerationsNeverAlias)
 
 TEST(BufferPool, RecycledBuffersAreFullyOverwrittenByDecode)
 {
-    // A staged receive lands in a recycled pool buffer; the decode
-    // contract is that every element is written, so stale contents of
-    // the previous generation can never leak through.
-    BufferPool pool;
+    // A receive lands in a recycled pool buffer; the transport's
+    // delivery writes every element, so stale contents of the
+    // previous generation can never leak through.
     const std::int64_t n = 300; // straddles a block boundary
-    float *buf = pool.acquire(n);
-    for (std::int64_t i = 0; i < n; ++i)
-        buf[i] = -404.0f; // stale previous-generation contents
-    pool.release(buf, n);
-    float *recycled = pool.acquire(n);
-    ASSERT_EQ(recycled, buf); // exact-size free list recycles it
-
     Rng rng(92);
     const Tensor src = Tensor::random(Shape{n}, rng);
-    std::vector<std::uint8_t> wire(codecBound(CodecKind::Pack, n));
-    const std::size_t bytes =
-        codecEncode(CodecKind::Pack, src.data(), n, wire.data());
-    codecDecode(CodecKind::Pack, wire.data(), bytes, recycled, n);
+    const float *stale = nullptr;
+    {
+        Tensor previous = Tensor::uninitialized(Shape{n});
+        for (std::int64_t i = 0; i < n; ++i)
+            previous.data()[i] = -404.0f; // stale contents
+        stale = previous.data();
+    } // released to the global pool
+    Tensor dst = Tensor::uninitialized(Shape{n});
+    ASSERT_EQ(dst.data(), stale); // exact-size free list recycles it
+
+    TransferTag tag;
+    tag.tensor = "X";
+    tag.channel = "ring";
+    tag.sender = 0;
+    tag.receiver = 1;
+    InProcessTransport().transferInto(tag, src, dst);
+    ASSERT_EQ(dst.data(), stale); // delivered in place
     for (std::int64_t i = 0; i < n; ++i)
-        EXPECT_EQ(recycled[i], src.data()[i]) << "i=" << i;
-    pool.release(recycled, n);
+        EXPECT_EQ(dst.data()[i], src.data()[i]) << "i=" << i;
 }
 
 } // namespace
