@@ -36,6 +36,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <fcntl.h>
@@ -108,8 +109,14 @@ BENCHMARK(BM_EnumerateSpace)->Arg(3)->Arg(4)->Arg(5);
 void
 BM_TrafficSplit(benchmark::State &state)
 {
-    // Args: device bits, then 0 for paperCluster or 1 for a square
-    // torus2d, where reach sets span several domains.
+    // Args: device bits, 0 for paperCluster or 1 for a square torus2d
+    // (reach sets span several domains), then the pricing tier
+    // (GemmIsa); a tier the host lacks is skipped.
+    const auto isa = static_cast<GemmIsa>(state.range(2));
+    if (!detail::hostSupportsGemmIsa(isa)) {
+        state.SkipWithError("tier not supported on this host");
+        return;
+    }
     const OpSpec op = makeLinearOp("fc", 8, 2048, 4096, 4096);
     const int bits = static_cast<int>(state.range(0));
     const ClusterTopology topo =
@@ -127,15 +134,27 @@ BM_TrafficSplit(benchmark::State &state)
                                Phase::Forward, 0, map, {8, 2048, 4096});
     const auto need = layoutOf(op, db, {op.outputTensor, false},
                                Phase::Forward, 0, map, {8, 2048, 4096});
-    const auto have_boxes = flatBoxes(have);
-    const auto need_boxes = flatBoxes(need);
-    const auto source = cm.sourceView(have_boxes.data(), have.dimSizes);
+    const auto source = cm.sourceView(flatBoxes(have).data(), have.dimSizes);
+    std::vector<std::int32_t> need_lanes(cm.slotLanes(3));
+    const std::int64_t need_volume =
+        cm.needLanes(flatBoxes(need).data(), need.dimSizes, need_lanes.data());
     for (auto _ : state) {
-        const auto split = cm.trafficSplit(source, need_boxes.data());
+        const auto split = detail::trafficSplitOn(isa, source,
+                                                  need_lanes.data(),
+                                                  need_volume);
         benchmark::DoNotOptimize(split.intraNode);
     }
+    state.SetLabel(gemmIsaName(isa));
+    state.counters["layers"] = source.layers;
 }
-BENCHMARK(BM_TrafficSplit)->Args({3, 0})->Args({5, 0})->Args({4, 1});
+BENCHMARK(BM_TrafficSplit)->Apply([](benchmark::internal::Benchmark *b) {
+    const std::pair<int, int> cells[] = {{3, 0}, {4, 0}, {5, 0}, {4, 1}};
+    for (const auto &cell : cells) {
+        for (const GemmIsa isa :
+             {GemmIsa::Sse2, GemmIsa::Avx2, GemmIsa::Avx512f})
+            b->Args({cell.first, cell.second, static_cast<int>(isa)});
+    }
+});
 
 void
 BM_ContractProduct(benchmark::State &state)

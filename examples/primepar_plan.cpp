@@ -148,6 +148,12 @@ run(int argc, char **argv)
 
     const CostModel cost(topo, profileModels(topo), opts.alpha);
     const CompGraph graph = buildTransformerBlock(model, opts.batch);
+    const std::string lanes = edgeLaneBoundsError(graph, opts.devices);
+    if (!lanes.empty()) {
+        throw InputError("--batch " + std::to_string(opts.batch) +
+                         " on " + std::to_string(opts.devices) +
+                         " devices: " + lanes);
+    }
 
     MetricsRegistry metrics;
     DpOptions dp;

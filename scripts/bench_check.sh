@@ -45,7 +45,14 @@ if [ "$#" -lt 1 ]; then
 fi
 
 BENCH="$1"
-OUT="${2:-$(mktemp /tmp/bench_runtime.XXXXXX.json)}"
+if [ "$#" -ge 2 ]; then
+    OUT="$2"
+else
+    # No output path given: the record is scratch, removed on exit.
+    OUT="$(mktemp /tmp/bench_runtime.XXXXXX.json)"
+    trap 'rm -f "$OUT"' EXIT
+    trap 'exit 1' HUP INT TERM
+fi
 
 if ! command -v python3 > /dev/null 2>&1; then
     echo "bench_check: python3 not available, skipping validation" >&2

@@ -2,11 +2,19 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <sstream>
+#include <utility>
 
 #include "support/logging.hh"
+#include "tensor/simd.hh"
+
+#if !PRIMEPAR_SIMD
+#error "the traffic kernel needs GCC/Clang vector extensions"
+#endif
 
 namespace primepar {
 
@@ -56,6 +64,11 @@ costFingerprint(const ClusterTopology &topo, const ProfiledModels &models,
     return os.str();
 }
 
+/** Receivers per block of the widest pricing tier (AVX-512F: 16
+ *  int32 lanes): lane widths are padded to a multiple of this, so
+ *  every tier's blocks divide them. */
+constexpr int kMaxBlock = 16;
+
 /** Group indicator of a device-id bit mask (bit 0 = d_1). */
 GroupIndicator
 indicatorOf(std::int64_t mask, int num_bits)
@@ -73,7 +86,8 @@ indicatorOf(std::int64_t mask, int num_bits)
 CostModel::CostModel(const ClusterTopology &topo_in,
                      ProfiledModels models_in, double alpha_memory)
     : topo(topo_in), models(std::move(models_in)), alpha(alpha_memory),
-      fp(costFingerprint(topo, models, alpha, memParams))
+      fp(costFingerprint(topo, models, alpha, memParams)),
+      width((topo.numDevices() + kMaxBlock - 1) / kMaxBlock * kMaxBlock)
 {
     const bool torus = topo.kind() == ClusterTopology::Kind::Torus2D;
     const int devices = topo.numDevices();
@@ -243,10 +257,44 @@ CostModel::intraCost(const OpSpec &op, const PartitionSeq &seq) const
     return cost;
 }
 
+std::string
+laneBoundsError(int devices, const std::vector<std::int64_t> &dim_sizes)
+{
+    // Rounding is monotone and 2^53 is a double, so the double product
+    // is below 2^53 exactly when the integer one is.
+    double elements = devices;
+    for (std::size_t d = 0; d < dim_sizes.size(); ++d) {
+        if (dim_sizes[d] > std::numeric_limits<std::int32_t>::max()) {
+            return "dim " + std::to_string(d) + " has " +
+                   std::to_string(dim_sizes[d]) +
+                   " elements: past the int32 lanes";
+        }
+        elements *= static_cast<double>(dim_sizes[d]);
+    }
+    if (elements >= 0x1p53) {
+        return std::to_string(devices) +
+               " devices x tensor elements reach 2^53: lane sums would "
+               "not be exact";
+    }
+    return "";
+}
+
+namespace {
+
+void
+checkLaneBounds(int devices, const std::vector<std::int64_t> &dim_sizes)
+{
+    const std::string error = laneBoundsError(devices, dim_sizes);
+    PRIMEPAR_ASSERT(error.empty(), error);
+}
+
+} // namespace
+
 CostModel::SourceView
 CostModel::sourceView(const SliceRange *boxes,
                       const std::vector<std::int64_t> &dim_sizes) const
 {
+    checkLaneBounds(topo.numDevices(), dim_sizes);
     const int devices = topo.numDevices();
     const int dims = static_cast<int>(dim_sizes.size());
     const auto box_of = [&](std::int32_t dev) {
@@ -318,14 +366,12 @@ CostModel::sourceView(const SliceRange *boxes,
     // Node union per reach set. One domain's boxes are distinct
     // already; across several (torus neighbours) they are
     // deduplicated.
-    SourceView view;
-    view.dims = dims;
-    view.own = boxes;
-    view.unionStart.reserve(reachSets.size() + 1);
-    view.unionStart.push_back(0);
+    std::vector<std::int32_t> union_start{0};
+    std::vector<const SliceRange *> union_boxes;
     std::vector<std::int32_t> members;
-    std::vector<SliceRange> bound(dims);
-    for (const std::vector<std::int32_t> &reach : reachSets) {
+    std::vector<SliceRange> bounds(reachSets.size() * dims);
+    for (std::size_t r = 0; r < reachSets.size(); ++r) {
+        const std::vector<std::int32_t> &reach = reachSets[r];
         members.clear();
         for (const std::int32_t dom : reach) {
             for (std::int32_t i = domain_start[dom];
@@ -337,9 +383,10 @@ CostModel::sourceView(const SliceRange *boxes,
             members.erase(std::unique(members.begin(), members.end()),
                           members.end());
         }
+        SliceRange *bound = bounds.data() + r * dims;
         std::int64_t filled = 0;
         std::copy(box_of(holder[members[0]]),
-                  box_of(holder[members[0]]) + dims, bound.begin());
+                  box_of(holder[members[0]]) + dims, bound);
         for (const std::int32_t m : members) {
             const SliceRange *box = box_of(holder[m]);
             filled += volume(box);
@@ -348,81 +395,244 @@ CostModel::sourceView(const SliceRange *boxes,
                 bound[d].end = std::max(bound[d].end, box[d].end);
             }
         }
-        if (filled == volume(bound.data())) {
-            view.unionBoxes.insert(view.unionBoxes.end(), bound.begin(),
-                                   bound.end());
+        if (filled == volume(bound)) {
+            union_boxes.push_back(bound);
         } else {
-            for (const std::int32_t m : members) {
-                view.unionBoxes.insert(view.unionBoxes.end(),
-                                       box_of(holder[m]),
-                                       box_of(holder[m]) + dims);
-            }
+            for (const std::int32_t m : members)
+                union_boxes.push_back(box_of(holder[m]));
         }
-        view.unionStart.push_back(
-            static_cast<std::int32_t>(view.unionBoxes.size() / dims));
+        union_start.push_back(
+            static_cast<std::int32_t>(union_boxes.size()));
+    }
+
+    // Lanes: slot 0 the own boxes, slot 1 + k the k-th union box of
+    // each receiver's reach set. Padding lanes and slots past a reach
+    // set's count stay empty ([0, 0) meets nothing).
+    SourceView view;
+    view.dims = dims;
+    view.devices = devices;
+    view.width = width;
+    for (std::size_t r = 0; r < reachSets.size(); ++r)
+        view.layers = std::max(view.layers,
+                               union_start[r + 1] - union_start[r]);
+    const std::size_t slot = slotLanes(dims);
+    view.lanes.assign((1 + view.layers) * slot, 0);
+    const auto put = [&](int s, int dev, const SliceRange *box) {
+        std::int32_t *lane = view.lanes.data() + s * slot + dev;
+        for (int d = 0; d < dims; ++d) {
+            lane[2 * d * width] = static_cast<std::int32_t>(box[d].start);
+            lane[(2 * d + 1) * width] =
+                static_cast<std::int32_t>(box[d].end);
+        }
+    };
+    for (int dev = 0; dev < devices; ++dev) {
+        put(0, dev, box_of(dev));
+        const std::int32_t r = reachOf[dev];
+        for (std::int32_t i = union_start[r]; i < union_start[r + 1]; ++i)
+            put(1 + i - union_start[r], dev, union_boxes[i]);
     }
     return view;
 }
 
+std::size_t
+CostModel::slotLanes(int dims) const
+{
+    return static_cast<std::size_t>(2 * dims) * width;
+}
+
+std::int64_t
+CostModel::needLanes(const SliceRange *boxes,
+                     const std::vector<std::int64_t> &dim_sizes,
+                     std::int32_t *out) const
+{
+    checkLaneBounds(topo.numDevices(), dim_sizes);
+    const int dims = static_cast<int>(dim_sizes.size());
+    std::fill(out, out + slotLanes(dims), 0);
+    std::int64_t total = 0;
+    for (int dev = 0; dev < topo.numDevices(); ++dev) {
+        const SliceRange *box = boxes + static_cast<std::size_t>(dev) * dims;
+        std::int64_t volume = 1;
+        for (int d = 0; d < dims; ++d) {
+            out[2 * d * width + dev] = static_cast<std::int32_t>(box[d].start);
+            out[(2 * d + 1) * width + dev] =
+                static_cast<std::int32_t>(box[d].end);
+            volume *= box[d].length();
+        }
+        total += volume;
+    }
+    return total;
+}
+
 namespace {
 
-/** CostModel::trafficSplit() over @p devices receivers with reach set
- *  ids @p reach_of. @p Dims fixes the box rank at compile time so the
- *  per-box overlap unrolls; 0 reads it from the view. */
-template <int Dims>
-CostModel::TrafficSplit
-splitOverDevices(const CostModel::SourceView &have, const SliceRange *need,
-                 const std::int32_t *reach_of, int devices)
+/** Overlap sums of one pricing pass: with the node unions and with
+ *  the receivers' own boxes. */
+struct LaneSums
 {
-    const int dims = Dims > 0 ? Dims : have.dims;
-    const auto overlap = [dims](const SliceRange *a, const SliceRange *b) {
-        std::int64_t vol = 1;
-        // Branch-free intersection: whether boxes meet is data
-        // dependent and mispredicts often.
-        for (int d = 0; d < dims; ++d)
-            vol *= std::max<std::int64_t>(
-                0, std::min(a[d].end, b[d].end) -
-                       std::max(a[d].start, b[d].start));
-        return vol;
-    };
+    double fast = 0.0;
+    double self = 0.0;
+};
 
-    CostModel::TrafficSplit split;
-    for (int dev = 0; dev < devices; ++dev) {
-        const SliceRange *box = need + static_cast<std::size_t>(dev) * dims;
-        const std::int32_t r = reach_of[dev];
-        std::int64_t fast = 0;
-        for (std::int32_t i = have.unionStart[r];
-             i < have.unionStart[r + 1]; ++i)
-            fast += overlap(box, have.unionBoxes.data() +
-                                     static_cast<std::size_t>(i) * dims);
-        std::int64_t volume = 1;
-        for (int d = 0; d < dims; ++d)
-            volume *= box[d].length();
-        // The device's own box was counted fast (a device reaches
-        // itself) but moves nothing; the source boxes tile the
-        // tensor, so the rest of the need box comes over slow links.
-        split.intraNode +=
-            fast - overlap(box, have.own +
-                                    static_cast<std::size_t>(dev) * dims);
-        split.interNode += volume - fast;
+// A tier's kernel works in blocks of 2H receivers, H the doubles one
+// of its registers holds: the int32 bounds of a block fill one
+// register, and its lengths widen into two registers of doubles.
+template <int H>
+using I = typename Lanes<2 * H>::itype;
+template <int H>
+using D = typename Lanes<H>::dtype;
+template <int H>
+using DD = typename Lanes<2 * H>::dtype;
+
+template <int H>
+PRIMEPAR_ALWAYS_INLINE I<H>
+load(const std::int32_t *p)
+{
+    I<H> v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+}
+
+/** Lanes [Off, Off + H) of @p v. */
+template <int H, std::size_t Off, std::size_t... K>
+PRIMEPAR_ALWAYS_INLINE D<H>
+half(DD<H> v, std::index_sequence<K...>)
+{
+    return __builtin_shufflevector(v, v, (K + Off)...);
+}
+
+/** Overlap volumes of need box slot @p need with box slot @p box at
+ *  one block, low and high half. Every length is in [0, INT32_MAX]
+ *  and every product at most a need box's volume, below 2^53: the
+ *  double math is exact. */
+template <int H>
+PRIMEPAR_ALWAYS_INLINE void
+overlapLanes(const std::int32_t *need, const std::int32_t *box, int dims,
+             int width, D<H> &lo_volume, D<H> &hi_volume)
+{
+    lo_volume = D<H>{} + 1.0;
+    hi_volume = lo_volume;
+#pragma GCC unroll 8
+    for (int d = 0; d < dims; ++d) {
+        const std::size_t lo = static_cast<std::size_t>(2 * d) * width;
+        const std::size_t hi = lo + width;
+        const I<H> nlo = load<H>(need + lo), blo = load<H>(box + lo);
+        const I<H> nhi = load<H>(need + hi), bhi = load<H>(box + hi);
+        const I<H> len =
+            (nhi < bhi ? nhi : bhi) - (nlo > blo ? nlo : blo);
+        const DD<H> wide = __builtin_convertvector(len > 0 ? len : 0, DD<H>);
+        lo_volume *= half<H, 0>(wide, std::make_index_sequence<H>{});
+        hi_volume *= half<H, H>(wide, std::make_index_sequence<H>{});
     }
+}
+
+template <int H, std::size_t... K>
+PRIMEPAR_ALWAYS_INLINE D<H / 2>
+foldHalves(D<H> v, std::index_sequence<K...>)
+{
+    return __builtin_shufflevector(v, v, K...) +
+           __builtin_shufflevector(v, v, (K + H / 2)...);
+}
+
+/** Sum of the lanes of @p v as a tree: the lanes hold integers below
+ *  2^53, whose sums are exact in any order. */
+template <int H>
+PRIMEPAR_ALWAYS_INLINE double
+laneSum(D<H> v)
+{
+    if constexpr (H == 1)
+        return v[0];
+    else
+        return laneSum<H / 2>(
+            foldHalves<H>(v, std::make_index_sequence<H / 2>{}));
+}
+
+/** One pricing pass over every receiver, 2H lanes at a time. */
+template <int H>
+PRIMEPAR_ALWAYS_INLINE LaneSums
+priceLanes(const CostModel::SourceView &have, const std::int32_t *need)
+{
+    const int dims = have.dims;
+    const int width = have.width;
+    const std::size_t slot = static_cast<std::size_t>(2 * dims) * width;
+    const std::int32_t *own = have.lanes.data();
+    D<H> fast{}, self{}, lo, hi;
+    // A narrower tier's blocks past the last device hold padding
+    // only, which would add zeros: stop before them.
+    for (int j = 0; j < have.devices; j += 2 * H) {
+        overlapLanes<H>(need + j, own + j, dims, width, lo, hi);
+        self += lo + hi;
+        for (int k = 1; k <= have.layers; ++k) {
+            overlapLanes<H>(need + j, own + k * slot + j, dims, width, lo,
+                            hi);
+            fast += lo + hi;
+        }
+    }
+    return {laneSum<H>(fast), laneSum<H>(self)};
+}
+
+using PriceFn = LaneSums (*)(const CostModel::SourceView &,
+                             const std::int32_t *);
+
+// One out-of-line instance per tier, each compiled for its ISA: the
+// templates above are always_inline so they take the caller's target.
+LaneSums
+priceSse2(const CostModel::SourceView &have, const std::int32_t *need)
+{
+    return priceLanes<2>(have, need);
+}
+
+#if PRIMEPAR_SIMD_X86
+__attribute__((target("avx2"))) LaneSums
+priceAvx2(const CostModel::SourceView &have, const std::int32_t *need)
+{
+    return priceLanes<4>(have, need);
+}
+
+__attribute__((target("avx512f"))) LaneSums
+priceAvx512f(const CostModel::SourceView &have, const std::int32_t *need)
+{
+    return priceLanes<8>(have, need);
+}
+#endif
+
+PriceFn
+priceFor(GemmIsa isa)
+{
+    PRIMEPAR_ASSERT(detail::hostSupportsGemmIsa(isa), "pricing tier ",
+                    gemmIsaName(isa), " is not supported on this host");
+    switch (isa) {
+#if PRIMEPAR_SIMD_X86
+    case GemmIsa::Avx512f:
+        return priceAvx512f;
+    case GemmIsa::Avx2:
+        return priceAvx2;
+#endif
+    default:
+        return priceSse2;
+    }
+}
+
+CostModel::TrafficSplit
+splitOf(LaneSums sums, std::int64_t need_volume)
+{
+    // The own box was counted fast (a device reaches itself) but moves
+    // nothing; the source boxes tile the tensor, so the rest of the
+    // need comes over slow links.
+    const auto fast = static_cast<std::int64_t>(sums.fast);
+    CostModel::TrafficSplit split;
+    split.intraNode = fast - static_cast<std::int64_t>(sums.self);
+    split.interNode = need_volume - fast;
     return split;
 }
 
 } // namespace
 
 CostModel::TrafficSplit
-CostModel::trafficSplit(const SourceView &have, const SliceRange *need) const
+CostModel::trafficSplit(const SourceView &have, const std::int32_t *need,
+                        std::int64_t need_volume) const
 {
-    const int devices = topo.numDevices();
-    switch (have.dims) {
-    case 3:
-        return splitOverDevices<3>(have, need, reachOf.data(), devices);
-    case 4:
-        return splitOverDevices<4>(have, need, reachOf.data(), devices);
-    default:
-        return splitOverDevices<0>(have, need, reachOf.data(), devices);
-    }
+    static const PriceFn price = priceFor(activeGemmIsa());
+    return splitOf(price(have, need), need_volume);
 }
 
 CostModel::TrafficSplit
@@ -432,10 +642,16 @@ CostModel::trafficSplit(const TensorLayout &have,
     PRIMEPAR_ASSERT(have.numDevices() == topo.numDevices() &&
                         need.numDevices() == topo.numDevices(),
                     "layout device mismatch");
+    PRIMEPAR_ASSERT(have.dimSizes == need.dimSizes,
+                    "layouts of different tensors");
     const std::vector<SliceRange> have_boxes = flatBoxes(have);
     const std::vector<SliceRange> need_boxes = flatBoxes(need);
+    std::vector<std::int32_t> need_lanes(
+        slotLanes(static_cast<int>(need.dimSizes.size())));
+    const std::int64_t volume =
+        needLanes(need_boxes.data(), need.dimSizes, need_lanes.data());
     return trafficSplit(sourceView(have_boxes.data(), have.dimSizes),
-                        need_boxes.data());
+                        need_lanes.data(), volume);
 }
 
 double
@@ -480,5 +696,16 @@ CostModel::redistLatencyUs(double intra_bytes, double inter_bytes) const
         lat += models.redistribution[1](inter_bytes);
     return lat;
 }
+
+namespace detail {
+
+CostModel::TrafficSplit
+trafficSplitOn(GemmIsa isa, const CostModel::SourceView &have,
+               const std::int32_t *need, std::int64_t need_volume)
+{
+    return splitOf(priceFor(isa)(have, need), need_volume);
+}
+
+} // namespace detail
 
 } // namespace primepar

@@ -22,6 +22,7 @@
 #include "partition/comm_pattern.hh"
 #include "profiler.hh"
 #include "sim/memory.hh"
+#include "tensor/gemm.hh"
 
 namespace primepar {
 
@@ -65,31 +66,38 @@ class CostModel
     };
 
     /**
-     * Node-union view of a source layout. The distinct boxes of a
-     * layoutOf() layout tile the tensor: per dimension their intervals
-     * are pairwise disjoint, and their volumes sum to the tensor's
-     * (sourceView() asserts both). So the part of a need box a
-     * receiver can fetch over fast links is its overlap with the
-     * union of the distinct boxes held in the fast-link domains it
-     * reaches, and the rest crosses slow links. Build once per source
-     * layout, then evaluate trafficSplit() against many destinations.
+     * Node-union view of a source layout, in the int32 lane layout
+     * trafficSplit() prices. The distinct boxes of a layoutOf() layout
+     * tile the tensor: per dimension their intervals are pairwise
+     * disjoint, and their volumes sum to the tensor's (sourceView()
+     * asserts both). So the part of a need box a receiver can fetch
+     * over fast links is its overlap with the union of the distinct
+     * boxes held in the fast-link domains it reaches, and the rest
+     * crosses slow links. Build once per source layout, then evaluate
+     * trafficSplit() against many destinations.
+     *
+     * The view holds box slots of width lanes per bound (see
+     * slotLanes()), one lane per receiving device (padding lanes hold
+     * empty boxes).
+     * Slot 0 is each device's own box; slots 1..layers the node union
+     * of its reach set: one bounding box when the distinct boxes fill
+     * it (disjoint boxes whose volumes sum to it tile it), else the
+     * distinct boxes themselves, then empty boxes. Slot s, dim d: the
+     * starts at lanes[(s * dims + d) * 2 * width], the ends next.
      */
     struct SourceView
     {
         int dims = 0;
-        /** The source's flat device boxes ([device * dims + d]). Not
-         *  owned: they must outlive the view. */
-        const SliceRange *own = nullptr;
-        /**
-         * Node union per reach set r: the boxes
-         * unionBoxes[unionStart[r] * dims .. unionStart[r + 1] * dims).
-         * One bounding box when the distinct boxes fill it (disjoint
-         * boxes whose volumes sum to it tile it), else the distinct
-         * boxes themselves.
-         */
-        std::vector<std::int32_t> unionStart;
-        std::vector<SliceRange> unionBoxes;
+        int devices = 0; ///< receivers: lanes past them are padding
+        int width = 0;   ///< lanes per bound, padding included
+        int layers = 0;  ///< union slots per receiver
+        std::vector<std::int32_t> lanes;
     };
+
+    /** int32 lanes of one box slot of @p dims dims: 2 * dims *
+     *  width, the device count padded to a multiple of 16 (the
+     *  receivers the widest tier prices per block). */
+    std::size_t slotLanes(int dims) const;
 
     /** Build the view of the flat device boxes @p boxes of a layout
      *  of a tensor with dims @p dim_sizes (layoutBoxes() order). */
@@ -97,15 +105,28 @@ class CostModel
                           const std::vector<std::int64_t> &dim_sizes) const;
 
     /**
-     * Plan-accurate traffic split of a redistribution into the flat
-     * device boxes @p need: the elements each device lacks, per source
-     * box, charged to the fast link class when a holder of that box
-     * shares a fast link (ClusterTopology::sameNode) with the
-     * receiver. Equals the link split of planRedistribution() with a
-     * topology.
+     * Write the flat device boxes @p boxes of a need layout of a
+     * tensor with dims @p dim_sizes as one box slot (slotLanes()
+     * int32s at @p lanes, the SourceView slot layout) and return
+     * their total volume.
+     */
+    std::int64_t needLanes(const SliceRange *boxes,
+                           const std::vector<std::int64_t> &dim_sizes,
+                           std::int32_t *lanes) const;
+
+    /**
+     * Plan-accurate traffic split of a redistribution into the need
+     * slot @p need of total volume @p need_volume (needLanes()): the
+     * elements each device lacks, per source box, charged to the fast
+     * link class when a holder of that box shares a fast link
+     * (ClusterTopology::sameNode) with the receiver. Equals the link
+     * split of planRedistribution() with a topology. One branch-free
+     * pass prices every receiver at once as vector lanes, on the
+     * GEMM's tier (activeGemmIsa()).
      */
     TrafficSplit trafficSplit(const SourceView &have,
-                              const SliceRange *need) const;
+                              const std::int32_t *need,
+                              std::int64_t need_volume) const;
 
     /** Convenience overload flattening both layouts. */
     TrafficSplit trafficSplit(const TensorLayout &have,
@@ -160,7 +181,29 @@ class CostModel
     int numDomains = 0;
     std::vector<std::int32_t> reachOf; ///< device -> reach set id
     std::vector<std::vector<std::int32_t>> reachSets;
+    int width = 0; ///< lanes per box bound (slotLanes())
 };
+
+/**
+ * Why trafficSplit() cannot price a tensor of dims @p dim_sizes on
+ * @p devices devices exactly, or "" when it can: every dim size must
+ * fit the int32 lanes, and devices x elements must stay below 2^53
+ * (the kernel multiplies and sums in double). CostModel asserts it;
+ * code planning for outside requests checks it first.
+ */
+std::string laneBoundsError(int devices,
+                            const std::vector<std::int64_t> &dim_sizes);
+
+/** Test seam: price on one specific tier, which the host must
+ *  support. */
+namespace detail {
+
+CostModel::TrafficSplit trafficSplitOn(GemmIsa isa,
+                                       const CostModel::SourceView &have,
+                                       const std::int32_t *need,
+                                       std::int64_t need_volume);
+
+} // namespace detail
 
 } // namespace primepar
 

@@ -159,9 +159,10 @@ buildEdgeCostTable(const CompGraph &graph, const GraphEdge &edge,
     const OpSpec &consumer = graph.node(edge.dst);
     const auto sizes = graph.transferSizes(edge);
     const int num_bits = cost.topology().numBits();
-    const std::size_t stride = (std::size_t{1} << num_bits) * sizes.size();
+    const std::size_t box_count = (std::size_t{1} << num_bits) * sizes.size();
+    const std::size_t slot_size =
+        cost.slotLanes(static_cast<int>(sizes.size()));
 
-    const EdgeDimMap &producer_map = edge.dimMap;
     EdgeDimMap consumer_map;
     for (int d : consumer.tensors[edge.dstTensor].dims)
         consumer_map.push_back(d);
@@ -177,38 +178,59 @@ buildEdgeCostTable(const CompGraph &graph, const GraphEdge &edge,
         return cand ? static_cast<std::size_t>((*cand)[p]) : p;
     };
 
-    // Boundary device boxes of every candidate position, one side per
-    // flat array ([position * stride + device * dims + d]), one slot
-    // per position.
-    const auto side_boxes = [&](const OpSpec &op, const NodeCatalog &cat,
-                                const std::vector<std::int32_t> *cand,
-                                int count, const TensorRef &ref,
-                                Phase phase, bool at_end,
-                                const EdgeDimMap &map) {
-        std::vector<SliceRange> boxes(count * stride);
-        parallelFor(pool, static_cast<std::size_t>(count),
-                    [&](std::size_t p) {
-            const PartitionSeq &seq = cat.seqs[seq_index(cand, p)];
-            layoutBoxes(op, seq, num_bits, ref, phase,
-                        at_end ? seq.temporalSteps() - 1 : 0, map, sizes,
-                        boxes.data() + p * stride);
-        });
+    // One boundary of the edge: a tensor of one endpoint at the last
+    // (have) or first (need) step of a phase.
+    struct Boundary
+    {
+        const OpSpec &op;
+        const NodeCatalog &cat;
+        const std::vector<std::int32_t> *cand;
+        TensorRef ref;
+        Phase phase;
+        bool atEnd;
+        const EdgeDimMap &map;
+    };
+    const Boundary have_fwd{producer, src, topts.srcCandidates,
+                            {producer.outputTensor, false}, Phase::Forward,
+                            true, edge.dimMap};
+    const Boundary need_fwd{consumer, dst, topts.dstCandidates,
+                            {edge.dstTensor, false}, Phase::Forward, false,
+                            consumer_map};
+    const Boundary have_bwd{consumer, dst, topts.dstCandidates,
+                            {edge.dstTensor, true}, Phase::Backward, true,
+                            consumer_map};
+    const Boundary need_bwd{producer, src, topts.srcCandidates,
+                            {producer.outputTensor, true}, Phase::Backward,
+                            false, edge.dimMap};
+    // The device boxes of candidate position @p p at @p b, flat.
+    const auto boxes_of = [&](const Boundary &b, std::size_t p) {
+        std::vector<SliceRange> boxes(box_count);
+        const PartitionSeq &seq = b.cat.seqs[seq_index(b.cand, p)];
+        layoutBoxes(b.op, seq, num_bits, b.ref, b.phase,
+                    b.atEnd ? seq.temporalSteps() - 1 : 0, b.map, sizes,
+                    boxes.data());
         return boxes;
     };
-    const auto have_fwd = side_boxes(producer, src, topts.srcCandidates,
-                                     src_count,
-                                     {producer.outputTensor, false},
-                                     Phase::Forward, true, producer_map);
-    const auto need_fwd = side_boxes(consumer, dst, topts.dstCandidates,
-                                     dst_count, {edge.dstTensor, false},
-                                     Phase::Forward, false, consumer_map);
-    const auto have_bwd = side_boxes(consumer, dst, topts.dstCandidates,
-                                     dst_count, {edge.dstTensor, true},
-                                     Phase::Backward, true, consumer_map);
-    const auto need_bwd = side_boxes(producer, src, topts.srcCandidates,
-                                     src_count,
-                                     {producer.outputTensor, true},
-                                     Phase::Backward, false, producer_map);
+
+    // Need boxes of every candidate position, one lane slot per
+    // position ([position * slot_size]), with their total volumes.
+    struct NeedSide
+    {
+        std::vector<std::int32_t> lanes;
+        std::vector<std::int64_t> volume;
+    };
+    const auto needs = [&](const Boundary &b, int count) {
+        NeedSide side{std::vector<std::int32_t>(count * slot_size),
+                      std::vector<std::int64_t>(count)};
+        parallelFor(pool, static_cast<std::size_t>(count),
+                    [&](std::size_t p) {
+            side.volume[p] = cost.needLanes(boxes_of(b, p).data(), sizes,
+                                            side.lanes.data() + p * slot_size);
+        });
+        return side;
+    };
+    const NeedSide fwd_need = needs(need_fwd, dst_count);
+    const NeedSide bwd_need = needs(need_bwd, src_count);
 
     // Joint dominance bound (see EdgeTableOptions::pairBudget): a pair
     // whose summed intra cost exceeds it is priced +inf without ever
@@ -219,7 +241,7 @@ buildEdgeCostTable(const CompGraph &graph, const GraphEdge &edge,
         intra_src[p] = src.intraCost[seq_index(topts.srcCandidates, p)];
     for (int p = 0; p < dst_count; ++p)
         intra_dst[p] = dst.intraCost[seq_index(topts.dstCandidates, p)];
-    const auto views = [&](const std::vector<SliceRange> &boxes,
+    const auto views = [&](const Boundary &b,
                            const std::vector<double> &intra,
                            const std::vector<double> &other) {
         double other_min = std::numeric_limits<double>::infinity();
@@ -227,8 +249,9 @@ buildEdgeCostTable(const CompGraph &graph, const GraphEdge &edge,
             other_min = std::min(other_min, v);
         std::vector<CostModel::SourceView> out(intra.size());
         parallelFor(pool, out.size(), [&](std::size_t p) {
-            if (!(intra[p] + other_min > topts.pairBudget))
-                out[p] = cost.sourceView(boxes.data() + p * stride, sizes);
+            if (intra[p] + other_min > topts.pairBudget)
+                return;
+            out[p] = cost.sourceView(boxes_of(b, p).data(), sizes);
         });
         return out;
     };
@@ -250,16 +273,30 @@ buildEdgeCostTable(const CompGraph &graph, const GraphEdge &edge,
                 slot = std::numeric_limits<float>::infinity();
                 continue;
             }
-            const auto f = cost.trafficSplit(fwd_views[ps],
-                                             need_fwd.data() + pd * stride);
-            const auto b = cost.trafficSplit(bwd_views[pd],
-                                             need_bwd.data() + ps * stride);
+            const auto f = cost.trafficSplit(
+                fwd_views[ps], fwd_need.lanes.data() + pd * slot_size,
+                fwd_need.volume[pd]);
+            const auto b = cost.trafficSplit(
+                bwd_views[pd], bwd_need.lanes.data() + ps * slot_size,
+                bwd_need.volume[ps]);
             slot = static_cast<float>(cost.redistLatencyUs(
                 static_cast<double>(f.intraNode + b.intraNode) * bpe,
                 static_cast<double>(f.interNode + b.interNode) * bpe));
         }
     });
     return table;
+}
+
+std::string
+edgeLaneBoundsError(const CompGraph &graph, int devices)
+{
+    for (const GraphEdge &edge : graph.edges()) {
+        const std::string error =
+            laneBoundsError(devices, graph.transferSizes(edge));
+        if (!error.empty())
+            return error;
+    }
+    return "";
 }
 
 } // namespace primepar

@@ -5,10 +5,10 @@
  * The segmented DP works over, for every node, the enumerated
  * partition space with precomputed intra-operator costs, and for every
  * edge, a dense (producer-seq x consumer-seq) table of inter-operator
- * costs. An edge table writes the boundary device boxes of every
- * candidate sequence once per side, builds one node-union source view
- * per producing position, and prices each sequence pair straight from
- * those flat boxes.
+ * costs. An edge table writes the need boxes of every candidate
+ * sequence once per side as int32 lanes, builds one node-union source
+ * view per producing position, and prices each sequence pair in one
+ * vector pass over all receivers (CostModel::trafficSplit()).
  *
  * Construction is embarrassingly parallel (one output slot per
  * sequence / position / sequence pair) and accepts an optional
@@ -128,6 +128,14 @@ EdgeCostTable buildEdgeCostTable(const CompGraph &graph,
                                  const CostModel &cost,
                                  ThreadPool *pool = nullptr,
                                  const EdgeTableOptions &topts = {});
+
+/**
+ * Why buildEdgeCostTable() cannot price some edge of @p graph on
+ * @p devices devices (laneBoundsError() of its transfer tensor), or
+ * "" when it can price every edge. Check it before planning a graph
+ * built from outside input.
+ */
+std::string edgeLaneBoundsError(const CompGraph &graph, int devices);
 
 } // namespace primepar
 

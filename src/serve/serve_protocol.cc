@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "graph/transformer.hh"
+#include "optimizer/catalog.hh"
 #include "runtime/errors.hh"
 
 namespace primepar {
@@ -126,6 +127,15 @@ PlanRequest::validate() const
     if (batch < 1) {
         throw InputError("batch must be >= 1 (got " +
                          std::to_string(batch) + ")");
+    }
+    // The planner prices every edge tensor of the block on int32
+    // lanes (CostModel::trafficSplit()); refuse a batch that makes one
+    // too large to price exactly instead of planning into an assert.
+    const std::string lanes = edgeLaneBoundsError(
+        buildTransformerBlock(modelByName(model), batch), devices);
+    if (!lanes.empty()) {
+        throw InputError("batch " + std::to_string(batch) + " on " +
+                         std::to_string(devices) + " devices: " + lanes);
     }
     if (layers < 0) {
         throw InputError("layers must be >= 0 (got " +

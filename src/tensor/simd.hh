@@ -1,9 +1,10 @@
 /**
  * @file
  * Vector types and target macros shared by the SIMD kernel TUs
- * (gemm.cc, elementwise.cc). Internal to src/tensor: every kernel
- * built on these runs on the tiers of GemmIsa, one out-of-line
- * instance per tier compiled with __attribute__((target(...))).
+ * (tensor/gemm.cc, tensor/elementwise.cc, cost/cost_model.cc). Not
+ * part of the public tensor API: every kernel built on these runs on
+ * the tiers of GemmIsa, one out-of-line instance per tier compiled
+ * with __attribute__((target(...))).
  */
 
 #ifndef PRIMEPAR_TENSOR_SIMD_HH
@@ -38,6 +39,8 @@ struct Lanes
     /** Same width in uint32 lanes: bit patterns, wrapping arithmetic. */
     typedef std::uint32_t utype
         __attribute__((vector_size(W * sizeof(float))));
+    /** W double lanes (twice the width): exact int32 products. */
+    typedef double dtype __attribute__((vector_size(W * sizeof(double))));
 };
 #endif
 

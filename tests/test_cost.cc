@@ -6,6 +6,8 @@
  */
 
 #include <algorithm>
+#include <iostream>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -124,19 +126,75 @@ distinctLayouts(const OpSpec &op, int bits, TensorRef ref, Phase phase,
     return out;
 }
 
+/** The pricing tiers this host runs; reports the others as skipped. */
+std::vector<GemmIsa>
+hostTiers()
+{
+    std::vector<GemmIsa> tiers;
+    for (const GemmIsa isa :
+         {GemmIsa::Sse2, GemmIsa::Avx2, GemmIsa::Avx512f}) {
+        if (detail::hostSupportsGemmIsa(isa))
+            tiers.push_back(isa);
+        else
+            std::cout << "[  SKIPPED ] pricing tier " << gemmIsaName(isa)
+                      << ": not supported by this host\n";
+    }
+    return tiers;
+}
+
+/** @p need as CostModel::needLanes() writes it, with its volume. */
+struct NeedSlot
+{
+    std::vector<std::int32_t> lanes;
+    std::int64_t volume = 0;
+};
+
+NeedSlot
+needSlot(const CostModel &cm, const TensorLayout &need)
+{
+    NeedSlot slot;
+    slot.lanes.resize(
+        cm.slotLanes(static_cast<int>(need.dimSizes.size())));
+    slot.volume = cm.needLanes(flatBoxes(need).data(), need.dimSizes,
+                               slot.lanes.data());
+    return slot;
+}
+
+/** The link split of planRedistribution(have, need, &topo). */
+CostModel::TrafficSplit
+planSplit(const TensorLayout &have, const TensorLayout &need,
+          const ClusterTopology &topo)
+{
+    CostModel::TrafficSplit split;
+    for (const auto &tr : planRedistribution(have, need, &topo).transfers) {
+        if (topo.sameNode(tr.src, tr.dst))
+            split.intraNode += tr.elements;
+        else
+            split.interNode += tr.elements;
+    }
+    return split;
+}
+
 TEST(CostModel, TrafficSplitMatchesFullPlan)
 {
     // The traffic evaluator must agree exactly with the full
     // redistribution planner on both link classes, for every pair of
     // realizable boundary layouts (replicated producers included), in
     // both phases, on hierarchical clusters and on a torus — where
-    // the fast link class is "torus neighbour", not "same row".
+    // the fast link class is "torus neighbour", not "same row" — on
+    // every pricing tier the host runs. 2 and 4 devices fill less
+    // than one vector of any tier, 32 spans several; there, a fixed
+    // stride of the pairs is checked (all of them plan for ~100 s).
     const OpSpec op = makeLinearOp("fc", 16, 16, 16, 16);
     const std::vector<std::int64_t> sizes{16, 16, 16};
     const EdgeDimMap out_map{0, 1, 3}, in_map{0, 1, 2};
+    const std::vector<GemmIsa> tiers = hostTiers();
     for (const ClusterTopology &topo :
-         {ClusterTopology::paperCluster(8),
+         {ClusterTopology::paperCluster(2),
+          ClusterTopology::paperCluster(4),
+          ClusterTopology::paperCluster(8),
           ClusterTopology::paperCluster(16),
+          ClusterTopology::paperCluster(32),
           ClusterTopology::torus2d(4)}) {
         const CostModel cm(topo, profileModels(topo));
         const int bits = topo.numBits();
@@ -156,50 +214,46 @@ TEST(CostModel, TrafficSplitMatchesFullPlan)
                  distinctLayouts(op, bits, d_out, Phase::Backward,
                                  false, out_map, sizes)},
             };
-        std::int64_t checked = 0, fast_bytes = 0;
+        const std::int64_t stride = topo.numDevices() > 16 ? 61 : 1;
+        std::int64_t pair = 0, checked = 0, fast_bytes = 0;
         for (const auto &[haves, needs] : phases) {
-            std::vector<std::vector<SliceRange>> need_boxes;
+            std::vector<NeedSlot> need_slots;
             for (const auto &need : needs)
-                need_boxes.push_back(flatBoxes(need));
+                need_slots.push_back(needSlot(cm, need));
             for (const auto &have : haves) {
-                const auto have_boxes = flatBoxes(have);
                 const auto source =
-                    cm.sourceView(have_boxes.data(), have.dimSizes);
+                    cm.sourceView(flatBoxes(have).data(), have.dimSizes);
                 for (std::size_t n = 0; n < needs.size(); ++n) {
-                    const auto split =
-                        cm.trafficSplit(source, need_boxes[n].data());
-                    const RedistPlan plan =
-                        planRedistribution(have, needs[n], &topo);
-                    std::int64_t intra = 0, inter = 0;
-                    for (const auto &tr : plan.transfers) {
-                        if (topo.sameNode(tr.src, tr.dst))
-                            intra += tr.elements;
-                        else
-                            inter += tr.elements;
+                    if (pair++ % stride != 0)
+                        continue;
+                    const auto want = planSplit(have, needs[n], topo);
+                    for (const GemmIsa isa : tiers) {
+                        const auto split = detail::trafficSplitOn(
+                            isa, source, need_slots[n].lanes.data(),
+                            need_slots[n].volume);
+                        ASSERT_EQ(split.intraNode, want.intraNode)
+                            << topo.numDevices() << " devices, "
+                            << gemmIsaName(isa) << ", pair " << checked;
+                        ASSERT_EQ(split.interNode, want.interNode)
+                            << topo.numDevices() << " devices, "
+                            << gemmIsaName(isa) << ", pair " << checked;
                     }
-                    ASSERT_EQ(split.intraNode, intra)
-                        << topo.numDevices() << " devices, pair "
-                        << checked;
-                    ASSERT_EQ(split.interNode, inter)
-                        << topo.numDevices() << " devices, pair "
-                        << checked;
-                    fast_bytes += intra;
+                    fast_bytes += want.intraNode;
                     ++checked;
                 }
             }
         }
-        EXPECT_GT(checked, 100);
+        EXPECT_GT(checked, topo.numDevices() < 8 ? 10 : 100);
         EXPECT_GT(fast_bytes, 0); // the fast link class is exercised
     }
 }
 
 TEST(CostModel, TrafficSplitMatchesFullPlanOnOtherRanks)
 {
-    // The evaluator unrolls its per-device loop for 3- and 4-dim
-    // boxes; transfer tensors of any other rank take the generic loop,
-    // which must agree with the full planner just the same. Rank 2
-    // drops the batch dim (its split becomes replication), rank 5 adds
-    // two dims no device splits.
+    // Transfer tensors of rank other than 3 use the same lanes, one
+    // slot row per dim, and must agree with the full planner just the
+    // same on every tier. Rank 2 drops the batch dim (its split
+    // becomes replication), rank 5 adds two dims no device splits.
     const OpSpec op = makeLinearOp("fc", 16, 16, 16, 16);
     struct Case
     {
@@ -210,6 +264,7 @@ TEST(CostModel, TrafficSplitMatchesFullPlanOnOtherRanks)
         {{1, 3}, {1, 2}, {16, 16}},
         {{0, 1, 3, -1, -1}, {0, 1, 2, -1, -1}, {16, 16, 16, 2, 3}},
     };
+    const std::vector<GemmIsa> tiers = hostTiers();
     for (const ClusterTopology &topo :
          {ClusterTopology::paperCluster(8), ClusterTopology::torus2d(4)}) {
         const CostModel cm(topo, profileModels(topo));
@@ -223,21 +278,25 @@ TEST(CostModel, TrafficSplitMatchesFullPlanOnOtherRanks)
                 c.sizes);
             std::int64_t checked = 0;
             for (const auto &have : haves) {
+                const auto source =
+                    cm.sourceView(flatBoxes(have).data(), have.dimSizes);
                 for (const auto &need : needs) {
-                    const auto split = cm.trafficSplit(have, need);
-                    const RedistPlan plan =
-                        planRedistribution(have, need, &topo);
-                    std::int64_t intra = 0, inter = 0;
-                    for (const auto &tr : plan.transfers) {
-                        if (topo.sameNode(tr.src, tr.dst))
-                            intra += tr.elements;
-                        else
-                            inter += tr.elements;
+                    const auto want = planSplit(have, need, topo);
+                    const NeedSlot slot = needSlot(cm, need);
+                    for (const GemmIsa isa : tiers) {
+                        const auto split = detail::trafficSplitOn(
+                            isa, source, slot.lanes.data(), slot.volume);
+                        ASSERT_EQ(split.intraNode, want.intraNode)
+                            << c.sizes.size() << " dims, "
+                            << gemmIsaName(isa) << ", pair " << checked;
+                        ASSERT_EQ(split.interNode, want.interNode)
+                            << c.sizes.size() << " dims, "
+                            << gemmIsaName(isa) << ", pair " << checked;
                     }
-                    ASSERT_EQ(split.intraNode, intra)
-                        << c.sizes.size() << " dims, pair " << checked;
-                    ASSERT_EQ(split.interNode, inter)
-                        << c.sizes.size() << " dims, pair " << checked;
+                    // The layout overload prices on the active tier.
+                    const auto split = cm.trafficSplit(have, need);
+                    ASSERT_EQ(split.intraNode, want.intraNode);
+                    ASSERT_EQ(split.interNode, want.interNode);
                     ++checked;
                 }
             }
@@ -271,6 +330,51 @@ TEST(CostModelDeath, PrepareSourceRejectsUncoveredTensor)
     have.deviceBox = {{SliceRange{0, 2}}, {SliceRange{4, 6}}};
     EXPECT_DEATH(cm.sourceView(flatBoxes(have).data(), have.dimSizes),
                  "not a tiling");
+}
+
+TEST(CostModelDeath, LanesRejectDimPastInt32)
+{
+    // Box bounds travel as int32 lanes: a dim of 2^31 elements would
+    // wrap, so both the source view and the need lanes refuse it.
+    const ClusterTopology topo = ClusterTopology::paperCluster(2);
+    const CostModel cm(topo, profileModels(topo));
+    const std::int64_t big =
+        std::int64_t{std::numeric_limits<std::int32_t>::max()} + 1;
+    TensorLayout layout;
+    layout.dimSizes = {big};
+    layout.deviceBox = {{SliceRange{0, big}}, {SliceRange{0, big}}};
+    const auto boxes = flatBoxes(layout);
+    EXPECT_DEATH(cm.sourceView(boxes.data(), layout.dimSizes),
+                 "past the int32 lanes");
+    std::vector<std::int32_t> lanes(cm.slotLanes(1));
+    EXPECT_DEATH(cm.needLanes(boxes.data(), layout.dimSizes, lanes.data()),
+                 "past the int32 lanes");
+}
+
+TEST(CostModelDeath, LanesRejectSumsPast2To53)
+{
+    // Overlap volumes are multiplied and summed in double, exact only
+    // below 2^53: 2 devices x 2^26 x 2^26 elements reach it.
+    const ClusterTopology topo = ClusterTopology::paperCluster(2);
+    const CostModel cm(topo, profileModels(topo));
+    const std::int64_t side = std::int64_t{1} << 26;
+    TensorLayout layout;
+    layout.dimSizes = {side, side};
+    layout.deviceBox = {{SliceRange{0, side / 2}, SliceRange{0, side}},
+                        {SliceRange{side / 2, side}, SliceRange{0, side}}};
+    const auto boxes = flatBoxes(layout);
+    EXPECT_DEATH(cm.sourceView(boxes.data(), layout.dimSizes),
+                 "reach 2\\^53");
+    std::vector<std::int32_t> lanes(cm.slotLanes(2));
+    EXPECT_DEATH(cm.needLanes(boxes.data(), layout.dimSizes, lanes.data()),
+                 "reach 2\\^53");
+    // One element fewer per device stays exact.
+    layout.dimSizes = {side, side - 1};
+    layout.deviceBox = {{SliceRange{0, side / 2}, SliceRange{0, side - 1}},
+                        {SliceRange{side / 2, side},
+                         SliceRange{0, side - 1}}};
+    const auto split = cm.trafficSplit(layout, layout);
+    EXPECT_EQ(split.intraNode + split.interNode, 0);
 }
 
 TEST(CostModel, IntraCheaperThanInterRedistribution)

@@ -6,6 +6,7 @@
  * search behaviour on the transformer block.
  */
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -265,6 +266,76 @@ TEST(Catalog, EdgeTableMatchesFullPlanPerPair)
             }
         }
         EXPECT_GT(checked, 500u);
+    }
+}
+
+TEST(Catalog, BudgetedTableMatchesFullTable)
+{
+    // A table over candidate subsets under a finite pair budget prices
+    // every in-budget (ps, pd) exactly as the full table prices
+    // (cand[ps], cand[pd]) and sets every other entry to +inf, so a
+    // position with no pair under the budget (one that builds no
+    // source view) has an all-+inf row or column.
+    SmallFixture f;
+    const auto catalogs = buildAllNodeCatalogs(f.graph, f.cost, {});
+    for (const GraphEdge &edge : f.graph.edges()) {
+        const NodeCatalog &src = *catalogs[edge.src];
+        const NodeCatalog &dst = *catalogs[edge.dst];
+        const auto full = buildEdgeCostTable(f.graph, edge, src, dst, f.cost);
+        std::vector<std::int32_t> src_cand, dst_cand;
+        for (int s = 0; s < src.size(); s += 2)
+            src_cand.push_back(s);
+        for (int d = 1; d < dst.size(); d += 3)
+            dst_cand.push_back(d);
+        // Budget: the median summed intra cost of the candidate pairs.
+        std::vector<double> sums;
+        for (const std::int32_t s : src_cand)
+            for (const std::int32_t d : dst_cand)
+                sums.push_back(src.intraCost[s] + dst.intraCost[d]);
+        std::nth_element(sums.begin(), sums.begin() + sums.size() / 2,
+                         sums.end());
+        EdgeTableOptions topts;
+        topts.srcCandidates = &src_cand;
+        topts.dstCandidates = &dst_cand;
+        topts.pairBudget = sums[sums.size() / 2];
+        const auto table = buildEdgeCostTable(f.graph, edge, src, dst,
+                                              f.cost, nullptr, topts);
+        ASSERT_EQ(table.srcSize, static_cast<int>(src_cand.size()));
+        ASSERT_EQ(table.dstSize, static_cast<int>(dst_cand.size()));
+
+        std::size_t in_budget = 0;
+        std::vector<char> src_live(src_cand.size(), 0);
+        std::vector<char> dst_live(dst_cand.size(), 0);
+        for (std::size_t ps = 0; ps < src_cand.size(); ++ps) {
+            for (std::size_t pd = 0; pd < dst_cand.size(); ++pd) {
+                const int s = src_cand[ps], d = dst_cand[pd];
+                const double got = table.at(static_cast<int>(ps),
+                                            static_cast<int>(pd));
+                if (src.intraCost[s] + dst.intraCost[d] > topts.pairBudget) {
+                    EXPECT_EQ(got, std::numeric_limits<double>::infinity())
+                        << "pair " << ps << ", " << pd;
+                    continue;
+                }
+                EXPECT_EQ(got, full.at(s, d)) << "pair " << ps << ", " << pd;
+                src_live[ps] = dst_live[pd] = 1;
+                ++in_budget;
+            }
+        }
+        EXPECT_GT(in_budget, 0u);
+        const auto dead = std::count(src_live.begin(), src_live.end(), 0) +
+                          std::count(dst_live.begin(), dst_live.end(), 0);
+        EXPECT_GT(dead, 0) << "every position has a pair under the budget";
+        const double inf = std::numeric_limits<double>::infinity();
+        for (std::size_t ps = 0; ps < src_cand.size(); ++ps) {
+            for (std::size_t pd = 0; pd < dst_cand.size(); ++pd) {
+                if (src_live[ps] && dst_live[pd])
+                    continue;
+                EXPECT_EQ(table.at(static_cast<int>(ps),
+                                   static_cast<int>(pd)),
+                          inf)
+                    << "pair " << ps << ", " << pd;
+            }
+        }
     }
 }
 

@@ -285,6 +285,40 @@ TEST(ServeProtocol, ValidateRejectsMalformedRequests)
     EXPECT_NO_THROW(req.validate());
 }
 
+TEST(ServeProtocol, ValidateRejectsBatchesPastThePricingLanes)
+{
+    // Every edge tensor's batch dim passes INT32_MAX.
+    PlanRequest wide;
+    wide.model = "OPT 6.7B";
+    wide.devices = 2;
+    wide.batch = std::int64_t{1} << 31;
+    try {
+        wide.validate();
+        ADD_FAILURE() << "batch 2^31 accepted";
+    } catch (const InputError &e) {
+        EXPECT_NE(std::string(e.what()).find("past the int32 lanes"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    // The attention scores [b, 64, 4096, 4096] on 512 devices reach
+    // 2^53 elements at batch 16384.
+    PlanRequest deep;
+    deep.model = "Llama2 70B";
+    deep.devices = 512;
+    deep.batch = 16384;
+    try {
+        deep.validate();
+        ADD_FAILURE() << "2^53 device elements accepted";
+    } catch (const InputError &e) {
+        EXPECT_NE(std::string(e.what()).find("reach 2^53"),
+                  std::string::npos)
+            << e.what();
+    }
+    deep.batch = 16383;
+    EXPECT_NO_THROW(deep.validate());
+}
+
 namespace {
 
 PlanRequest
@@ -446,6 +480,31 @@ TEST(PlanService, InvalidRequestsFailCleanlyWithoutTakingTheService)
     // The service still answers good requests afterwards.
     const PlanResponse good = service.plan(tinyRequest());
     EXPECT_TRUE(good.ok) << good.error;
+}
+
+TEST(PlanServer, RefusesUnpriceableBatchesAndKeepsServing)
+{
+    PlanServerOptions opts; // no store: in-memory only
+    PlanServer server(opts);
+    ASSERT_GT(server.port(), 0);
+    PlanClient client("127.0.0.1", server.port());
+
+    PlanRequest huge;
+    huge.model = "OPT 6.7B";
+    huge.devices = 2;
+    huge.batch = std::int64_t{1} << 31;
+    const PlanResponse refused = client.plan(huge);
+    EXPECT_FALSE(refused.ok);
+    EXPECT_NE(refused.error.find("past the int32 lanes"), std::string::npos)
+        << refused.error;
+
+    // The daemon is still up and plans the next request.
+    EXPECT_TRUE(client.ping());
+    const PlanResponse good = client.plan(tinyRequest());
+    EXPECT_TRUE(good.ok) << good.error;
+    EXPECT_TRUE(client.shutdown());
+    EXPECT_TRUE(server.waitForShutdown(5000));
+    server.stop();
 }
 
 TEST(PlanServer, ServesPlansStatsAndShutdownOverLoopback)
