@@ -4,9 +4,10 @@
  *
  * Two modes:
  *  - default (google-benchmark): DSI table evaluation, comm-pattern
- *    derivation, partition space enumeration, redistribution traffic
- *    and the SPMD contraction kernel — guards the optimizer's O(P^3)
- *    inner loops against regressions.
+ *    derivation, partition space enumeration, edge-table boundary
+ *    boxes, source views and traffic pricing, and the SPMD contraction
+ *    kernel — guards the optimizer's O(P^3) inner loops against
+ *    regressions.
  *  - `--json [FILE]` (add `--quick` for CI sizes): the runtime
  *    microbench. Reports blocked-vs-naive kernel timings (ms, GFLOP/s,
  *    bytes moved, the SIMD tier that ran them; gelu on every host
@@ -106,6 +107,15 @@ BM_EnumerateSpace(benchmark::State &state)
 }
 BENCHMARK(BM_EnumerateSpace)->Arg(3)->Arg(4)->Arg(5);
 
+/** The topology of a BM_TrafficSplit cell: @p bits device bits on
+ *  paperCluster, or a square torus2d when @p torus. */
+ClusterTopology
+cellTopology(int bits, bool torus)
+{
+    return torus ? ClusterTopology::torus2d(1 << (bits / 2))
+                 : ClusterTopology::paperCluster(1 << bits);
+}
+
 void
 BM_TrafficSplit(benchmark::State &state)
 {
@@ -119,9 +129,7 @@ BM_TrafficSplit(benchmark::State &state)
     }
     const OpSpec op = makeLinearOp("fc", 8, 2048, 4096, 4096);
     const int bits = static_cast<int>(state.range(0));
-    const ClusterTopology topo =
-        state.range(1) ? ClusterTopology::torus2d(1 << (bits / 2))
-                       : ClusterTopology::paperCluster(1 << bits);
+    const ClusterTopology topo = cellTopology(bits, state.range(1) != 0);
     const CostModel cm(topo, profileModels(topo));
     PartitionSeq a, b;
     for (int i = 0; i < bits; ++i) {
@@ -155,6 +163,78 @@ BENCHMARK(BM_TrafficSplit)->Apply([](benchmark::internal::Benchmark *b) {
             b->Args({cell.first, cell.second, static_cast<int>(isa)});
     }
 });
+
+/** Forward output boundary of every sequence of the BM_TrafficSplit
+ *  op: the have side of an edge table with full catalogs. */
+struct OutputBoundaries
+{
+    OpSpec op = makeLinearOp("fc", 8, 2048, 4096, 4096);
+    EdgeDimMap map{0, 1, 3};
+    std::vector<std::int64_t> sizes{8, 2048, 4096};
+    std::vector<PartitionSeq> seqs;
+
+    explicit OutputBoundaries(int bits) : seqs(enumerateSequences(op, bits))
+    {
+    }
+};
+
+void
+BM_LayoutBoxes(benchmark::State &state)
+{
+    // Args as BM_TrafficSplit's cells: device bits, torus flag (the
+    // boxes do not depend on the topology). One iteration reads the
+    // boxes of every sequence's boundary.
+    const int bits = static_cast<int>(state.range(0));
+    const OutputBoundaries b(bits);
+    const BoundaryBoxes reader(b.op, bits, {b.op.outputTensor, false},
+                               Phase::Forward, b.map, b.sizes);
+    std::vector<SliceRange> boxes((std::size_t{1} << bits) * b.sizes.size());
+    for (auto _ : state) {
+        for (const PartitionSeq &seq : b.seqs) {
+            reader.read(seq, seq.temporalSteps() - 1, boxes.data());
+            benchmark::DoNotOptimize(boxes.data());
+        }
+    }
+    state.counters["per_boundary"] = benchmark::Counter(
+        static_cast<double>(b.seqs.size()),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_LayoutBoxes)->Args({3, 0})->Args({4, 0})->Args({5, 0})
+    ->Args({4, 1});
+
+void
+BM_SourceView(benchmark::State &state)
+{
+    // Args as BM_LayoutBoxes. One iteration builds the view of every
+    // sequence's boundary into one arena, as an edge table side does.
+    const int bits = static_cast<int>(state.range(0));
+    const ClusterTopology topo = cellTopology(bits, state.range(1) != 0);
+    const CostModel cm(topo, profileModels(topo));
+    const OutputBoundaries b(bits);
+    const LaneDims dims(topo.numDevices(), b.sizes);
+    std::vector<std::vector<SliceRange>> boxes;
+    for (const PartitionSeq &seq : b.seqs) {
+        boxes.push_back(flatBoxes(layoutOf(b.op, seq, bits,
+                                           {b.op.outputTensor, false},
+                                           Phase::Forward,
+                                           seq.temporalSteps() - 1, b.map,
+                                           b.sizes)));
+    }
+    for (auto _ : state) {
+        LaneArena arena;
+        for (const auto &layout : boxes) {
+            const auto view = cm.sourceView(layout.data(), dims, arena);
+            benchmark::DoNotOptimize(view.lanes);
+        }
+    }
+    state.counters["per_view"] = benchmark::Counter(
+        static_cast<double>(boxes.size()),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SourceView)->Args({3, 0})->Args({4, 0})->Args({5, 0})
+    ->Args({4, 1});
 
 void
 BM_ContractProduct(benchmark::State &state)

@@ -37,8 +37,9 @@
 #      bytes into a pre-sized destination behind its payload-size
 #      check, the pruned planner indexes dense edge tables
 #      through candidate-position indirection and prices them from
-#      flat per-position box arrays and source views (test_cost and
-#      test_optimizer, both labelled planner), and the plan store
+#      boxes read into per-thread scratch and source views built in
+#      per-table lane arenas (test_cost and test_optimizer, both
+#      labelled planner), and the plan store
 #      decodes raw mmap'd bytes: exactly where lifetime and
 #      out-of-bounds bugs would hide.
 #   6. Configure + build a ThreadSanitizer tree (build-tsan/) with
@@ -57,13 +58,28 @@
 #      the gate.
 #
 # --quick skips a sanitizer reconfigure when its build tree is already
-# configured. Exits non-zero on the first failure.
+# configured. Exits non-zero on the first failure. Every temporary file
+# and directory lives under one mktemp directory, removed on exit with
+# any smoke process still running, whichever section failed.
 
 set -eu
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 QUICK=0
 [ "${1:-}" = "--quick" ] && QUICK=1
+
+WORK="$(mktemp -d /tmp/verify.XXXXXX)"
+cleanup() {
+    # jobs -p in a command substitution would list the subshell's
+    # (empty) job table: go through a file.
+    jobs -p > "$WORK/jobs"
+    while read -r pid; do
+        kill -9 "$pid" 2> /dev/null || true
+    done < "$WORK/jobs"
+    rm -rf "$WORK"
+}
+trap cleanup EXIT
+trap 'exit 1' HUP INT TERM
 
 echo "== tier-1: configure + build =="
 cmake -B "$ROOT/build" -S "$ROOT" > /dev/null
@@ -76,7 +92,7 @@ echo "== tanh_exhaustive: all 2^32 inputs on every host tier =="
 "$ROOT/build/tests/tanh_exhaustive"
 
 echo "== calibration smoke: fit models on the real runtime =="
-CAL_OUT="$(mktemp /tmp/calibration.XXXXXX.json)"
+CAL_OUT="$WORK/calibration.json"
 "$ROOT/build/examples/primepar_calibrate" --quick --min-r2 0.9 \
     --out "$CAL_OUT"
 if command -v python3 > /dev/null 2>&1; then
@@ -103,11 +119,9 @@ print(f"verify: calibration OK "
       f"min R^2 {min(doc.get('r2', {1: 1.0}).values()):.4f})")
 EOF
 fi
-rm -f "$CAL_OUT"
-
 echo "== traced training run: chrome trace + metrics snapshot =="
-TRACE_OUT="$(mktemp /tmp/train_trace.XXXXXX.json)"
-METRICS_OUT="$(mktemp /tmp/train_metrics.XXXXXX.json)"
+TRACE_OUT="$WORK/train_trace.json"
+METRICS_OUT="$WORK/train_metrics.json"
 "$ROOT/build/examples/primepar_train" --steps 2 --devices 4 \
     --trace-out "$TRACE_OUT" --metrics-out "$METRICS_OUT" > /dev/null
 if command -v python3 > /dev/null 2>&1; then
@@ -134,8 +148,6 @@ print(f"verify: traced run OK ({len(spans)} spans, "
       f"{len(metrics['counters'])} counters)")
 EOF
 fi
-rm -f "$TRACE_OUT" "$METRICS_OUT"
-
 echo "== distributed smoke: coordinator + 2 workers, SIGKILL one =="
 # The ctest-level dist scenarios (test_dist, -L dist, hard TIMEOUT so a
 # protocol hang fails instead of wedging CI) cover bit-identity and the
@@ -144,7 +156,8 @@ echo "== distributed smoke: coordinator + 2 workers, SIGKILL one =="
 # via replanForSurvivors + checkpoint restore.
 ctest --test-dir "$ROOT/build" --output-on-failure -L dist \
     -j"$(nproc)"
-DIST_DIR="$(mktemp -d /tmp/dist_smoke.XXXXXX)"
+DIST_DIR="$WORK/dist_smoke"
+mkdir "$DIST_DIR"
 "$ROOT/build/examples/primepar_worker" --serve --workers 2 \
     --devices 4 --steps 60 --batch 2 --hidden 16 --heads 2 --ffn 32 \
     --seq 8 --plan dp --checkpoint-every 1 \
@@ -187,7 +200,6 @@ FINAL_STEPS="$(grep -c '^final step' "$DIST_DIR/coord.log" || true)"
 losses, got $FINAL_STEPS"; cat "$DIST_DIR/coord.log"; exit 1; }
 echo "verify: distributed smoke OK (degraded to survivors, \
 $FINAL_STEPS losses)"
-rm -rf "$DIST_DIR"
 
 echo "== re-join smoke: SIGKILL one of 3 workers, grow back =="
 # Elastic re-join, end to end with real signals: a sharded 3-worker
@@ -195,7 +207,8 @@ echo "== re-join smoke: SIGKILL one of 3 workers, grow back =="
 # degraded generation, the coordinator fences a barrier step and
 # re-places the restored 2^n grid, and the job must finish every step
 # at full size.
-RJ_DIR="$(mktemp -d /tmp/rejoin_smoke.XXXXXX)"
+RJ_DIR="$WORK/rejoin_smoke"
+mkdir "$RJ_DIR"
 "$ROOT/build/examples/primepar_worker" --serve --workers 3 \
     --devices 4 --steps 40 --batch 2 --hidden 16 --heads 2 --ffn 32 \
     --seq 8 --heartbeat-ms 50 --checkpoint-every 1 \
@@ -256,7 +269,6 @@ RJ_STEPS="$(grep -c '^final step' "$RJ_DIR/coord.log" || true)"
 after re-join, got $RJ_STEPS"; cat "$RJ_DIR/coord.log"; exit 1; }
 echo "verify: re-join smoke OK (grew back to the full grid, \
 $RJ_STEPS losses)"
-rm -rf "$RJ_DIR"
 
 echo "== serve smoke: daemon, store-hit repeat plan, stats =="
 # The serve-labelled tests cover the store format, single-flight and
@@ -266,7 +278,8 @@ echo "== serve smoke: daemon, store-hit repeat plan, stats =="
 # request latency histogram.
 ctest --test-dir "$ROOT/build" --output-on-failure -L serve \
     -j"$(nproc)"
-SERVE_DIR="$(mktemp -d /tmp/serve_smoke.XXXXXX)"
+SERVE_DIR="$WORK/serve_smoke"
+mkdir "$SERVE_DIR"
 "$ROOT/build/examples/primepar_serve" --store "$SERVE_DIR/plans.pps" \
     > "$SERVE_DIR/serve.log" 2>&1 &
 SERVE_PID=$!
@@ -319,7 +332,6 @@ print(f"verify: serve smoke OK (dp -> store hit, p50 "
       f"{hist['count']} requests)")
 EOF
 fi
-rm -rf "$SERVE_DIR"
 
 echo "== sanitizer (ASan+UBSan): configure + build =="
 if [ "$QUICK" -eq 0 ] || [ ! -f "$ROOT/build-asan/CMakeCache.txt" ]; then

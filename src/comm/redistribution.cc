@@ -80,29 +80,81 @@ layoutOf(const OpSpec &op, const DsiTable &dsi, const TensorRef &ref,
     return layout;
 }
 
-void
-layoutBoxes(const OpSpec &op, const PartitionSeq &seq, int num_bits,
-            const TensorRef &ref, Phase phase, int t,
-            const EdgeDimMap &dim_map,
-            const std::vector<std::int64_t> &transfer_sizes,
-            SliceRange *boxes)
+BoundaryBoxes::BoundaryBoxes(const OpSpec &op_in, int num_bits,
+                             const TensorRef &ref, Phase phase_in,
+                             const EdgeDimMap &dim_map,
+                             const std::vector<std::int64_t> &transfer_sizes)
+    : op(op_in), numBits(num_bits), phase(phase_in), dimMap(dim_map),
+      sizes(transfer_sizes)
 {
     checkDimMap(op, ref, dim_map, transfer_sizes);
-    PRIMEPAR_ASSERT(seq.numBits() == num_bits, "sequence consumes ",
-                    seq.numBits(), " bits, expected ", num_bits);
-    const std::vector<std::int64_t> slices = seq.sliceCounts(op);
-    const std::int64_t devices = std::int64_t{1} << num_bits;
-    const std::size_t dims = dim_map.size();
-    std::vector<std::int64_t> idx(op.dims.size());
-    for (std::int64_t dev = 0; dev < devices; ++dev) {
-        evaluateDsi(op, seq, num_bits, phase, dev, t, idx.data());
-        SliceRange *box = boxes + dev * dims;
+}
+
+void
+BoundaryBoxes::read(const PartitionSeq &seq, int t, SliceRange *boxes) const
+{
+    PRIMEPAR_ASSERT(seq.numBits() == numBits, "sequence consumes ",
+                    seq.numBits(), " bits, expected ", numBits);
+    // Algorithm 1 for every device at once, one step at a time, on the
+    // mapped dims only (evaluateDsi() per device does the same updates
+    // in the same order). Per-thread scratch: the slice count of each
+    // transfer dim, then its DSI value on every device.
+    const std::int64_t devices = std::int64_t{1} << numBits;
+    const std::size_t dims = dimMap.size();
+    thread_local std::vector<std::int64_t> scratch;
+    scratch.assign(dims * (1 + devices), 0);
+    std::int64_t *slices = scratch.data();
+    std::fill(slices, slices + dims, 1);
+    const auto idx_of = [&](std::size_t i) {
+        return scratch.data() + dims + i * devices;
+    };
+    int cursor = 0;
+    for (const PartitionStep &step : seq.steps()) {
+        if (step.kind == PartitionStep::Kind::ByDim) {
+            // Eqs. 2-3: identical update in every phase.
+            const int shift = numBits - 1 - cursor;
+            for (std::size_t i = 0; i < dims; ++i) {
+                if (dimMap[i] != step.dim)
+                    continue;
+                slices[i] *= 2;
+                std::int64_t *idx = idx_of(i);
+                for (std::int64_t dev = 0; dev < devices; ++dev)
+                    idx[dev] = 2 * idx[dev] + ((dev >> shift) & 1);
+            }
+            cursor += 1;
+            continue;
+        }
+        // PSquare: Alg. 1 lines 8-21, on the transfer dims mapped onto
+        // the square's M, N or K.
+        PRIMEPAR_ASSERT(op.psquare.has_value(),
+                        "PSquare on incompatible operator ", op.name);
+        const PSquareDims &psq = *op.psquare;
+        const std::int64_t side = std::int64_t{1} << step.k;
         for (std::size_t i = 0; i < dims; ++i) {
-            const int op_dim = dim_map[i];
-            box[i] = op_dim < 0 ? SliceRange{0, transfer_sizes[i]}
-                                : rescaledSlice(idx[op_dim],
-                                                slices[op_dim],
-                                                transfer_sizes[i]);
+            const int op_dim = dimMap[i];
+            if (op_dim < 0 ||
+                (op_dim != psq.m && op_dim != psq.n && op_dim != psq.k))
+                continue;
+            slices[i] *= side;
+            std::int64_t *idx = idx_of(i);
+            for (std::int64_t dev = 0; dev < devices; ++dev) {
+                const PSquareIndex at = pSquareIndex(
+                    phase, pSquareCoord(dev, numBits, cursor, step.k), t,
+                    step.k);
+                idx[dev] = side * idx[dev] +
+                           (op_dim == psq.m   ? at.m
+                            : op_dim == psq.n ? at.n
+                                              : at.k);
+            }
+        }
+        cursor += step.bits();
+    }
+    for (std::size_t i = 0; i < dims; ++i) {
+        const std::int64_t *idx = idx_of(i);
+        for (std::int64_t dev = 0; dev < devices; ++dev) {
+            boxes[dev * dims + i] =
+                dimMap[i] < 0 ? SliceRange{0, sizes[i]}
+                              : rescaledSlice(idx[dev], slices[i], sizes[i]);
         }
     }
 }
@@ -141,8 +193,8 @@ layoutOf(const OpSpec &op, const PartitionSeq &seq, int num_bits,
 {
     std::vector<SliceRange> boxes((std::size_t{1} << num_bits) *
                                   dim_map.size());
-    layoutBoxes(op, seq, num_bits, ref, phase, t, dim_map, transfer_sizes,
-                boxes.data());
+    BoundaryBoxes(op, num_bits, ref, phase, dim_map, transfer_sizes)
+        .read(seq, t, boxes.data());
     return layoutFromBoxes(boxes.data(), std::int64_t{1} << num_bits,
                            transfer_sizes);
 }

@@ -64,27 +64,43 @@ TensorLayout layoutOf(const OpSpec &op, const DsiTable &dsi,
                       const std::vector<std::int64_t> &transfer_sizes);
 
 /**
- * The boxes of layoutOf() read straight off @p seq: Algorithm 1 at
- * each device (evaluateDsi()) instead of a DsiTable, written flat to
- * @p boxes as [device * dim_map.size() + i], 2^num_bits devices.
- * Pricing many candidate sequences this way builds no per-sequence
- * table.
+ * The boxes of layoutOf() read straight off a sequence, for one
+ * boundary (tensor @p ref of @p op in @p phase) and many sequences, as
+ * an edge table reads every candidate of an endpoint: Algorithm 1 for
+ * every device instead of a DsiTable, written flat as
+ * [device * dim_map.size() + i], 2^num_bits devices. The dim map is
+ * checked once, here, and reading a sequence builds no per-sequence
+ * table and allocates nothing. Holds references: @p op, @p dim_map and
+ * @p transfer_sizes must outlive it.
  */
-void layoutBoxes(const OpSpec &op, const PartitionSeq &seq, int num_bits,
-                 const TensorRef &ref, Phase phase, int t,
-                 const EdgeDimMap &dim_map,
-                 const std::vector<std::int64_t> &transfer_sizes,
-                 SliceRange *boxes);
+class BoundaryBoxes
+{
+  public:
+    BoundaryBoxes(const OpSpec &op, int num_bits, const TensorRef &ref,
+                  Phase phase, const EdgeDimMap &dim_map,
+                  const std::vector<std::int64_t> &transfer_sizes);
 
-/** The layout of @p devices flat @p boxes, laid out as layoutBoxes()
- * writes them: transfer_sizes.size() ranges per device. */
+    /** The boxes of @p seq at step @p t. */
+    void read(const PartitionSeq &seq, int t, SliceRange *boxes) const;
+
+  private:
+    const OpSpec &op;
+    int numBits;
+    Phase phase;
+    const EdgeDimMap &dimMap;
+    const std::vector<std::int64_t> &sizes;
+};
+
+/** The layout of @p devices flat @p boxes, laid out as
+ * BoundaryBoxes::read() writes them: transfer_sizes.size() ranges per
+ * device. */
 TensorLayout layoutFromBoxes(const SliceRange *boxes, std::int64_t devices,
                              const std::vector<std::int64_t> &transfer_sizes);
 
 /** The inverse of layoutFromBoxes(): @p layout's device boxes, flat. */
 std::vector<SliceRange> flatBoxes(const TensorLayout &layout);
 
-/** layoutOf() of @p seq over @p num_bits bits, via layoutBoxes(). */
+/** layoutOf() of @p seq over @p num_bits bits, via BoundaryBoxes. */
 TensorLayout layoutOf(const OpSpec &op, const PartitionSeq &seq,
                       int num_bits, const TensorRef &ref, Phase phase,
                       int t, const EdgeDimMap &dim_map,

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <limits>
 #include <map>
-#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -131,6 +130,14 @@ CostModel::CostModel(const ClusterTopology &topo_in,
             reachSets.push_back(reach);
         reachOf[a] = it->second;
     }
+
+    domainStart.assign(numDomains + 1, 0);
+    for (int dom = 0; dom < numDomains; ++dom)
+        domainStart[dom + 1] = domainStart[dom] + domain_size[dom];
+    domainDevices.resize(devices);
+    std::vector<std::int32_t> next(domainStart.begin(), domainStart.end() - 1);
+    for (int dev = 0; dev < devices; ++dev)
+        domainDevices[next[domainOf[dev]]++] = dev;
 }
 
 bool
@@ -279,24 +286,123 @@ laneBoundsError(int devices, const std::vector<std::int64_t> &dim_sizes)
     return "";
 }
 
+LaneDims::LaneDims(int devices, std::vector<std::int64_t> sizes)
+    : dimSizes(std::move(sizes))
+{
+    const std::string error = laneBoundsError(devices, dimSizes);
+    PRIMEPAR_ASSERT(error.empty(), error);
+}
+
+LaneArena::LaneArena(std::size_t chunk_in) : chunk(chunk_in) {}
+
+std::int32_t *
+LaneArena::take(std::size_t count)
+{
+    const std::lock_guard<std::mutex> lock(mu);
+    if (used + count > room) {
+        room = std::max(chunk, count);
+        chunks.emplace_back(new std::int32_t[room]);
+        used = 0;
+    }
+    used += count;
+    return chunks.back().get() + used - count;
+}
+
 namespace {
 
-void
-checkLaneBounds(int devices, const std::vector<std::int64_t> &dim_sizes)
+/** Per-thread scratch of sourceView(), grown to the largest view the
+ *  thread built and reused by every view after it. */
+struct ViewScratch
 {
-    const std::string error = laneBoundsError(devices, dim_sizes);
-    PRIMEPAR_ASSERT(error.empty(), error);
+    /** Open-addressing hash slots: (generation, number). A slot of an
+     *  older generation is empty, so a new numbering clears nothing. */
+    std::vector<std::pair<std::uint32_t, std::int32_t>> table;
+    std::uint32_t generation = 0;
+    std::vector<std::int32_t> first; ///< number -> first index with it
+    /** [device * dims + d]: the number of the device's interval among
+     *  dim d's distinct intervals. */
+    std::vector<std::int32_t> interval;
+    std::vector<SliceRange> intervals; ///< one dim's distinct intervals
+    /** Dim -> mixed-radix weight of its interval numbers. */
+    std::vector<std::uint64_t> stride;
+    std::vector<std::int32_t> boxId;   ///< device -> distinct box
+    std::vector<std::int32_t> holder;  ///< distinct box -> a device
+    std::vector<std::int64_t> volume;  ///< distinct box -> volume
+    /** Distinct box -> the last reach set that took it. */
+    std::vector<std::int32_t> stamp;
+    std::vector<std::int32_t> members; ///< one reach set's boxes
+    std::vector<SliceRange> unions; ///< union boxes, dims ranges each
+    std::vector<std::int32_t> unionStart; ///< reach set -> first box
+    /** Per device, its reach set's union box of the slot being
+     *  written, or null past the set's count. */
+    std::vector<const SliceRange *> slotBox;
+};
+
+thread_local ViewScratch viewScratch;
+
+/** Fibonacci hashing step: the top bits of the running hash depend on
+ *  every value folded in. */
+std::uint64_t
+mixHash(std::uint64_t h, std::int64_t v)
+{
+    return (h ^ static_cast<std::uint64_t>(v)) * 0x9E3779B97F4A7C15ull;
+}
+
+/**
+ * Number the values 0 .. @p count - 1 by equality (@p same) in
+ * first-seen order: id_of[i * stride] gets i's number, s.first[n] the
+ * first i numbered n. Linear probing over at least twice as many slots
+ * as values keeps a lookup O(1); a value equal to its predecessor, the
+ * common case in device order, skips the table.
+ */
+template <typename Hash, typename Same>
+void
+numberDistinct(ViewScratch &s, int count, Hash hash_of, Same same,
+               std::int32_t *id_of, int stride)
+{
+    const std::size_t slots =
+        std::bit_ceil(static_cast<std::size_t>(2 * count));
+    if (s.table.size() < slots)
+        s.table.resize(slots);
+    if (++s.generation == 0) {
+        std::fill(s.table.begin(), s.table.end(),
+                  std::pair<std::uint32_t, std::int32_t>{});
+        s.generation = 1;
+    }
+    const int shift = 64 - std::countr_zero(slots);
+    s.first.clear();
+    for (int i = 0; i < count; ++i) {
+        if (i > 0 && same(i, i - 1)) {
+            id_of[i * stride] = id_of[(i - 1) * stride];
+            continue;
+        }
+        std::size_t at = hash_of(i) >> shift;
+        while (true) {
+            auto &[gen, id] = s.table[at];
+            if (gen != s.generation) {
+                gen = s.generation;
+                id = static_cast<std::int32_t>(s.first.size());
+                s.first.push_back(i);
+                id_of[i * stride] = id;
+                break;
+            }
+            if (same(i, s.first[id])) {
+                id_of[i * stride] = id;
+                break;
+            }
+            at = (at + 1) & (slots - 1);
+        }
+    }
 }
 
 } // namespace
 
 CostModel::SourceView
-CostModel::sourceView(const SliceRange *boxes,
-                      const std::vector<std::int64_t> &dim_sizes) const
+CostModel::sourceView(const SliceRange *boxes, const LaneDims &lane_dims,
+                      LaneArena &arena) const
 {
-    checkLaneBounds(topo.numDevices(), dim_sizes);
     const int devices = topo.numDevices();
-    const int dims = static_cast<int>(dim_sizes.size());
+    const int dims = lane_dims.count();
     const auto box_of = [&](std::int32_t dev) {
         return boxes + static_cast<std::size_t>(dev) * dims;
     };
@@ -306,131 +412,164 @@ CostModel::sourceView(const SliceRange *boxes,
             vol *= box[d].length();
         return vol;
     };
+    ViewScratch &s = viewScratch;
 
-    // Distinct boxes: sort the devices by box, then number the runs.
-    std::vector<std::int32_t> order(devices);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(),
-              [&](std::int32_t a, std::int32_t b) {
-        return std::lexicographical_compare(box_of(a), box_of(a) + dims,
-                                            box_of(b), box_of(b) + dims);
-    });
-    std::vector<std::int32_t> box_id(devices);
-    std::vector<std::int32_t> holder; // one device per distinct box
-    std::int64_t covered = 0;
-    for (int i = 0; i < devices; ++i) {
-        const std::int32_t dev = order[i];
-        if (i == 0 ||
-            !std::equal(box_of(dev), box_of(dev) + dims,
-                        box_of(order[i - 1]))) {
-            holder.push_back(dev);
-            covered += volume(box_of(dev));
-        }
-        box_id[dev] = static_cast<std::int32_t>(holder.size()) - 1;
-    }
-
-    // Per dim, distinct realized intervals must be pairwise disjoint
-    // (layoutOf() gives each dim one slice partition), so distinct
-    // boxes are disjoint; with the volume check they tile the tensor.
-    std::vector<SliceRange> ivs;
+    // Per dim, number the distinct realized intervals. They must be
+    // pairwise disjoint (layoutOf() gives each dim one slice
+    // partition), so distinct boxes are disjoint; with the volume
+    // check below they tile the tensor. Only the dim's distinct
+    // intervals are sorted.
+    s.interval.resize(static_cast<std::size_t>(devices) * dims);
+    s.stride.resize(dims);
+    std::uint64_t radix = 1; // distinct interval tuples so far
     for (int d = 0; d < dims; ++d) {
-        ivs.clear();
-        for (const std::int32_t dev : holder)
-            ivs.push_back(box_of(dev)[d]);
-        std::sort(ivs.begin(), ivs.end());
-        ivs.erase(std::unique(ivs.begin(), ivs.end()), ivs.end());
-        for (std::size_t i = 1; i < ivs.size(); ++i) {
-            PRIMEPAR_ASSERT(ivs[i - 1].end <= ivs[i].start,
+        const auto range = [&](int dev) { return box_of(dev)[d]; };
+        numberDistinct(
+            s, devices,
+            [&](int dev) {
+                return mixHash(mixHash(0, range(dev).start), range(dev).end);
+            },
+            [&](int a, int b) { return range(a) == range(b); },
+            s.interval.data() + d, dims);
+        s.intervals.clear();
+        for (const std::int32_t dev : s.first)
+            s.intervals.push_back(range(dev));
+        std::sort(s.intervals.begin(), s.intervals.end());
+        for (std::size_t i = 1; i < s.intervals.size(); ++i) {
+            PRIMEPAR_ASSERT(s.intervals[i - 1].end <= s.intervals[i].start,
                             "source boxes overlap in dim ", d,
                             ": not a product grid");
         }
+        s.stride[d] = radix;
+        radix *= s.first.size();
+    }
+
+    // Distinct boxes: a box is its tuple of interval numbers, keyed in
+    // mixed radix (the key only hashes; equality compares the tuples).
+    const auto tuple_of = [&](int dev) {
+        return s.interval.data() + static_cast<std::size_t>(dev) * dims;
+    };
+    s.boxId.resize(devices);
+    numberDistinct(
+        s, devices,
+        [&](int dev) {
+            std::uint64_t key = 0;
+            for (int d = 0; d < dims; ++d)
+                key += static_cast<std::uint64_t>(tuple_of(dev)[d]) *
+                       s.stride[d];
+            return mixHash(0, static_cast<std::int64_t>(key));
+        },
+        [&](int a, int b) {
+            return std::equal(tuple_of(a), tuple_of(a) + dims, tuple_of(b));
+        },
+        s.boxId.data(), 1);
+    s.holder.assign(s.first.begin(), s.first.end());
+    const int distinct = static_cast<int>(s.holder.size());
+    s.volume.resize(distinct);
+    std::int64_t covered = 0;
+    for (int b = 0; b < distinct; ++b) {
+        s.volume[b] = volume(box_of(s.holder[b]));
+        covered += s.volume[b];
     }
     std::int64_t tensor = 1;
-    for (const std::int64_t size : dim_sizes)
+    for (const std::int64_t size : lane_dims.sizes())
         tensor *= size;
     PRIMEPAR_ASSERT(covered == tensor, "source boxes cover ", covered,
                     " of ", tensor, " elements: not a tiling");
 
-    // Distinct (domain, box) holdings, grouped by domain.
-    std::vector<std::pair<std::int32_t, std::int32_t>> held(devices);
-    for (int dev = 0; dev < devices; ++dev)
-        held[dev] = {domainOf[dev], box_id[dev]};
-    std::sort(held.begin(), held.end());
-    held.erase(std::unique(held.begin(), held.end()), held.end());
-    std::vector<std::int32_t> domain_start(numDomains + 1, 0);
-    for (const auto &h : held)
-        ++domain_start[h.first + 1];
-    std::partial_sum(domain_start.begin(), domain_start.end(),
-                     domain_start.begin());
-
-    // Node union per reach set. One domain's boxes are distinct
-    // already; across several (torus neighbours) they are
-    // deduplicated.
-    std::vector<std::int32_t> union_start{0};
-    std::vector<const SliceRange *> union_boxes;
-    std::vector<std::int32_t> members;
-    std::vector<SliceRange> bounds(reachSets.size() * dims);
+    // Node union per reach set: walk the devices of its domains and
+    // take each distinct box once (a box may sit in several domains of
+    // a torus reach set).
+    s.stamp.assign(distinct, -1);
+    s.unions.clear();
+    s.unionStart.assign(1, 0);
+    int layers = 0;
     for (std::size_t r = 0; r < reachSets.size(); ++r) {
-        const std::vector<std::int32_t> &reach = reachSets[r];
-        members.clear();
-        for (const std::int32_t dom : reach) {
-            for (std::int32_t i = domain_start[dom];
-                 i < domain_start[dom + 1]; ++i)
-                members.push_back(held[i].second);
+        const auto reach = static_cast<std::int32_t>(r);
+        s.members.clear();
+        for (const std::int32_t dom : reachSets[r]) {
+            for (std::int32_t i = domainStart[dom]; i < domainStart[dom + 1];
+                 ++i) {
+                const std::int32_t b = s.boxId[domainDevices[i]];
+                if (s.stamp[b] != reach) {
+                    s.stamp[b] = reach;
+                    s.members.push_back(b);
+                }
+            }
         }
-        if (reach.size() > 1) {
-            std::sort(members.begin(), members.end());
-            members.erase(std::unique(members.begin(), members.end()),
-                          members.end());
-        }
-        SliceRange *bound = bounds.data() + r * dims;
+        const std::size_t at = s.unions.size();
+        const SliceRange *first = box_of(s.holder[s.members[0]]);
+        s.unions.insert(s.unions.end(), first, first + dims);
+        SliceRange *bound = s.unions.data() + at;
         std::int64_t filled = 0;
-        std::copy(box_of(holder[members[0]]),
-                  box_of(holder[members[0]]) + dims, bound);
-        for (const std::int32_t m : members) {
-            const SliceRange *box = box_of(holder[m]);
-            filled += volume(box);
+        for (const std::int32_t m : s.members) {
+            const SliceRange *box = box_of(s.holder[m]);
+            filled += s.volume[m];
             for (int d = 0; d < dims; ++d) {
                 bound[d].start = std::min(bound[d].start, box[d].start);
                 bound[d].end = std::max(bound[d].end, box[d].end);
             }
         }
-        if (filled == volume(bound)) {
-            union_boxes.push_back(bound);
-        } else {
-            for (const std::int32_t m : members)
-                union_boxes.push_back(box_of(holder[m]));
+        if (filled != volume(bound)) {
+            s.unions.resize(at);
+            for (const std::int32_t m : s.members) {
+                const SliceRange *box = box_of(s.holder[m]);
+                s.unions.insert(s.unions.end(), box, box + dims);
+            }
         }
-        union_start.push_back(
-            static_cast<std::int32_t>(union_boxes.size()));
+        s.unionStart.push_back(static_cast<std::int32_t>(s.unions.size()));
+        layers = std::max(
+            layers, (s.unionStart[r + 1] - s.unionStart[r]) / dims);
     }
 
     // Lanes: slot 0 the own boxes, slot 1 + k the k-th union box of
-    // each receiver's reach set. Padding lanes and slots past a reach
-    // set's count stay empty ([0, 0) meets nothing).
+    // each receiver's reach set, one dim row at a time. Padding lanes
+    // and slots past a reach set's count are empty ([0, 0) meets
+    // nothing).
+    const std::size_t slot = slotLanes(dims);
+    std::int32_t *lanes = arena.take((1 + layers) * slot);
+    s.slotBox.resize(devices);
+    for (int k = 0; k <= layers; ++k) {
+        for (int dev = 0; dev < devices; ++dev) {
+            if (k == 0) {
+                s.slotBox[dev] = box_of(dev);
+                continue;
+            }
+            const std::int32_t r = reachOf[dev];
+            const std::int32_t i = s.unionStart[r] + (k - 1) * dims;
+            s.slotBox[dev] = i < s.unionStart[r + 1] ? s.unions.data() + i
+                                                     : nullptr;
+        }
+        for (int d = 0; d < dims; ++d) {
+            std::int32_t *starts = lanes + k * slot + 2 * d * width;
+            std::int32_t *ends = starts + width;
+            for (int dev = 0; dev < devices; ++dev) {
+                const SliceRange *box = s.slotBox[dev];
+                starts[dev] = box ? static_cast<std::int32_t>(box[d].start) : 0;
+                ends[dev] = box ? static_cast<std::int32_t>(box[d].end) : 0;
+            }
+            std::fill(starts + devices, starts + width, 0);
+            std::fill(ends + devices, ends + width, 0);
+        }
+    }
+
     SourceView view;
     view.dims = dims;
     view.devices = devices;
     view.width = width;
-    for (std::size_t r = 0; r < reachSets.size(); ++r)
-        view.layers = std::max(view.layers,
-                               union_start[r + 1] - union_start[r]);
-    const std::size_t slot = slotLanes(dims);
-    view.lanes.assign((1 + view.layers) * slot, 0);
-    const auto put = [&](int s, int dev, const SliceRange *box) {
-        std::int32_t *lane = view.lanes.data() + s * slot + dev;
-        for (int d = 0; d < dims; ++d) {
-            lane[2 * d * width] = static_cast<std::int32_t>(box[d].start);
-            lane[(2 * d + 1) * width] =
-                static_cast<std::int32_t>(box[d].end);
-        }
-    };
-    for (int dev = 0; dev < devices; ++dev) {
-        put(0, dev, box_of(dev));
-        const std::int32_t r = reachOf[dev];
-        for (std::int32_t i = union_start[r]; i < union_start[r + 1]; ++i)
-            put(1 + i - union_start[r], dev, union_boxes[i]);
-    }
+    view.layers = layers;
+    view.lanes = lanes;
+    return view;
+}
+
+CostModel::OwnedSourceView
+CostModel::sourceView(const SliceRange *boxes,
+                      const std::vector<std::int64_t> &dim_sizes) const
+{
+    const LaneDims dims(topo.numDevices(), dim_sizes);
+    OwnedSourceView view;
+    view.arena = std::make_unique<LaneArena>(0);
+    static_cast<SourceView &>(view) = sourceView(boxes, dims, *view.arena);
     return view;
 }
 
@@ -441,15 +580,13 @@ CostModel::slotLanes(int dims) const
 }
 
 std::int64_t
-CostModel::needLanes(const SliceRange *boxes,
-                     const std::vector<std::int64_t> &dim_sizes,
+CostModel::needLanes(const SliceRange *boxes, const LaneDims &lane_dims,
                      std::int32_t *out) const
 {
-    checkLaneBounds(topo.numDevices(), dim_sizes);
-    const int dims = static_cast<int>(dim_sizes.size());
-    std::fill(out, out + slotLanes(dims), 0);
+    const int devices = topo.numDevices();
+    const int dims = lane_dims.count();
     std::int64_t total = 0;
-    for (int dev = 0; dev < topo.numDevices(); ++dev) {
+    for (int dev = 0; dev < devices; ++dev) {
         const SliceRange *box = boxes + static_cast<std::size_t>(dev) * dims;
         std::int64_t volume = 1;
         for (int d = 0; d < dims; ++d) {
@@ -460,7 +597,17 @@ CostModel::needLanes(const SliceRange *boxes,
         }
         total += volume;
     }
+    for (int row = 0; row < 2 * dims; ++row)
+        std::fill(out + row * width + devices, out + (row + 1) * width, 0);
     return total;
+}
+
+std::int64_t
+CostModel::needLanes(const SliceRange *boxes,
+                     const std::vector<std::int64_t> &dim_sizes,
+                     std::int32_t *out) const
+{
+    return needLanes(boxes, LaneDims(topo.numDevices(), dim_sizes), out);
 }
 
 namespace {
@@ -554,7 +701,7 @@ priceLanes(const CostModel::SourceView &have, const std::int32_t *need)
     const int dims = have.dims;
     const int width = have.width;
     const std::size_t slot = static_cast<std::size_t>(2 * dims) * width;
-    const std::int32_t *own = have.lanes.data();
+    const std::int32_t *own = have.lanes;
     D<H> fast{}, self{}, lo, hi;
     // A narrower tier's blocks past the last device hold padding
     // only, which would add zeros: stop before them.

@@ -16,6 +16,8 @@
 #ifndef PRIMEPAR_COST_COST_MODEL_HH
 #define PRIMEPAR_COST_COST_MODEL_HH
 
+#include <memory>
+#include <mutex>
 #include <string>
 
 #include "comm/redistribution.hh"
@@ -35,6 +37,58 @@ struct IntraCost
     double allReduceUs = 0.0;
     double memoryBytes = 0.0;
     double weighted = 0.0;    ///< Eq. 7 with the alpha memory term
+};
+
+/**
+ * Why trafficSplit() cannot price a tensor of dims @p dim_sizes on
+ * @p devices devices exactly, or "" when it can: every dim size must
+ * fit the int32 lanes, and devices x elements must stay below 2^53
+ * (the kernel multiplies and sums in double). CostModel asserts it;
+ * code planning for outside requests checks it first.
+ */
+std::string laneBoundsError(int devices,
+                            const std::vector<std::int64_t> &dim_sizes);
+
+/**
+ * The dims of a tensor whose layouts trafficSplit() prices, checked
+ * against the lane bounds (laneBoundsError()) once: an edge table
+ * builds every source view and need slot of its tensor from one.
+ */
+class LaneDims
+{
+  public:
+    /** Asserts that @p devices devices price @p sizes exactly. */
+    LaneDims(int devices, std::vector<std::int64_t> sizes);
+
+    const std::vector<std::int64_t> &sizes() const { return dimSizes; }
+    int count() const { return static_cast<int>(dimSizes.size()); }
+
+  private:
+    std::vector<std::int64_t> dimSizes;
+};
+
+/**
+ * Lane storage of the source views of one edge-table side, freed with
+ * it. Lanes are handed out from chunks allocated as views need them,
+ * so the arena holds what its views take plus one chunk's tail at
+ * most. take() may be called from several threads at once.
+ */
+class LaneArena
+{
+  public:
+    /** Chunks of @p chunk lanes; a larger take() gets a chunk of its
+     *  own size (0: every take() its own). */
+    explicit LaneArena(std::size_t chunk = std::size_t{1} << 14);
+
+    /** @p count lanes, uninitialized. */
+    std::int32_t *take(std::size_t count);
+
+  private:
+    std::size_t chunk;
+    std::mutex mu;
+    std::vector<std::unique_ptr<std::int32_t[]>> chunks;
+    std::size_t used = 0; ///< lanes taken from the last chunk
+    std::size_t room = 0; ///< lanes in the last chunk
 };
 
 /** Analytic cost model backed by profiled linear latency models. */
@@ -83,7 +137,8 @@ class CostModel
      * of its reach set: one bounding box when the distinct boxes fill
      * it (disjoint boxes whose volumes sum to it tile it), else the
      * distinct boxes themselves, then empty boxes. Slot s, dim d: the
-     * starts at lanes[(s * dims + d) * 2 * width], the ends next.
+     * starts at lanes[(s * dims + d) * 2 * width], the ends next. The
+     * lanes live in a LaneArena (or an OwnedSourceView).
      */
     struct SourceView
     {
@@ -91,7 +146,14 @@ class CostModel
         int devices = 0; ///< receivers: lanes past them are padding
         int width = 0;   ///< lanes per bound, padding included
         int layers = 0;  ///< union slots per receiver
-        std::vector<std::int32_t> lanes;
+        const std::int32_t *lanes = nullptr; ///< (1 + layers) slots
+    };
+
+    /** A SourceView that owns its lanes: one layout priced on its
+     *  own. Move-only; moving keeps the lanes in place. */
+    struct OwnedSourceView : SourceView
+    {
+        std::unique_ptr<LaneArena> arena;
     };
 
     /** int32 lanes of one box slot of @p dims dims: 2 * dims *
@@ -99,17 +161,32 @@ class CostModel
      *  receivers the widest tier prices per block). */
     std::size_t slotLanes(int dims) const;
 
-    /** Build the view of the flat device boxes @p boxes of a layout
-     *  of a tensor with dims @p dim_sizes (layoutBoxes() order). */
-    SourceView sourceView(const SliceRange *boxes,
-                          const std::vector<std::int64_t> &dim_sizes) const;
+    /**
+     * Build the view of the flat device boxes @p boxes of a layout of
+     * a tensor of dims @p dims (BoundaryBoxes order), its lanes taken
+     * from @p arena. Distinct boxes are found through hash tables and
+     * node unions through a stamp array, in per-thread scratch: no
+     * sort of the devices and no allocation. Views of one arena may be
+     * built concurrently.
+     */
+    SourceView sourceView(const SliceRange *boxes, const LaneDims &dims,
+                          LaneArena &arena) const;
+
+    /** sourceView() with its own lanes, checking @p dim_sizes. */
+    OwnedSourceView sourceView(
+        const SliceRange *boxes,
+        const std::vector<std::int64_t> &dim_sizes) const;
 
     /**
      * Write the flat device boxes @p boxes of a need layout of a
-     * tensor with dims @p dim_sizes as one box slot (slotLanes()
-     * int32s at @p lanes, the SourceView slot layout) and return
-     * their total volume.
+     * tensor of dims @p dims as one box slot (slotLanes() int32s at
+     * @p lanes, the SourceView slot layout) and return their total
+     * volume.
      */
+    std::int64_t needLanes(const SliceRange *boxes, const LaneDims &dims,
+                           std::int32_t *lanes) const;
+
+    /** needLanes(), checking @p dim_sizes. */
     std::int64_t needLanes(const SliceRange *boxes,
                            const std::vector<std::int64_t> &dim_sizes,
                            std::int32_t *lanes) const;
@@ -179,20 +256,13 @@ class CostModel
      */
     std::vector<std::int32_t> domainOf;
     int numDomains = 0;
+    /** The devices of domain i: domainDevices[domainStart[i] ..
+     *  domainStart[i + 1]). */
+    std::vector<std::int32_t> domainStart, domainDevices;
     std::vector<std::int32_t> reachOf; ///< device -> reach set id
     std::vector<std::vector<std::int32_t>> reachSets;
     int width = 0; ///< lanes per box bound (slotLanes())
 };
-
-/**
- * Why trafficSplit() cannot price a tensor of dims @p dim_sizes on
- * @p devices devices exactly, or "" when it can: every dim size must
- * fit the int32 lanes, and devices x elements must stay below 2^53
- * (the kernel multiplies and sums in double). CostModel asserts it;
- * code planning for outside requests checks it first.
- */
-std::string laneBoundsError(int devices,
-                            const std::vector<std::int64_t> &dim_sizes);
 
 /** Test seam: price on one specific tier, which the host must
  *  support. */

@@ -160,8 +160,8 @@ buildEdgeCostTable(const CompGraph &graph, const GraphEdge &edge,
     const auto sizes = graph.transferSizes(edge);
     const int num_bits = cost.topology().numBits();
     const std::size_t box_count = (std::size_t{1} << num_bits) * sizes.size();
-    const std::size_t slot_size =
-        cost.slotLanes(static_cast<int>(sizes.size()));
+    const LaneDims lane_dims(cost.topology().numDevices(), sizes);
+    const std::size_t slot_size = cost.slotLanes(lane_dims.count());
 
     EdgeDimMap consumer_map;
     for (int d : consumer.tensors[edge.dstTensor].dims)
@@ -182,34 +182,34 @@ buildEdgeCostTable(const CompGraph &graph, const GraphEdge &edge,
     // (have) or first (need) step of a phase.
     struct Boundary
     {
-        const OpSpec &op;
         const NodeCatalog &cat;
         const std::vector<std::int32_t> *cand;
-        TensorRef ref;
-        Phase phase;
         bool atEnd;
-        const EdgeDimMap &map;
+        BoundaryBoxes boxes;
     };
-    const Boundary have_fwd{producer, src, topts.srcCandidates,
-                            {producer.outputTensor, false}, Phase::Forward,
-                            true, edge.dimMap};
-    const Boundary need_fwd{consumer, dst, topts.dstCandidates,
-                            {edge.dstTensor, false}, Phase::Forward, false,
-                            consumer_map};
-    const Boundary have_bwd{consumer, dst, topts.dstCandidates,
-                            {edge.dstTensor, true}, Phase::Backward, true,
-                            consumer_map};
-    const Boundary need_bwd{producer, src, topts.srcCandidates,
-                            {producer.outputTensor, true}, Phase::Backward,
-                            false, edge.dimMap};
-    // The device boxes of candidate position @p p at @p b, flat.
+    const Boundary have_fwd{src, topts.srcCandidates, true,
+                            {producer, num_bits,
+                             {producer.outputTensor, false}, Phase::Forward,
+                             edge.dimMap, sizes}};
+    const Boundary need_fwd{dst, topts.dstCandidates, false,
+                            {consumer, num_bits, {edge.dstTensor, false},
+                             Phase::Forward, consumer_map, sizes}};
+    const Boundary have_bwd{dst, topts.dstCandidates, true,
+                            {consumer, num_bits, {edge.dstTensor, true},
+                             Phase::Backward, consumer_map, sizes}};
+    const Boundary need_bwd{src, topts.srcCandidates, false,
+                            {producer, num_bits,
+                             {producer.outputTensor, true}, Phase::Backward,
+                             edge.dimMap, sizes}};
+    // The device boxes of candidate position @p p at @p b, flat, in
+    // this thread's scratch (valid until its next call).
     const auto boxes_of = [&](const Boundary &b, std::size_t p) {
-        std::vector<SliceRange> boxes(box_count);
+        thread_local std::vector<SliceRange> scratch;
+        scratch.resize(box_count);
         const PartitionSeq &seq = b.cat.seqs[seq_index(b.cand, p)];
-        layoutBoxes(b.op, seq, num_bits, b.ref, b.phase,
-                    b.atEnd ? seq.temporalSteps() - 1 : 0, b.map, sizes,
-                    boxes.data());
-        return boxes;
+        b.boxes.read(seq, b.atEnd ? seq.temporalSteps() - 1 : 0,
+                     scratch.data());
+        return scratch.data();
     };
 
     // Need boxes of every candidate position, one lane slot per
@@ -224,8 +224,8 @@ buildEdgeCostTable(const CompGraph &graph, const GraphEdge &edge,
                       std::vector<std::int64_t>(count)};
         parallelFor(pool, static_cast<std::size_t>(count),
                     [&](std::size_t p) {
-            side.volume[p] = cost.needLanes(boxes_of(b, p).data(), sizes,
-                                            side.lanes.data() + p * slot_size);
+            side.volume[p] = cost.needLanes(
+                boxes_of(b, p), lane_dims, side.lanes.data() + p * slot_size);
         });
         return side;
     };
@@ -235,7 +235,8 @@ buildEdgeCostTable(const CompGraph &graph, const GraphEdge &edge,
     // Joint dominance bound (see EdgeTableOptions::pairBudget): a pair
     // whose summed intra cost exceeds it is priced +inf without ever
     // computing its traffic, and a source view is built only for a
-    // position with at least one pair under it.
+    // position with at least one pair under it. The views of a side
+    // share one lane arena.
     std::vector<double> intra_src(src_count), intra_dst(dst_count);
     for (int p = 0; p < src_count; ++p)
         intra_src[p] = src.intraCost[seq_index(topts.srcCandidates, p)];
@@ -243,7 +244,8 @@ buildEdgeCostTable(const CompGraph &graph, const GraphEdge &edge,
         intra_dst[p] = dst.intraCost[seq_index(topts.dstCandidates, p)];
     const auto views = [&](const Boundary &b,
                            const std::vector<double> &intra,
-                           const std::vector<double> &other) {
+                           const std::vector<double> &other,
+                           LaneArena &arena) {
         double other_min = std::numeric_limits<double>::infinity();
         for (const double v : other)
             other_min = std::min(other_min, v);
@@ -251,12 +253,13 @@ buildEdgeCostTable(const CompGraph &graph, const GraphEdge &edge,
         parallelFor(pool, out.size(), [&](std::size_t p) {
             if (intra[p] + other_min > topts.pairBudget)
                 return;
-            out[p] = cost.sourceView(boxes_of(b, p).data(), sizes);
+            out[p] = cost.sourceView(boxes_of(b, p), lane_dims, arena);
         });
         return out;
     };
-    const auto fwd_views = views(have_fwd, intra_src, intra_dst);
-    const auto bwd_views = views(have_bwd, intra_dst, intra_src);
+    LaneArena fwd_arena, bwd_arena;
+    const auto fwd_views = views(have_fwd, intra_src, intra_dst, fwd_arena);
+    const auto bwd_views = views(have_bwd, intra_dst, intra_src, bwd_arena);
 
     EdgeCostTable table;
     table.edge = &edge;

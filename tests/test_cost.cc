@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <iostream>
 #include <limits>
+#include <numeric>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -303,6 +304,232 @@ TEST(CostModel, TrafficSplitMatchesFullPlanOnOtherRanks)
             EXPECT_GT(checked, 10);
         }
     }
+}
+
+/**
+ * The sort-based source view builder the edge tables used before
+ * views were built through hash tables and stamp arrays: sort the
+ * devices by box to number the distinct boxes, sort the (domain, box)
+ * holdings, and per receiver's reach set take the bounding box when
+ * the distinct boxes it reaches fill it, else those boxes. Same lane
+ * layout as CostModel::SourceView; the reference for the builder.
+ */
+struct ReferenceView
+{
+    CostModel::SourceView view;
+    std::vector<std::int32_t> lanes;
+};
+
+ReferenceView
+sortedReferenceView(const CostModel &cm, const TensorLayout &layout)
+{
+    const ClusterTopology &topo = cm.topology();
+    const bool torus = topo.kind() == ClusterTopology::Kind::Torus2D;
+    const int devices = topo.numDevices();
+    const int dims = static_cast<int>(layout.dimSizes.size());
+    const auto &box_of = layout.deviceBox;
+    const auto volume = [](const std::vector<SliceRange> &box) {
+        std::int64_t vol = 1;
+        for (const SliceRange &r : box)
+            vol *= r.length();
+        return vol;
+    };
+    const auto domain_of = [&](int dev) {
+        return torus ? dev : static_cast<int>(topo.nodeOf(dev));
+    };
+
+    std::vector<int> order(devices);
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(),
+              [&](int a, int b) { return box_of[a] < box_of[b]; });
+    std::vector<int> box_id(devices), holder;
+    for (int i = 0; i < devices; ++i) {
+        if (i == 0 || box_of[order[i]] != box_of[order[i - 1]])
+            holder.push_back(order[i]);
+        box_id[order[i]] = static_cast<int>(holder.size()) - 1;
+    }
+    std::vector<std::pair<int, int>> held(devices);
+    for (int dev = 0; dev < devices; ++dev)
+        held[dev] = {domain_of(dev), box_id[dev]};
+    std::sort(held.begin(), held.end());
+    held.erase(std::unique(held.begin(), held.end()), held.end());
+
+    // Per receiver: the domains it reaches, then their distinct boxes.
+    std::vector<std::vector<std::vector<SliceRange>>> unions(devices);
+    for (int dev = 0; dev < devices; ++dev) {
+        std::vector<int> reach;
+        for (int peer = 0; peer < devices; ++peer) {
+            if (topo.sameNode(dev, peer))
+                reach.push_back(domain_of(peer));
+        }
+        std::sort(reach.begin(), reach.end());
+        reach.erase(std::unique(reach.begin(), reach.end()), reach.end());
+        std::vector<int> members;
+        for (const auto &[dom, box] : held) {
+            if (std::binary_search(reach.begin(), reach.end(), dom))
+                members.push_back(box);
+        }
+        std::sort(members.begin(), members.end());
+        members.erase(std::unique(members.begin(), members.end()),
+                      members.end());
+        std::vector<SliceRange> bound = box_of[holder[members[0]]];
+        std::int64_t filled = 0;
+        for (const int m : members) {
+            filled += volume(box_of[holder[m]]);
+            for (int d = 0; d < dims; ++d) {
+                bound[d].start =
+                    std::min(bound[d].start, box_of[holder[m]][d].start);
+                bound[d].end = std::max(bound[d].end, box_of[holder[m]][d].end);
+            }
+        }
+        if (filled == volume(bound)) {
+            unions[dev].push_back(bound);
+        } else {
+            for (const int m : members)
+                unions[dev].push_back(box_of[holder[m]]);
+        }
+    }
+
+    ReferenceView ref;
+    ref.view.dims = dims;
+    ref.view.devices = devices;
+    ref.view.width = static_cast<int>(cm.slotLanes(dims) / (2 * dims));
+    for (const auto &u : unions)
+        ref.view.layers =
+            std::max(ref.view.layers, static_cast<int>(u.size()));
+    const std::size_t slot = cm.slotLanes(dims);
+    ref.lanes.assign((1 + ref.view.layers) * slot, 0);
+    const int width = ref.view.width;
+    const auto put = [&](int k, int dev, const std::vector<SliceRange> &box) {
+        std::int32_t *lane = ref.lanes.data() + k * slot + dev;
+        for (int d = 0; d < dims; ++d) {
+            lane[2 * d * width] = static_cast<std::int32_t>(box[d].start);
+            lane[(2 * d + 1) * width] = static_cast<std::int32_t>(box[d].end);
+        }
+    };
+    for (int dev = 0; dev < devices; ++dev) {
+        put(0, dev, box_of[dev]);
+        for (std::size_t k = 0; k < unions[dev].size(); ++k)
+            put(static_cast<int>(k) + 1, dev, unions[dev][k]);
+    }
+    ref.view.lanes = ref.lanes.data();
+    return ref;
+}
+
+/** Box slot @p k of receiver @p dev in @p view. */
+std::vector<SliceRange>
+slotBox(const CostModel::SourceView &view, int k, int dev)
+{
+    const std::size_t slot =
+        static_cast<std::size_t>(2 * view.dims) * view.width;
+    std::vector<SliceRange> box(view.dims);
+    for (int d = 0; d < view.dims; ++d) {
+        const std::int32_t *row = view.lanes + k * slot + 2 * d * view.width;
+        box[d] = {row[dev], row[view.width + dev]};
+    }
+    return box;
+}
+
+/** Check the view of every layout in @p haves against the sorted
+ *  reference: each receiver's own box, its node-union boxes in any
+ *  order, and the traffic split against every layout in @p needs. */
+void
+expectViewsMatchReference(const CostModel &cm,
+                          const std::vector<TensorLayout> &haves,
+                          const std::vector<TensorLayout> &needs)
+{
+    std::vector<NeedSlot> slots;
+    for (const TensorLayout &need : needs)
+        slots.push_back(needSlot(cm, need));
+    const int devices = cm.topology().numDevices();
+    for (std::size_t h = 0; h < haves.size(); ++h) {
+        const TensorLayout &have = haves[h];
+        const auto view = cm.sourceView(flatBoxes(have).data(), have.dimSizes);
+        const ReferenceView ref = sortedReferenceView(cm, have);
+        ASSERT_EQ(view.layers, ref.view.layers) << "layout " << h;
+        for (int dev = 0; dev < devices; ++dev) {
+            ASSERT_EQ(slotBox(view, 0, dev), slotBox(ref.view, 0, dev))
+                << "layout " << h << ", device " << dev;
+            std::multiset<std::vector<SliceRange>> got, want;
+            for (int k = 1; k <= view.layers; ++k) {
+                got.insert(slotBox(view, k, dev));
+                want.insert(slotBox(ref.view, k, dev));
+            }
+            ASSERT_EQ(got, want) << "layout " << h << ", device " << dev;
+        }
+        for (std::size_t n = 0; n < slots.size(); ++n) {
+            const auto split = cm.trafficSplit(view, slots[n].lanes.data(),
+                                               slots[n].volume);
+            const auto want = cm.trafficSplit(
+                ref.view, slots[n].lanes.data(), slots[n].volume);
+            ASSERT_EQ(split.intraNode, want.intraNode)
+                << "layout " << h << ", need " << n;
+            ASSERT_EQ(split.interNode, want.interNode)
+                << "layout " << h << ", need " << n;
+        }
+    }
+}
+
+TEST(CostModel, SourceViewMatchesSortedReference)
+{
+    // The hash-and-stamp view builder against the sort-based one, over
+    // every realizable boundary layout (replicated producers included)
+    // of both phases, on hierarchical clusters and on a torus (reach
+    // sets spanning several domains); then transfer dims smaller than
+    // their slice counts (empty slices), and a 512-device beam.
+    const OpSpec op = makeLinearOp("fc", 16, 16, 16, 16);
+    const EdgeDimMap out_map{0, 1, 3}, in_map{0, 1, 2};
+    const TensorRef out{op.outputTensor, false}, in{0, false};
+    const TensorRef d_out{op.outputTensor, true}, d_in{0, true};
+    for (const ClusterTopology &topo :
+         {ClusterTopology::paperCluster(2),
+          ClusterTopology::paperCluster(4),
+          ClusterTopology::paperCluster(8),
+          ClusterTopology::paperCluster(16),
+          ClusterTopology::paperCluster(32),
+          ClusterTopology::torus2d(4)}) {
+        const CostModel cm(topo, profileModels(topo));
+        const int bits = topo.numBits();
+        // {16, 16, 16} slices evenly; {2, 3, 16} leaves the batch and
+        // row dims split past their sizes at 8 devices and more.
+        for (const std::vector<std::int64_t> &sizes :
+             {std::vector<std::int64_t>{16, 16, 16},
+              std::vector<std::int64_t>{2, 3, 16}}) {
+            SCOPED_TRACE(::testing::Message()
+                         << topo.numDevices() << " devices, batch "
+                         << sizes[0]);
+            expectViewsMatchReference(
+                cm,
+                distinctLayouts(op, bits, out, Phase::Forward, true,
+                                out_map, sizes),
+                distinctLayouts(op, bits, in, Phase::Forward, false,
+                                in_map, sizes));
+            expectViewsMatchReference(
+                cm,
+                distinctLayouts(op, bits, d_in, Phase::Backward, true,
+                                in_map, sizes),
+                distinctLayouts(op, bits, d_out, Phase::Backward, false,
+                                out_map, sizes));
+        }
+    }
+
+    const ClusterTopology big = ClusterTopology::paperCluster(512);
+    const CostModel cm(big, profileModels(big));
+    const OpSpec wide = makeLinearOp("fc", 64, 64, 64, 64);
+    SpaceOptions beam;
+    beam.maxTemporalSteps = 8;
+    beam.candidateBudget = 12;
+    std::vector<TensorLayout> haves, needs;
+    for (const PartitionSeq &seq : enumerateSequences(wide, 9, beam)) {
+        haves.push_back(layoutOf(wide, seq, 9, out, Phase::Forward,
+                                 seq.temporalSteps() - 1, out_map,
+                                 {64, 64, 64}));
+        needs.push_back(layoutOf(wide, seq, 9, in, Phase::Forward, 0,
+                                 in_map, {64, 64, 64}));
+    }
+    ASSERT_GE(haves.size(), 8u);
+    SCOPED_TRACE("512 devices");
+    expectViewsMatchReference(cm, haves, needs);
 }
 
 TEST(CostModelDeath, PrepareSourceRejectsOverlappingIntervals)
