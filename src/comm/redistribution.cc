@@ -95,66 +95,24 @@ BoundaryBoxes::read(const PartitionSeq &seq, int t, SliceRange *boxes) const
 {
     PRIMEPAR_ASSERT(seq.numBits() == numBits, "sequence consumes ",
                     seq.numBits(), " bits, expected ", numBits);
-    // Algorithm 1 for every device at once, one step at a time, on the
-    // mapped dims only (evaluateDsi() per device does the same updates
-    // in the same order). Per-thread scratch: the slice count of each
-    // transfer dim, then its DSI value on every device.
+    // Per-thread scratch: the slice count of every op dim, then one
+    // device's DSI values (Algorithm 1 via evaluateDsi()).
+    const std::size_t op_dims = op.dims.size();
+    thread_local std::vector<std::int64_t> scratch;
+    scratch.resize(2 * op_dims);
+    std::int64_t *slices = scratch.data();
+    std::int64_t *idx = slices + op_dims;
+    seq.sliceCounts(op, slices);
     const std::int64_t devices = std::int64_t{1} << numBits;
     const std::size_t dims = dimMap.size();
-    thread_local std::vector<std::int64_t> scratch;
-    scratch.assign(dims * (1 + devices), 0);
-    std::int64_t *slices = scratch.data();
-    std::fill(slices, slices + dims, 1);
-    const auto idx_of = [&](std::size_t i) {
-        return scratch.data() + dims + i * devices;
-    };
-    int cursor = 0;
-    for (const PartitionStep &step : seq.steps()) {
-        if (step.kind == PartitionStep::Kind::ByDim) {
-            // Eqs. 2-3: identical update in every phase.
-            const int shift = numBits - 1 - cursor;
-            for (std::size_t i = 0; i < dims; ++i) {
-                if (dimMap[i] != step.dim)
-                    continue;
-                slices[i] *= 2;
-                std::int64_t *idx = idx_of(i);
-                for (std::int64_t dev = 0; dev < devices; ++dev)
-                    idx[dev] = 2 * idx[dev] + ((dev >> shift) & 1);
-            }
-            cursor += 1;
-            continue;
-        }
-        // PSquare: Alg. 1 lines 8-21, on the transfer dims mapped onto
-        // the square's M, N or K.
-        PRIMEPAR_ASSERT(op.psquare.has_value(),
-                        "PSquare on incompatible operator ", op.name);
-        const PSquareDims &psq = *op.psquare;
-        const std::int64_t side = std::int64_t{1} << step.k;
+    for (std::int64_t dev = 0; dev < devices; ++dev) {
+        evaluateDsi(op, seq, numBits, phase, dev, t, idx);
+        SliceRange *box = boxes + dev * dims;
         for (std::size_t i = 0; i < dims; ++i) {
             const int op_dim = dimMap[i];
-            if (op_dim < 0 ||
-                (op_dim != psq.m && op_dim != psq.n && op_dim != psq.k))
-                continue;
-            slices[i] *= side;
-            std::int64_t *idx = idx_of(i);
-            for (std::int64_t dev = 0; dev < devices; ++dev) {
-                const PSquareIndex at = pSquareIndex(
-                    phase, pSquareCoord(dev, numBits, cursor, step.k), t,
-                    step.k);
-                idx[dev] = side * idx[dev] +
-                           (op_dim == psq.m   ? at.m
-                            : op_dim == psq.n ? at.n
-                                              : at.k);
-            }
-        }
-        cursor += step.bits();
-    }
-    for (std::size_t i = 0; i < dims; ++i) {
-        const std::int64_t *idx = idx_of(i);
-        for (std::int64_t dev = 0; dev < devices; ++dev) {
-            boxes[dev * dims + i] =
-                dimMap[i] < 0 ? SliceRange{0, sizes[i]}
-                              : rescaledSlice(idx[dev], slices[i], sizes[i]);
+            box[i] = op_dim < 0 ? SliceRange{0, sizes[i]}
+                                : rescaledSlice(idx[op_dim],
+                                                slices[op_dim], sizes[i]);
         }
     }
 }

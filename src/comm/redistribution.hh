@@ -66,12 +66,12 @@ TensorLayout layoutOf(const OpSpec &op, const DsiTable &dsi,
 /**
  * The boxes of layoutOf() read straight off a sequence, for one
  * boundary (tensor @p ref of @p op in @p phase) and many sequences, as
- * an edge table reads every candidate of an endpoint: Algorithm 1 for
- * every device instead of a DsiTable, written flat as
+ * an edge table reads every candidate of an endpoint: Algorithm 1 at
+ * each device (evaluateDsi()) instead of a DsiTable, written flat as
  * [device * dim_map.size() + i], 2^num_bits devices. The dim map is
  * checked once, here, and reading a sequence builds no per-sequence
- * table and allocates nothing. Holds references: @p op, @p dim_map and
- * @p transfer_sizes must outlive it.
+ * table and allocates nothing (its scratch is per thread). Holds
+ * references: @p op, @p dim_map and @p transfer_sizes must outlive it.
  */
 class BoundaryBoxes
 {

@@ -293,19 +293,21 @@ LaneDims::LaneDims(int devices, std::vector<std::int64_t> sizes)
     PRIMEPAR_ASSERT(error.empty(), error);
 }
 
-LaneArena::LaneArena(std::size_t chunk_in) : chunk(chunk_in) {}
-
 std::int32_t *
 LaneArena::take(std::size_t count)
 {
     const std::lock_guard<std::mutex> lock(mu);
-    if (used + count > room) {
-        room = std::max(chunk, count);
-        chunks.emplace_back(new std::int32_t[room]);
+    if (count > kChunk / 8) {
+        blocks.emplace_back(new std::int32_t[count]);
+        return blocks.back().get();
+    }
+    if (used + count > kChunk) {
+        blocks.emplace_back(new std::int32_t[kChunk]);
+        chunk = blocks.back().get();
         used = 0;
     }
     used += count;
-    return chunks.back().get() + used - count;
+    return chunk + used - count;
 }
 
 namespace {
@@ -397,9 +399,10 @@ numberDistinct(ViewScratch &s, int count, Hash hash_of, Same same,
 
 } // namespace
 
+template <typename Take>
 CostModel::SourceView
-CostModel::sourceView(const SliceRange *boxes, const LaneDims &lane_dims,
-                      LaneArena &arena) const
+CostModel::buildView(const SliceRange *boxes, const LaneDims &lane_dims,
+                     Take take) const
 {
     const int devices = topo.numDevices();
     const int dims = lane_dims.count();
@@ -527,7 +530,7 @@ CostModel::sourceView(const SliceRange *boxes, const LaneDims &lane_dims,
     // and slots past a reach set's count are empty ([0, 0) meets
     // nothing).
     const std::size_t slot = slotLanes(dims);
-    std::int32_t *lanes = arena.take((1 + layers) * slot);
+    std::int32_t *lanes = take((1 + layers) * slot);
     s.slotBox.resize(devices);
     for (int k = 0; k <= layers; ++k) {
         for (int dev = 0; dev < devices; ++dev) {
@@ -562,14 +565,25 @@ CostModel::sourceView(const SliceRange *boxes, const LaneDims &lane_dims,
     return view;
 }
 
+CostModel::SourceView
+CostModel::sourceView(const SliceRange *boxes, const LaneDims &dims,
+                      LaneArena &arena) const
+{
+    return buildView(boxes, dims,
+                     [&arena](std::size_t count) { return arena.take(count); });
+}
+
 CostModel::OwnedSourceView
 CostModel::sourceView(const SliceRange *boxes,
                       const std::vector<std::int64_t> &dim_sizes) const
 {
     const LaneDims dims(topo.numDevices(), dim_sizes);
     OwnedSourceView view;
-    view.arena = std::make_unique<LaneArena>(0);
-    static_cast<SourceView &>(view) = sourceView(boxes, dims, *view.arena);
+    static_cast<SourceView &>(view) =
+        buildView(boxes, dims, [&view](std::size_t count) {
+            view.storage.reset(new std::int32_t[count]);
+            return view.storage.get();
+        });
     return view;
 }
 

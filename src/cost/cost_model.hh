@@ -69,26 +69,25 @@ class LaneDims
 
 /**
  * Lane storage of the source views of one edge-table side, freed with
- * it. Lanes are handed out from chunks allocated as views need them,
- * so the arena holds what its views take plus one chunk's tail at
- * most. take() may be called from several threads at once.
+ * it. A take() of more than kChunk / 8 lanes gets an allocation of its
+ * own size; smaller ones are cut from shared chunks of kChunk lanes,
+ * and a chunk is retired when the next take() does not fit, so each
+ * retired chunk leaves less than kChunk / 8 lanes unused. take() may
+ * be called from several threads at once.
  */
 class LaneArena
 {
   public:
-    /** Chunks of @p chunk lanes; a larger take() gets a chunk of its
-     *  own size (0: every take() its own). */
-    explicit LaneArena(std::size_t chunk = std::size_t{1} << 14);
+    static constexpr std::size_t kChunk = std::size_t{1} << 14;
 
     /** @p count lanes, uninitialized. */
     std::int32_t *take(std::size_t count);
 
   private:
-    std::size_t chunk;
     std::mutex mu;
-    std::vector<std::unique_ptr<std::int32_t[]>> chunks;
-    std::size_t used = 0; ///< lanes taken from the last chunk
-    std::size_t room = 0; ///< lanes in the last chunk
+    std::vector<std::unique_ptr<std::int32_t[]>> blocks;
+    std::int32_t *chunk = nullptr; ///< the shared chunk being filled
+    std::size_t used = kChunk;     ///< lanes taken from it
 };
 
 /** Analytic cost model backed by profiled linear latency models. */
@@ -149,11 +148,11 @@ class CostModel
         const std::int32_t *lanes = nullptr; ///< (1 + layers) slots
     };
 
-    /** A SourceView that owns its lanes: one layout priced on its
-     *  own. Move-only; moving keeps the lanes in place. */
+    /** A SourceView that owns its lanes, sized exactly: one layout
+     *  priced on its own. Move-only; moving keeps the lanes in place. */
     struct OwnedSourceView : SourceView
     {
-        std::unique_ptr<LaneArena> arena;
+        std::unique_ptr<std::int32_t[]> storage;
     };
 
     /** int32 lanes of one box slot of @p dims dims: 2 * dims *
@@ -241,6 +240,11 @@ class CostModel
      *  @p group_mask the PSquare bits. */
     bool crossesNode(const std::vector<Transfer> &moves,
                      std::int64_t group_mask) const;
+
+    /** sourceView(), its lanes from @p take(count). */
+    template <typename Take>
+    SourceView buildView(const SliceRange *boxes, const LaneDims &dims,
+                         Take take) const;
 
     const ClusterTopology &topo;
     ProfiledModels models;

@@ -1,5 +1,6 @@
 #include "partition_step.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -46,7 +47,15 @@ PartitionSeq::pSquareIndex() const
 std::vector<std::int64_t>
 PartitionSeq::sliceCounts(const OpSpec &op) const
 {
-    std::vector<std::int64_t> slices(op.dims.size(), 1);
+    std::vector<std::int64_t> slices(op.dims.size());
+    sliceCounts(op, slices.data());
+    return slices;
+}
+
+void
+PartitionSeq::sliceCounts(const OpSpec &op, std::int64_t *slices) const
+{
+    std::fill(slices, slices + op.dims.size(), 1);
     for (const auto &s : stepsVec) {
         if (s.kind == PartitionStep::Kind::ByDim) {
             slices[s.dim] *= 2;
@@ -59,7 +68,6 @@ PartitionSeq::sliceCounts(const OpSpec &op) const
             slices[op.psquare->k] *= f;
         }
     }
-    return slices;
 }
 
 std::string

@@ -92,6 +92,9 @@ class PartitionSeq
     /** Number of slices each dim is cut into under this sequence. */
     std::vector<std::int64_t> sliceCounts(const OpSpec &op) const;
 
+    /** sliceCounts() written to slices[0 .. op.dims.size()). */
+    void sliceCounts(const OpSpec &op, std::int64_t *slices) const;
+
     /**
      * Validate against an operator: partitioned dims must be
      * partitionable and divisible into the required slice counts, at

@@ -432,7 +432,9 @@ slotBox(const CostModel::SourceView &view, int k, int dev)
 
 /** Check the view of every layout in @p haves against the sorted
  *  reference: each receiver's own box, its node-union boxes in any
- *  order, and the traffic split against every layout in @p needs. */
+ *  order, and the traffic split against every layout in @p needs.
+ *  The views share one lane arena, as an edge-table side's do, and
+ *  each must equal the view that owns its lanes. */
 void
 expectViewsMatchReference(const CostModel &cm,
                           const std::vector<TensorLayout> &haves,
@@ -442,9 +444,24 @@ expectViewsMatchReference(const CostModel &cm,
     for (const TensorLayout &need : needs)
         slots.push_back(needSlot(cm, need));
     const int devices = cm.topology().numDevices();
+    LaneArena arena;
+    std::vector<CostModel::SourceView> views;
+    for (const TensorLayout &have : haves) {
+        views.push_back(cm.sourceView(flatBoxes(have).data(),
+                                      LaneDims(devices, have.dimSizes),
+                                      arena));
+    }
     for (std::size_t h = 0; h < haves.size(); ++h) {
         const TensorLayout &have = haves[h];
-        const auto view = cm.sourceView(flatBoxes(have).data(), have.dimSizes);
+        const CostModel::SourceView &view = views[h];
+        const auto owned =
+            cm.sourceView(flatBoxes(have).data(), have.dimSizes);
+        ASSERT_EQ(view.layers, owned.layers) << "layout " << h;
+        ASSERT_TRUE(std::equal(
+            view.lanes,
+            view.lanes + (1 + view.layers) * cm.slotLanes(view.dims),
+            owned.lanes))
+            << "layout " << h;
         const ReferenceView ref = sortedReferenceView(cm, have);
         ASSERT_EQ(view.layers, ref.view.layers) << "layout " << h;
         for (int dev = 0; dev < devices; ++dev) {
@@ -530,6 +547,34 @@ TEST(CostModel, SourceViewMatchesSortedReference)
     ASSERT_GE(haves.size(), 8u);
     SCOPED_TRACE("512 devices");
     expectViewsMatchReference(cm, haves, needs);
+}
+
+TEST(CostModel, LaneArenaServesLargeTakesApart)
+{
+    // Small takes are cut from one chunk in order; a take past an
+    // eighth of a chunk gets its own block and leaves the chunk being
+    // filled, so the next small take follows the last one.
+    LaneArena arena;
+    const std::size_t large = LaneArena::kChunk / 8 + 1;
+    std::int32_t *a = arena.take(100);
+    std::int32_t *big = arena.take(large);
+    std::int32_t *b = arena.take(100);
+    EXPECT_EQ(b, a + 100);
+    EXPECT_TRUE(big + large <= a || big >= b + 100);
+    std::fill(big, big + large, 7);
+    std::fill(a, a + 200, 1);
+    EXPECT_EQ(std::count(big, big + large, 7),
+              static_cast<std::ptrdiff_t>(large));
+    // Takes of an eighth of a chunk still share it; one that does not
+    // fit the chunk's rest opens a new one.
+    std::int32_t *end = b + 100;
+    for (int i = 0; i < 7; ++i) {
+        std::int32_t *part = arena.take(LaneArena::kChunk / 8);
+        EXPECT_EQ(part, end);
+        end = part + LaneArena::kChunk / 8;
+    }
+    std::int32_t *next = arena.take(LaneArena::kChunk / 8);
+    EXPECT_TRUE(next < a || next >= a + LaneArena::kChunk);
 }
 
 TEST(CostModelDeath, PrepareSourceRejectsOverlappingIntervals)
