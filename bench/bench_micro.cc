@@ -524,7 +524,6 @@ emitTrainingStep(std::ostream &os, bool quick)
     for (std::size_t i = 0; i < thread_settings.size(); ++i) {
         const int requested = thread_settings[i];
         SpmdGraphExecutor exec(graph, plan, 2, requested);
-        installTransformerBlockTransforms(exec, cfg);
 
         GraphResult result;
         const double ms =
@@ -597,7 +596,6 @@ emitFaultOverhead(std::ostream &os, bool quick)
     // (the overlap win has its own overlap_efficiency section).
     SpmdGraphExecutor base_exec(graph, plan, 2, 0,
                                 /*overlap_comm=*/false);
-    installTransformerBlockTransforms(base_exec, cfg);
 
     // Same step, but every transfer goes through the transport with
     // payload checksum + header verification (no injector, no guard,
@@ -608,7 +606,6 @@ emitFaultOverhead(std::ostream &os, bool quick)
     InProcessTransport transport({}, nullptr, &health);
     SpmdGraphExecutor fault_exec(graph, plan, 2, 0,
                                  /*overlap_comm=*/false);
-    installTransformerBlockTransforms(fault_exec, cfg);
     fault_exec.setTransport(&transport);
     fault_exec.setHealth(&health);
 
@@ -694,7 +691,6 @@ emitObserverOverhead(std::ostream &os, bool quick)
     InProcessTransport base_transport;
     SpmdGraphExecutor base_exec(graph, plan, 2, 0,
                                 /*overlap_comm=*/false);
-    installTransformerBlockTransforms(base_exec, cfg);
     base_exec.setTransport(&base_transport);
 
     TracingObserver tracer;
@@ -708,7 +704,6 @@ emitObserverOverhead(std::ostream &os, bool quick)
     InProcessTransport traced_transport({}, nullptr, &traced_health);
     SpmdGraphExecutor traced_exec(graph, plan, 2, 0,
                                   /*overlap_comm=*/false);
-    installTransformerBlockTransforms(traced_exec, cfg);
     traced_exec.setTransport(&traced_transport);
     traced_exec.setHealth(&traced_health);
 
@@ -797,12 +792,10 @@ emitOverlapEfficiency(std::ostream &os, bool quick)
     InProcessTransport sync_transport(topts, nullptr, nullptr);
     SpmdGraphExecutor sync_exec(graph, plan, 2, 0,
                                 /*overlap_comm=*/false);
-    installTransformerBlockTransforms(sync_exec, cfg);
     sync_exec.setTransport(&sync_transport);
 
     InProcessTransport async_transport(topts, nullptr, nullptr);
     SpmdGraphExecutor async_exec(graph, plan, 2, 0);
-    installTransformerBlockTransforms(async_exec, cfg);
     async_exec.setTransport(&async_transport);
 
     GraphResult sync_result, async_result;

@@ -368,7 +368,8 @@ runSweep(const SweepOptions &opts)
             saveJsonFile(opts.jsonPath,
                          withPreviousRecord(opts.jsonPath,
                                             std::move(record),
-                                            mergeSweeps));
+                                            mergeSweeps,
+                                            {"commands", "serve"}));
         } catch (const std::exception &e) {
             std::fprintf(stderr, "cannot write %s: %s\n",
                          opts.jsonPath.c_str(), e.what());

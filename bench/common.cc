@@ -121,7 +121,8 @@ print('src-sha256:' + digest.hexdigest()[:16])
 
 JsonValue
 withPreviousRecord(const std::string &path, JsonValue record,
-                   const SameCommitMerge &sameCommit)
+                   const SameCommitMerge &sameCommit,
+                   const std::vector<std::string> &carried)
 {
     if (!std::filesystem::exists(path) ||
         std::filesystem::file_size(path) == 0)
@@ -145,6 +146,15 @@ withPreviousRecord(const std::string &path, JsonValue record,
                 archived.set(key, value);
         }
         history.push(std::move(archived));
+        for (const std::string &key : carried) {
+            const JsonValue *value = prev.find(key);
+            if (!value || record.find(key))
+                continue;
+            JsonValue kept = *value;
+            if (kept.isObject() && !kept.find("commit") && prev_commit)
+                kept.set("commit", *prev_commit);
+            record.set(key, std::move(kept));
+        }
     }
     record.set("history", std::move(history));
     return record;

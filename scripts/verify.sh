@@ -28,8 +28,10 @@
 #      populated serve.request_us latency histogram (p50/p99).
 #   5. Configure + build a sanitizer tree (build-asan/) with
 #      -DPRIMEPAR_SANITIZE=ON (address+undefined) and run the fault-,
-#      planner-, dist-, serve- and kernels-labelled tests there
-#      (ctest -L 'fault|planner|dist|serve|kernels') — the elementwise
+#      planner-, dist-, serve-, kernels- and boundary-labelled tests
+#      there (ctest -L 'fault|planner|dist|serve|kernels|boundary') —
+#      the op-boundary box copies run strided loops over slices read
+#      through edge index maps, the elementwise
 #      kernels run padded tails at misaligned offsets, the transport's
 #      retry/rollback paths move buffers across emulated device
 #      boundaries, the async executor posts transfers into recycled
@@ -340,11 +342,11 @@ if [ "$QUICK" -eq 0 ] || [ ! -f "$ROOT/build-asan/CMakeCache.txt" ]; then
 fi
 cmake --build "$ROOT/build-asan" -j"$(nproc)" \
     --target test_fault test_cost test_optimizer test_dist \
-    test_serve test_elementwise primepar_worker
+    test_serve test_elementwise test_boundary primepar_worker
 
-echo "== sanitizer: fault + planner + dist + serve + kernels tests =="
+echo "== sanitizer: fault + planner + dist + serve + kernels + boundary tests =="
 ctest --test-dir "$ROOT/build-asan" --output-on-failure \
-    -L 'fault|planner|dist|serve|kernels' -j"$(nproc)"
+    -L 'fault|planner|dist|serve|kernels|boundary' -j"$(nproc)"
 
 echo "== sanitizer (TSan): configure + build =="
 if [ "$QUICK" -eq 0 ] || [ ! -f "$ROOT/build-tsan/CMakeCache.txt" ]; then

@@ -4,6 +4,67 @@
 
 namespace primepar {
 
+namespace {
+
+/** Check one side of an index map against that side's dim sizes:
+ *  every axis in exactly one group, every group inside its dim, and
+ *  (@p exact) every group covering its whole dim. */
+void
+checkIndexSide(const EdgeIndexMap &map,
+               const std::vector<EdgeIndexMap::Group> &groups,
+               const std::vector<std::int64_t> &sizes, bool exact,
+               const std::string &edge)
+{
+    PRIMEPAR_ASSERT(groups.size() == sizes.size(),
+                    "edge index map arity mismatch for ", edge);
+    std::vector<int> uses(map.axisSizes.size(), 0);
+    for (std::size_t d = 0; d < groups.size(); ++d) {
+        std::int64_t extent = 1;
+        for (int a : groups[d].axes) {
+            PRIMEPAR_ASSERT(a >= 0 && a < static_cast<int>(uses.size()),
+                            "edge index map axis ", a, " out of range for ",
+                            edge);
+            ++uses[a];
+            extent *= map.axisSizes[a];
+        }
+        PRIMEPAR_ASSERT(groups[d].offset >= 0 &&
+                            groups[d].offset + extent <= sizes[d],
+                        "edge index map group ", d,
+                        " exceeds its dim for ", edge);
+        PRIMEPAR_ASSERT(!exact || (groups[d].offset == 0 &&
+                                   extent == sizes[d]),
+                        "edge index map leaves part of consumer dim ", d,
+                        " undefined for ", edge);
+    }
+    for (int u : uses)
+        PRIMEPAR_ASSERT(u == 1, "edge index map axis not used exactly "
+                                "once per side for ",
+                        edge);
+}
+
+std::vector<std::int64_t>
+tensorSizes(const OpSpec &op, int tensor)
+{
+    std::vector<std::int64_t> sizes;
+    for (int d : op.tensors[tensor].dims)
+        sizes.push_back(op.dims[d].size);
+    return sizes;
+}
+
+} // namespace
+
+EdgeIndexMap
+EdgeIndexMap::identityOver(const std::vector<std::int64_t> &sizes)
+{
+    EdgeIndexMap map;
+    map.axisSizes = sizes;
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+        map.producer.push_back({{static_cast<int>(i)}, 0});
+        map.consumer.push_back({{static_cast<int>(i)}, 0});
+    }
+    return map;
+}
+
 int
 CompGraph::addNode(OpSpec op)
 {
@@ -12,7 +73,8 @@ CompGraph::addNode(OpSpec op)
 }
 
 void
-CompGraph::addEdge(int src, int dst, int dst_tensor, EdgeDimMap dim_map)
+CompGraph::addEdge(int src, int dst, int dst_tensor, EdgeDimMap dim_map,
+                   EdgeIndexMap index_map)
 {
     PRIMEPAR_ASSERT(src >= 0 && src < numNodes() && dst >= 0 &&
                         dst < numNodes() && src < dst,
@@ -26,7 +88,17 @@ CompGraph::addEdge(int src, int dst, int dst_tensor, EdgeDimMap dim_map)
                         consumer.tensors[dst_tensor].dims.size(),
                     "edge dim map arity mismatch for ",
                     nodesVec[src].name, " -> ", consumer.name);
-    edgesVec.push_back({src, dst, dst_tensor, std::move(dim_map)});
+    if (!index_map.identity()) {
+        const OpSpec &producer = nodesVec[src];
+        const std::string edge = producer.name + " -> " + consumer.name;
+        checkIndexSide(index_map, index_map.producer,
+                       tensorSizes(producer, producer.outputTensor), false,
+                       edge);
+        checkIndexSide(index_map, index_map.consumer,
+                       tensorSizes(consumer, dst_tensor), true, edge);
+    }
+    edgesVec.push_back({src, dst, dst_tensor, std::move(dim_map),
+                        std::move(index_map)});
 }
 
 std::vector<const GraphEdge *>
@@ -54,11 +126,7 @@ CompGraph::outEdges(int node) const
 std::vector<std::int64_t>
 CompGraph::transferSizes(const GraphEdge &e) const
 {
-    const OpSpec &consumer = nodesVec[e.dst];
-    std::vector<std::int64_t> sizes;
-    for (int d : consumer.tensors[e.dstTensor].dims)
-        sizes.push_back(consumer.dims[d].size);
-    return sizes;
+    return tensorSizes(nodesVec[e.dst], e.dstTensor);
 }
 
 double

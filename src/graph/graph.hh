@@ -21,6 +21,40 @@
 
 namespace primepar {
 
+/**
+ * Exact element correspondence between an edge's producer output and
+ * its consumer tensor when the two differ in layout (the fused QKV
+ * output feeding per-head Q, K and V; the per-head attention context
+ * feeding the out-projection). Both sides index one set of common
+ * axes: each dim of either side is a mixed-radix group of axes, most
+ * significant first, plus an offset. Example, the Q/K/V third `third`
+ * of a [B, M, 3h] QKV output read as [B, Hd, M, E]: axes (B, Hd, M, E),
+ * consumer dims {B}, {Hd}, {M}, {E}, producer dims {B}, {M} and
+ * {Hd, E} + third * h, i.e. k = third * h + hd * E + e.
+ *
+ * Empty (no axes) is the identity: the consumer tensor is the producer
+ * output, dim for dim.
+ */
+struct EdgeIndexMap
+{
+    /** A dim as a mixed-radix group of axes plus an offset. */
+    struct Group
+    {
+        std::vector<int> axes;   ///< most significant first
+        std::int64_t offset = 0; ///< added to the group's value
+    };
+
+    std::vector<std::int64_t> axisSizes; ///< extent of each axis
+    std::vector<Group> producer;         ///< per producer-output dim
+    std::vector<Group> consumer;         ///< per consumer-tensor dim
+
+    bool identity() const { return axisSizes.empty(); }
+
+    /** The identity over a tensor of dim sizes @p sizes, spelled out:
+     *  axis i is dim i on both sides. */
+    static EdgeIndexMap identityOver(const std::vector<std::int64_t> &sizes);
+};
+
 /** One edge: the output of @p src feeds tensor @p dstTensor of @p dst. */
 struct GraphEdge
 {
@@ -32,6 +66,10 @@ struct GraphEdge
     /** For each dim of that consumer tensor: the matching producer op
      *  dim, or -1 when the producer does not split it. */
     EdgeDimMap dimMap;
+    /** How the runtime reads the consumer tensor's elements off the
+     *  producer output (identity unless set). The cost model reads
+     *  dimMap only. */
+    EdgeIndexMap indexMap;
 };
 
 /** A computation graph (nodes in topological order). */
@@ -41,8 +79,10 @@ class CompGraph
     /** Append a node; returns its index. */
     int addNode(OpSpec op);
 
-    /** Connect src's output to (dst, dst_tensor). */
-    void addEdge(int src, int dst, int dst_tensor, EdgeDimMap dim_map);
+    /** Connect src's output to (dst, dst_tensor); @p index_map, when
+     *  not the identity, must cover both sides' dims and sizes. */
+    void addEdge(int src, int dst, int dst_tensor, EdgeDimMap dim_map,
+                 EdgeIndexMap index_map = {});
 
     int numNodes() const { return static_cast<int>(nodesVec.size()); }
     const OpSpec &node(int i) const { return nodesVec[i]; }

@@ -67,6 +67,42 @@ modelByName(const std::string &name)
     PRIMEPAR_FATAL("unknown model ", name);
 }
 
+namespace {
+
+/**
+ * Third @p third (0 = Q, 1 = K, 2 = V) of the fused QKV output
+ * [B, M, 3h] read per head as [B, Hd, M, E]: axes (B, Hd, M, E), the
+ * producer's K = third * h + hd * E + e.
+ */
+EdgeIndexMap
+qkvSplitMap(std::int64_t b, std::int64_t s, std::int64_t heads,
+            std::int64_t embed, int third)
+{
+    EdgeIndexMap map;
+    map.axisSizes = {b, heads, s, embed};
+    map.consumer = {{{0}, 0}, {{1}, 0}, {{2}, 0}, {{3}, 0}};
+    map.producer = {{{0}, 0}, {{2}, 0}, {{1, 3}, third * heads * embed}};
+    return map;
+}
+
+/**
+ * The per-head attention context [B, Hd, M, E] read as the
+ * out-projection input [B, M, h]: axes (B, Hd, M, E), the consumer's
+ * hidden index = hd * E + e.
+ */
+EdgeIndexMap
+headMergeMap(std::int64_t b, std::int64_t s, std::int64_t heads,
+             std::int64_t embed)
+{
+    EdgeIndexMap map;
+    map.axisSizes = {b, heads, s, embed};
+    map.producer = {{{0}, 0}, {{1}, 0}, {{2}, 0}, {{3}, 0}};
+    map.consumer = {{{0}, 0}, {{2}, 0}, {{1, 3}, 0}};
+    return map;
+}
+
+} // namespace
+
 CompGraph
 buildTransformerBlock(const ModelConfig &cfg, std::int64_t batch)
 {
@@ -106,14 +142,16 @@ buildTransformerBlock(const ModelConfig &cfg, std::int64_t batch)
     g.addEdge(1, 2, 0, {0, 1, 2});
     // QKV output [B,M,K=3h] -> Q[B,Hd,M,E] and K[B,Hd,M2,E]: Hd maps
     // onto K (head partitioning), E is never split by the producer.
-    g.addEdge(2, 3, 0, {0, 3, 1, -1});
-    g.addEdge(2, 3, 1, {0, 3, 1, -1});
+    // The index maps pick each operand's third of K.
+    g.addEdge(2, 3, 0, {0, 3, 1, -1}, qkvSplitMap(b, s, nh, e, 0));
+    g.addEdge(2, 3, 1, {0, 3, 1, -1}, qkvSplitMap(b, s, nh, e, 1));
     g.addEdge(3, 4, 0, {0, 1, 2, 3});
     g.addEdge(4, 5, 0, {0, 1, 2, 3});
     // V flows from QKV as well: consumer Bm[B,Hd,M2,E].
-    g.addEdge(2, 5, 1, {0, 3, 1, -1});
-    // Context [B,Hd,M,E] -> out-proj I[B,M,N]: N maps onto Hd.
-    g.addEdge(5, 6, 0, {0, 2, 1});
+    g.addEdge(2, 5, 1, {0, 3, 1, -1}, qkvSplitMap(b, s, nh, e, 2));
+    // Context [B,Hd,M,E] -> out-proj I[B,M,N]: N maps onto Hd, and
+    // the heads merge into N.
+    g.addEdge(5, 6, 0, {0, 2, 1}, headMergeMap(b, s, nh, e));
     // Residual 1: main path and skip path.
     g.addEdge(6, 7, 0, {0, 1, 3});
     g.addEdge(0, 7, 1, {0, 1, 2});

@@ -24,6 +24,21 @@ SpmdGraphExecutor::SpmdGraphExecutor(const CompGraph &graph_in,
             owned));
         execs.back()->setThreadPool(pool.get());
     }
+    // An edge without an index map copies boxes as they are: the
+    // consumer tensor must be the producer output, dim for dim.
+    for (const GraphEdge &e : graph.edges()) {
+        if (!e.indexMap.identity())
+            continue;
+        const OpSpec &producer = graph.node(e.src);
+        std::vector<std::int64_t> out_sizes;
+        for (int d : producer.tensors[producer.outputTensor].dims)
+            out_sizes.push_back(producer.dims[d].size);
+        PRIMEPAR_ASSERT(out_sizes == graph.transferSizes(e), "edge ",
+                        producer.name, " -> ", graph.node(e.dst).name,
+                        " changes the tensor's shape but has no index "
+                        "map");
+    }
+    edgeVolumes.resize(graph.edges().size());
 }
 
 SpmdGraphExecutor::SpmdGraphExecutor(const CompGraph &graph_in,
@@ -57,45 +72,37 @@ SpmdGraphExecutor::beginStep(std::int64_t s)
         e->beginStep(s);
 }
 
-std::string
-SpmdGraphExecutor::edgeKey(const GraphEdge &e) const
-{
-    return std::to_string(e.src) + ">" + std::to_string(e.dst) + ":" +
-           std::to_string(e.dstTensor);
-}
-
-void
-SpmdGraphExecutor::setEdgeTransform(int src, int dst, int dst_tensor,
-                                    EdgeTransform transform)
-{
-    for (const GraphEdge &e : graph.edges()) {
-        if (e.src == src && e.dst == dst && e.dstTensor == dst_tensor) {
-            transforms[edgeKey(e)] = std::move(transform);
-            return;
-        }
-    }
-    PRIMEPAR_PANIC("no edge ", src, " -> ", dst, " tensor ", dst_tensor);
-}
-
 GraphResult
 SpmdGraphExecutor::run(const GraphIO &io)
 {
     const int nodes = graph.numNodes();
+    const std::vector<GraphEdge> &edges = graph.edges();
+    const auto devices =
+        static_cast<std::size_t>(execs[0]->dsi().numDevices());
     for (auto &e : execs)
         e->reset();
+    // Cross-device elements per (edge, device), each written only by
+    // the device filling its slot.
+    std::vector<std::int64_t> fwd_moved(edges.size() * devices, 0);
+    std::vector<std::int64_t> bwd_moved(edges.size() * devices, 0);
+    const auto moved_at = [&](std::vector<std::int64_t> &moved,
+                              const GraphEdge *e) {
+        return moved.data() +
+               static_cast<std::size_t>(e - edges.data()) * devices;
+    };
 
-    // Gathered forward outputs live only until their last consumer
-    // has scattered them (the op executors stash every operand as
-    // device slices on first use, so the backward sweep never needs
-    // the full copies again). Keeping full-size boundary tensors for
-    // the whole step would defeat sharding: every worker — not just
-    // the slices' owners — would hold them at peak.
-    std::vector<Tensor> outputs(nodes);
-    std::vector<Shape> out_shapes(nodes);
+    // Forward outputs as slices, until their last consumer has copied
+    // from them. Owned slices point into the producer's store; a
+    // sharded worker also holds the slices it received from the other
+    // workers here, and releasing them as soon as possible keeps its
+    // peak memory tracking owned slices.
+    std::vector<SliceSet> outputs(nodes);
     std::vector<int> pending_consumers(nodes);
     for (int n = 0; n < nodes; ++n)
         pending_consumers[n] =
             static_cast<int>(graph.outEdges(n).size());
+
+    GraphResult result;
 
     // Forward sweep.
     for (int n = 0; n < nodes; ++n) {
@@ -103,13 +110,15 @@ SpmdGraphExecutor::run(const GraphIO &io)
         std::map<std::string, Tensor> inputs;
 
         for (const GraphEdge *e : graph.inEdges(n)) {
-            const std::string key = op.tensors[e->dstTensor].name;
-            const auto it = transforms.find(edgeKey(*e));
-            if (it != transforms.end() && it->second.forward) {
-                inputs[key] = it->second.forward(outputs[e->src]);
-            } else {
-                inputs[key] = outputs[e->src];
-            }
+            const BoundaryCopy copy(e->indexMap, true, outputs[e->src]);
+            std::int64_t *moved = moved_at(fwd_moved, e);
+            execs[n]->place(op.tensors[e->dstTensor].name, false,
+                            [&](std::int64_t dev,
+                                const std::vector<SliceRange> &box,
+                                Tensor &slot) {
+                                moved[dev] +=
+                                    copy.into(dev, box, slot, false);
+                            });
         }
         if (graph.inEdges(n).empty()) {
             inputs[op.tensors[op.inputTensor].name] = io.input;
@@ -131,56 +140,57 @@ SpmdGraphExecutor::run(const GraphIO &io)
         }
 
         execs[n]->runPhase(Phase::Forward, inputs);
-        outputs[n] = execs[n]->gatherByName(
-            op.tensors[op.outputTensor].name);
-        out_shapes[n] = outputs[n].shape();
-        // The operands are stashed as device slices now; release the
-        // full copies (and any producer output every consumer has
-        // scattered) so per-worker peak memory tracks owned slices.
-        inputs.clear();
+        const std::string &out = op.tensors[op.outputTensor].name;
+        if (n == nodes - 1)
+            result.output = execs[n]->gatherByName(out);
+        else
+            outputs[n] = execs[n]->slices(out);
         for (const GraphEdge *e : graph.inEdges(n)) {
-            if (--pending_consumers[e->src] == 0 &&
-                e->src != nodes - 1)
-                outputs[e->src] = Tensor();
+            if (--pending_consumers[e->src] == 0)
+                outputs[e->src] = SliceSet();
         }
     }
 
     // Backward + gradient sweep; gradients accumulate per producer.
-    GraphResult result;
-    result.output = outputs[nodes - 1];
-
     for (int n = nodes - 1; n >= 0; --n) {
         const OpSpec &op = graph.node(n);
+        const std::string d_out = "d" + op.tensors[op.outputTensor].name;
+        std::map<std::string, Tensor> inputs;
 
-        // Assemble dO_n.
-        Tensor grad;
         if (n == nodes - 1) {
-            grad = io.d_output;
+            inputs[d_out] = io.d_output;
         } else {
-            grad = Tensor(out_shapes[n]);
-            bool any = false;
-            for (const GraphEdge *e : graph.outEdges(n)) {
+            // dO_n: zeroed slots, then each consumer's contribution in
+            // out-edge order, so every element sums as (0 + g1) + g2.
+            const std::vector<const GraphEdge *> out_edges =
+                graph.outEdges(n);
+            PRIMEPAR_ASSERT(!out_edges.empty(), "node ", op.name,
+                            " has no gradient consumers");
+            std::vector<SliceSet> grads;
+            grads.reserve(out_edges.size());
+            for (const GraphEdge *e : out_edges) {
                 const OpSpec &consumer = graph.node(e->dst);
                 const std::string gname =
                     "d" + consumer.tensors[e->dstTensor].name;
                 PRIMEPAR_ASSERT(execs[e->dst]->hasTensor(gname),
                                 "consumer ", consumer.name,
                                 " produced no gradient ", gname);
-                Tensor g = execs[e->dst]->gatherByName(gname);
-                const auto it = transforms.find(edgeKey(*e));
-                if (it != transforms.end() && it->second.backward)
-                    g = it->second.backward(g);
-                grad.add(g);
-                any = true;
+                grads.push_back(execs[e->dst]->slices(gname));
             }
-            PRIMEPAR_ASSERT(any, "node ", op.name,
-                            " has no gradient consumers");
+            std::vector<BoundaryCopy> copies;
+            copies.reserve(out_edges.size());
+            for (std::size_t i = 0; i < out_edges.size(); ++i)
+                copies.emplace_back(out_edges[i]->indexMap, false,
+                                    grads[i]);
+            execs[n]->place(
+                d_out, true,
+                [&](std::int64_t dev, const std::vector<SliceRange> &box,
+                    Tensor &slot) {
+                    for (std::size_t i = 0; i < copies.size(); ++i)
+                        moved_at(bwd_moved, out_edges[i])[dev] +=
+                            copies[i].into(dev, box, slot, true);
+                });
         }
-        // Every forward operand is already stashed as device slices;
-        // only the incoming gradient is new.
-        std::map<std::string, Tensor> inputs;
-        inputs["d" + op.tensors[op.outputTensor].name] =
-            std::move(grad);
         execs[n]->runPhase(Phase::Backward, inputs);
         execs[n]->runPhase(Phase::Gradient, inputs);
 
@@ -199,6 +209,14 @@ SpmdGraphExecutor::run(const GraphIO &io)
     const std::string din = "d" + first.tensors[first.inputTensor].name;
     if (execs[0]->hasTensor(din))
         result.d_input = execs[0]->gatherByName(din);
+
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+        edgeVolumes[e] = EdgeVolume{};
+        for (std::size_t dev = 0; dev < devices; ++dev) {
+            edgeVolumes[e].forward += fwd_moved[e * devices + dev];
+            edgeVolumes[e].backward += bwd_moved[e * devices + dev];
+        }
+    }
     return result;
 }
 

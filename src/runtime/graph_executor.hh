@@ -5,19 +5,22 @@
  * Drives one training iteration of a multi-operator graph — forward
  * in topological order, backward and gradient in reverse — with every
  * operator partitioned by its own sequence on the same emulated
- * device set. Activations and gradients flow along the graph edges
- * (with optional per-edge tensor transforms for fused-dimension
- * boundaries like QKV-split and head reshapes), gradients of
- * multi-consumer tensors accumulate, and the final results must match
- * single-device training — the graph-level completion of the per-op
- * equivalence proof. Every node's executor reports to the one
- * RuntimeHealth given to setHealth().
+ * device set. Activations and gradients cross each graph edge slice to
+ * slice (boundary.hh): every consumer device's operand slot is filled
+ * by box copies from the producer's intersecting output slices, every
+ * producer device's output-gradient slot by box accumulates from the
+ * consumers' gradient slices, in out-edge order — through the edge's
+ * index map where the two sides differ in layout (QKV split, head
+ * merge). Only the block input, the final output, the parameter
+ * gradients and the input gradient exist as full tensors. The final
+ * results must match single-device training — the graph-level
+ * completion of the per-op equivalence proof. Every node's executor
+ * reports to the one RuntimeHealth given to setHealth().
  */
 
 #ifndef PRIMEPAR_RUNTIME_GRAPH_EXECUTOR_HH
 #define PRIMEPAR_RUNTIME_GRAPH_EXECUTOR_HH
 
-#include <functional>
 #include <map>
 #include <memory>
 
@@ -26,17 +29,6 @@
 #include "spmd_executor.hh"
 
 namespace primepar {
-
-/** Value-level transforms applied on an edge (both default identity). */
-struct EdgeTransform
-{
-    /** Producer-output -> consumer-input coordinates (e.g. slice the
-     *  Q third of the fused QKV output and reshape to heads). */
-    std::function<Tensor(const Tensor &)> forward;
-    /** Consumer-input-gradient -> producer-output-gradient
-     *  *contribution* (summed with other consumers' contributions). */
-    std::function<Tensor(const Tensor &)> backward;
-};
 
 /** External inputs of one training iteration. */
 struct GraphIO
@@ -56,6 +48,14 @@ struct GraphResult
     Tensor d_input;
     /** Parameter gradients keyed like GraphIO::params. */
     std::map<std::string, Tensor> d_params;
+};
+
+/** Elements one edge's boundary copies read from another device's
+ *  slice in one run. */
+struct EdgeVolume
+{
+    std::int64_t forward = 0;  ///< producer output -> consumer operand
+    std::int64_t backward = 0; ///< consumer gradient -> producer
 };
 
 /** The graph-level SPMD executor. */
@@ -89,16 +89,19 @@ class SpmdGraphExecutor
                       std::vector<PartitionSeq> strategies,
                       const RuntimeOptions &options);
 
-    /** Install a transform on the edge @p src -> @p dst (tensor
-     *  @p dst_tensor of the consumer). */
-    void setEdgeTransform(int src, int dst, int dst_tensor,
-                          EdgeTransform transform);
-
     /** Run one full training iteration. */
     GraphResult run(const GraphIO &io);
 
     /** Sum of per-op communication counters of the last run. */
     CommVolume stats() const;
+
+    /** Per edge (indexed like graph.edges()), the elements the last
+     *  run's boundary copies took from other devices' slices on the
+     *  owned devices. */
+    const std::vector<EdgeVolume> &boundaryVolume() const
+    {
+        return edgeVolumes;
+    }
 
     /** Route every node's inter-device transfers through @p t (not
      *  owned; nullptr restores direct in-process copies). */
@@ -112,13 +115,11 @@ class SpmdGraphExecutor
     void beginStep(std::int64_t s);
 
   private:
-    std::string edgeKey(const GraphEdge &e) const;
-
     const CompGraph &graph;
     /** Shared worker pool for every node's executor (null = serial). */
     std::unique_ptr<ThreadPool> pool;
     std::vector<std::unique_ptr<SpmdOpExecutor>> execs;
-    std::map<std::string, EdgeTransform> transforms;
+    std::vector<EdgeVolume> edgeVolumes;
 };
 
 } // namespace primepar

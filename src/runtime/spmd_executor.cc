@@ -1,6 +1,7 @@
 #include "spmd_executor.hh"
 
 #include <algorithm>
+#include <set>
 
 #include "errors.hh"
 #include "support/logging.hh"
@@ -51,61 +52,23 @@ SpmdOpExecutor::tupleAt(const TensorRef &ref, Phase phase,
     return tuple;
 }
 
-Tensor
-SpmdOpExecutor::sliceFor(const TensorRef &ref, const Tensor &full,
-                         Phase phase, std::int64_t dev, int t) const
-{
-    const auto &dims = op.tensors[ref.tensor].dims;
-    std::vector<std::int64_t> starts, extents;
-    for (int d : dims) {
-        const SliceRange r = dsiTable.sliceRange(phase, dev, t, d);
-        starts.push_back(r.start);
-        extents.push_back(r.length());
-    }
-    return full.slice(starts, extents);
-}
-
-void
-SpmdOpExecutor::scatter(const TensorRef &ref, const Tensor &full,
-                        Phase phase, int t)
-{
-    TensorStore store(dsiTable.numDevices());
-    const bool tracing = observed();
-    const std::string label =
-        tracing ? op.name + " scatter " + names[tensorId(ref)]
-                : std::string();
-    // Each device fills only its own slot; sliceFor/tupleAt are pure
-    // reads of the DSI table. onSpan is declared concurrency-safe.
-    // Every rank gets its partition tuple; only owned ranks pay for
-    // the data slice (the sharded span skips the rest).
-    parallelFor(pool, static_cast<std::size_t>(dsiTable.numDevices()),
-                [&](std::size_t dev) {
-                    const auto d = static_cast<std::int64_t>(dev);
-                    const double t0 = tracing ? observerNowUs() : 0.0;
-                    if (ownsDev(d))
-                        store[dev].data =
-                            sliceFor(ref, full, phase, d, t);
-                    store[dev].tuple = tupleAt(ref, phase, d, t);
-                    if (tracing)
-                        health->span(d, SpanKind::Redist, label, t0,
-                                     observerNowUs());
-                });
-    stores[tensorId(ref)] = std::move(store);
-}
-
-Tensor
-SpmdOpExecutor::gather(const TensorRef &ref) const
+SliceSet
+SpmdOpExecutor::slicesOf(const TensorRef &ref) const
 {
     const std::string &name = names[tensorId(ref)];
     const TensorStore &store = stores[tensorId(ref)];
     PRIMEPAR_ASSERT(!store.empty(), "gather of absent tensor ", name);
-    Tensor full(fullShape(ref));
-
-    const auto &dims = op.tensors[ref.tensor].dims;
-    std::vector<std::int64_t> extents;
-    for (std::size_t i = 0; i < dims.size(); ++i)
-        extents.push_back(dsiTable.sliceExtent(dims[i]));
-    Shape slice_shape(extents.begin(), extents.end());
+    const std::int64_t devices = dsiTable.numDevices();
+    SliceSet set;
+    set.shape = fullShape(ref);
+    set.boxes.resize(devices);
+    set.held.assign(devices, nullptr);
+    set.received.resize(devices);
+    for (std::int64_t dev = 0; dev < devices; ++dev)
+        set.boxes[dev] = boxOf(ref, store[dev].tuple);
+    Shape slice_shape;
+    for (const SliceRange &r : set.boxes[0])
+        slice_shape.push_back(r.length());
 
     // Non-owned ranks have no local data: their slices arrive over
     // the transport's "gather" channel in one all-gather. Every
@@ -113,26 +76,34 @@ SpmdOpExecutor::gather(const TensorRef &ref) const
     // owner multicasts each slice to one representative rank per peer
     // span, everyone else receives exactly once — so the pairwise
     // wire order matches on both ends of every socket. Slices travel
-    // as raw bytes, so the gathered values equal the owner's, i.e. a
-    // one-worker run's.
+    // as raw bytes, so the received values equal the owner's, i.e. a
+    // one-worker run's. A received replica of a box already held is
+    // bitwise the same slice (an all-reduce broadcast), so it is
+    // dropped: the set then holds at most one tensor's worth.
     const std::vector<DeviceSpan> peers =
         (!ownedSpan.all() && transport) ? transport->peerSpans()
                                         : std::vector<DeviceSpan>{};
-    for (std::int64_t dev = 0; dev < dsiTable.numDevices(); ++dev) {
-        std::vector<std::int64_t> starts;
-        for (std::size_t i = 0; i < dims.size(); ++i)
-            starts.push_back(store[dev].tuple[i] * extents[i]);
+    const bool tracing = observed() && !ownedSpan.all();
+    const std::string label =
+        tracing ? op.name + " gather " + name : std::string();
+    std::set<std::vector<SliceRange>> kept;
+    if (!ownedSpan.all())
+        for (std::int64_t dev = ownedFirst();
+             dev < ownedFirst() + ownedCount(); ++dev)
+            kept.insert(set.boxes[dev]);
+    for (std::int64_t dev = 0; dev < devices; ++dev) {
+        const double t0 = tracing ? observerNowUs() : 0.0;
+        TransferTag tag;
+        tag.tensor = name;
+        tag.channel = "gather";
+        tag.phase = Phase::Forward;
+        tag.temporalStep = 0;
+        tag.sender = dev;
         if (ownsDev(dev)) {
-            full.assignSlice(starts, store[dev].data);
+            set.held[dev] = &store[dev].data;
             for (const DeviceSpan &peer : peers) {
                 if (peer.owns(dev) || peer.count <= 0)
                     continue;
-                TransferTag tag;
-                tag.tensor = name;
-                tag.channel = "gather";
-                tag.phase = Phase::Forward;
-                tag.temporalStep = 0;
-                tag.sender = dev;
                 tag.receiver = peer.first;
                 Tensor scratch;
                 transport->transferInto(tag, store[dev].data, scratch);
@@ -140,19 +111,112 @@ SpmdOpExecutor::gather(const TensorRef &ref) const
         } else {
             PRIMEPAR_ASSERT(transport, "gather of non-owned device ",
                             dev, " without a transport");
-            TransferTag tag;
-            tag.tensor = name;
-            tag.channel = "gather";
-            tag.phase = Phase::Forward;
-            tag.temporalStep = 0;
-            tag.sender = dev;
             tag.receiver = ownedFirst();
             Tensor slice(slice_shape);
             transport->transferInto(tag, Tensor{}, slice);
-            full.assignSlice(starts, slice);
+            if (kept.insert(set.boxes[dev]).second)
+                set.received[dev] = std::move(slice);
         }
+        if (tracing)
+            health->span(dev, SpanKind::Redist, label, t0,
+                         observerNowUs());
+    }
+    return set;
+}
+
+Tensor
+SpmdOpExecutor::gather(const TensorRef &ref) const
+{
+    const SliceSet set = slicesOf(ref);
+    Tensor full(set.shape);
+    const bool tracing = observed();
+    const std::string label =
+        tracing ? op.name + " assemble " + names[tensorId(ref)]
+                : std::string();
+    std::vector<std::int64_t> starts;
+    for (std::int64_t dev = 0; dev < set.numDevices(); ++dev) {
+        const double t0 = tracing ? observerNowUs() : 0.0;
+        starts.clear();
+        for (const SliceRange &r : set.boxes[dev])
+            starts.push_back(r.start);
+        // A dropped replica's box is written by the kept copy.
+        if (const Tensor *data = set.data(dev))
+            full.assignSlice(starts, *data);
+        if (tracing)
+            health->span(dev, SpanKind::Redist, label, t0,
+                         observerNowUs());
     }
     return full;
+}
+
+Phase
+SpmdOpExecutor::firstUse(const TensorRef &ref) const
+{
+    for (Phase phase : {Phase::Forward, Phase::Backward, Phase::Gradient})
+        for (const PassSpec &pass : op.passes)
+            if (pass.phase == phase &&
+                std::find(pass.operands.begin(), pass.operands.end(),
+                          ref) != pass.operands.end())
+                return phase;
+    PRIMEPAR_PANIC("tensor ", names[tensorId(ref)], " of ", op.name,
+                   " is no pass operand");
+}
+
+void
+SpmdOpExecutor::place(const std::string &name, bool zeroed,
+                      const PlaceFill &fill)
+{
+    const TensorRef ref = refByName(name);
+    placeAt(ref, firstUse(ref), zeroed, fill);
+}
+
+void
+SpmdOpExecutor::placeAt(const TensorRef &ref, Phase phase, bool zeroed,
+                        const PlaceFill &fill)
+{
+    TensorStore store(dsiTable.numDevices());
+    const bool tracing = observed();
+    const std::string label =
+        tracing ? op.name + " place " + names[tensorId(ref)]
+                : std::string();
+    // Each device fills only its own slot from read-only sources;
+    // tupleAt is a pure read of the DSI table and onSpan is declared
+    // concurrency-safe. Every rank gets its partition tuple; only
+    // owned ranks pay for the data (the sharded span skips the rest).
+    parallelFor(pool, static_cast<std::size_t>(dsiTable.numDevices()),
+                [&](std::size_t dev) {
+                    const auto d = static_cast<std::int64_t>(dev);
+                    store[dev].tuple = tupleAt(ref, phase, d, 0);
+                    if (!ownsDev(d))
+                        return;
+                    const double t0 = tracing ? observerNowUs() : 0.0;
+                    const std::vector<SliceRange> box =
+                        boxOf(ref, store[dev].tuple);
+                    Shape shape;
+                    for (const SliceRange &r : box)
+                        shape.push_back(r.length());
+                    store[dev].data =
+                        zeroed ? Tensor(std::move(shape))
+                               : Tensor::uninitialized(std::move(shape));
+                    fill(d, box, store[dev].data);
+                    if (tracing)
+                        health->span(d, SpanKind::Redist, label, t0,
+                                     observerNowUs());
+                });
+    stores[tensorId(ref)] = std::move(store);
+}
+
+std::vector<SliceRange>
+SpmdOpExecutor::boxOf(const TensorRef &ref,
+                      const std::vector<std::int64_t> &tuple) const
+{
+    const auto &dims = op.tensors[ref.tensor].dims;
+    std::vector<SliceRange> box;
+    for (std::size_t i = 0; i < dims.size(); ++i) {
+        const std::int64_t extent = dsiTable.sliceExtent(dims[i]);
+        box.push_back({tuple[i] * extent, (tuple[i] + 1) * extent});
+    }
+    return box;
 }
 
 Shape
@@ -260,9 +324,15 @@ SpmdOpExecutor::runJournaled(int out_id,
     // and re-executed from the log.
     constexpr int kMaxStepRetries = 3;
     for (int tries = 0;; ++tries) {
+        const double j0 = observed() ? observerNowUs() : 0.0;
         TensorStore out_log = stores[out_id];
         LayerNormAux aux_log = aux;
         const CommVolume volume_log = commStats;
+        // The snapshot covers every device's slot: the runtime row.
+        if (observed())
+            health->span(-1, SpanKind::Journal, op.name + " journal " +
+                                                    names[out_id],
+                         j0, observerNowUs());
         try {
             body();
             return;
@@ -411,8 +481,9 @@ SpmdOpExecutor::runPass(int pass_index,
         aux.dGamma.resize(dsiTable.numDevices());
     }
 
-    // Position operands: scatter on first use; otherwise the stashed
-    // distribution must already align (operational feature 3).
+    // Position operands: slice a full input on first use; otherwise
+    // the stashed distribution must already align (operational
+    // feature 3).
     for (const TensorRef &ref : pass.operands) {
         const std::string &key = names[tensorId(ref)];
         const TensorStore &store = stores[tensorId(ref)];
@@ -424,7 +495,11 @@ SpmdOpExecutor::runPass(int pass_index,
             if (it->second.shape() != fullShape(ref))
                 throw InputError(op.name, phaseName(pass.phase), key,
                                  fullShape(ref), it->second.shape());
-            scatter(ref, it->second, pass.phase, 0);
+            const SliceSet whole = SliceSet::whole(it->second);
+            const BoundaryCopy copy(EdgeIndexMap{}, true, whole);
+            placeAt(ref, pass.phase, false,
+                    [&](std::int64_t dev, const std::vector<SliceRange> &box,
+                        Tensor &slot) { copy.into(dev, box, slot, false); });
             continue;
         }
         for (std::int64_t dev = 0; dev < dsiTable.numDevices(); ++dev) {
@@ -691,14 +766,26 @@ SpmdOpExecutor::hasTensor(const std::string &name) const
     return id >= 0 && !stores[id].empty();
 }
 
-Tensor
-SpmdOpExecutor::gatherByName(const std::string &name) const
+TensorRef
+SpmdOpExecutor::refByName(const std::string &name) const
 {
     const int id = idByName(name);
     if (id < 0)
         PRIMEPAR_PANIC("operator ", op.name, " has no tensor named ",
                        name);
-    return gather({id / 2, id % 2 == 1});
+    return {id / 2, id % 2 == 1};
+}
+
+Tensor
+SpmdOpExecutor::gatherByName(const std::string &name) const
+{
+    return gather(refByName(name));
+}
+
+SliceSet
+SpmdOpExecutor::slices(const std::string &name) const
+{
+    return slicesOf(refByName(name));
 }
 
 TrainStepResult

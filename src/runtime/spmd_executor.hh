@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "boundary.hh"
 #include "observer.hh"
 #include "transport.hh"
 
@@ -130,6 +131,32 @@ class SpmdOpExecutor
 
     /** Gather a materialized tensor (by refName, e.g. "dW"). */
     Tensor gatherByName(const std::string &name) const;
+
+    /**
+     * Every device's slice of a materialized tensor (by refName)
+     * without assembling it. Owned slices point into this executor's
+     * store and stay valid until that tensor is next written (a pass
+     * output, reset()); the others arrive over the transport's
+     * "gather" channel with the same tags, order and bytes as
+     * gatherByName()'s exchange.
+     */
+    SliceSet slices(const std::string &name) const;
+
+    /** Fills device @p dev's slot, a dense slice covering @p box. */
+    using PlaceFill = std::function<void(
+        std::int64_t dev, const std::vector<SliceRange> &box,
+        Tensor &slot)>;
+
+    /**
+     * Position operand @p name (by refName, e.g. "I" or "dO") ahead of
+     * its first pass: every device gets the tuple it holds entering
+     * that pass, and each owned device's slot — zeroed when @p zeroed,
+     * else uninitialized — is written by @p fill. The operand is then
+     * stashed exactly as a full input would be, so the pass needs no
+     * input for it. Slots fill on the thread pool, one device each.
+     */
+    void place(const std::string &name, bool zeroed,
+               const PlaceFill &fill);
 
     /** Apply W <- W - lr * dW locally on every device (no comm), then
      *  gather the updated parameter. Valid after run(). */
@@ -240,13 +267,21 @@ class SpmdOpExecutor
     }
     /** Id of the tensor named @p name, or -1. */
     int idByName(const std::string &name) const;
-    void scatter(const TensorRef &ref, const Tensor &full, Phase phase,
-                 int t);
+    /** The tensor named @p name; panics on an unknown name. */
+    TensorRef refByName(const std::string &name) const;
+    /** place() at the tuples of (@p phase, step 0). */
+    void placeAt(const TensorRef &ref, Phase phase, bool zeroed,
+                 const PlaceFill &fill);
+    SliceSet slicesOf(const TensorRef &ref) const;
     Tensor gather(const TensorRef &ref) const;
+    /** Phase of the first pass (in runPhase order) reading @p ref. */
+    Phase firstUse(const TensorRef &ref) const;
+    /** The box a slot of @p ref with partition @p tuple covers. */
+    std::vector<SliceRange> boxOf(const TensorRef &ref,
+                                  const std::vector<std::int64_t> &tuple)
+        const;
     std::vector<std::int64_t> tupleAt(const TensorRef &ref, Phase phase,
                                       std::int64_t dev, int t) const;
-    Tensor sliceFor(const TensorRef &ref, const Tensor &full,
-                    Phase phase, std::int64_t dev, int t) const;
     /** Stage @p shifts toward step @p to_t on @p channel: capture each
      *  transfer's live sender slot and pre-shift tuple. The stores
      *  stay untouched until commitShifts(). */

@@ -106,7 +106,6 @@ BlockTrainer::buildExecutor(const DeviceFailedError *cause)
     rt.numBits = bits_;
     rt.execution.ownedDevices = transport->ownedDevices();
     exec = std::make_unique<SpmdGraphExecutor>(graph, strategies, rt);
-    installTransformerBlockTransforms(*exec, opts.model);
     exec->setTransport(transport.get());
     // One sink serves the whole stack; its address is stable, so
     // observers attached later still reach a rebuilt executor.

@@ -1,12 +1,11 @@
 /**
  * @file
- * Edge transforms for functionally executing the transformer block.
+ * Inputs for functionally executing the transformer block.
  *
- * The Fig. 6 block graph carries two kinds of fused-dimension
- * boundaries that need real tensor rearrangement at execution time:
- * the fused QKV output splits into per-head Q / K / V operands, and
- * the attention context merges heads back into the hidden dimension.
- * This module installs those transforms on a SpmdGraphExecutor.
+ * The block's fused-dimension boundaries (the QKV output split into
+ * per-head Q / K / V, the heads merged back into the hidden dim) need
+ * nothing here: buildTransformerBlock() describes them as edge index
+ * maps, which SpmdGraphExecutor moves slices through.
  */
 
 #ifndef PRIMEPAR_RUNTIME_TRANSFORMER_RUNTIME_HH
@@ -16,11 +15,6 @@
 #include "graph_executor.hh"
 
 namespace primepar {
-
-/** Install the QKV-split and head-merge transforms for a block built
- *  by buildTransformerBlock(cfg, batch) at any batch. */
-void installTransformerBlockTransforms(SpmdGraphExecutor &exec,
-                                       const ModelConfig &cfg);
 
 /**
  * Random parameters for every node of a transformer block, keyed as

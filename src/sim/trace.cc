@@ -16,6 +16,7 @@ toString(SpanKind kind)
     case SpanKind::AllReduce: return "allreduce";
     case SpanKind::Redist: return "redist";
     case SpanKind::Checkpoint: return "checkpoint";
+    case SpanKind::Journal: return "journal";
     }
     return "unknown";
 }
@@ -82,6 +83,7 @@ Trace::toAscii(int width) const
         case SpanKind::AllReduce: c = 'A'; break;
         case SpanKind::Redist: c = 'r'; break;
         case SpanKind::Checkpoint: c = 'C'; break;
+        case SpanKind::Journal: c = 'J'; break;
         }
         for (int i = a; i < b; ++i) {
             // Compute dominates the glyph; comm shows in gaps.
@@ -94,7 +96,7 @@ Trace::toAscii(int width) const
     for (const auto &[device, row] : rows)
         os << "dev " << device << " |" << row << "|\n";
     os << "        (" << "#=compute, ~=ring, A=all-reduce, r=redist, "
-       << "C=checkpoint; span " << total << " us)\n";
+       << "C=checkpoint, J=journal; span " << total << " us)\n";
     return os.str();
 }
 

@@ -33,6 +33,7 @@ enum class SpanKind
     AllReduce,  ///< grouped all-reduce participation
     Redist,     ///< redistribution (scatter/gather) traffic
     Checkpoint, ///< checkpoint save or restore
+    Journal,    ///< a temporal step's undo-log snapshot copy
 };
 
 /** Stable lowercase name, also the Chrome-trace category. */

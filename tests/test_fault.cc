@@ -59,7 +59,6 @@ struct BlockCase
         CommVolume *volume = nullptr)
     {
         SpmdGraphExecutor exec(graph, plan, 2, threads, overlap);
-        installTransformerBlockTransforms(exec, cfg);
         if (transport)
             exec.setTransport(transport);
         if (health)

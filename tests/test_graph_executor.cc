@@ -130,7 +130,6 @@ struct BlockFixture
     makeExec(const std::vector<PartitionSeq> &plan, int bits)
     {
         SpmdGraphExecutor exec(graph, plan, bits);
-        installTransformerBlockTransforms(exec, cfg);
         return exec;
     }
 
@@ -231,12 +230,10 @@ TEST(GraphExecutor, BitIdenticalAcrossThreadCounts)
     GraphResult ref;
     {
         SpmdGraphExecutor serial(f.graph, *plan, 2, 1);
-        installTransformerBlockTransforms(serial, f.cfg);
         ref = serial.run(f.io);
     }
     for (const int threads : {2, 0}) {
         SpmdGraphExecutor exec(f.graph, *plan, 2, threads);
-        installTransformerBlockTransforms(exec, f.cfg);
         const GraphResult got = exec.run(f.io);
         EXPECT_EQ(got.output.maxAbsDiff(ref.output), 0.0f)
             << "threads=" << threads;

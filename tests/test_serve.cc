@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -34,15 +35,29 @@ using namespace primepar;
 
 namespace {
 
-/** Fresh scratch directory per test. */
-std::string
-scratchDir()
+/** Fresh scratch directory per test, removed with its contents when
+ *  the test ends (a forked child that is killed never removes it). */
+struct ScratchDir
 {
-    char tmpl[] = "/tmp/primepar_serve_test.XXXXXX";
-    const char *dir = mkdtemp(tmpl);
-    EXPECT_NE(dir, nullptr);
-    return dir;
-}
+    ScratchDir()
+    {
+        char tmpl[] = "/tmp/primepar_serve_test.XXXXXX";
+        const char *dir = mkdtemp(tmpl);
+        EXPECT_NE(dir, nullptr);
+        if (dir)
+            path = dir;
+    }
+    ~ScratchDir()
+    {
+        std::error_code ec;
+        if (!path.empty())
+            std::filesystem::remove_all(path, ec);
+    }
+    ScratchDir(const ScratchDir &) = delete;
+    ScratchDir &operator=(const ScratchDir &) = delete;
+
+    std::string path;
+};
 
 PlanCacheEntry
 sampleEntry(double seed)
@@ -87,7 +102,8 @@ expectSameEntry(const PlanCacheEntry &x, const PlanCacheEntry &y)
 
 TEST(PlanStore, RoundTripsEntriesBitExactly)
 {
-    const std::string path = scratchDir() + "/plans.pps";
+    const ScratchDir scratch;
+    const std::string path = scratch.path + "/plans.pps";
     PlanStoreBuilder builder;
     builder.put("key-a", sampleEntry(1.0));
     builder.put("key-b", sampleEntry(2.5));
@@ -129,9 +145,10 @@ TEST(PlanStore, IdenticalContentsSerializeToIdenticalBytes)
 
 TEST(PlanStore, MissingFileLoadsAsEmptyFirstBootStore)
 {
+    const ScratchDir scratch;
     std::string error;
     const PlanStore store =
-        PlanStore::load(scratchDir() + "/never-written.pps", &error);
+        PlanStore::load(scratch.path + "/never-written.pps", &error);
     EXPECT_TRUE(store.valid()) << error;
     EXPECT_EQ(store.size(), 0u);
     EXPECT_EQ(store.generation(), 0u);
@@ -139,7 +156,8 @@ TEST(PlanStore, MissingFileLoadsAsEmptyFirstBootStore)
 
 TEST(PlanStore, DetectsCorruptionTruncationAndBadMagic)
 {
-    const std::string dir = scratchDir();
+    const ScratchDir scratch;
+    const std::string &dir = scratch.path;
     const std::string path = dir + "/plans.pps";
     PlanStoreBuilder builder;
     builder.put("key-a", sampleEntry(1.0));
@@ -194,7 +212,8 @@ TEST(PlanStore, DetectsCorruptionTruncationAndBadMagic)
 // the parent kills it mid-flight and then loads whatever survived.
 TEST(PlanStore, SigkillMidSaveLeavesLoadableStore)
 {
-    const std::string path = scratchDir() + "/plans.pps";
+    const ScratchDir scratch;
+    const std::string path = scratch.path + "/plans.pps";
     PlanStoreBuilder builder;
     for (int i = 0; i < 64; ++i)
         builder.put("key-" + std::to_string(i),
@@ -336,7 +355,8 @@ tinyRequest()
 
 TEST(PlanService, PersistsPlansAcrossServiceInstances)
 {
-    const std::string path = scratchDir() + "/plans.pps";
+    const ScratchDir scratch;
+    const std::string path = scratch.path + "/plans.pps";
     PlanServiceOptions opts;
     opts.storePath = path;
 
@@ -387,8 +407,9 @@ TEST(PlanService, AnswersRepeatsFromMemory)
 
     // A store in a directory that does not exist: the publish fails,
     // and the plan is still served from memory.
+    const ScratchDir scratch;
     PlanServiceOptions opts;
-    opts.storePath = scratchDir() + "/missing/plans.pps";
+    opts.storePath = scratch.path + "/missing/plans.pps";
     PlanService service(opts);
     const PlanResponse cold = service.plan(tinyRequest());
     ASSERT_TRUE(cold.ok) << cold.error;
@@ -408,7 +429,8 @@ TEST(PlanService, AnswersRepeatsFromMemory)
 // admission slots.
 TEST(PlanService, SingleFlightCoalescesIdenticalConcurrentRequests)
 {
-    const std::string path = scratchDir() + "/plans.pps";
+    const ScratchDir scratch;
+    const std::string path = scratch.path + "/plans.pps";
     PlanServiceOptions opts;
     opts.storePath = path;
     opts.dpSlots = 1; // also exercises admission under contention
@@ -509,7 +531,8 @@ TEST(PlanServer, RefusesUnpriceableBatchesAndKeepsServing)
 
 TEST(PlanServer, ServesPlansStatsAndShutdownOverLoopback)
 {
-    const std::string path = scratchDir() + "/plans.pps";
+    const ScratchDir scratch;
+    const std::string path = scratch.path + "/plans.pps";
     PlanServerOptions opts;
     opts.service.storePath = path;
     PlanServer server(opts);

@@ -8,6 +8,7 @@
 #include <clocale>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -273,11 +274,12 @@ expectExactNumberRoundTrip()
 /**
  * Activate a ',' decimal-separator locale, compiling one into a
  * scratch directory via localedef (LOCPATH) when the host image has
- * none installed. Returns the empty string when no such locale can be
+ * none installed; @p scratch then names that directory, which the
+ * caller removes. Returns the empty string when no such locale can be
  * produced.
  */
 std::string
-activateCommaLocale()
+activateCommaLocale(std::string &scratch)
 {
     const char *candidates[] = {"de_DE.UTF-8", "de_DE", "fr_FR.UTF-8",
                                 "it_IT.UTF-8"};
@@ -289,6 +291,7 @@ activateCommaLocale()
     char dir[] = "/tmp/primepar_locale_XXXXXX";
     if (!::mkdtemp(dir))
         return "";
+    scratch = dir;
     const std::string cmd =
         std::string("localedef --no-archive -i de_DE -f UTF-8 ") + dir +
         "/de_DE.UTF-8 > /dev/null 2>&1";
@@ -318,14 +321,25 @@ TEST(Json, NumbersSurviveCommaDecimalLocale)
     // both locale-sensitive — under de_DE the writer emitted "3,14"
     // (corrupting metrics snapshots, calibration files, and the plan
     // store) and the parser silently truncated "1.5" at the '.'.
-    const std::string loc = activateCommaLocale();
+    // Back to "C", and any compiled locale's directory removed, when
+    // the test ends, skipped or not.
+    struct LocaleGuard
+    {
+        std::string scratch;
+        ~LocaleGuard()
+        {
+            std::setlocale(LC_ALL, "C");
+            if (scratch.empty())
+                return;
+            ::unsetenv("LOCPATH");
+            std::error_code ec;
+            std::filesystem::remove_all(scratch, ec);
+        }
+    } guard;
+    const std::string loc = activateCommaLocale(guard.scratch);
     if (loc.empty())
         GTEST_SKIP() << "no comma-decimal locale available and "
                         "localedef could not build one";
-    struct LocaleGuard
-    {
-        ~LocaleGuard() { std::setlocale(LC_ALL, "C"); }
-    } guard;
 
     ASSERT_EQ(*std::localeconv()->decimal_point, ',')
         << loc << " did not take effect";
