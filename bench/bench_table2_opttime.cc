@@ -368,8 +368,7 @@ runSweep(const SweepOptions &opts)
             saveJsonFile(opts.jsonPath,
                          withPreviousRecord(opts.jsonPath,
                                             std::move(record),
-                                            mergeSweeps,
-                                            {"commands", "serve"}));
+                                            mergeSweeps));
         } catch (const std::exception &e) {
             std::fprintf(stderr, "cannot write %s: %s\n",
                          opts.jsonPath.c_str(), e.what());

@@ -121,8 +121,7 @@ print('src-sha256:' + digest.hexdigest()[:16])
 
 JsonValue
 withPreviousRecord(const std::string &path, JsonValue record,
-                   const SameCommitMerge &sameCommit,
-                   const std::vector<std::string> &carried)
+                   const SameCommitMerge &sameCommit)
 {
     if (!std::filesystem::exists(path) ||
         std::filesystem::file_size(path) == 0)
@@ -146,7 +145,9 @@ withPreviousRecord(const std::string &path, JsonValue record,
                 archived.set(key, value);
         }
         history.push(std::move(archived));
-        for (const std::string &key : carried) {
+        // Sections a fresh record does not rewrite: the commands that
+        // reproduce it, and the serve section another tool writes.
+        for (const char *key : {"commands", "serve"}) {
             const JsonValue *value = prev.find(key);
             if (!value || record.find(key))
                 continue;

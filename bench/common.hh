@@ -82,16 +82,15 @@ using SameCommitMerge =
  * `commit` member is set, so a record file holds one record per
  * commit plus the history of earlier ones. A record of another commit
  * moves, whole, to the end of the new record's `history` list (after
- * its own history), and each of its @p carried members the fresh
- * record lacks is kept (an object stamped with the `commit` it was
+ * its own history), and its `commands` and `serve` members the fresh
+ * record lacks are kept (an object stamped with the `commit` it was
  * measured at, unless it names one): the commands that reproduce the
  * record, a section another tool writes. A record of the same commit
  * goes to @p sameCommit; without one, the fresh record replaces it
  * and keeps its history. A missing or empty file holds no record.
  */
 JsonValue withPreviousRecord(const std::string &path, JsonValue record,
-                             const SameCommitMerge &sameCommit = {},
-                             const std::vector<std::string> &carried = {});
+                             const SameCommitMerge &sameCommit = {});
 
 } // namespace bench
 } // namespace primepar

@@ -53,18 +53,6 @@ tensorSizes(const OpSpec &op, int tensor)
 
 } // namespace
 
-EdgeIndexMap
-EdgeIndexMap::identityOver(const std::vector<std::int64_t> &sizes)
-{
-    EdgeIndexMap map;
-    map.axisSizes = sizes;
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-        map.producer.push_back({{static_cast<int>(i)}, 0});
-        map.consumer.push_back({{static_cast<int>(i)}, 0});
-    }
-    return map;
-}
-
 int
 CompGraph::addNode(OpSpec op)
 {
@@ -127,6 +115,13 @@ std::vector<std::int64_t>
 CompGraph::transferSizes(const GraphEdge &e) const
 {
     return tensorSizes(nodesVec[e.dst], e.dstTensor);
+}
+
+std::vector<std::int64_t>
+CompGraph::outputSizes(const GraphEdge &e) const
+{
+    const OpSpec &producer = nodesVec[e.src];
+    return tensorSizes(producer, producer.outputTensor);
 }
 
 double

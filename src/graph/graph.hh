@@ -49,10 +49,6 @@ struct EdgeIndexMap
     std::vector<Group> consumer;         ///< per consumer-tensor dim
 
     bool identity() const { return axisSizes.empty(); }
-
-    /** The identity over a tensor of dim sizes @p sizes, spelled out:
-     *  axis i is dim i on both sides. */
-    static EdgeIndexMap identityOver(const std::vector<std::int64_t> &sizes);
 };
 
 /** One edge: the output of @p src feeds tensor @p dstTensor of @p dst. */
@@ -95,6 +91,9 @@ class CompGraph
 
     /** Transfer-tensor dim sizes of an edge (consumer tensor dims). */
     std::vector<std::int64_t> transferSizes(const GraphEdge &e) const;
+
+    /** Producer-output dim sizes of an edge. */
+    std::vector<std::int64_t> outputSizes(const GraphEdge &e) const;
 
     /** Element size in bytes of the tensor carried by an edge. */
     double transferBytes(const GraphEdge &e) const;

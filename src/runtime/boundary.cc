@@ -10,6 +10,20 @@ namespace primepar {
 
 namespace {
 
+/** The identity over a tensor of dim sizes @p sizes, spelled out:
+ *  axis i is dim i on both sides. */
+EdgeIndexMap
+identityOver(const std::vector<std::int64_t> &sizes)
+{
+    EdgeIndexMap map;
+    map.axisSizes = sizes;
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+        map.producer.push_back({{static_cast<int>(i)}, 0});
+        map.consumer.push_back({{static_cast<int>(i)}, 0});
+    }
+    return map;
+}
+
 /**
  * Split [lo, hi) of the mixed-radix value of axes[i..] (most
  * significant first) into boxes over those axes: a partial leading
@@ -149,7 +163,7 @@ SliceSet::whole(const Tensor &full)
 
 BoundaryCopy::BoundaryCopy(const EdgeIndexMap &map_in, bool forward,
                            const SliceSet &src_in)
-    : map(map_in.identity() ? EdgeIndexMap::identityOver(src_in.shape)
+    : map(map_in.identity() ? identityOver(src_in.shape)
                             : map_in),
       src(src_in)
 {

@@ -29,12 +29,9 @@ SpmdGraphExecutor::SpmdGraphExecutor(const CompGraph &graph_in,
     for (const GraphEdge &e : graph.edges()) {
         if (!e.indexMap.identity())
             continue;
-        const OpSpec &producer = graph.node(e.src);
-        std::vector<std::int64_t> out_sizes;
-        for (int d : producer.tensors[producer.outputTensor].dims)
-            out_sizes.push_back(producer.dims[d].size);
-        PRIMEPAR_ASSERT(out_sizes == graph.transferSizes(e), "edge ",
-                        producer.name, " -> ", graph.node(e.dst).name,
+        PRIMEPAR_ASSERT(graph.outputSizes(e) == graph.transferSizes(e),
+                        "edge ", graph.node(e.src).name, " -> ",
+                        graph.node(e.dst).name,
                         " changes the tensor's shape but has no index "
                         "map");
     }
