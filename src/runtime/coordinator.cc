@@ -217,9 +217,11 @@ Coordinator::run()
                     [this] { return finished(); }))
                 break;
             const std::int64_t now = steadyMs();
+            // A pending rejoiner sends no heartbeats: it waits in its
+            // registration RPC until the survivors reach the barrier.
             std::vector<std::int64_t> stale;
             for (const auto &w : workers)
-                if (w->alive && !w->done && !w->inRpc &&
+                if (w->alive && !w->done && !w->inRpc && !w->rejoining &&
                     now - w->lastSeenMs > stale_ms)
                     stale.push_back(w->id);
             lock.unlock();

@@ -4,8 +4,9 @@
  *
  *  - In-process units: DistWorld placement / JSON round-trip, the wire
  *    frame encoding over a real loopback socket (including truncation
- *    and garbage detection), malformed-world errors, and a
- *    TcpTransport receive against a raw socket peer.
+ *    and garbage detection), malformed-world errors, a TcpTransport
+ *    receive against a raw socket peer, and the coordinator's re-join
+ *    barrier against in-process clients.
  *
  *  - Process-level scenarios (labelled `dist` in CMake, with a hard
  *    timeout): the test forks the real `primepar_worker` binary — a
@@ -21,6 +22,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +32,7 @@
 #include <sys/stat.h>
 #include <sys/wait.h>
 
+#include "runtime/coordinator.hh"
 #include "runtime/errors.hh"
 #include "runtime/fault.hh"
 #include "runtime/net.hh"
@@ -324,6 +327,72 @@ TEST(TcpTransport, ShortPayloadIsRejectedAndDstLeftUntouched)
     EXPECT_EQ(dst.data(), storage);
     for (std::int64_t i = 0; i < n; ++i)
         EXPECT_EQ(dst.data()[i], src[static_cast<std::size_t>(i)]);
+}
+
+// ---------------------------------------------------------------------------
+// Coordinator control plane against in-process clients
+
+TEST(Coordinator, PendingRejoinerOutlivesTheHeartbeatBudget)
+{
+    // A rejoiner sends no heartbeats while it waits in its
+    // registration RPC for the survivors to reach the barrier. However
+    // long they take, it must stay pending, not be dropped as stale.
+    CoordinatorOptions opts;
+    opts.numWorkers = 2;
+    opts.numBits = 1;
+    opts.allowRejoin = true;
+    opts.dist.heartbeatMs = 20;
+    opts.dist.heartbeatMissLimit = 10; // stale after 200 ms
+    Coordinator coord(opts);
+    coord.start();
+    int rc = -1;
+    std::thread server([&] { rc = coord.run(); });
+
+    CoordinatorClient survivor(opts.dist);
+    auto doomed = std::make_unique<CoordinatorClient>(opts.dist);
+    survivor.connect("127.0.0.1", coord.port());
+    doomed->connect("127.0.0.1", coord.port());
+    std::thread doomedRegister([&] { doomed->registerWorker(0); });
+    survivor.registerWorker(0);
+    doomedRegister.join();
+    survivor.startHeartbeats(opts.dist.heartbeatMs);
+    survivor.reportStep(0, 0.5);
+    doomed.reset(); // its connection closes: the job degrades
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (coord.generation() < 1 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(coord.generation(), 1u);
+
+    CoordinatorClient rejoiner(opts.dist);
+    rejoiner.connect("127.0.0.1", coord.port());
+    JsonValue welcome;
+    bool welcomed = false;
+    std::thread rejoin([&] {
+        try {
+            welcome = rejoiner.registerWorker(0);
+            welcomed = true;
+        } catch (const RuntimeError &) {
+        }
+    });
+    // Seven miss budgets pass with the survivor short of the barrier
+    // R = 0 + 2.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1400));
+    EXPECT_EQ(survivor.reportStep(1, 0.25).pauseAt, 2);
+    const DistWorld world = survivor.resync(2);
+    survivor.done(2, 0.25);
+    rejoin.join();
+    EXPECT_TRUE(welcomed) << "the rejoiner was never welcomed";
+    if (welcomed) {
+        EXPECT_EQ(world.generation, 2u);
+        EXPECT_EQ(world.numBits, 1);
+        EXPECT_EQ(welcome.at("resume_step").asNumber(), 2);
+        rejoiner.done(2, 0.25);
+    }
+    server.join();
+    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(coord.workersLost(), 1);
 }
 
 // ---------------------------------------------------------------------------
