@@ -251,7 +251,7 @@ runCoordinator(const Options &opts)
     Coordinator coord(std::move(copts));
     MetricsRegistry registry;
     MetricsObserver metrics(&registry);
-    coord.setObserver(&metrics);
+    coord.health().addObserver(&metrics);
     coord.start();
     // Scripts parse this line to learn the ephemeral port.
     std::printf("PRIMEPAR_COORD_PORT=%d\n", coord.port());

@@ -157,6 +157,25 @@ layoutOf(const OpSpec &op, const PartitionSeq &seq, int num_bits,
                            transfer_sizes);
 }
 
+bool
+ReplicaClass::heldBy(std::int64_t dev) const
+{
+    return std::binary_search(holders.begin(), holders.end(), dev);
+}
+
+std::vector<ReplicaClass>
+replicaClasses(const std::vector<std::vector<SliceRange>> &boxes)
+{
+    std::map<std::vector<SliceRange>, std::vector<std::int64_t>> by_box;
+    for (std::size_t dev = 0; dev < boxes.size(); ++dev)
+        by_box[boxes[dev]].push_back(static_cast<std::int64_t>(dev));
+    std::vector<ReplicaClass> classes;
+    classes.reserve(by_box.size());
+    for (auto &[box, holders] : by_box)
+        classes.push_back({box, std::move(holders)});
+    return classes;
+}
+
 RedistPlan
 planRedistribution(const TensorLayout &have, const TensorLayout &need,
                    const ClusterTopology *topo)
@@ -166,24 +185,22 @@ planRedistribution(const TensorLayout &have, const TensorLayout &need,
     PRIMEPAR_ASSERT(have.dimSizes == need.dimSizes,
                     "layout dim size mismatch");
 
-    // Group source devices by identical box (replicas).
-    std::map<std::vector<SliceRange>, std::vector<std::int64_t>> classes;
-    for (std::int64_t dev = 0; dev < have.numDevices(); ++dev)
-        classes[have.deviceBox[dev]].push_back(dev);
+    const std::vector<ReplicaClass> classes =
+        replicaClasses(have.deviceBox);
 
     RedistPlan plan;
     for (std::int64_t dst = 0; dst < need.numDevices(); ++dst) {
         const auto &need_box = need.deviceBox[dst];
-        for (const auto &[src_box, holders] : classes) {
+        for (const ReplicaClass &rc : classes) {
             std::vector<SliceRange> region;
             std::int64_t volume = 1;
             bool empty = false;
             region.reserve(need_box.size());
             for (std::size_t d = 0; d < need_box.size(); ++d) {
                 const std::int64_t s =
-                    std::max(need_box[d].start, src_box[d].start);
+                    std::max(need_box[d].start, rc.box[d].start);
                 const std::int64_t e =
-                    std::min(need_box[d].end, src_box[d].end);
+                    std::min(need_box[d].end, rc.box[d].end);
                 if (e <= s) {
                     empty = true;
                     break;
@@ -194,23 +211,15 @@ planRedistribution(const TensorLayout &have, const TensorLayout &need,
             if (empty)
                 continue;
 
-            // Local if this device holds the source box itself.
-            bool local = false;
-            for (std::int64_t h : holders) {
-                if (h == dst) {
-                    local = true;
-                    break;
-                }
-            }
-            if (local) {
+            if (rc.heldBy(dst)) {
                 plan.localElements += volume;
                 continue;
             }
 
             // Prefer a same-node replica when topology is known.
-            std::int64_t src = holders.front();
+            std::int64_t src = rc.holders.front();
             if (topo) {
-                for (std::int64_t h : holders) {
+                for (std::int64_t h : rc.holders) {
                     if (topo->sameNode(h, dst)) {
                         src = h;
                         break;

@@ -106,6 +106,26 @@ TensorLayout layoutOf(const OpSpec &op, const PartitionSeq &seq,
                       int t, const EdgeDimMap &dim_map,
                       const std::vector<std::int64_t> &transfer_sizes);
 
+/** The devices holding one distinct source box (its replicas). */
+struct ReplicaClass
+{
+    std::vector<SliceRange> box;
+    std::vector<std::int64_t> holders; ///< ascending
+
+    /** True if @p dev holds the box itself: it reads it locally. */
+    bool heldBy(std::int64_t dev) const;
+};
+
+/**
+ * Group per-device boxes @p boxes into replica classes: one per
+ * distinct box, in box order, with its holders ascending. The one
+ * replica policy of planRedistribution() and the runtime's
+ * BoundaryCopy: a destination holding a class reads it locally; which
+ * other holder serves it is each caller's choice.
+ */
+std::vector<ReplicaClass>
+replicaClasses(const std::vector<std::vector<SliceRange>> &boxes);
+
 /** One box moved from one device to another. */
 struct BlockTransfer
 {

@@ -37,6 +37,47 @@ struct Merge
     ArgMat argB; ///< best p_b per (p_a, p_c)
 };
 
+/** A dense table read by rows: row r starts at data + r * stride. A
+ *  zero stride reads one row for every r. */
+template <typename T>
+struct TableView
+{
+    const T *data = nullptr;
+    std::size_t stride = 0;
+
+    const T *
+    row(int r) const
+    {
+        return data + static_cast<std::size_t>(r) * stride;
+    }
+};
+
+/**
+ * The cost of every edge src -> dst as the DP reads it. One edge's
+ * float table is read in place: base + double(float) is the same
+ * operation as adding a widened copy. Parallel edges are summed into a
+ * double matrix for the one step that reads them, as
+ * base + (t1 + t2) is not (base + t1) + t2. No edge prices 0: one row
+ * of zeros, read at stride 0.
+ */
+struct EdgeTerm
+{
+    const float *table = nullptr; ///< the single edge's table
+    Mat sum;                      ///< else the sum, or one zero row
+    std::size_t stride = 0;
+
+    /** Call @p f with the term as a TableView of its element type. */
+    template <typename F>
+    void
+    visit(F &&f) const
+    {
+        if (table)
+            f(TableView<float>{table, stride});
+        else
+            f(TableView<double>{sum.v.data(), stride});
+    }
+};
+
 struct DpContext
 {
     DpContext(const CompGraph &graph_in, const CostModel &cost_in,
@@ -59,10 +100,12 @@ struct DpContext
     std::vector<std::vector<std::int32_t>> cand;
     /** Gathered intra cost per candidate position. */
     std::vector<std::vector<double>> intra;
+    /** As many zeros as the largest candidate list: the kernel's
+     *  absent adjustment or column term. */
+    std::vector<double> zeros;
 
     std::vector<EdgeCostTable> tables; // parallel to graph.edges()
-    /** (src, dst) -> indices into tables, built once; edgeCost() is
-     *  an O(log V) lookup instead of a full edge-list rescan. */
+    /** (src, dst) -> indices into tables, built once with them. */
     std::map<std::pair<int, int>, std::vector<std::size_t>> edgeIndex;
 
     /** Layer-space pruning threshold: states whose partial cost plus
@@ -111,6 +154,7 @@ struct DpContext
         const std::size_t num_nodes = catalogs.size();
         intra.resize(num_nodes);
         minPrefix.assign(num_nodes + 1, 0.0);
+        std::size_t widest = 0;
         for (std::size_t n = 0; n < num_nodes; ++n) {
             PRIMEPAR_ASSERT(!cand[n].empty(), "node ", n,
                             " lost every candidate");
@@ -121,7 +165,9 @@ struct DpContext
                 mn = std::min(mn, intra[n][p]);
             }
             minPrefix[n + 1] = minPrefix[n] + mn;
+            widest = std::max(widest, cand[n].size());
         }
+        zeros.assign(widest, 0.0);
     }
 
     /** Admissible completion bound: minimum candidate intra cost
@@ -164,65 +210,111 @@ struct DpContext
             edgeIndex[{edges[e].src, edges[e].dst}].push_back(e);
     }
 
-    /** Sum of the cost tables of all edges src -> dst (inf-free). */
-    bool
-    edgeCost(int src, int dst, Mat &out) const
+    /** The cost of all edges src -> dst, [candSize(src)][candSize(dst)]. */
+    EdgeTerm
+    edgeTerm(int src, int dst) const
     {
+        EdgeTerm term;
+        const int rows = candSize(src), cols = candSize(dst);
         const auto it = edgeIndex.find({src, dst});
-        if (it == edgeIndex.end())
-            return false;
-        bool found = false;
-        for (const std::size_t e : it->second) {
-            const EdgeCostTable &table = tables[e];
-            if (!found) {
-                out = Mat(table.srcSize, table.dstSize);
-                found = true;
-            } else {
-                PRIMEPAR_ASSERT(
-                    table.srcSize == out.rows &&
-                        table.dstSize == out.cols,
-                    "parallel edges ", src, " -> ", dst,
-                    " have mismatched cost tables: ", table.srcSize,
-                    "x", table.dstSize, " vs ", out.rows, "x",
-                    out.cols);
-            }
-            for (int i = 0; i < out.rows; ++i)
-                for (int j = 0; j < out.cols; ++j)
-                    out.at(i, j) += table.at(i, j);
+        if (it == edgeIndex.end()) {
+            term.sum = Mat(1, cols);
+            return term;
         }
-        return found;
+        term.stride = static_cast<std::size_t>(cols);
+        for (const std::size_t e : it->second) {
+            PRIMEPAR_ASSERT(tables[e].srcSize == rows &&
+                                tables[e].dstSize == cols,
+                            "edge ", src, " -> ", dst, " has a ",
+                            tables[e].srcSize, "x", tables[e].dstSize,
+                            " cost table over ", rows, "x", cols,
+                            " candidates");
+        }
+        if (it->second.size() == 1) {
+            term.table = tables[it->second.front()].cost.data();
+            return term;
+        }
+        term.sum = Mat(rows, cols);
+        for (const std::size_t e : it->second) {
+            const std::vector<float> &t = tables[e].cost;
+            for (std::size_t i = 0; i < t.size(); ++i)
+                term.sum.v[i] += t[i];
+        }
+        return term;
     }
 };
 
 /**
- * Mark every entry above @p threshold as unreachable. Such an entry's
- * partial cost plus the admissible completion bound already exceeds
- * the pilot upper bound, so no plan through it can be optimal — and
- * since every state on an optimal plan keeps its exact value and its
- * first-index argmin, the surviving computation is byte-identical to
- * the unpruned one (DESIGN.md Sec. 11).
+ * Fill the rows of @p m on the pool, @p fill(row, out) writing row
+ * `row` into `out`, then mark every entry of the row above
+ * @p threshold as unreachable (kInf), counting it in statesPruned.
+ * Such an entry's partial cost plus the admissible completion bound
+ * already exceeds the pilot upper bound, so no plan through it can be
+ * optimal — and since every state on an optimal plan keeps its exact
+ * value and its first-index argmin, the surviving computation is
+ * byte-identical to the unpruned one (DESIGN.md Sec. 11).
  */
+template <typename F>
 void
-pruneStates(DpContext &ctx, Mat &m, double threshold)
+fillRows(DpContext &ctx, Mat &m, double threshold, const F &fill)
 {
-    if (!(threshold < kInf))
-        return;
-    std::vector<std::int64_t> per_row(m.rows, 0);
+    std::vector<std::int64_t> pruned(m.rows, 0);
     parallelFor(ctx.pool, static_cast<std::size_t>(m.rows),
                 [&](std::size_t row) {
-        const int r = static_cast<int>(row);
+        double *out = m.v.data() + row * m.cols;
+        fill(static_cast<int>(row), out);
         std::int64_t n = 0;
-        for (int c = 0; c < m.cols; ++c) {
-            double &v = m.at(r, c);
-            if (v > threshold && v < kInf) {
-                v = kInf;
+        for (int k = 0; k < m.cols; ++k) {
+            if (out[k] > threshold && out[k] < kInf) {
+                out[k] = kInf;
                 ++n;
             }
         }
-        per_row[row] = n;
+        pruned[row] = n;
     });
-    for (const std::int64_t n : per_row)
+    for (const std::int64_t n : pruned)
         ctx.statesPruned += n;
+}
+
+/**
+ * The (min, +) argmin of Eq. 12 (a Bellman step) and Eq. 13 (a segment
+ * merge), one row per task:
+ *
+ *   out[i][k] = min_p ((L[i][p] - adj[p]) + R[p][k]) + (col[k] + M[i][k])
+ *
+ * and arg[i][k] = the first p attaining the minimum (-1 if none is
+ * finite); @p n columns, entries above @p threshold pruned (fillRows).
+ * p ascends and the select is a strict <, so ties resolve to the
+ * lowest index at any thread count; pruned states (L[i][p] == kInf)
+ * are skipped. The select is branch free, as a data-dependent branch
+ * there mispredicts on most updates.
+ */
+template <typename RT, typename MT>
+void
+minPlusArgmin(DpContext &ctx, const Mat &L, const double *adj,
+              TableView<RT> R, int n, const double *col, TableView<MT> M,
+              double threshold, Mat &out, ArgMat &arg)
+{
+    out = Mat(L.rows, n, kInf);
+    arg = ArgMat(L.rows, n);
+    fillRows(ctx, out, threshold, [&](int i, double *o) {
+        std::int32_t *a = arg.v.data() + static_cast<std::size_t>(i) * n;
+        for (int p = 0; p < L.cols; ++p) {
+            if (L.at(i, p) == kInf)
+                continue;
+            const double base = L.at(i, p) - adj[p];
+            const RT *r = R.row(p);
+            for (int k = 0; k < n; ++k) {
+                const double val = base + static_cast<double>(r[k]);
+                const bool better = val < o[k];
+                o[k] = better ? val : o[k];
+                a[k] = better ? p : a[k];
+            }
+        }
+        const MT *m = M.row(i);
+        for (int k = 0; k < n; ++k)
+            o[k] += col[k] + static_cast<double>(m[k]);
+    });
 }
 
 /** Run the Bellman recurrences within segment [a, c] (Eqs. 11-12). */
@@ -236,19 +328,17 @@ solveSegment(DpContext &ctx, int a, int c)
     PRIMEPAR_ASSERT(c > a, "degenerate segment");
 
     // Init over [a, a+1].
-    Mat e01;
-    const bool has01 = ctx.edgeCost(a, a + 1, e01);
     seg.C = Mat(ctx.candSize(a), ctx.candSize(a + 1));
-    parallelFor(ctx.pool, static_cast<std::size_t>(seg.C.rows),
-                [&](std::size_t i) {
-        const int row = static_cast<int>(i);
-        for (int j = 0; j < seg.C.cols; ++j) {
-            seg.C.at(row, j) = ctx.intraOf(a, row) +
-                               ctx.intraOf(a + 1, j) +
-                               (has01 ? e01.at(row, j) : 0.0);
-        }
+    ctx.edgeTerm(a, a + 1).visit([&](auto e01) {
+        fillRows(ctx, seg.C, ctx.ubLayer - ctx.outsideMin(a, a + 1),
+                 [&](int row, double *out) {
+            const auto *e = e01.row(row);
+            for (int j = 0; j < seg.C.cols; ++j) {
+                out[j] = ctx.intraOf(a, row) + ctx.intraOf(a + 1, j) +
+                         static_cast<double>(e[j]);
+            }
+        });
     });
-    pruneStates(ctx, seg.C, ctx.ubLayer - ctx.outsideMin(a, a + 1));
 
     for (int next = a + 2; next <= c; ++next) {
         const int j = next - 1;
@@ -261,45 +351,21 @@ solveSegment(DpContext &ctx, int a, int c)
                             e->src, " -> ", e->dst,
                             " inside segment [", a, ", ", c, "]");
         }
-        Mat e_chain, e_skip;
-        const bool has_chain = ctx.edgeCost(j, next, e_chain);
-        const bool has_skip = a != j && ctx.edgeCost(a, next, e_skip);
-
-        const int next_size = ctx.candSize(next);
-        Mat next_c(seg.C.rows, next_size, kInf);
-        ArgMat arg(seg.C.rows, next_size);
-        // Rows are independent (row pa reads row pa of seg.C, writes
-        // row pa of next_c/arg); the argmin over pj stays a serial
-        // loop inside one row, so ties break identically at any
-        // thread count. Pruned predecessor states (kInf) can never
-        // win the strict < and are skipped outright.
-        parallelFor(ctx.pool, static_cast<std::size_t>(seg.C.rows),
-                    [&](std::size_t row) {
-            const int pa = static_cast<int>(row);
-            for (int pj = 0; pj < seg.C.cols; ++pj) {
-                const double base = seg.C.at(pa, pj);
-                if (base == kInf)
-                    continue;
-                for (int pn = 0; pn < next_size; ++pn) {
-                    const double val =
-                        base +
-                        (has_chain ? e_chain.at(pj, pn) : 0.0);
-                    if (val < next_c.at(pa, pn)) {
-                        next_c.at(pa, pn) = val;
-                        arg.at(pa, pn) = pj;
-                    }
-                }
-            }
-            // Terms independent of p_j (Eq. 12's n_{j+1} and e').
-            for (int pn = 0; pn < next_size; ++pn) {
-                next_c.at(pa, pn) +=
-                    ctx.intraOf(next, pn) +
-                    (has_skip ? e_skip.at(pa, pn) : 0.0);
-            }
+        // Eq. 12: the chain edge j -> next inside the min; the terms
+        // independent of p_j (n_{j+1} and the skip edge e') after it.
+        Mat next_c;
+        ArgMat arg;
+        const EdgeTerm skip = ctx.edgeTerm(a, next);
+        ctx.edgeTerm(j, next).visit([&](auto chain) {
+            skip.visit([&](auto m) {
+                minPlusArgmin(ctx, seg.C, ctx.zeros.data(), chain,
+                              ctx.candSize(next), ctx.intra[next].data(),
+                              m, ctx.ubLayer - ctx.outsideMin(a, next),
+                              next_c, arg);
+            });
         });
         seg.C = std::move(next_c);
         seg.args.push_back(std::move(arg));
-        pruneStates(ctx, seg.C, ctx.ubLayer - ctx.outsideMin(a, next));
     }
     return seg;
 }
@@ -341,7 +407,7 @@ runCore(DpContext &ctx, const DpOptions &opts,
         segments.push_back(
             solveSegment(ctx, boundaries[b], boundaries[b + 1]));
 
-    Mat total = segments[0].C;
+    Mat total = std::move(segments[0].C);
     const int total_a = segments[0].a;
     std::vector<Merge> merges;
     for (std::size_t s = 1; s < segments.size(); ++s) {
@@ -355,41 +421,25 @@ runCore(DpContext &ctx, const DpOptions &opts,
                                 " not alignable with merge at ", b);
             }
         }
-        Mat e_cross;
-        const bool has_cross = ctx.edgeCost(total_a, right.c, e_cross);
-
-        Mat merged(total.rows, right.C.cols, kInf);
+        // Eq. 13: right's [b, c] states after the shared node b's
+        // intra cost is taken out of the left's; the crossing edge
+        // after the min.
         Merge rec;
         rec.a = total_a;
         rec.b = b;
         rec.c = right.c;
-        rec.argB = ArgMat(total.rows, right.C.cols);
-        // Same row-independence argument as in solveSegment.
-        parallelFor(ctx.pool, static_cast<std::size_t>(total.rows),
-                    [&](std::size_t row) {
-            const int i = static_cast<int>(row);
-            for (int pb = 0; pb < total.cols; ++pb) {
-                if (total.at(i, pb) == kInf)
-                    continue;
-                const double left =
-                    total.at(i, pb) - ctx.intraOf(b, pb);
-                for (int k = 0; k < right.C.cols; ++k) {
-                    const double val = left + right.C.at(pb, k);
-                    if (val < merged.at(i, k)) {
-                        merged.at(i, k) = val;
-                        rec.argB.at(i, k) = pb;
-                    }
-                }
-            }
-            if (has_cross) {
-                for (int k = 0; k < right.C.cols; ++k)
-                    merged.at(i, k) += e_cross.at(i, k);
-            }
+        Mat merged;
+        ctx.edgeTerm(total_a, right.c).visit([&](auto cross) {
+            minPlusArgmin(ctx, total, ctx.intra[b].data(),
+                          TableView<double>{right.C.v.data(),
+                                            static_cast<std::size_t>(
+                                                right.C.cols)},
+                          right.C.cols, ctx.zeros.data(), cross,
+                          ctx.ubLayer - ctx.outsideMin(total_a, right.c),
+                          merged, rec.argB);
         });
         total = std::move(merged);
         merges.push_back(std::move(rec));
-        pruneStates(ctx, total,
-                    ctx.ubLayer - ctx.outsideMin(total_a, right.c));
     }
 
     // Boundary selection. For stacked layers the tail node's state
@@ -778,66 +828,6 @@ SegmentedDpOptimizer::optimize()
 
     result.optimizationMs = msSince(t0);
     recordMetrics(opts.metrics, result);
-    return result;
-}
-
-DpResult
-bruteForceOptimize(const CompGraph &graph, const CostModel &cost,
-                   const SpaceOptions &space, CatalogCache *cache,
-                   int num_threads)
-{
-    const auto t0 = Clock::now();
-    DpResult result;
-
-    ThreadPool pool(num_threads);
-    DpContext ctx(graph, cost, &pool);
-    CatalogBuildStats cat_stats;
-    ctx.catalogs = buildAllNodeCatalogs(graph, cost, space, &pool, cache,
-                                        &cat_stats);
-    result.catalogsBuilt = cat_stats.built;
-    result.catalogCacheHits = cat_stats.cacheHits;
-    result.catalogMs = msSince(t0);
-    const auto t1 = Clock::now();
-    ctx.initAllCandidates();
-    ctx.finishCandidates();
-    ctx.buildTables();
-    result.edgeTableMs = msSince(t1);
-
-    const auto t2 = Clock::now();
-    std::vector<int> idx(graph.numNodes(), 0), best;
-    double best_cost = kInf;
-    while (true) {
-        double c = 0.0;
-        for (int n = 0; n < graph.numNodes(); ++n)
-            c += ctx.cat(n).intraCost[idx[n]];
-        for (std::size_t e = 0; e < ctx.tables.size(); ++e) {
-            c += ctx.tables[e].at(idx[graph.edges()[e].src],
-                                  idx[graph.edges()[e].dst]);
-        }
-        if (c < best_cost) {
-            best_cost = c;
-            best = idx;
-        }
-        int n = graph.numNodes() - 1;
-        for (; n >= 0; --n) {
-            if (++idx[n] < ctx.cat(n).size())
-                break;
-            idx[n] = 0;
-        }
-        if (n < 0)
-            break;
-    }
-
-    for (int n = 0; n < graph.numNodes(); ++n) {
-        result.strategies.push_back(ctx.cat(n).seqs[best[n]]);
-        result.candidatesTotal += ctx.cat(n).size();
-    }
-    result.candidatesKept = result.candidatesTotal;
-    result.layerCost = best_cost;
-    result.totalCost = best_cost;
-    result.lowerBoundUs = best_cost;
-    result.dpMs = msSince(t2);
-    result.optimizationMs = msSince(t0);
     return result;
 }
 

@@ -12,8 +12,8 @@
  * are combined by recursive doubling in log(#layers) merges.
  *
  * The planner itself is parallel: catalog construction, edge-table
- * evaluation and the Bellman/merge row loops run on a ThreadPool with
- * one output slot per index, so results are bit-identical at any
+ * evaluation and the one (min, +) argmin behind every Bellman step and
+ * merge run on a ThreadPool with one output slot per index, so results are bit-identical at any
  * thread count (see support/parallel.hh). Catalogs of structurally
  * identical nodes are shared, optionally across invocations through a
  * caller-supplied CatalogCache.
@@ -51,9 +51,8 @@ struct DpOptions
     /** Planner threads; 0 = hardware concurrency. Any value yields
      *  bit-identical strategies and costs. */
     int numThreads = 0;
-    /** Optional catalog store shared across runs (and with
-     *  bruteForceOptimize). nullptr still deduplicates identical
-     *  nodes within the run. */
+    /** Optional catalog store shared across runs. nullptr still
+     *  deduplicates identical nodes within the run. */
     std::shared_ptr<CatalogCache> catalogCache;
 
     /**
@@ -147,18 +146,6 @@ class SegmentedDpOptimizer
     const CostModel &cost;
     DpOptions opts;
 };
-
-/**
- * Exhaustive reference: minimize Eq. 10 by enumerating all strategy
- * combinations. Exponential — for validating the DP on small graphs.
- * @p cache may share catalogs with SegmentedDpOptimizer runs;
- * @p num_threads parallelizes catalog/table construction (the
- * enumeration itself stays serial — it is the reference).
- */
-DpResult bruteForceOptimize(const CompGraph &graph, const CostModel &cost,
-                            const SpaceOptions &space,
-                            CatalogCache *cache = nullptr,
-                            int num_threads = 1);
 
 /**
  * Cache key of a whole optimization run — the key of the persistent

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 
 #include "support/logging.hh"
 
@@ -172,19 +171,13 @@ BoundaryCopy::BoundaryCopy(const EdgeIndexMap &map_in, bool forward,
     for (const EdgeIndexMap::Group &g : dstSide.groups)
         dstOrder.insert(dstOrder.end(), g.axes.begin(), g.axes.end());
 
-    // Replicas share one source; holders stay ascending.
-    std::map<std::vector<SliceRange>, std::size_t> index;
-    for (std::int64_t dev = 0; dev < src.numDevices(); ++dev) {
-        const auto [it, fresh] =
-            index.try_emplace(src.boxes[dev], sources.size());
-        if (fresh) {
-            Source s;
-            s.box = src.boxes[dev];
-            s.pieces = pieces(srcSide, s.box);
-            s.base = strides(srcSide, s.box, s.stride);
-            sources.push_back(std::move(s));
-        }
-        sources[it->second].holders.push_back(dev);
+    // Replicas share one source.
+    for (ReplicaClass &rc : replicaClasses(src.boxes)) {
+        Source s;
+        s.pieces = pieces(srcSide, rc.box);
+        s.base = strides(srcSide, rc.box, s.stride);
+        s.replicas = std::move(rc);
+        sources.push_back(std::move(s));
     }
 }
 
@@ -264,11 +257,11 @@ BoundaryCopy::into(std::int64_t dev, const std::vector<SliceRange> &box,
     std::int64_t covered = 0;
     std::int64_t moved = 0;
     for (const Source &s : sources) {
-        const bool local = std::binary_search(s.holders.begin(),
-                                              s.holders.end(), dev);
+        const std::vector<std::int64_t> &holders = s.replicas.holders;
+        const bool local = s.replicas.heldBy(dev);
         const Tensor *data = local ? src.data(dev) : nullptr;
-        for (std::size_t h = 0; !data && h < s.holders.size(); ++h)
-            data = src.data(s.holders[h]);
+        for (std::size_t h = 0; !data && h < holders.size(); ++h)
+            data = src.data(holders[h]);
         for (const AxisBox &sp : s.pieces) {
             for (const AxisBox &dp : dst_pieces) {
                 std::int64_t volume = 1;

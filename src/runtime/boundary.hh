@@ -12,10 +12,11 @@
  * meet over the map's common axes (a fused dim such as the QKV
  * output's K = third * h + hd * E + e splits into its (Hd, E) axes).
  *
- * Replicated source boxes are read from the destination device itself
- * when it holds one, else from the first holder, so the elements a
- * copy takes from other devices are exactly planRedistribution()'s
- * transfers for the same two layouts.
+ * Source boxes group into replica classes as planRedistribution()
+ * groups them (replicaClasses()). A class is read from the destination
+ * device itself when it holds one, else from the first holder with
+ * data, so the elements a copy takes from other devices are exactly
+ * planRedistribution()'s transfers for the same two layouts.
  */
 
 #ifndef PRIMEPAR_RUNTIME_BOUNDARY_HH
@@ -24,6 +25,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "comm/redistribution.hh"
 #include "graph/graph.hh"
 #include "partition/dsi.hh"
 #include "tensor/tensor.hh"
@@ -111,8 +113,7 @@ class BoundaryCopy
     /** A distinct source box and the devices holding it. */
     struct Source
     {
-        std::vector<SliceRange> box;
-        std::vector<std::int64_t> holders; ///< ascending
+        ReplicaClass replicas;
         std::vector<AxisBox> pieces;
         std::vector<std::int64_t> stride; ///< per axis, in the slice
         std::int64_t base = 0;            ///< offset of axis origin 0

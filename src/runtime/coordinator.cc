@@ -80,7 +80,8 @@ struct Coordinator::WorkerState
 };
 
 Coordinator::Coordinator(CoordinatorOptions opts_in)
-    : opts(std::move(opts_in)), bits_(opts.numBits),
+    : opts(std::move(opts_in)),
+      health_(std::make_unique<RuntimeHealth>()), bits_(opts.numBits),
       origBits_(opts.numBits)
 {
     PRIMEPAR_ASSERT(opts.numWorkers >= 1, "coordinator needs workers");
@@ -191,8 +192,10 @@ Coordinator::run()
                             " vanished before welcome");
             markDead(w->id, "closed before welcome");
         }
-        if (observer)
-            observer->onWorkerUp(w->id, generation_);
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            health_->workerUp(w->id, generation_);
+        }
         PRIMEPAR_INFORM("coordinator: worker ", w->id, " up (",
                         w->host, ":", w->dataPort, ")");
     }
@@ -271,7 +274,8 @@ Coordinator::tryAcceptRejoin()
 {
     {
         std::lock_guard<std::mutex> lock(mu);
-        if (!opts.allowRejoin || lost == 0 || pendingRejoin_ >= 0)
+        if (!opts.allowRejoin || health_->workersLost == 0 ||
+            pendingRejoin_ >= 0)
             return;
     }
     NetSocket conn = listener.accept(10);
@@ -470,7 +474,6 @@ Coordinator::markDead(std::int64_t worker, const std::string &reason)
             cv.notify_all();
             return;
         }
-        ++lost;
         ++generation_;
         bits_ = std::max(0, bits_ - 1);
         gen_after = generation_;
@@ -489,13 +492,12 @@ Coordinator::markDead(std::int64_t worker, const std::string &reason)
         }
         if (!placed.empty())
             DistWorld::placeDevices(placed, bits_);
+        health_->workerLost(worker, gen_after, reason);
+        PRIMEPAR_INFORM("coordinator: worker ", worker, " lost (",
+                        reason, "); generation now ", gen_after, ", ",
+                        1 << bits_, " devices on ", placed.size(),
+                        " workers");
     }
-    PRIMEPAR_INFORM("coordinator: worker ", worker, " lost (",
-                    reason, "); generation now ", gen_after, ", ",
-                    1 << bits_, " devices on ", placed.size(),
-                    " workers");
-    if (observer)
-        observer->onWorkerLost(worker, gen_after, reason);
     cv.notify_all();
 }
 
@@ -668,8 +670,8 @@ Coordinator::handleResync(WorkerState &from)
                             generation(), ", ", 1 << bits_after,
                             " devices on ", placed_after,
                             " workers; resuming at step ", rstep);
-            if (observer)
-                observer->onWorkerUp(rj->id, generation());
+            std::lock_guard<std::mutex> lock(mu);
+            health_->workerUp(rj->id, generation_);
         } else {
             markDead(rj->id, "closed before re-join welcome");
         }
@@ -697,7 +699,7 @@ int
 Coordinator::workersLost() const
 {
     std::lock_guard<std::mutex> lock(mu);
-    return lost;
+    return static_cast<int>(health_->workersLost);
 }
 
 int

@@ -70,7 +70,7 @@
 
 namespace primepar {
 
-class RuntimeObserver;
+class RuntimeHealth;
 
 /** Coordinator configuration. */
 struct CoordinatorOptions
@@ -125,8 +125,15 @@ class Coordinator
     /** Same-generation loss mismatches between workers. */
     int divergences() const;
 
-    /** Receives onWorkerUp / onWorkerLost (not owned). */
-    void setObserver(RuntimeObserver *o) { observer = o; }
+    /**
+     * The control plane's event sink: each registered or re-joined
+     * worker is reported once (onWorkerUp), each worker declared dead
+     * once (onWorkerLost). Attach observers before run(). Events are
+     * reported under the coordinator's lock, as reader threads declare
+     * deaths concurrently: an observer must not call back into the
+     * coordinator.
+     */
+    RuntimeHealth &health() { return *health_; }
 
   private:
     struct WorkerState;
@@ -144,7 +151,9 @@ class Coordinator
     bool finished();
 
     CoordinatorOptions opts;
-    RuntimeObserver *observer = nullptr;
+    /** Guarded by mu. Held by pointer, so this header needs only the
+     *  declaration of RuntimeHealth. */
+    std::unique_ptr<RuntimeHealth> health_;
     NetListener listener;
 
     mutable std::mutex mu;
@@ -165,7 +174,6 @@ class Coordinator
     /** Generation each loss was reported under: replays after a
      *  degrade overwrite instead of counting as divergence. */
     std::map<std::int64_t, std::uint64_t> lossGen;
-    int lost = 0;
     int diverged = 0;
     std::atomic<bool> stopping{false};
 };

@@ -72,6 +72,14 @@ SpmdGraphExecutor::beginStep(std::int64_t s)
 GraphResult
 SpmdGraphExecutor::run(const GraphIO &io)
 {
+    return run(io.input, io.params, io.d_output);
+}
+
+GraphResult
+SpmdGraphExecutor::run(const Tensor &input,
+                       const std::map<std::string, Tensor> &params,
+                       const Tensor &d_output)
+{
     const int nodes = graph.numNodes();
     const std::vector<GraphEdge> &edges = graph.edges();
     const auto devices =
@@ -104,7 +112,6 @@ SpmdGraphExecutor::run(const GraphIO &io)
     // Forward sweep.
     for (int n = 0; n < nodes; ++n) {
         const OpSpec &op = graph.node(n);
-        std::map<std::string, Tensor> inputs;
 
         for (const GraphEdge *e : graph.inEdges(n)) {
             const BoundaryCopy copy(e->indexMap, true, outputs[e->src]);
@@ -117,26 +124,25 @@ SpmdGraphExecutor::run(const GraphIO &io)
                                     copy.into(dev, box, slot, false);
                             });
         }
-        if (graph.inEdges(n).empty()) {
-            inputs[op.tensors[op.inputTensor].name] = io.input;
-        }
+        if (graph.inEdges(n).empty())
+            execs[n]->placeWhole(op.tensors[op.inputTensor].name, input);
         for (std::size_t t = 0; t < op.tensors.size(); ++t) {
             if (!op.tensors[t].isParameter)
                 continue;
             const std::string pkey =
                 op.name + "." + op.tensors[t].name;
-            const auto it = io.params.find(pkey);
-            if (it == io.params.end()) {
+            const auto it = params.find(pkey);
+            if (it == params.end()) {
                 Shape expected;
                 for (int d : op.tensors[t].dims)
                     expected.push_back(op.dims[d].size);
                 throw InputError(op.name, "Forward", pkey, expected,
                                  {});
             }
-            inputs[op.tensors[t].name] = it->second;
+            execs[n]->placeWhole(op.tensors[t].name, it->second);
         }
 
-        execs[n]->runPhase(Phase::Forward, inputs);
+        execs[n]->runPhase(Phase::Forward);
         const std::string &out = op.tensors[op.outputTensor].name;
         if (n == nodes - 1)
             result.output = execs[n]->gatherByName(out);
@@ -152,10 +158,9 @@ SpmdGraphExecutor::run(const GraphIO &io)
     for (int n = nodes - 1; n >= 0; --n) {
         const OpSpec &op = graph.node(n);
         const std::string d_out = "d" + op.tensors[op.outputTensor].name;
-        std::map<std::string, Tensor> inputs;
 
         if (n == nodes - 1) {
-            inputs[d_out] = io.d_output;
+            execs[n]->placeWhole(d_out, d_output);
         } else {
             // dO_n: zeroed slots, then each consumer's contribution in
             // out-edge order, so every element sums as (0 + g1) + g2.
@@ -188,8 +193,8 @@ SpmdGraphExecutor::run(const GraphIO &io)
                             copies[i].into(dev, box, slot, true);
                 });
         }
-        execs[n]->runPhase(Phase::Backward, inputs);
-        execs[n]->runPhase(Phase::Gradient, inputs);
+        execs[n]->runPhase(Phase::Backward);
+        execs[n]->runPhase(Phase::Gradient);
 
         for (std::size_t t = 0; t < op.tensors.size(); ++t) {
             if (!op.tensors[t].isParameter)

@@ -92,6 +92,17 @@ class SpmdGraphExecutor
     /** Run one full training iteration. */
     GraphResult run(const GraphIO &io);
 
+    /**
+     * The same from its parts: the block input, the parameters (keyed
+     * like GraphIO::params) and the output's upstream gradient. Each
+     * is sliced straight into the owned devices' slots (a trainer
+     * passes the parameters it keeps, uncopied); a missing or
+     * misshapen one raises InputError.
+     */
+    GraphResult run(const Tensor &input,
+                    const std::map<std::string, Tensor> &params,
+                    const Tensor &d_output);
+
     /** Sum of per-op communication counters of the last run. */
     CommVolume stats() const;
 

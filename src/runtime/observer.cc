@@ -110,12 +110,17 @@ RuntimeHealth::fenced(const FaultEvent &event)
 }
 
 void
-RuntimeHealth::workerLost(const FaultEvent &event, std::int64_t worker,
-                          std::uint64_t generation,
+RuntimeHealth::workerUp(std::int64_t worker, std::uint64_t generation)
+{
+    for (RuntimeObserver *o : observers)
+        o->onWorkerUp(worker, generation);
+}
+
+void
+RuntimeHealth::workerLost(std::int64_t worker, std::uint64_t generation,
                           const std::string &reason)
 {
     ++workersLost;
-    faultDetected(&RuntimeHealth::deviceFailures, event);
     for (RuntimeObserver *o : observers)
         o->onWorkerLost(worker, generation, reason);
 }

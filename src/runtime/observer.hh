@@ -241,10 +241,15 @@ class RuntimeHealth
      *  logged, no callback. */
     void fenced(const FaultEvent &event);
 
-    /** Worker @p worker is unreachable: a device failure and a lost
-     *  worker; onFault, then onWorkerLost. */
-    void workerLost(const FaultEvent &event, std::int64_t worker,
-                    std::uint64_t generation, const std::string &reason);
+    /** Worker @p worker joined the job at @p generation;
+     *  onWorkerUp. */
+    void workerUp(std::int64_t worker, std::uint64_t generation);
+
+    /** Worker @p worker was declared dead at @p generation;
+     *  onWorkerLost. A transport that finds a worker unreachable
+     *  reports the device failure (faultDetected) first. */
+    void workerLost(std::int64_t worker, std::uint64_t generation,
+                    const std::string &reason);
 
     /** The temporal step of @p event was rolled back; onRollback. */
     void rolledBack(const FaultEvent &event);

@@ -171,6 +171,31 @@ SpmdOpExecutor::place(const std::string &name, bool zeroed,
 }
 
 void
+SpmdOpExecutor::placeWhole(const std::string &name, const Tensor &full)
+{
+    const TensorRef ref = refByName(name);
+    placeFull(ref, firstUse(ref), &full);
+}
+
+void
+SpmdOpExecutor::placeFull(const TensorRef &ref, Phase phase,
+                          const Tensor *full)
+{
+    const std::string &key = names[tensorId(ref)];
+    if (!full)
+        throw InputError(op.name, phaseName(phase), key, fullShape(ref),
+                         {});
+    if (full->shape() != fullShape(ref))
+        throw InputError(op.name, phaseName(phase), key, fullShape(ref),
+                         full->shape());
+    const SliceSet whole = SliceSet::whole(*full);
+    const BoundaryCopy copy(EdgeIndexMap{}, true, whole);
+    placeAt(ref, phase, false,
+            [&](std::int64_t dev, const std::vector<SliceRange> &box,
+                Tensor &slot) { copy.into(dev, box, slot, false); });
+}
+
+void
 SpmdOpExecutor::placeAt(const TensorRef &ref, Phase phase, bool zeroed,
                         const PlaceFill &fill)
 {
@@ -489,17 +514,8 @@ SpmdOpExecutor::runPass(int pass_index,
         const TensorStore &store = stores[tensorId(ref)];
         if (store.empty()) {
             const auto it = inputs.find(key);
-            if (it == inputs.end())
-                throw InputError(op.name, phaseName(pass.phase), key,
-                                 fullShape(ref), {});
-            if (it->second.shape() != fullShape(ref))
-                throw InputError(op.name, phaseName(pass.phase), key,
-                                 fullShape(ref), it->second.shape());
-            const SliceSet whole = SliceSet::whole(it->second);
-            const BoundaryCopy copy(EdgeIndexMap{}, true, whole);
-            placeAt(ref, pass.phase, false,
-                    [&](std::int64_t dev, const std::vector<SliceRange> &box,
-                        Tensor &slot) { copy.into(dev, box, slot, false); });
+            placeFull(ref, pass.phase,
+                      it == inputs.end() ? nullptr : &it->second);
             continue;
         }
         for (std::int64_t dev = 0; dev < dsiTable.numDevices(); ++dev) {
@@ -750,12 +766,12 @@ SpmdOpExecutor::reset()
 }
 
 void
-SpmdOpExecutor::runPhase(Phase phase,
-                         const std::map<std::string, Tensor> &inputs)
+SpmdOpExecutor::runPhase(Phase phase)
 {
+    const std::map<std::string, Tensor> none;
     for (std::size_t p = 0; p < op.passes.size(); ++p) {
         if (op.passes[p].phase == phase)
-            runPass(static_cast<int>(p), inputs);
+            runPass(static_cast<int>(p), none);
     }
 }
 

@@ -117,11 +117,12 @@ class SpmdOpExecutor
 
     /**
      * Run only the passes of one phase (graph-level training
-     * interleaves phases across operators). Inputs are scattered on
-     * first use; stashed tensors persist across calls until reset().
+     * interleaves phases across operators). Every operand must have
+     * been placed (place(), placeWhole()) or produced by an earlier
+     * pass, else InputError; stashed tensors persist across calls
+     * until reset().
      */
-    void runPhase(Phase phase,
-                  const std::map<std::string, Tensor> &inputs);
+    void runPhase(Phase phase);
 
     /** Drop all device state (stashes, outputs) and counters. */
     void reset();
@@ -157,6 +158,14 @@ class SpmdOpExecutor
      */
     void place(const std::string &name, bool zeroed,
                const PlaceFill &fill);
+
+    /**
+     * place() operand @p name from @p full, the whole (unpartitioned)
+     * tensor, as run() slices an input: InputError, naming the phase
+     * of first use, when its shape is not the operand's. @p full is
+     * read only during the call.
+     */
+    void placeWhole(const std::string &name, const Tensor &full);
 
     /** Apply W <- W - lr * dW locally on every device (no comm), then
      *  gather the updated parameter. Valid after run(). */
@@ -272,6 +281,9 @@ class SpmdOpExecutor
     /** place() at the tuples of (@p phase, step 0). */
     void placeAt(const TensorRef &ref, Phase phase, bool zeroed,
                  const PlaceFill &fill);
+    /** placeAt() from the whole tensor @p full; InputError when it is
+     *  null or misshapen. */
+    void placeFull(const TensorRef &ref, Phase phase, const Tensor *full);
     SliceSet slicesOf(const TensorRef &ref) const;
     Tensor gather(const TensorRef &ref) const;
     /** Phase of the first pass (in runPhase order) reading @p ref. */

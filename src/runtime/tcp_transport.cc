@@ -282,16 +282,18 @@ TcpTransport::ensurePeer(std::int64_t peer, const TransferTag &tag)
     // degrades the grid.
     const std::int64_t peerDevice =
         world_.ownerOf(tag.sender) == peer ? tag.sender : tag.receiver;
-    if (health)
-        health->workerLost(
+    if (health) {
+        health->faultDetected(
+            &RuntimeHealth::deviceFailures,
             FaultEvent::at(tag, FaultKind::DeviceFail,
                            "worker " + std::to_string(peer) +
                                " unreachable after " +
                                std::to_string(budget) +
                                " connect attempts",
-                           0),
-            peer, world_.generation,
-            "unreachable: connect budget exhausted");
+                           0));
+        health->workerLost(peer, world_.generation,
+                           "unreachable: connect budget exhausted");
+    }
     throw DeviceFailedError(
         "worker " + std::to_string(peer) +
             " (owner of device " + std::to_string(peerDevice) +

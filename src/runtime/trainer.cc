@@ -131,7 +131,6 @@ BlockTrainer::makeBatch(std::int64_t step) const
     GraphIO io;
     io.input = Tensor::random(shape, rng);
     io.d_output = Tensor::random(shape, rng);
-    io.params = params;
     return io;
 }
 
@@ -165,7 +164,8 @@ BlockTrainer::trainStep()
             health_.stepBegan(s);
             const GraphIO io = makeBatch(s);
             exec->beginStep(s);
-            const GraphResult res = exec->run(io);
+            const GraphResult res =
+                exec->run(io.input, params, io.d_output);
 
             // Probe loss: <O, dO> / numel — cheap, deterministic, and
             // sensitive to any perturbation of output or parameters.

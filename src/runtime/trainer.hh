@@ -154,6 +154,8 @@ class BlockTrainer
     int deviceBits() const { return bits_; }
 
   private:
+    /** Step @p step's input and output gradient; the parameters
+     *  stay in `params`, which the executor reads in place. */
     GraphIO makeBatch(std::int64_t step) const;
     /** @p cause is the device failure that forced this rebuild (null
      *  on the first build) — forwarded to the transport factory. */

@@ -17,12 +17,14 @@
  *    survivors (re-plan + checkpoint restore) instead of failing it.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -393,6 +395,98 @@ TEST(Coordinator, PendingRejoinerOutlivesTheHeartbeatBudget)
     server.join();
     EXPECT_EQ(rc, 0);
     EXPECT_EQ(coord.workersLost(), 1);
+}
+
+/** The worker events a coordinator reports to its health sink. They
+ *  arrive under the coordinator's lock from its own threads. */
+struct WorkerEventLog : RuntimeObserver
+{
+    std::mutex mu;
+    std::vector<std::int64_t> up;
+    std::vector<std::int64_t> lost;
+    int faults = 0;
+
+    void
+    onWorkerUp(std::int64_t worker, std::uint64_t) override
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        up.push_back(worker);
+    }
+    void
+    onWorkerLost(std::int64_t worker, std::uint64_t,
+                 const std::string &) override
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        lost.push_back(worker);
+    }
+    void
+    onFault(const FaultEvent &) override
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        ++faults;
+    }
+};
+
+TEST(Coordinator, HealthSinkSeesEachWorkerUpAndEachKillLost)
+{
+    CoordinatorOptions opts;
+    opts.numWorkers = 3;
+    opts.numBits = 2;
+    opts.dist.heartbeatMs = 20;
+    opts.dist.heartbeatMissLimit = 10;
+    Coordinator coord(opts);
+    WorkerEventLog log;
+    coord.health().addObserver(&log);
+    coord.start();
+    int rc = -1;
+    std::thread server([&] { rc = coord.run(); });
+
+    std::vector<std::unique_ptr<CoordinatorClient>> clients;
+    std::vector<std::thread> registering;
+    for (int i = 0; i < opts.numWorkers; ++i) {
+        clients.push_back(std::make_unique<CoordinatorClient>(opts.dist));
+        clients.back()->connect("127.0.0.1", coord.port());
+    }
+    for (auto &c : clients)
+        registering.emplace_back([&c] { c->registerWorker(0); });
+    for (std::thread &t : registering)
+        t.join();
+    std::vector<std::int64_t> ids;
+    for (auto &c : clients) {
+        ids.push_back(c->workerId());
+        c->startHeartbeats(opts.dist.heartbeatMs);
+    }
+
+    // Kill two workers, one generation apart.
+    const std::vector<std::int64_t> killed = {ids[1], ids[2]};
+    for (const std::uint64_t gen : {1u, 2u}) {
+        clients[gen].reset();
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (coord.generation() < gen &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        ASSERT_EQ(coord.generation(), gen);
+    }
+    clients[0]->done(0, 0.5);
+    server.join();
+    EXPECT_EQ(rc, 0);
+
+    std::vector<std::int64_t> up, lost;
+    int faults = 0;
+    {
+        std::lock_guard<std::mutex> lock(log.mu);
+        up = log.up;
+        lost = log.lost;
+        faults = log.faults;
+    }
+    std::sort(up.begin(), up.end());
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(up, ids);
+    EXPECT_EQ(lost, killed);
+    EXPECT_EQ(faults, 0);
+    EXPECT_EQ(coord.workersLost(), 2);
+    EXPECT_EQ(coord.health().workersLost, 2);
 }
 
 // ---------------------------------------------------------------------------

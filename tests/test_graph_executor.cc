@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/megatron.hh"
+#include "runtime/errors.hh"
 #include "runtime/graph_executor.hh"
 #include "runtime/transformer_runtime.hh"
 #include "tensor/ops.hh"
@@ -137,6 +138,75 @@ struct BlockFixture
     CompGraph graph;
     GraphIO io;
 };
+
+TEST(GraphExecutor, MissingOrMisshapenInputsThrowInputError)
+{
+    ModelConfig cfg = tinyModel();
+    const std::int64_t b = 2;
+    const CompGraph g = buildMlpBlock(cfg, b);
+    const std::vector<PartitionSeq> plan = {
+        PartitionSeq({PartitionStep::byDim(0), PartitionStep::byDim(3)}),
+        PartitionSeq({PartitionStep::byDim(0), PartitionStep::byDim(2)}),
+        PartitionSeq({PartitionStep::byDim(0), PartitionStep::byDim(2)})};
+    const Shape act{b, cfg.seqLength, cfg.hiddenSize};
+    Rng rng(7);
+    GraphIO good;
+    good.input = Tensor::random(act, rng);
+    good.params = randomBlockParams(g, rng);
+    good.d_output = Tensor::random(act, rng);
+    SpmdGraphExecutor exec(g, plan, 2);
+
+    // Each case breaks one tensor; the error names it, the phase that
+    // first reads it and both shapes.
+    struct Case
+    {
+        const char *what;
+        GraphIO io;
+        std::string op, phase, tensor;
+        std::vector<std::int64_t> expected, actual;
+    };
+    std::vector<Case> cases;
+    const std::vector<std::int64_t> w1 = good.params.at("fc1.W").shape();
+    {
+        Case c{"missing parameter", good, "fc1", "Forward", "fc1.W", w1,
+               {}};
+        c.io.params.erase("fc1.W");
+        cases.push_back(std::move(c));
+    }
+    {
+        Case c{"misshapen parameter", good, "fc1", "Forward", "W", w1,
+               {w1[0], w1[1] + 1}};
+        c.io.params["fc1.W"] = Tensor(Shape(c.actual));
+        cases.push_back(std::move(c));
+    }
+    {
+        Case c{"misshapen input", good, "fc1", "Forward", "I", act,
+               {b, cfg.seqLength, cfg.hiddenSize + 1}};
+        c.io.input = Tensor(Shape(c.actual));
+        cases.push_back(std::move(c));
+    }
+    {
+        Case c{"misshapen output gradient", good, "fc2", "Backward", "dO",
+               act, {b, cfg.seqLength + 1, cfg.hiddenSize}};
+        c.io.d_output = Tensor(Shape(c.actual));
+        cases.push_back(std::move(c));
+    }
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        try {
+            exec.run(c.io);
+            ADD_FAILURE() << "expected InputError";
+        } catch (const InputError &err) {
+            EXPECT_EQ(err.op, c.op);
+            EXPECT_EQ(err.phase, c.phase);
+            EXPECT_EQ(err.tensor, c.tensor);
+            EXPECT_EQ(err.expectedShape, c.expected);
+            EXPECT_EQ(err.actualShape, c.actual);
+        }
+    }
+    // The executor still runs a well-formed step afterwards.
+    EXPECT_NO_THROW(exec.run(good));
+}
 
 TEST(GraphExecutor, FullBlockForwardMatchesHandReference)
 {

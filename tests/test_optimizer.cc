@@ -11,10 +11,13 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baselines/megatron.hh"
+#include "brute_force_oracle.hh"
 #include "graph/transformer.hh"
 #include "intra_cost_oracle.hh"
 #include "optimizer/catalog.hh"
@@ -834,6 +837,37 @@ TEST(Pruning, MetricsRegistryReceivesPlannerCounters)
     EXPECT_EQ(metrics.counter("planner.candidates_kept"),
               r.candidatesKept);
     EXPECT_EQ(metrics.counter("planner.states_pruned"), r.statesPruned);
+}
+
+TEST(Pruning, PinnedOpt6p7bSixteenDevicePlan)
+{
+    // The 16-device OPT 6.7B cell of BENCH_planner.json, one thread:
+    // any change to the DP's arithmetic, tie-breaks or state pruning
+    // shows up here as a different plan, cost bit or prune count.
+    const ModelConfig model = opt6p7b();
+    const auto topo = ClusterTopology::paperCluster(16);
+    const CostModel cost(topo, profileModels(topo));
+    const CompGraph g = buildTransformerBlock(model, 8);
+    const std::vector<std::string> expected = {
+        "B,B,M,H",  "B,B,M,H",  "B,B,P2x2", "B,B,B,Hd", "B,B,B,Hd",
+        "B,B,B,Hd", "B,B,P2x2", "B,B,M,H",  "B,B,M,H",  "B,K,P2x2",
+        "B,F,M,F",  "B,N,P2x2", "B,B,M,H"};
+    ASSERT_EQ(g.numNodes(), static_cast<int>(expected.size()));
+    for (const bool pruned : {true, false}) {
+        SCOPED_TRACE(pruned ? "pruned" : "exhaustive");
+        DpOptions opts;
+        opts.numLayers = model.numLayers;
+        opts.numThreads = 1;
+        opts.pruneDominated = pruned;
+        const DpResult r = SegmentedDpOptimizer(g, cost, opts).optimize();
+        ASSERT_EQ(r.strategies.size(), expected.size());
+        for (int n = 0; n < g.numNodes(); ++n)
+            EXPECT_EQ(r.strategies[n].toString(g.node(n)), expected[n])
+                << g.node(n).name;
+        EXPECT_EQ(r.layerCost, 40766.157228076969);
+        EXPECT_EQ(r.totalCost, 1302762.326587352);
+        EXPECT_EQ(r.statesPruned, pruned ? 33743 : 0);
+    }
 }
 
 } // namespace
