@@ -28,8 +28,14 @@
  *       pauses the survivors at a barrier step, grows the grid back,
  *       and the new worker restores a survivor's checkpoint snapshot
  *       so training resumes on the full grid as if never degraded.
- *       Its last stdout line is `worker N peak_rss_kb K`, the
- *       process's own peak resident set.
+ *       A registration whose re-join barrier would fall at or past the
+ *       last step is refused: the worker prints `worker not needed:
+ *       <reason>` and exits 0.
+ *       A worker that trained ends its stdout with `worker N
+ *       transfers T bytes B retries R rollbacks K` (its transport's
+ *       delivered transfers and bytes, retried attempts and rolled-back
+ *       steps or exchanges) and `worker N peak_rss_kb K`, the process's
+ *       own peak resident set.
  *
  * Exit codes follow the runtime taxonomy (runtime/errors.hh):
  *   0 ok   1 internal   2 usage   3 transient fault
@@ -294,7 +300,15 @@ runWorker(const Options &opts)
     NetListener dataListener;
     dataListener.open(0);
 
-    const JsonValue welcome = client.registerWorker(dataListener.port());
+    JsonValue welcome;
+    try {
+        welcome = client.registerWorker(dataListener.port());
+    } catch (const RejoinRefusedError &err) {
+        // The job ends before a re-join could take effect: nothing to
+        // do, and nothing went wrong.
+        std::printf("worker not needed: %s\n", err.what());
+        return exitcode::Ok;
+    }
     const JsonValue &job = welcome.at("job");
     DistWorld world = DistWorld::fromJson(welcome.at("world"));
     world.myWorker = client.workerId();
@@ -508,6 +522,14 @@ runWorker(const Options &opts)
     client.stopHeartbeats();
     std::printf("worker %lld done\n",
                 static_cast<long long>(client.workerId()));
+    const RuntimeHealth &health = trainer.health();
+    std::printf("worker %lld transfers %lld bytes %lld retries %lld"
+                " rollbacks %lld\n",
+                static_cast<long long>(client.workerId()),
+                static_cast<long long>(health.transfers),
+                static_cast<long long>(health.bytesMoved),
+                static_cast<long long>(health.retries),
+                static_cast<long long>(health.stepRollbacks));
     std::printf("worker %lld peak_rss_kb %ld\n",
                 static_cast<long long>(client.workerId()),
                 ownPeakRssKb());

@@ -48,16 +48,19 @@
 #      -DPRIMEPAR_SANITIZE=thread and run the Parallel.*,
 #      SpmdExecutor.*, Transport.*, Trainer.*, GraphExecutor.*,
 #      Catalog.*, SegmentedDp.*, Pruning.*, CostModel.*, PlanService.*,
-#      PlanServer.*, Observer.* and Guard.* suites there: the thread
+#      PlanServer.*, Observer.*, Guard.*, Coordinator.* and
+#      TcpTransport.* suites there: the thread
 #      pool's completion handshake, the executor's comm worker running
 #      a step's shift batch while the compute pool accumulates, joined
 #      before the commit, RuntimeHealth fanning spans out to observers
 #      from compute-pool threads, the planner's edge tables built on
 #      pool threads nested inside the per-edge parallel loop, each
-#      table slot written by one iteration, and the plan service's
+#      table slot written by one iteration, the plan service's
 #      flight table shared by concurrent requests (PlanStore.* stays
-#      out: it forks a writer and SIGKILLs it). Any race report fails
-#      the gate.
+#      out: it forks a writer and SIGKILLs it), the coordinator's
+#      reader threads and each client's heartbeat thread beside its
+#      RPCs, and four in-process TcpTransports multicasting over
+#      loopback. Any race report fails the gate.
 #
 # --quick skips a sanitizer reconfigure when its build tree is already
 # configured. Exits non-zero on the first failure. Every temporary file
@@ -355,12 +358,12 @@ if [ "$QUICK" -eq 0 ] || [ ! -f "$ROOT/build-tsan/CMakeCache.txt" ]; then
 fi
 cmake --build "$ROOT/build-tsan" -j"$(nproc)" \
     --target test_support test_runtime test_fault test_graph_executor \
-    test_optimizer test_cost test_serve test_observer
+    test_optimizer test_cost test_serve test_observer test_dist
 
-echo "== sanitizer (TSan): pool + executor + transport + trainer + observer + planner + serve tests =="
+echo "== sanitizer (TSan): pool + executor + transport + trainer + observer + planner + serve + control-plane tests =="
 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     ctest --test-dir "$ROOT/build-tsan" --output-on-failure \
-    -R '^(Parallel|SpmdExecutor|Transport|Trainer|GraphExecutor|Catalog|SegmentedDp|Pruning|CostModel|PlanService|PlanServer|Observer|Guard)\.' \
+    -R '^(Parallel|SpmdExecutor|Transport|Trainer|GraphExecutor|Catalog|SegmentedDp|Pruning|CostModel|PlanService|PlanServer|Observer|Guard|Coordinator|TcpTransport)\.' \
     -j"$(nproc)"
 
 echo "verify.sh: all gates passed"

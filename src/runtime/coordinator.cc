@@ -296,20 +296,44 @@ Coordinator::tryAcceptRejoin()
         w->dataPort = static_cast<int>(p->asNumber());
     if (const JsonValue *h = body.find("host"))
         w->host = h->asString();
-    std::int64_t id;
+    const JsonValue *steps_doc =
+        opts.job.isObject() ? opts.job.find("steps") : nullptr;
+    const std::int64_t steps =
+        steps_doc ? static_cast<std::int64_t>(steps_doc->asNumber()) : -1;
+    std::int64_t id = -1;
     std::int64_t barrier;
     {
         std::lock_guard<std::mutex> lock(mu);
-        id = static_cast<std::int64_t>(workers.size());
-        w->id = id;
-        pendingRejoin_ = id;
         // Every survivor still reports some step s <= R-1 (the
         // highest step anyone *reported* trails the highest step
         // anyone *executes* by at most one), so each sees the pause
         // barrier in a step ack before executing step R.
-        resumeStep_ = maxStep_ + 2;
-        barrier = resumeStep_;
-        workers.push_back(std::move(w));
+        barrier = maxStep_ + 2;
+        if (steps < 0 || barrier < steps) {
+            id = static_cast<std::int64_t>(workers.size());
+            w->id = id;
+            pendingRejoin_ = id;
+            resumeStep_ = barrier;
+            workers.push_back(std::move(w));
+        }
+    }
+    if (id < 0) {
+        // No survivor executes step R, so it would never pause there:
+        // answer now instead of leaving the rejoiner blocked until the
+        // job ends.
+        const std::string reason =
+            "re-join barrier step " + std::to_string(barrier) +
+            " is at or past the job's " + std::to_string(steps) +
+            " steps";
+        JsonValue refusal = JsonValue::object();
+        refusal.set("refused", JsonValue(reason));
+        writeFrame(w->conn,
+                   ctrlFrame(FrameType::CtrlResp, "welcome", -1,
+                             generation_, refusal),
+                   opts.dist.transferDeadlineMs);
+        PRIMEPAR_INFORM("coordinator: refused a late registration: ",
+                        reason);
+        return;
     }
     PRIMEPAR_INFORM("coordinator: worker ", id,
                     " registered for re-join; pausing survivors at "
@@ -770,6 +794,9 @@ CoordinatorClient::registerWorker(int dataPort)
     const JsonValue welcome =
         rpc("register", body,
             std::max(10000, dist.connectTimeoutMs * 10), "welcome");
+    if (const JsonValue *refused = welcome.find("refused"))
+        throw RejoinRefusedError("coordinator refused the registration: " +
+                                 refused->asString());
     myId = static_cast<std::int64_t>(welcome.at("worker").asNumber());
     // A rejoiner's welcome arrives from a later generation; adopt it.
     generation_ = 0;

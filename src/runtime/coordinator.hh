@@ -37,7 +37,10 @@
  * R = (highest reported step) + 2 — every survivor is guaranteed to
  * still report some step s <= R-1 and therefore sees `pause_at: R` in
  * a step ack before executing step R. Each survivor then checkpoints
- * at exactly step R and parks in a blocking "resync" RPC; when the
+ * at exactly step R and parks in a blocking "resync" RPC (a barrier
+ * at or past the job document's `steps` would never be reached: that
+ * registration is refused with a "welcome" reply carrying `refused`
+ * instead); when the
  * last one arrives the coordinator flips: generation++, the grid grows
  * back one bit (capped at the original), devices are re-placed over
  * survivors + rejoiner, the rejoiner's deferred welcome ships with
@@ -63,6 +66,7 @@
 #include <thread>
 #include <vector>
 
+#include "errors.hh"
 #include "net.hh"
 #include "options.hh"
 #include "support/json.hh"
@@ -85,10 +89,24 @@ struct CoordinatorOptions
      *  the grid back (see file comment). Requires the workers to keep
      *  checkpoint history so the rejoiner has state to restore. */
     bool allowRejoin = false;
-    /** Opaque job document broadcast verbatim in every welcome (the
-     *  example puts the model/optimizer/fault configuration here, so
-     *  workers need nothing but the coordinator's address). */
+    /** Job document broadcast verbatim in every welcome (the example
+     *  puts the model/optimizer/fault configuration here, so workers
+     *  need nothing but the coordinator's address). The coordinator
+     *  reads one key itself: a registration whose re-join barrier
+     *  would fall at or past `steps` is refused, since no survivor
+     *  executes that step. */
     JsonValue job;
+};
+
+/**
+ * The coordinator refused a late registration: its re-join barrier
+ * would fall at or past the job's last step, so there is nothing left
+ * to join.
+ */
+class RejoinRefusedError : public RuntimeError
+{
+  public:
+    using RuntimeError::RuntimeError;
 };
 
 /** Coordinator's answer to a per-step loss report. */
@@ -158,7 +176,9 @@ class Coordinator
 
     mutable std::mutex mu;
     std::condition_variable cv;
-    std::uint64_t generation_ = 0;
+    /** Written under mu; reader threads also stamp it on replies
+     *  outside the lock. */
+    std::atomic<std::uint64_t> generation_{0};
     int bits_ = 0;
     int origBits_ = 0;
     /** Highest step any worker reported so far (-1 = none). */
@@ -196,7 +216,9 @@ class CoordinatorClient
     /**
      * Register this worker's data-plane listener port; blocks until
      * every worker registered and returns the welcome document
-     * ({"worker": id, "world": {...}, "job": {...}}).
+     * ({"worker": id, "world": {...}, "job": {...}}). Throws
+     * RejoinRefusedError when the coordinator refuses a late
+     * registration into a degraded job.
      */
     JsonValue registerWorker(int dataPort);
 
@@ -242,7 +264,8 @@ class CoordinatorClient
     std::thread heartbeatThread;
     std::atomic<bool> stopHb{false};
     std::int64_t myId = -1;
-    std::uint64_t generation_ = 0;
+    /** Read by the heartbeat thread while RPCs update it. */
+    std::atomic<std::uint64_t> generation_{0};
 };
 
 } // namespace primepar

@@ -1,5 +1,6 @@
 #include "net.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -9,6 +10,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "errors.hh"
@@ -93,34 +95,85 @@ readExact(int fd, std::uint8_t *out, std::size_t n,
 }
 
 /**
- * Write exactly @p n bytes before the deadline. A peer that stops
- * draining its receive buffer (a stalled or wedged process) makes
- * send() block / return EAGAIN forever; the deadline bounds that the
- * same way readExact bounds a silent sender, so the caller maps the
- * outcome onto the fault taxonomy instead of hanging.
+ * Write the @p count buffers of @p parts back to back, in full, before
+ * the deadline (one gather write per wakeup, so a frame's header and
+ * payload leave in one segment). A peer that stops draining its
+ * receive buffer (a stalled or wedged process) makes sendmsg() block /
+ * return EAGAIN forever; the deadline bounds that the same way
+ * readExact bounds a silent sender, so the caller maps the outcome
+ * onto the fault taxonomy instead of hanging.
  */
 IoResult
-writeExact(int fd, const std::uint8_t *data, std::size_t n,
-           std::int64_t deadline_at)
+writeExact(int fd, struct iovec *parts, int count, std::int64_t deadline_at)
 {
-    std::size_t sent = 0;
-    while (sent < n) {
+    while (count > 0 && parts->iov_len == 0) {
+        ++parts;
+        --count;
+    }
+    while (count > 0) {
         const std::int64_t left = deadline_at - nowMs();
         if (left <= 0)
             return IoResult::Timeout;
         if (!waitWritable(fd, static_cast<int>(left)))
             return IoResult::Timeout;
-        const ssize_t r = ::send(fd, data + sent, n - sent,
-                                 MSG_NOSIGNAL | MSG_DONTWAIT);
+        struct msghdr msg{};
+        msg.msg_iov = parts;
+        msg.msg_iovlen = static_cast<std::size_t>(count);
+        const ssize_t r =
+            ::sendmsg(fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
         if (r < 0) {
             if (errno == EINTR || errno == EAGAIN ||
                 errno == EWOULDBLOCK)
                 continue;
             return IoResult::Closed;
         }
-        sent += static_cast<std::size_t>(r);
+        auto sent = static_cast<std::size_t>(r);
+        while (count > 0 && sent >= parts->iov_len) {
+            sent -= parts->iov_len;
+            ++parts;
+            --count;
+        }
+        if (count > 0) {
+            parts->iov_base = static_cast<std::uint8_t *>(parts->iov_base) +
+                              sent;
+            parts->iov_len -= sent;
+        }
     }
     return IoResult::Ok;
+}
+
+/** The wire bytes of @p f before its payload: header, channel, tensor. */
+std::vector<std::uint8_t>
+encodeHead(const WireFrame &f)
+{
+    PRIMEPAR_ASSERT(f.channel.size() <= kMaxNameBytes &&
+                        f.tensor.size() <= kMaxNameBytes,
+                    "frame name too long");
+    std::vector<std::uint8_t> buf;
+    buf.reserve(kHeaderBytes + f.channel.size() + f.tensor.size());
+    put<std::uint32_t>(buf, kFrameMagic);
+    put<std::uint8_t>(buf, static_cast<std::uint8_t>(f.type));
+    put<std::uint8_t>(buf, 0); // flags (reserved)
+    put<std::uint16_t>(buf,
+                       static_cast<std::uint16_t>(f.channel.size()));
+    put<std::uint64_t>(buf, f.generation);
+    put<std::uint64_t>(buf, f.seq);
+    put<std::int64_t>(buf, f.trainStep);
+    put<std::uint32_t>(buf, f.phase);
+    put<std::uint32_t>(buf, f.temporalStep);
+    put<std::int64_t>(buf, f.sender);
+    put<std::int64_t>(buf, f.receiver);
+    put<std::uint32_t>(buf,
+                       static_cast<std::uint32_t>(f.tensor.size()));
+    put<std::uint32_t>(buf, static_cast<std::uint32_t>(f.status));
+    put<std::uint64_t>(buf,
+                       static_cast<std::uint64_t>(f.payload.size()));
+    put<std::uint64_t>(buf, f.checksum);
+    PRIMEPAR_ASSERT(buf.size() == kHeaderBytes,
+                    "frame header layout drifted");
+    buf.insert(buf.end(), f.channel.begin(), f.channel.end());
+    buf.insert(buf.end(), f.tensor.begin(), f.tensor.end());
+    return buf;
 }
 
 } // namespace
@@ -234,34 +287,7 @@ netConnect(const std::string &host, int port, int deadline_ms)
 std::vector<std::uint8_t>
 encodeFrame(const WireFrame &f)
 {
-    PRIMEPAR_ASSERT(f.channel.size() <= kMaxNameBytes &&
-                        f.tensor.size() <= kMaxNameBytes,
-                    "frame name too long");
-    std::vector<std::uint8_t> buf;
-    buf.reserve(kHeaderBytes + f.channel.size() + f.tensor.size() +
-                f.payload.size());
-    put<std::uint32_t>(buf, kFrameMagic);
-    put<std::uint8_t>(buf, static_cast<std::uint8_t>(f.type));
-    put<std::uint8_t>(buf, 0); // flags (reserved)
-    put<std::uint16_t>(buf,
-                       static_cast<std::uint16_t>(f.channel.size()));
-    put<std::uint64_t>(buf, f.generation);
-    put<std::uint64_t>(buf, f.seq);
-    put<std::int64_t>(buf, f.trainStep);
-    put<std::uint32_t>(buf, f.phase);
-    put<std::uint32_t>(buf, f.temporalStep);
-    put<std::int64_t>(buf, f.sender);
-    put<std::int64_t>(buf, f.receiver);
-    put<std::uint32_t>(buf,
-                       static_cast<std::uint32_t>(f.tensor.size()));
-    put<std::uint32_t>(buf, static_cast<std::uint32_t>(f.status));
-    put<std::uint64_t>(buf,
-                       static_cast<std::uint64_t>(f.payload.size()));
-    put<std::uint64_t>(buf, f.checksum);
-    PRIMEPAR_ASSERT(buf.size() == kHeaderBytes,
-                    "frame header layout drifted");
-    buf.insert(buf.end(), f.channel.begin(), f.channel.end());
-    buf.insert(buf.end(), f.tensor.begin(), f.tensor.end());
+    std::vector<std::uint8_t> buf = encodeHead(f);
     buf.insert(buf.end(), f.payload.begin(), f.payload.end());
     return buf;
 }
@@ -272,19 +298,26 @@ writeFrame(NetSocket &sock, const WireFrame &f, int deadline_ms,
 {
     if (!sock.valid())
         return IoResult::Closed;
-    const std::vector<std::uint8_t> bytes = encodeFrame(f);
-    std::size_t n = bytes.size();
-    if (truncate_to >= 0 &&
-        static_cast<std::size_t>(truncate_to) < n)
+    // The payload leaves from the frame itself, not from a copy: a
+    // frame written to several peers copies its payload no more.
+    std::vector<std::uint8_t> head = encodeHead(f);
+    struct iovec parts[2] = {
+        {head.data(), head.size()},
+        {const_cast<std::uint8_t *>(f.payload.data()), f.payload.size()}};
+    const std::size_t total = head.size() + f.payload.size();
+    std::size_t n = total;
+    if (truncate_to >= 0 && static_cast<std::size_t>(truncate_to) < n) {
         n = static_cast<std::size_t>(truncate_to);
-    const IoResult r =
-        writeExact(sock.fd(), bytes.data(), n, nowMs() + deadline_ms);
+        parts[0].iov_len = std::min(parts[0].iov_len, n);
+        parts[1].iov_len = n - parts[0].iov_len;
+    }
+    const IoResult r = writeExact(sock.fd(), parts, 2, nowMs() + deadline_ms);
     if (r != IoResult::Ok)
         return r;
     // A deliberately truncated frame (NetTruncate fault) is a send
     // failure from the caller's point of view: the peer can never
     // consume it.
-    return n == bytes.size() ? IoResult::Ok : IoResult::Closed;
+    return n == total ? IoResult::Ok : IoResult::Closed;
 }
 
 IoResult

@@ -91,6 +91,11 @@ SpmdOpExecutor::slicesOf(const TensorRef &ref) const
         for (std::int64_t dev = ownedFirst();
              dev < ownedFirst() + ownedCount(); ++dev)
             kept.insert(set.boxes[dev]);
+    // A transfer whose retry budget runs out rolls the exchange back to
+    // that transfer: the owner re-issues its multicast from the failed
+    // receiver on (the ones before it hold the slice), the receiver its
+    // receive, so both ends re-issue the same wire sequence.
+    std::vector<std::int64_t> receivers;
     for (std::int64_t dev = 0; dev < devices; ++dev) {
         const double t0 = tracing ? observerNowUs() : 0.0;
         TransferTag tag;
@@ -101,19 +106,37 @@ SpmdOpExecutor::slicesOf(const TensorRef &ref) const
         tag.sender = dev;
         if (ownsDev(dev)) {
             set.held[dev] = &store[dev].data;
-            for (const DeviceSpan &peer : peers) {
-                if (peer.owns(dev) || peer.count <= 0)
-                    continue;
-                tag.receiver = peer.first;
-                Tensor scratch;
-                transport->transferInto(tag, store[dev].data, scratch);
+            receivers.clear();
+            for (const DeviceSpan &peer : peers)
+                if (!peer.owns(dev) && peer.count > 0)
+                    receivers.push_back(peer.first);
+            for (int tries = 0; !receivers.empty(); ++tries) {
+                try {
+                    transport->multicast(tag, store[dev].data, receivers);
+                    break;
+                } catch (const TransientFaultError &err) {
+                    rollBack(err, tries, "gather re-issued after: ");
+                    const auto failed = std::find(
+                        receivers.begin(), receivers.end(), err.receiver);
+                    PRIMEPAR_ASSERT(failed != receivers.end(),
+                                    "multicast of ", name, " failed on ",
+                                    err.receiver, ", not a receiver");
+                    receivers.erase(receivers.begin(), failed);
+                }
             }
         } else {
             PRIMEPAR_ASSERT(transport, "gather of non-owned device ",
                             dev, " without a transport");
             tag.receiver = ownedFirst();
             Tensor slice(slice_shape);
-            transport->transferInto(tag, Tensor{}, slice);
+            for (int tries = 0;; ++tries) {
+                try {
+                    transport->transferInto(tag, Tensor{}, slice);
+                    break;
+                } catch (const TransientFaultError &err) {
+                    rollBack(err, tries, "gather re-issued after: ");
+                }
+            }
             if (kept.insert(set.boxes[dev]).second)
                 set.received[dev] = std::move(slice);
         }
@@ -347,7 +370,6 @@ SpmdOpExecutor::runJournaled(int out_id,
     // Bounded undo log: one step's in-place writes. A transfer whose
     // retry budget is exhausted unwinds here; the step is rolled back
     // and re-executed from the log.
-    constexpr int kMaxStepRetries = 3;
     for (int tries = 0;; ++tries) {
         const double j0 = observed() ? observerNowUs() : 0.0;
         TensorStore out_log = stores[out_id];
@@ -362,20 +384,25 @@ SpmdOpExecutor::runJournaled(int out_id,
             body();
             return;
         } catch (const TransientFaultError &err) {
-            if (tries >= kMaxStepRetries)
-                throw;
+            rollBack(err, tries, "temporal step rolled back after: ");
             stores[out_id] = std::move(out_log);
             aux = std::move(aux_log);
             commStats = volume_log;
-            if (health)
-                health->rolledBack(
-                    {FaultKind::None,
-                     std::string("temporal step rolled back after: ") +
-                         err.what(),
-                     err.tensor, err.step, err.sender, err.receiver,
-                     tries});
         }
     }
+}
+
+void
+SpmdOpExecutor::rollBack(const TransientFaultError &err, int tries,
+                         const char *what) const
+{
+    constexpr int kMaxStepRetries = 3;
+    if (tries >= kMaxStepRetries)
+        throw;
+    if (health)
+        health->rolledBack({FaultKind::None, what + std::string(err.what()),
+                            err.tensor, err.step, err.sender, err.receiver,
+                            tries});
 }
 
 Tensor

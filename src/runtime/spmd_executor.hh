@@ -48,6 +48,8 @@
 
 namespace primepar {
 
+class TransientFaultError;
+
 /** Gathered results of one partitioned training step. */
 struct TrainStepResult
 {
@@ -322,6 +324,14 @@ class SpmdOpExecutor
      * exhausted mid-step.
      */
     void runJournaled(int out_id, const std::function<void()> &body);
+    /**
+     * Called from the handler of @p err, the @p tries-th retry-budget
+     * exhaustion of one step or exchange: rethrows once the rollback
+     * bound is reached, else reports the rollback (@p what + the
+     * error) so the caller re-executes.
+     */
+    void rollBack(const TransientFaultError &err, int tries,
+                  const char *what) const;
     /** True when spans are wanted (an observer is attached). */
     bool observed() const { return health && health->observed(); }
 

@@ -326,7 +326,7 @@ TcpTransport::transferInto(const TransferTag &tag_in,
         // transport.
         inner->transferInto(tag_in, payload, dst);
     } else if (world_.myWorker == senderOwner) {
-        sendWire(tag, payload, receiverOwner);
+        sendWire(tag, payload, {tag.receiver});
     } else {
         recvWire(tag, payload, dst, senderOwner);
     }
@@ -353,25 +353,196 @@ TcpTransport::peerSpans() const
     return spans;
 }
 
+/** One receiver of a wire send: its transfer tag and owning worker. */
+struct TcpTransport::Leg
+{
+    TransferTag tag;
+    std::int64_t peer = -1;
+};
+
+std::uint64_t
+TcpTransport::wireSeqWith(std::int64_t peer) const
+{
+    const auto it = wireSeq.find(peer);
+    return it == wireSeq.end() ? 0 : it->second;
+}
+
+void
+TcpTransport::multicast(const TransferTag &tag_in, const Tensor &payload,
+                        const std::vector<std::int64_t> &receivers)
+{
+    TransferTag tag = tag_in;
+    tag.trainStep = trainStep;
+    PRIMEPAR_ASSERT(world_.ownerOf(tag.sender) == world_.myWorker,
+                    "worker ", world_.myWorker, " multicasts device ",
+                    tag.sender, ", which it does not own");
+    sendWire(tag, payload, receivers);
+}
+
 void
 TcpTransport::sendWire(const TransferTag &tag, const Tensor &payload,
-                       std::int64_t peer)
+                       const std::vector<std::int64_t> &receivers)
 {
     const double t0 = health ? health->clockUs() : 0.0;
+    std::vector<Leg> legs;
+    for (const std::int64_t receiver : receivers) {
+        Leg leg{tag, world_.ownerOf(receiver)};
+        leg.tag.receiver = receiver;
+        PRIMEPAR_ASSERT(leg.peer >= 0 && leg.peer != world_.myWorker,
+                        "wire send ", tag.sender, "->", receiver,
+                        " to a device no other worker owns");
+        for (const Leg &other : legs)
+            PRIMEPAR_ASSERT(other.peer != leg.peer, "two receivers ",
+                            other.tag.receiver, " and ", receiver,
+                            " on worker ", leg.peer, " in one send");
+        legs.push_back(std::move(leg));
+    }
+
+    // One frame for every peer: the payload is copied and checksummed
+    // once; seq and receiver are stamped per peer.
     const std::size_t payload_bytes =
         static_cast<std::size_t>(payload.numel()) * sizeof(float);
-    const std::uint8_t *const raw =
-        reinterpret_cast<const std::uint8_t *>(payload.data());
+    const auto *raw = reinterpret_cast<const std::uint8_t *>(payload.data());
+    WireFrame f;
+    f.type = FrameType::Data;
+    f.generation = world_.generation;
+    f.trainStep = tag.trainStep;
+    f.phase = static_cast<std::uint32_t>(tag.phase);
+    f.temporalStep = static_cast<std::uint32_t>(tag.temporalStep);
+    f.sender = tag.sender;
+    f.channel = tag.channel;
+    f.tensor = tag.tensor;
+    f.payload.assign(raw, raw + payload_bytes);
+    f.checksum = checksumBytes(f.payload.data(), f.payload.size());
 
-    for (int attempt = 0; attempt < opts.maxAttempts; ++attempt) {
+    // Post the frame to every peer up to the first whose attempt-0
+    // draw is a fault, so each draw happens once and in the order
+    // sequential sends would take it.
+    std::size_t posted = 0;
+    std::vector<bool> sent;
+    FaultKind drawn = FaultKind::None;
+    for (; posted < legs.size(); ++posted) {
+        const Leg &leg = legs[posted];
+        drawn = injector ? injector->decideNet(leg.tag, 0)
+                         : FaultKind::None;
+        if (drawn != FaultKind::None)
+            break;
+        NetSocket &s = ensurePeer(leg.peer, leg.tag);
+        f.seq = wireSeq[leg.peer];
+        f.receiver = leg.tag.receiver;
+        sent.push_back(writeFrame(s, f, dist.transferDeadlineMs) ==
+                       IoResult::Ok);
+        if (!sent.back()) {
+            if (health)
+                health->faultDetected(
+                    &RuntimeHealth::dropsDetected,
+                    FaultEvent::at(leg.tag, FaultKind::NetDrop,
+                                   "send failed: connection lost", 0));
+            dropPeer(leg.peer);
+        }
+    }
+    // Their acks, in the same order; a failed attempt 0 goes on in
+    // the per-peer loop.
+    for (std::size_t i = 0; i < posted; ++i) {
+        if (sent[i] && awaitAck(legs[i], wireSeq[legs[i].peer], 0))
+            delivered(legs[i], payload_bytes, 0, t0);
+        else
+            sendLoop(f, legs[i], 1, std::nullopt, t0);
+    }
+    // From the first faulted peer on, one peer at a time.
+    for (std::size_t i = posted; i < legs.size(); ++i)
+        sendLoop(f, legs[i], 0,
+                 i == posted ? std::optional<FaultKind>(drawn)
+                             : std::nullopt,
+                 t0);
+}
+
+void
+TcpTransport::delivered(const Leg &leg, std::size_t bytes, int attempt,
+                        double t0)
+{
+    // Acknowledged delivery: advance the pair seq. The receiver is the
+    // only process materializing this value.
+    ++wireSeq[leg.peer];
+    if (health)
+        health->transferred(leg.tag, static_cast<std::int64_t>(bytes),
+                            attempt + 1, t0);
+}
+
+bool
+TcpTransport::awaitAck(const Leg &leg, std::uint64_t seq, int attempt)
+{
+    const TransferTag &tag = leg.tag;
+    const std::int64_t peer = leg.peer;
+    NetSocket &s = conns[peer];
+    for (;;) {
+        WireFrame ack;
+        const IoResult r = readFrame(s, ack, dist.transferDeadlineMs);
+        if (r != IoResult::Ok) {
+            if (health)
+                health->faultDetected(
+                    &RuntimeHealth::dropsDetected,
+                    FaultEvent::at(tag, FaultKind::NetDrop,
+                                   r == IoResult::Timeout
+                                       ? "ack deadline passed"
+                                       : "connection lost awaiting ack",
+                                   attempt));
+            dropPeer(peer);
+            return false;
+        }
+        if (ack.type == FrameType::Abort) {
+            if (ack.seq >= wireSeq[peer]) {
+                // The peer rolled its step back; do the same so both
+                // re-issue the identical transfer sequence.
+                throw TransientFaultError(
+                    "peer worker " + std::to_string(peer) +
+                        " aborted at seq " + std::to_string(ack.seq) +
+                        " during " + transferContext(tag),
+                    tag.tensor, tag.sender, tag.receiver, tag.trainStep);
+            }
+            continue; // stale abort
+        }
+        if (ack.type != FrameType::Ack) {
+            dropPeer(peer);
+            return false;
+        }
+        if (ack.status == FrameStatus::Fenced)
+            throwFenced(ack.generation);
+        if (ack.seq != seq)
+            continue; // stale ack of an earlier seq
+        if (ack.status == FrameStatus::Reject) {
+            if (health)
+                health->faultDetected(
+                    &RuntimeHealth::corruptionsDetected,
+                    FaultEvent::at(tag, FaultKind::Corrupt,
+                                   "receiver rejected frame (NACK)",
+                                   attempt));
+            return false;
+        }
+        return true;
+    }
+}
+
+void
+TcpTransport::sendLoop(WireFrame &f, const Leg &leg, int first_attempt,
+                       std::optional<FaultKind> drawn, double t0)
+{
+    const TransferTag &tag = leg.tag;
+    const std::int64_t peer = leg.peer;
+    for (int attempt = first_attempt; attempt < opts.maxAttempts;
+         ++attempt) {
         if (attempt > 0) {
             if (health)
                 health->retried();
             sleepUs(retryBackoffUs(opts, wireSeq[peer], attempt - 1));
         }
-        const FaultKind net =
-            injector ? injector->decideNet(tag, attempt)
-                     : FaultKind::None;
+        FaultKind net = FaultKind::None;
+        if (drawn) {
+            net = *drawn;
+            drawn.reset();
+        } else if (injector) {
+            net = injector->decideNet(tag, attempt);
+        }
         if (net == FaultKind::NetDrop) {
             if (health)
                 health->faultDetected(
@@ -382,21 +553,6 @@ TcpTransport::sendWire(const TransferTag &tag, const Tensor &payload,
             dropPeer(peer);
             continue;
         }
-
-        WireFrame f;
-        f.type = FrameType::Data;
-        f.generation = world_.generation;
-        f.seq = wireSeq[peer];
-        f.trainStep = tag.trainStep;
-        f.phase = static_cast<std::uint32_t>(tag.phase);
-        f.temporalStep = static_cast<std::uint32_t>(tag.temporalStep);
-        f.sender = tag.sender;
-        f.receiver = tag.receiver;
-        f.channel = tag.channel;
-        f.tensor = tag.tensor;
-        f.payload.assign(raw, raw + payload_bytes);
-        f.checksum = checksumBytes(f.payload.data(), f.payload.size());
-
         if (net == FaultKind::NetDelay) {
             if (health)
                 health->faultDetected(
@@ -408,6 +564,8 @@ TcpTransport::sendWire(const TransferTag &tag, const Tensor &payload,
             sleepUs(8.0 * opts.backoffUs);
         }
 
+        f.seq = wireSeq[peer];
+        f.receiver = tag.receiver;
         std::int64_t truncate_to = -1;
         if (net == FaultKind::NetTruncate) {
             truncate_to = static_cast<std::int64_t>(
@@ -438,68 +596,8 @@ TcpTransport::sendWire(const TransferTag &tag, const Tensor &payload,
             dropPeer(peer);
             continue;
         }
-
-        // Await the acknowledgement for this seq.
-        bool nextAttempt = false;
-        while (!nextAttempt) {
-            WireFrame ack;
-            const IoResult r =
-                readFrame(s, ack, dist.transferDeadlineMs);
-            if (r != IoResult::Ok) {
-                if (health)
-                    health->faultDetected(
-                        &RuntimeHealth::dropsDetected,
-                        FaultEvent::at(
-                            tag, FaultKind::NetDrop,
-                            r == IoResult::Timeout
-                                ? "ack deadline passed"
-                                : "connection lost awaiting ack",
-                            attempt));
-                dropPeer(peer);
-                nextAttempt = true;
-                break;
-            }
-            if (ack.type == FrameType::Abort) {
-                if (ack.seq >= wireSeq[peer]) {
-                    // The peer rolled its step back; do the same so
-                    // both re-issue the identical transfer sequence.
-                    throw TransientFaultError(
-                        "peer worker " + std::to_string(peer) +
-                            " aborted at seq " +
-                            std::to_string(ack.seq) + " during " +
-                            transferContext(tag),
-                        tag.tensor, tag.sender, tag.receiver,
-                        tag.trainStep);
-                }
-                continue; // stale abort
-            }
-            if (ack.type != FrameType::Ack) {
-                dropPeer(peer);
-                nextAttempt = true;
-                break;
-            }
-            if (ack.status == FrameStatus::Fenced)
-                throwFenced(ack.generation);
-            if (ack.seq != f.seq)
-                continue; // stale ack of an earlier seq
-            if (ack.status == FrameStatus::Reject) {
-                if (health)
-                    health->faultDetected(
-                        &RuntimeHealth::corruptionsDetected,
-                        FaultEvent::at(tag, FaultKind::Corrupt,
-                                       "receiver rejected frame (NACK)",
-                                       attempt));
-                nextAttempt = true;
-                break;
-            }
-
-            // Acknowledged delivery: advance the pair seq. The
-            // receiver is the only process materializing this value.
-            ++wireSeq[peer];
-            if (health)
-                health->transferred(
-                    tag, static_cast<std::int64_t>(payload_bytes),
-                    attempt + 1, t0);
+        if (awaitAck(leg, f.seq, attempt)) {
+            delivered(leg, f.payload.size(), attempt, t0);
             return;
         }
     }

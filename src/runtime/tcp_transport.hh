@@ -28,12 +28,14 @@
  *
  * Transfers are issued serially in the same global order by every
  * worker, so each wire transfer is a rendezvous of exactly two
- * processes. The wire sequence number per peer pair advances only on
+ * processes (a multicast is one such rendezvous per peer, posted
+ * together). The wire sequence number per peer pair advances only on
  * acknowledged delivery, identically on both ends. When one side
  * exhausts its retry budget it best-effort sends an Abort frame and
  * throws TransientFaultError; its peer either sees the Abort (and
  * throws too) or times out into the same error. Both roll the temporal
- * step back through the executor journal and re-issue the identical
+ * step back through the executor journal (or, inside an all-gather,
+ * the exchange back to that transfer) and re-issue the identical
  * transfer sequence, so the wire seqs realign without negotiation.
  *
  * ## Failure escalation
@@ -52,6 +54,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "net.hh"
 #include "options.hh"
@@ -122,6 +125,25 @@ class TcpTransport : public Transport
                       Tensor &dst) override;
 
     /**
+     * One payload from a device this worker owns to @p receivers, each
+     * owned by a different other worker. The Data frame is built once
+     * (one payload copy, one checksum) and written to every peer
+     * socket in receiver order, each with that pair's wire seq; the
+     * acks are then read in the same order. Each socket still carries
+     * at most one unacknowledged Data frame, so every pairwise
+     * sequence is the one sequential sends would produce.
+     *
+     * Fault decisions keep their per-transfer order: only the prefix
+     * of receivers whose attempt-0 decideNet draw is None is posted;
+     * from the first faulted receiver on, each runs the per-peer
+     * retry loop in turn (the faulted one reusing the draw). A posted
+     * receiver whose send or ack fails resumes that loop at attempt 1.
+     * A single receiver is exactly the sequential send.
+     */
+    void multicast(const TransferTag &tag, const Tensor &payload,
+                   const std::vector<std::int64_t> &receivers) override;
+
+    /**
      * Advance the step counter; also where a scheduled
      * `kill@step=S:dev=<worker>` fault fires — the process exits
      * immediately (std::_Exit), modeling abrupt worker death.
@@ -140,11 +162,27 @@ class TcpTransport : public Transport
 
     const DistWorld &world() const { return world_; }
 
+    /** Data frames acknowledged between this worker and @p peer, both
+     *  directions: the next wire seq of the pair. */
+    std::uint64_t wireSeqWith(std::int64_t peer) const;
+
   private:
+    struct Leg;
+
     NetSocket &ensurePeer(std::int64_t peer, const TransferTag &tag);
     void dropPeer(std::int64_t peer);
     void sendWire(const TransferTag &tag, const Tensor &payload,
-                  std::int64_t peer);
+                  const std::vector<std::int64_t> &receivers);
+    /** The per-peer retry loop from @p first_attempt; @p drawn is that
+     *  attempt's decideNet draw when it was taken already. */
+    void sendLoop(WireFrame &f, const Leg &leg, int first_attempt,
+                  std::optional<FaultKind> drawn, double t0);
+    /** Await @p leg's ack of its posted frame: true when delivered,
+     *  false when the attempt failed (already reported and the
+     *  connection dropped where needed). Throws on a peer's Abort. */
+    bool awaitAck(const Leg &leg, std::uint64_t seq, int attempt);
+    void delivered(const Leg &leg, std::size_t bytes, int attempt,
+                   double t0);
     void recvWire(const TransferTag &tag, const Tensor &payload,
                   Tensor &dst, std::int64_t peer);
     void throwFenced(std::uint64_t theirGeneration);

@@ -60,6 +60,18 @@ retryBackoffUs(const TransportOptions &opts, std::uint64_t streamId,
                                    : wait;
 }
 
+void
+Transport::multicast(const TransferTag &tag_in, const Tensor &payload,
+                     const std::vector<std::int64_t> &receivers)
+{
+    TransferTag tag = tag_in;
+    Tensor scratch;
+    for (const std::int64_t receiver : receivers) {
+        tag.receiver = receiver;
+        transferInto(tag, payload, scratch);
+    }
+}
+
 InProcessTransport::InProcessTransport(
     TransportOptions opts_in, std::shared_ptr<FaultInjector> injector_in,
     RuntimeHealth *health_in)

@@ -122,6 +122,17 @@ class Transport
     virtual void transferInto(const TransferTag &tag,
                               const Tensor &payload, Tensor &dst) = 0;
 
+    /**
+     * Move one payload from tag.sender to every device of @p receivers
+     * (tag.receiver is ignored), in their order. The default issues
+     * one transferInto per receiver; a transport may overlap them (see
+     * TcpTransport::multicast). On TransientFaultError every receiver
+     * before the error's receiver holds the payload, so the caller
+     * re-issues from that receiver on.
+     */
+    virtual void multicast(const TransferTag &tag, const Tensor &payload,
+                           const std::vector<std::int64_t> &receivers);
+
     /** Convenience wrapper returning the delivered copy. */
     Tensor transfer(const TransferTag &tag, const Tensor &payload)
     {

@@ -331,6 +331,139 @@ TEST(TcpTransport, ShortPayloadIsRejectedAndDstLeftUntouched)
         EXPECT_EQ(dst.data()[i], src[static_cast<std::size_t>(i)]);
 }
 
+/** What one worker of a loopback gather saw. */
+struct GatherSide
+{
+    std::vector<std::vector<float>> received; ///< per round (receivers)
+    std::vector<std::uint64_t> wireSeq;       ///< with each worker
+    std::int64_t transfers = 0, bytes = 0, retries = 0, drops = 0;
+};
+
+/**
+ * Worker 0 sends @p rounds slices of its device to the three other
+ * workers of a 4-worker loopback world, by multicast or by one
+ * transferInto per receiver, under @p faults (enacted by the sender).
+ */
+std::vector<GatherSide>
+loopbackGather(bool multicast, const std::string &faults, int rounds)
+{
+    constexpr int kWorkers = 4;
+    std::vector<NetListener> listeners(kWorkers);
+    DistWorld world;
+    world.generation = 1;
+    world.numBits = 2;
+    for (int w = 0; w < kWorkers; ++w) {
+        listeners[static_cast<std::size_t>(w)].open(0);
+        world.workers.push_back(
+            {w, "127.0.0.1", listeners[static_cast<std::size_t>(w)].port(),
+             w, 1});
+    }
+    TransportOptions topts;
+    DistOptions dopts;
+    dopts.transferDeadlineMs = 5000;
+    dopts.connectTimeoutMs = 5000;
+    auto payload = [](int round) {
+        Tensor t(Shape{257});
+        for (std::int64_t i = 0; i < t.numel(); ++i)
+            t.data()[i] = 0.5f * static_cast<float>(round * 1000 + i);
+        return t;
+    };
+    auto tagOf = [](int round, std::int64_t receiver) {
+        TransferTag tag;
+        tag.tensor = "O";
+        tag.channel = "gather";
+        tag.temporalStep = round; // distinct transfers, distinct draws
+        tag.sender = 0;
+        tag.receiver = receiver;
+        return tag;
+    };
+
+    std::vector<GatherSide> sides(kWorkers);
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kWorkers; ++w) {
+        threads.emplace_back([&, w] {
+            DistWorld mine = world;
+            mine.myWorker = w;
+            RuntimeHealth health;
+            auto injector = std::make_shared<FaultInjector>(
+                FaultSpec::parse(faults));
+            TcpTransport transport(topts, dopts, mine,
+                                   &listeners[static_cast<std::size_t>(w)],
+                                   injector, &health);
+            GatherSide &side = sides[static_cast<std::size_t>(w)];
+            for (int round = 0; round < rounds; ++round) {
+                if (w == 0 && multicast) {
+                    transport.multicast(tagOf(round, -1), payload(round),
+                                        {1, 2, 3});
+                } else if (w == 0) {
+                    Tensor scratch;
+                    for (std::int64_t r = 1; r < kWorkers; ++r)
+                        transport.transferInto(tagOf(round, r),
+                                               payload(round), scratch);
+                } else {
+                    Tensor slice(Shape{257});
+                    transport.transferInto(tagOf(round, w), Tensor{}, slice);
+                    side.received.emplace_back(
+                        slice.data(), slice.data() + slice.numel());
+                }
+            }
+            for (int peer = 0; peer < kWorkers; ++peer)
+                side.wireSeq.push_back(transport.wireSeqWith(peer));
+            side.transfers = health.transfers;
+            side.bytes = health.bytesMoved;
+            side.retries = health.retries;
+            side.drops = health.dropsDetected;
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    return sides;
+}
+
+TEST(TcpTransport, MulticastMatchesSequentialSends)
+{
+    // One owner, three peers. Every peer must get the owner's bytes,
+    // and the multicast must leave the same per-pair wire seqs and the
+    // same transfer, byte and retry counts as one send per peer —
+    // also when socket faults hit a receiver in the middle of the
+    // list (the scheduled drop at device 2 twice, attempts 0 and 1 of
+    // its first transfer) and at random.
+    const int rounds = 24;
+    for (const char *faults :
+         {"", "netdrop@dev=2:fires=2,seed=3",
+          "netdrop=0.1,nettrunc=0.05,netdelay=0.1,seed=3,"
+          "netdrop@dev=2:fires=2"}) {
+        SCOPED_TRACE(std::string("faults '") + faults + "'");
+        const auto seq = loopbackGather(false, faults, rounds);
+        const auto multi = loopbackGather(true, faults, rounds);
+        for (int w = 1; w < 4; ++w) {
+            const GatherSide &got = multi[static_cast<std::size_t>(w)];
+            ASSERT_EQ(got.received.size(), static_cast<std::size_t>(rounds));
+            for (int round = 0; round < rounds; ++round)
+                for (std::size_t i = 0; i < 257; ++i)
+                    ASSERT_EQ(got.received[static_cast<std::size_t>(round)][i],
+                              0.5f * static_cast<float>(round * 1000 +
+                                                        static_cast<int>(i)))
+                        << "worker " << w << " round " << round;
+            EXPECT_EQ(got.wireSeq[0], static_cast<std::uint64_t>(rounds));
+        }
+        for (int w = 0; w < 4; ++w) {
+            SCOPED_TRACE("worker " + std::to_string(w));
+            const GatherSide &a = seq[static_cast<std::size_t>(w)];
+            const GatherSide &b = multi[static_cast<std::size_t>(w)];
+            EXPECT_EQ(b.wireSeq, a.wireSeq);
+            EXPECT_EQ(b.transfers, a.transfers);
+            EXPECT_EQ(b.bytes, a.bytes);
+            EXPECT_EQ(b.retries, a.retries);
+            EXPECT_EQ(b.drops, a.drops);
+        }
+        EXPECT_EQ(multi[0].transfers, 3 * rounds);
+        if (*faults != '\0') {
+            EXPECT_GT(multi[0].retries, 0) << "no fault ever fired";
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Coordinator control plane against in-process clients
 
@@ -395,6 +528,68 @@ TEST(Coordinator, PendingRejoinerOutlivesTheHeartbeatBudget)
     server.join();
     EXPECT_EQ(rc, 0);
     EXPECT_EQ(coord.workersLost(), 1);
+}
+
+TEST(Coordinator, RefusesARejoinWhoseBarrierIsPastTheLastStep)
+{
+    // The survivor reported step 1 of a 3-step job, so a re-join
+    // barrier would be step 3, which no survivor executes. The late
+    // registration must get an explicit refusal at once (not block
+    // until the job closes), and the job must finish as usual.
+    CoordinatorOptions opts;
+    opts.numWorkers = 2;
+    opts.numBits = 1;
+    opts.allowRejoin = true;
+    opts.job = parseJson("{\"steps\": 3}");
+    opts.dist.heartbeatMs = 20;
+    opts.dist.heartbeatMissLimit = 10;
+    Coordinator coord(opts);
+    coord.start();
+    int rc = -1;
+    std::thread server([&] { rc = coord.run(); });
+
+    CoordinatorClient survivor(opts.dist);
+    auto doomed = std::make_unique<CoordinatorClient>(opts.dist);
+    survivor.connect("127.0.0.1", coord.port());
+    doomed->connect("127.0.0.1", coord.port());
+    std::thread doomedRegister([&] { doomed->registerWorker(0); });
+    survivor.registerWorker(0);
+    doomedRegister.join();
+    survivor.startHeartbeats(opts.dist.heartbeatMs);
+    survivor.reportStep(0, 0.5);
+    survivor.reportStep(1, 0.25);
+    doomed.reset();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (coord.generation() < 1 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_EQ(coord.generation(), 1u);
+
+    CoordinatorClient late(opts.dist);
+    late.connect("127.0.0.1", coord.port());
+    const auto t0 = std::chrono::steady_clock::now();
+    bool refused = false;
+    std::string what = "welcomed";
+    try {
+        late.registerWorker(0);
+    } catch (const RejoinRefusedError &err) {
+        refused = true;
+        what = err.what();
+    } catch (const RuntimeError &err) {
+        what = err.what();
+    }
+    EXPECT_TRUE(refused) << what;
+    EXPECT_NE(what.find("step 3"), std::string::npos) << what;
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+
+    EXPECT_EQ(survivor.reportStep(2, 0.125).pauseAt, -1);
+    survivor.done(3, 0.125);
+    server.join();
+    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(coord.workersLost(), 1);
+    EXPECT_EQ(coord.generation(), 1u);
+    EXPECT_EQ(coord.losses().size(), 3u);
 }
 
 /** The worker events a coordinator reports to its health sink. They
@@ -618,6 +813,88 @@ TEST(DistJob, SurvivesInjectedSocketFaultsBitIdentically)
         EXPECT_EQ(finalLossLines(faulty.out), ref)
             << "socket faults changed the trajectory:\n"
             << faulty.out;
+    }
+}
+
+/** Every worker's `worker N transfers ... rollbacks K` line from the
+ *  logs runJob wrote to @p dir, sorted (i.e. by worker id). A worker
+ *  prints it after its last report to the coordinator, so it may still
+ *  be on its way when the coordinator exits: wait up to 10 s. */
+std::vector<std::string>
+workerCountLines(const std::string &dir, int numWorkers)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    std::vector<std::string> lines;
+    do {
+        lines.clear();
+        for (int w = 0; w < numWorkers; ++w) {
+            std::ifstream log(dir + "/worker" + std::to_string(w) + ".log");
+            std::string l;
+            while (std::getline(log, l))
+                if (l.find(" transfers ") != std::string::npos)
+                    lines.push_back(l);
+        }
+        if (static_cast<int>(lines.size()) >= numWorkers)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    } while (std::chrono::steady_clock::now() < deadline);
+    std::sort(lines.begin(), lines.end());
+    return lines;
+}
+
+TEST(DistJob, FourWorkerGathersSurviveSocketFaultsWithPinnedCounts)
+{
+    // With four workers every owned slice of the op-boundary
+    // all-gather goes to three peers at once. Under the socket fault
+    // mixes, and with a scheduled drop that exhausts the 4-attempt
+    // retry budget of a step-1 gather transfer to device 2 in every
+    // worker (each process enacts its own copy of the schedule, so
+    // each rolls one exchange back), the losses must equal the
+    // one-worker oracle's and each worker's transfers, bytes, retries
+    // and rollbacks the counts of one send per peer. Those were read
+    // with sequential sends: the mixes alone at the commit before
+    // multicast, the scheduled runs on that commit plus the gather
+    // rollback (without it the exhausted gather ends the worker).
+    const std::string dir = freshDir("dist_netfaults4");
+    const JobResult clean =
+        runJob(std::string("--workers 1 ") + kTinyJob, 1, dir);
+    EXPECT_EQ(clean.rc, 0) << clean.out;
+    const auto ref = finalLossLines(clean.out);
+    ASSERT_EQ(ref.size(), 3u) << clean.out;
+
+    struct Case
+    {
+        std::string faults;
+        int retries[4];
+        int rollbacks;
+    };
+    const std::string mix = "netdrop=0.05,nettrunc=0.03,netdelay=0.05";
+    const std::string exhaust = ",netdrop@step=1:dev=2:fires=4";
+    const Case cases[] = {
+        {mix + ",seed=5", {37, 20, 20, 6}, 0},
+        {mix + ",seed=11", {64, 67, 12, 49}, 0},
+        {mix + ",seed=5" + exhaust, {40, 23, 23, 9}, 1},
+        {mix + ",seed=11" + exhaust, {67, 70, 15, 52}, 1},
+    };
+    for (const Case &want : cases) {
+        SCOPED_TRACE("faults " + want.faults);
+        const JobResult job = runJob(std::string("--workers 4 ") +
+                                         kTinyJob + " --fault-spec " +
+                                         want.faults,
+                                     4, dir);
+        EXPECT_EQ(job.rc, 0) << job.out;
+        EXPECT_EQ(finalLossLines(job.out), ref)
+            << "socket faults changed the trajectory:\n"
+            << job.out;
+        std::vector<std::string> expected;
+        for (int w = 0; w < 4; ++w)
+            expected.push_back(
+                "worker " + std::to_string(w) + " transfers " +
+                (w == 0 ? "876 bytes 293376" : "852 bytes 291840") +
+                " retries " + std::to_string(want.retries[w]) +
+                " rollbacks " + std::to_string(want.rollbacks));
+        EXPECT_EQ(workerCountLines(dir, 4), expected) << job.out;
     }
 }
 
