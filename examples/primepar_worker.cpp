@@ -11,7 +11,9 @@
  *       generation bumps and re-placement when a worker dies.
  *       Prints `PRIMEPAR_COORD_PORT=<port>` on stdout once listening
  *       (scripts parse this to launch the workers), and the final
- *       per-step losses with %.17g precision when the job ends.
+ *       per-step losses with %.17g precision when the job ends;
+ *       --metrics-out writes its MetricsRegistry (worker joins and
+ *       losses). --workers may not exceed --devices.
  *
  *   primepar_worker --connect HOST:PORT [--threads T]
  *       Runs one worker: registers its data-plane listener with the
@@ -29,13 +31,17 @@
  *       and the new worker restores a survivor's checkpoint snapshot
  *       so training resumes on the full grid as if never degraded.
  *       A registration whose re-join barrier would fall at or past the
- *       last step is refused: the worker prints `worker not needed:
- *       <reason>` and exits 0.
+ *       last step is refused, and a survivor left without a device
+ *       when a degrade halves the grid below one device per worker is
+ *       retired: either worker prints `worker not needed: <reason>`
+ *       and exits 0.
  *       A worker that trained ends its stdout with `worker N
  *       transfers T bytes B retries R rollbacks K` (its transport's
  *       delivered transfers and bytes, retried attempts and rolled-back
  *       steps or exchanges) and `worker N peak_rss_kb K`, the process's
- *       own peak resident set.
+ *       own peak resident set. --trace-out writes the worker's spans
+ *       as Chrome-trace JSON and --metrics-out its MetricsRegistry
+ *       (primepar-metrics-v1) when it finishes.
  *
  * Exit codes follow the runtime taxonomy (runtime/errors.hh):
  *   0 ok   1 internal   2 usage   3 transient fault
@@ -86,6 +92,8 @@ struct Options
     int missLimit = 5;
     /** Workers resume from their own checkpoint file when present. */
     bool resume = false;
+    std::string traceOut;   ///< worker: Chrome trace of its spans
+    std::string metricsOut; ///< either role: primepar-metrics-v1
 };
 
 Options
@@ -146,6 +154,10 @@ parseArgs(int argc, char **argv)
             opts.missLimit = std::atoi(next());
         } else if (arg == "--resume") {
             opts.resume = true;
+        } else if (arg == "--trace-out") {
+            opts.traceOut = next();
+        } else if (arg == "--metrics-out") {
+            opts.metricsOut = next();
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
                 "usage: primepar_worker --serve --workers N"
@@ -158,9 +170,10 @@ parseArgs(int argc, char **argv)
                 "           [--checkpoint-dir DIR]"
                 " [--checkpoint-every N]\n"
                 "           [--heartbeat-ms MS] [--miss-limit N]\n"
-                "           [--resume]\n"
+                "           [--resume] [--metrics-out FILE]\n"
                 "   or: primepar_worker --connect HOST:PORT"
                 " [--threads T]\n"
+                "           [--trace-out FILE] [--metrics-out FILE]\n"
                 "exit codes: 0 ok, 1 internal, 2 usage, 3 transient"
                 " fault,\n"
                 "            4 device lost, 5 checkpoint, 6 fenced\n");
@@ -178,6 +191,17 @@ parseArgs(int argc, char **argv)
     }
     if (opts.serve && !isPowerOfTwo(opts.devices)) {
         std::fprintf(stderr, "--devices must be a power of two\n");
+        std::exit(exitcode::Usage);
+    }
+    if (opts.serve && (opts.workers < 1 || opts.workers > opts.devices)) {
+        // Every worker owns at least one device.
+        std::fprintf(stderr,
+                     "--workers must be between 1 and --devices (%d)\n",
+                     opts.devices);
+        std::exit(exitcode::Usage);
+    }
+    if (opts.serve && !opts.traceOut.empty()) {
+        std::fprintf(stderr, "--trace-out is a worker option\n");
         std::exit(exitcode::Usage);
     }
     if (opts.serve && opts.plan != "dp" && opts.plan != "heuristic") {
@@ -264,6 +288,8 @@ runCoordinator(const Options &opts)
     std::fflush(stdout);
 
     const int rc = coord.run();
+    if (!opts.metricsOut.empty())
+        saveJsonFile(opts.metricsOut, registry.snapshotJson());
     for (const auto &[step, loss] : coord.losses())
         std::printf("final step %lld loss %.17g\n",
                     static_cast<long long>(step), loss);
@@ -300,15 +326,7 @@ runWorker(const Options &opts)
     NetListener dataListener;
     dataListener.open(0);
 
-    JsonValue welcome;
-    try {
-        welcome = client.registerWorker(dataListener.port());
-    } catch (const RejoinRefusedError &err) {
-        // The job ends before a re-join could take effect: nothing to
-        // do, and nothing went wrong.
-        std::printf("worker not needed: %s\n", err.what());
-        return exitcode::Ok;
-    }
+    const JsonValue welcome = client.registerWorker(dataListener.port());
     const JsonValue &job = welcome.at("job");
     DistWorld world = DistWorld::fromJson(welcome.at("world"));
     world.myWorker = client.workerId();
@@ -399,13 +417,6 @@ runWorker(const Options &opts)
             next.myWorker = client.workerId();
             *worldRef = next;
         }
-        if (!worldRef->find(worldRef->myWorker))
-            throw FencedWorkerError(
-                "worker " + std::to_string(worldRef->myWorker) +
-                    " is not part of generation " +
-                    std::to_string(worldRef->generation) +
-                    " — superseded",
-                worldRef->generation, worldRef->generation);
         if (worldRef->numBits != bits) {
             // The grid shrank without a worker dying (an in-process
             // device failure, emulated identically in every process):
@@ -413,6 +424,13 @@ runWorker(const Options &opts)
             worldRef->numBits = bits;
             DistWorld::placeDevices(worldRef->workers, bits);
         }
+        if (!worldRef->find(worldRef->myWorker))
+            throw FencedWorkerError(
+                "worker " + std::to_string(worldRef->myWorker) +
+                    " is not part of generation " +
+                    std::to_string(worldRef->generation) +
+                    " — superseded",
+                worldRef->generation, worldRef->generation);
         if (worldRef->workers.size() <= 1) {
             PRIMEPAR_INFORM("worker ", worldRef->myWorker,
                             ": sole survivor; continuing in-process");
@@ -432,6 +450,13 @@ runWorker(const Options &opts)
                 static_cast<long long>(steps));
 
     BlockTrainer trainer(topts);
+    TracingObserver tracer;
+    MetricsRegistry registry;
+    MetricsObserver metrics(&registry);
+    if (!opts.traceOut.empty())
+        trainer.addObserver(&tracer);
+    if (!opts.metricsOut.empty())
+        trainer.addObserver(&metrics);
 
     // A re-join welcome carries the resume barrier and the donor
     // whose step-R checkpoint snapshot holds the state to adopt;
@@ -518,6 +543,15 @@ runWorker(const Options &opts)
             }
         }
     }
+    // Written before the job can end, so they exist once it has.
+    if (!opts.traceOut.empty()) {
+        std::ofstream out(opts.traceOut);
+        out << tracer.snapshot().toChromeJson();
+        if (!out)
+            throw RuntimeError("cannot write " + opts.traceOut);
+    }
+    if (!opts.metricsOut.empty())
+        saveJsonFile(opts.metricsOut, registry.snapshotJson());
     client.done(trainer.step(), lastLoss);
     client.stopHeartbeats();
     std::printf("worker %lld done\n",
@@ -544,6 +578,11 @@ main(int argc, char **argv)
     const Options opts = parseArgs(argc, argv);
     try {
         return opts.serve ? runCoordinator(opts) : runWorker(opts);
+    } catch (const WorkerNotNeededError &err) {
+        // A refused re-join, or a survivor retired when the grid shrank
+        // below one device per worker: nothing to do, nothing wrong.
+        std::printf("worker not needed: %s\n", err.what());
+        return exitcode::Ok;
     } catch (const std::exception &err) {
         std::fprintf(stderr, "primepar_worker: %s\n", err.what());
         return exitcode::forCurrentException();

@@ -59,7 +59,7 @@
 #      flight table shared by concurrent requests (PlanStore.* stays
 #      out: it forks a writer and SIGKILLs it), the coordinator's
 #      reader threads and each client's heartbeat thread beside its
-#      RPCs, and four in-process TcpTransports multicasting over
+#      RPCs, and four in-process TcpTransports all-gathering over
 #      loopback. Any race report fails the gate.
 #
 # --quick skips a sanitizer reconfigure when its build tree is already

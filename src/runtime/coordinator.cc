@@ -75,6 +75,13 @@ struct Coordinator::WorkerState
     bool rejoining = false;
     /** Parked in a "resync" RPC at the re-join barrier. */
     bool resyncing = false;
+    /** Left out of the placement: the grid has fewer devices than live
+     *  workers. Not alive from then on; its RPCs are answered with
+     *  "not_needed". */
+    bool retired = false;
+    /** A retired worker was told so, or went away: the job need not
+     *  wait for it. */
+    bool released = false;
     double finalLoss = 0.0;
     std::thread reader;
 };
@@ -163,15 +170,7 @@ Coordinator::run()
 
     {
         std::lock_guard<std::mutex> lock(mu);
-        placed.clear();
-        for (const auto &w : workers) {
-            WorkerInfo info;
-            info.worker = w->id;
-            info.host = w->host;
-            info.port = w->dataPort;
-            placed.push_back(info);
-        }
-        DistWorld::placeDevices(placed, bits_);
+        placeSurvivors();
     }
 
     // Welcome everyone; from here on, a connection is a liveness lease.
@@ -254,12 +253,51 @@ Coordinator::run()
     return rc;
 }
 
+void
+Coordinator::placeSurvivors()
+{
+    // mu held by caller.
+    placed.clear();
+    for (const auto &w : workers) {
+        if (!w->alive || w->rejoining)
+            continue;
+        WorkerInfo info;
+        info.worker = w->id;
+        info.host = w->host;
+        info.port = w->dataPort;
+        placed.push_back(info);
+    }
+    if (placed.empty())
+        return;
+    DistWorld::placeDevices(placed, bits_);
+    // placeDevices keeps one device per worker at least; whoever it
+    // left out has nothing to run. Retiring is not a loss: no
+    // generation bump, and its later disconnect is not a death.
+    for (auto &w : workers) {
+        if (!w->alive || w->rejoining ||
+            std::any_of(placed.begin(), placed.end(),
+                        [&](const WorkerInfo &p) {
+                            return p.worker == w->id;
+                        }))
+            continue;
+        w->alive = false;
+        w->retired = true;
+        PRIMEPAR_INFORM("coordinator: worker ", w->id,
+                        " retired: ", 1 << bits_, " devices on ",
+                        placed.size(), " workers");
+    }
+}
+
 bool
 Coordinator::finished()
 {
     // mu held by caller.
     bool any_alive = false;
     for (const auto &w : workers) {
+        // A retired worker learns so on its next RPC; keep answering
+        // until it has.
+        if (w->retired && !w->released)
+            return false;
         if (!w->alive || w->rejoining)
             continue;
         any_alive = true;
@@ -326,7 +364,7 @@ Coordinator::tryAcceptRejoin()
             " is at or past the job's " + std::to_string(steps) +
             " steps";
         JsonValue refusal = JsonValue::object();
-        refusal.set("refused", JsonValue(reason));
+        refusal.set("not_needed", JsonValue(reason));
         writeFrame(w->conn,
                    ctrlFrame(FrameType::CtrlResp, "welcome", -1,
                              generation_, refusal),
@@ -345,6 +383,28 @@ Coordinator::tryAcceptRejoin()
 void
 Coordinator::readerLoop(WorkerState &w)
 {
+    // Every answer to a retired worker tells it so.
+    const auto answer = [&](const char *verb, JsonValue resp) {
+        bool retired;
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            retired = w.retired;
+        }
+        if (retired)
+            resp.set("not_needed",
+                     JsonValue("retired: the grid has fewer devices "
+                               "than live workers"));
+        const IoResult r = writeFrame(
+            w.conn,
+            ctrlFrame(FrameType::CtrlResp, verb, -1, generation_, resp),
+            opts.dist.transferDeadlineMs);
+        if (retired) {
+            std::lock_guard<std::mutex> lock(mu);
+            w.released = true;
+            cv.notify_all();
+        }
+        return r;
+    };
     while (!stopping) {
         WireFrame f;
         const IoResult r =
@@ -358,7 +418,9 @@ Coordinator::readerLoop(WorkerState &w)
             {
                 std::lock_guard<std::mutex> lock(mu);
                 was_done = w.done;
+                w.released = true;
             }
+            cv.notify_all();
             // A worker that said "done" closing its connection is a
             // clean exit, not a death.
             if (!was_done)
@@ -412,11 +474,7 @@ Coordinator::readerLoop(WorkerState &w)
                         JsonValue(pendingRejoin_ >= 0 ? resumeStep_
                                                       : -1));
             }
-            if (writeFrame(w.conn,
-                           ctrlFrame(FrameType::CtrlResp, "step", -1,
-                                     generation_, ack),
-                           opts.dist.transferDeadlineMs) !=
-                IoResult::Ok) {
+            if (answer("step", ack) != IoResult::Ok) {
                 markDead(w.id, "closed during step ack");
                 return;
             }
@@ -424,11 +482,7 @@ Coordinator::readerLoop(WorkerState &w)
             const JsonValue world = handleResync(w);
             JsonValue resp = JsonValue::object();
             resp.set("world", world);
-            if (writeFrame(w.conn,
-                           ctrlFrame(FrameType::CtrlResp, "resync",
-                                     -1, generation_, resp),
-                           opts.dist.transferDeadlineMs) !=
-                IoResult::Ok) {
+            if (answer("resync", resp) != IoResult::Ok) {
                 markDead(w.id, "closed during resync reply");
                 return;
             }
@@ -436,14 +490,22 @@ Coordinator::readerLoop(WorkerState &w)
             const JsonValue body = parsePayload(f);
             const std::int64_t suspected =
                 static_cast<std::int64_t>(body.at("worker").asNumber());
-            const JsonValue world = handleSuspect(w, suspected);
+            // A retired worker's accusations no longer count.
+            bool retired;
+            {
+                std::lock_guard<std::mutex> lock(mu);
+                retired = w.retired;
+            }
+            JsonValue world;
+            if (retired) {
+                std::lock_guard<std::mutex> lock(mu);
+                world = currentWorldJson();
+            } else {
+                world = handleSuspect(w, suspected);
+            }
             JsonValue resp = JsonValue::object();
             resp.set("world", world);
-            if (writeFrame(w.conn,
-                           ctrlFrame(FrameType::CtrlResp, "suspect",
-                                     -1, generation_, resp),
-                           opts.dist.transferDeadlineMs) !=
-                IoResult::Ok) {
+            if (answer("suspect", resp) != IoResult::Ok) {
                 markDead(w.id, "closed during suspect reply");
                 return;
             }
@@ -453,11 +515,7 @@ Coordinator::readerLoop(WorkerState &w)
                 std::lock_guard<std::mutex> lock(mu);
                 resp.set("world", currentWorldJson());
             }
-            if (writeFrame(w.conn,
-                           ctrlFrame(FrameType::CtrlResp, "world",
-                                     -1, generation_, resp),
-                           opts.dist.transferDeadlineMs) !=
-                IoResult::Ok) {
+            if (answer("world", resp) != IoResult::Ok) {
                 markDead(w.id, "closed during world reply");
                 return;
             }
@@ -504,18 +562,7 @@ Coordinator::markDead(std::int64_t worker, const std::string &reason)
 
         // Survivors keep their ids; devices are renumbered densely
         // over them, mirroring BlockTrainer's degrade path.
-        placed.clear();
-        for (const auto &cand : workers) {
-            if (!cand->alive || cand->rejoining)
-                continue;
-            WorkerInfo info;
-            info.worker = cand->id;
-            info.host = cand->host;
-            info.port = cand->dataPort;
-            placed.push_back(info);
-        }
-        if (!placed.empty())
-            DistWorld::placeDevices(placed, bits_);
+        placeSurvivors();
         health_->workerLost(worker, gen_after, reason);
         PRIMEPAR_INFORM("coordinator: worker ", worker, " lost (",
                         reason, "); generation now ", gen_after, ", ",
@@ -553,6 +600,8 @@ Coordinator::handleSuspect(WorkerState &from, std::int64_t suspected)
                 confirmed = true; // already dead (or never existed)
                 break;
             }
+            if (s->done)
+                break; // finished the job: gone, but not dead
             if (steadyMs() - s->lastSeenMs > budget_ms) {
                 lock.unlock();
                 markDead(suspected, "suspected by worker " +
@@ -628,17 +677,7 @@ Coordinator::handleResync(WorkerState &from)
                 bits_ = std::min(origBits_, bits_ + 1);
                 rj->rejoining = false;
                 rj->lastSeenMs = steadyMs();
-                placed.clear();
-                for (const auto &cand : workers) {
-                    if (!cand->alive || cand->rejoining)
-                        continue;
-                    WorkerInfo info;
-                    info.worker = cand->id;
-                    info.host = cand->host;
-                    info.port = cand->dataPort;
-                    placed.push_back(info);
-                }
-                DistWorld::placeDevices(placed, bits_);
+                placeSurvivors();
                 // The rejoiner restores the lowest-id survivor's
                 // step-R checkpoint snapshot.
                 std::int64_t donor = -1;
@@ -782,7 +821,11 @@ CoordinatorClient::rpc(const char *verb, const JsonValue &body,
             resp.tensor == respVerb)
             break;
     }
-    return parsePayload(resp);
+    JsonValue out = parsePayload(resp);
+    if (const JsonValue *why = out.find("not_needed"))
+        throw WorkerNotNeededError(std::string("coordinator answered '") +
+                                   verb + "': " + why->asString());
+    return out;
 }
 
 JsonValue
@@ -794,9 +837,6 @@ CoordinatorClient::registerWorker(int dataPort)
     const JsonValue welcome =
         rpc("register", body,
             std::max(10000, dist.connectTimeoutMs * 10), "welcome");
-    if (const JsonValue *refused = welcome.find("refused"))
-        throw RejoinRefusedError("coordinator refused the registration: " +
-                                 refused->asString());
     myId = static_cast<std::int64_t>(welcome.at("worker").asNumber());
     // A rejoiner's welcome arrives from a later generation; adopt it.
     generation_ = 0;

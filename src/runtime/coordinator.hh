@@ -99,11 +99,12 @@ struct CoordinatorOptions
 };
 
 /**
- * The coordinator refused a late registration: its re-join barrier
- * would fall at or past the job's last step, so there is nothing left
- * to join.
+ * The coordinator has no place for this worker: a late registration
+ * whose re-join barrier would fall at or past the job's last step, or
+ * a survivor retired when a degrade left fewer devices than workers.
+ * Nothing went wrong; the worker should exit.
  */
-class RejoinRefusedError : public RuntimeError
+class WorkerNotNeededError : public RuntimeError
 {
   public:
     using RuntimeError::RuntimeError;
@@ -166,6 +167,9 @@ class Coordinator
     /** Poll the listener for a late registration (allowRejoin only). */
     void tryAcceptRejoin();
     JsonValue currentWorldJson();
+    /** Re-place the grid over the live workers in id order; those past
+     *  one device per worker are retired (mu held by caller). */
+    void placeSurvivors();
     bool finished();
 
     CoordinatorOptions opts;
@@ -217,8 +221,9 @@ class CoordinatorClient
      * Register this worker's data-plane listener port; blocks until
      * every worker registered and returns the welcome document
      * ({"worker": id, "world": {...}, "job": {...}}). Throws
-     * RejoinRefusedError when the coordinator refuses a late
-     * registration into a degraded job.
+     * WorkerNotNeededError when the coordinator refuses a late
+     * registration into a degraded job; every other RPC throws it
+     * once the coordinator retired this worker.
      */
     JsonValue registerWorker(int dataPort);
 

@@ -69,79 +69,6 @@ get(const std::uint8_t *p)
     return v;
 }
 
-/** Read exactly @p n bytes before the deadline. */
-IoResult
-readExact(int fd, std::uint8_t *out, std::size_t n,
-          std::int64_t deadline_at)
-{
-    std::size_t got = 0;
-    while (got < n) {
-        const std::int64_t left = deadline_at - nowMs();
-        if (left <= 0)
-            return IoResult::Timeout;
-        if (!waitReadable(fd, static_cast<int>(left)))
-            return IoResult::Timeout;
-        const ssize_t r = ::recv(fd, out + got, n - got, 0);
-        if (r == 0)
-            return IoResult::Closed;
-        if (r < 0) {
-            if (errno == EINTR || errno == EAGAIN)
-                continue;
-            return IoResult::Closed;
-        }
-        got += static_cast<std::size_t>(r);
-    }
-    return IoResult::Ok;
-}
-
-/**
- * Write the @p count buffers of @p parts back to back, in full, before
- * the deadline (one gather write per wakeup, so a frame's header and
- * payload leave in one segment). A peer that stops draining its
- * receive buffer (a stalled or wedged process) makes sendmsg() block /
- * return EAGAIN forever; the deadline bounds that the same way
- * readExact bounds a silent sender, so the caller maps the outcome
- * onto the fault taxonomy instead of hanging.
- */
-IoResult
-writeExact(int fd, struct iovec *parts, int count, std::int64_t deadline_at)
-{
-    while (count > 0 && parts->iov_len == 0) {
-        ++parts;
-        --count;
-    }
-    while (count > 0) {
-        const std::int64_t left = deadline_at - nowMs();
-        if (left <= 0)
-            return IoResult::Timeout;
-        if (!waitWritable(fd, static_cast<int>(left)))
-            return IoResult::Timeout;
-        struct msghdr msg{};
-        msg.msg_iov = parts;
-        msg.msg_iovlen = static_cast<std::size_t>(count);
-        const ssize_t r =
-            ::sendmsg(fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
-        if (r < 0) {
-            if (errno == EINTR || errno == EAGAIN ||
-                errno == EWOULDBLOCK)
-                continue;
-            return IoResult::Closed;
-        }
-        auto sent = static_cast<std::size_t>(r);
-        while (count > 0 && sent >= parts->iov_len) {
-            sent -= parts->iov_len;
-            ++parts;
-            --count;
-        }
-        if (count > 0) {
-            parts->iov_base = static_cast<std::uint8_t *>(parts->iov_base) +
-                              sent;
-            parts->iov_len -= sent;
-        }
-    }
-    return IoResult::Ok;
-}
-
 /** The wire bytes of @p f before its payload: header, channel, tensor. */
 std::vector<std::uint8_t>
 encodeHead(const WireFrame &f)
@@ -296,76 +223,176 @@ IoResult
 writeFrame(NetSocket &sock, const WireFrame &f, int deadline_ms,
            std::int64_t truncate_to)
 {
-    if (!sock.valid())
-        return IoResult::Closed;
-    // The payload leaves from the frame itself, not from a copy: a
-    // frame written to several peers copies its payload no more.
-    std::vector<std::uint8_t> head = encodeHead(f);
-    struct iovec parts[2] = {
-        {head.data(), head.size()},
-        {const_cast<std::uint8_t *>(f.payload.data()), f.payload.size()}};
-    const std::size_t total = head.size() + f.payload.size();
-    std::size_t n = total;
-    if (truncate_to >= 0 && static_cast<std::size_t>(truncate_to) < n) {
-        n = static_cast<std::size_t>(truncate_to);
-        parts[0].iov_len = std::min(parts[0].iov_len, n);
-        parts[1].iov_len = n - parts[0].iov_len;
-    }
-    const IoResult r = writeExact(sock.fd(), parts, 2, nowMs() + deadline_ms);
+    FrameWriter w;
+    w.start(f, truncate_to);
+    const IoResult r = w.finish(sock, deadline_ms);
     if (r != IoResult::Ok)
         return r;
     // A deliberately truncated frame (NetTruncate fault) is a send
     // failure from the caller's point of view: the peer can never
     // consume it.
-    return n == total ? IoResult::Ok : IoResult::Closed;
+    return w.truncated() ? IoResult::Closed : IoResult::Ok;
 }
 
 IoResult
 readFrame(NetSocket &sock, WireFrame &out, int deadline_ms)
 {
+    FrameReader r;
+    return r.finish(sock, out, deadline_ms);
+}
+
+void
+FrameWriter::start(const WireFrame &f, std::int64_t truncate_to)
+{
+    head = encodeHead(f);
+    payload = f.payload.data();
+    total = head.size() + f.payload.size();
+    limit = truncate_to >= 0
+                ? std::min(total, static_cast<std::size_t>(truncate_to))
+                : total;
+    sent = 0;
+}
+
+IoResult
+FrameWriter::step(NetSocket &sock)
+{
     if (!sock.valid())
         return IoResult::Closed;
-    const std::int64_t deadline_at = nowMs() + deadline_ms;
-    std::uint8_t hdr[kHeaderBytes];
-    IoResult r = readExact(sock.fd(), hdr, kHeaderBytes, deadline_at);
-    if (r != IoResult::Ok)
-        return r;
-    if (get<std::uint32_t>(hdr) != kFrameMagic)
-        return IoResult::Malformed;
-    out.type = static_cast<FrameType>(get<std::uint8_t>(hdr + 4));
-    const std::uint16_t channel_len = get<std::uint16_t>(hdr + 6);
-    out.generation = get<std::uint64_t>(hdr + 8);
-    out.seq = get<std::uint64_t>(hdr + 16);
-    out.trainStep = get<std::int64_t>(hdr + 24);
-    out.phase = get<std::uint32_t>(hdr + 32);
-    out.temporalStep = get<std::uint32_t>(hdr + 36);
-    out.sender = get<std::int64_t>(hdr + 40);
-    out.receiver = get<std::int64_t>(hdr + 48);
-    const std::uint32_t tensor_len = get<std::uint32_t>(hdr + 56);
-    out.status = static_cast<FrameStatus>(get<std::uint32_t>(hdr + 60));
-    const std::uint64_t payload_len = get<std::uint64_t>(hdr + 64);
-    out.checksum = get<std::uint64_t>(hdr + 72);
-    if (channel_len > kMaxNameBytes || tensor_len > kMaxNameBytes ||
-        payload_len > kMaxPayloadBytes)
-        return IoResult::Malformed;
-
-    std::vector<std::uint8_t> names(channel_len + tensor_len);
-    if (!names.empty()) {
-        r = readExact(sock.fd(), names.data(), names.size(),
-                      deadline_at);
-        if (r != IoResult::Ok)
-            return r;
-    }
-    out.channel.assign(names.begin(), names.begin() + channel_len);
-    out.tensor.assign(names.begin() + channel_len, names.end());
-    out.payload.resize(payload_len);
-    if (payload_len > 0) {
-        r = readExact(sock.fd(), out.payload.data(), payload_len,
-                      deadline_at);
-        if (r != IoResult::Ok)
-            return r;
+    while (sent < limit) {
+        // Header and payload leave in one gather write per wakeup, so
+        // a small frame is one segment; the payload is sent in place.
+        struct iovec parts[2];
+        std::size_t count = 0;
+        const std::size_t head_end = std::min(head.size(), limit);
+        if (sent < head_end)
+            parts[count++] = {head.data() + sent, head_end - sent};
+        if (limit > head.size()) {
+            const std::size_t from = std::max(sent, head.size()) - head.size();
+            parts[count++] = {const_cast<std::uint8_t *>(payload) + from,
+                              limit - head.size() - from};
+        }
+        struct msghdr msg{};
+        msg.msg_iov = parts;
+        msg.msg_iovlen = count;
+        const ssize_t r =
+            ::sendmsg(sock.fd(), &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+        if (r < 0) {
+            if (errno == EINTR)
+                continue;
+            if (errno == EAGAIN || errno == EWOULDBLOCK)
+                return IoResult::Timeout;
+            return IoResult::Closed;
+        }
+        sent += static_cast<std::size_t>(r);
     }
     return IoResult::Ok;
+}
+
+IoResult
+FrameWriter::finish(NetSocket &sock, int deadline_ms)
+{
+    // A peer that stops draining its receive buffer (a stalled or
+    // wedged process) would block the write forever; the deadline
+    // bounds it the way it bounds a read from a silent sender.
+    const std::int64_t deadline_at = nowMs() + deadline_ms;
+    for (;;) {
+        const IoResult r = step(sock);
+        if (r != IoResult::Timeout)
+            return r;
+        const std::int64_t left = deadline_at - nowMs();
+        if (left <= 0 || !waitWritable(sock.fd(), static_cast<int>(left)))
+            return IoResult::Timeout;
+    }
+}
+
+IoResult
+FrameReader::step(NetSocket &sock, WireFrame &out)
+{
+    if (!sock.valid())
+        return IoResult::Closed;
+    const auto fail = [this](IoResult r) {
+        got = total = 0;
+        return r;
+    };
+    for (;;) {
+        if (total > 0 && got == total) {
+            const std::size_t channel_len = get<std::uint16_t>(hdr + 6);
+            frame.channel.assign(names.begin(),
+                                 names.begin() +
+                                     static_cast<std::ptrdiff_t>(channel_len));
+            frame.tensor.assign(names.begin() +
+                                    static_cast<std::ptrdiff_t>(channel_len),
+                                names.end());
+            out = std::move(frame);
+            frame = WireFrame{};
+            got = total = 0;
+            return IoResult::Ok;
+        }
+        // Read no further than this frame's end.
+        std::uint8_t *dst;
+        std::size_t want;
+        if (got < kHeaderBytes) {
+            dst = hdr + got;
+            want = kHeaderBytes - got;
+        } else if (got < kHeaderBytes + names.size()) {
+            dst = names.data() + (got - kHeaderBytes);
+            want = kHeaderBytes + names.size() - got;
+        } else {
+            const std::size_t off = got - kHeaderBytes - names.size();
+            dst = frame.payload.data() + off;
+            want = frame.payload.size() - off;
+        }
+        const ssize_t r = ::recv(sock.fd(), dst, want, MSG_DONTWAIT);
+        if (r == 0)
+            return fail(IoResult::Closed);
+        if (r < 0) {
+            if (errno == EINTR)
+                continue;
+            if (errno == EAGAIN || errno == EWOULDBLOCK)
+                return IoResult::Timeout;
+            return fail(IoResult::Closed);
+        }
+        got += static_cast<std::size_t>(r);
+        if (got < kHeaderBytes || total > 0)
+            continue;
+
+        if (get<std::uint32_t>(hdr) != kFrameMagic)
+            return fail(IoResult::Malformed);
+        frame.type = static_cast<FrameType>(get<std::uint8_t>(hdr + 4));
+        const std::uint16_t channel_len = get<std::uint16_t>(hdr + 6);
+        frame.generation = get<std::uint64_t>(hdr + 8);
+        frame.seq = get<std::uint64_t>(hdr + 16);
+        frame.trainStep = get<std::int64_t>(hdr + 24);
+        frame.phase = get<std::uint32_t>(hdr + 32);
+        frame.temporalStep = get<std::uint32_t>(hdr + 36);
+        frame.sender = get<std::int64_t>(hdr + 40);
+        frame.receiver = get<std::int64_t>(hdr + 48);
+        const std::uint32_t tensor_len = get<std::uint32_t>(hdr + 56);
+        frame.status =
+            static_cast<FrameStatus>(get<std::uint32_t>(hdr + 60));
+        const std::uint64_t payload_len = get<std::uint64_t>(hdr + 64);
+        frame.checksum = get<std::uint64_t>(hdr + 72);
+        if (channel_len > kMaxNameBytes || tensor_len > kMaxNameBytes ||
+            payload_len > kMaxPayloadBytes)
+            return fail(IoResult::Malformed);
+        names.resize(channel_len + tensor_len);
+        frame.payload.resize(payload_len);
+        total = kHeaderBytes + names.size() + payload_len;
+    }
+}
+
+IoResult
+FrameReader::finish(NetSocket &sock, WireFrame &out, int deadline_ms)
+{
+    const std::int64_t deadline_at = nowMs() + deadline_ms;
+    for (;;) {
+        const IoResult r = step(sock, out);
+        if (r != IoResult::Timeout)
+            return r;
+        const std::int64_t left = deadline_at - nowMs();
+        if (left <= 0 || !waitReadable(sock.fd(), static_cast<int>(left)))
+            return IoResult::Timeout;
+    }
 }
 
 } // namespace primepar

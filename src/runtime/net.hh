@@ -165,6 +165,64 @@ IoResult writeFrame(NetSocket &sock, const WireFrame &f,
  */
 IoResult readFrame(NetSocket &sock, WireFrame &out, int deadline_ms);
 
+/**
+ * One frame written piecewise, so a poll loop can feed several sockets
+ * without blocking on any. The payload leaves from the frame passed to
+ * start(), which must outlive the write. writeFrame() is start() plus
+ * finish().
+ */
+class FrameWriter
+{
+  public:
+    /** Encode @p f's header; @p truncate_to as in writeFrame(). */
+    void start(const WireFrame &f, std::int64_t truncate_to = -1);
+
+    /** True once any byte of the frame has left: the socket then
+     *  holds part of a frame until the rest follows. */
+    bool started() const { return sent > 0; }
+    bool done() const { return sent == limit; }
+    /** The frame stops short of its end (the NetTruncate fault). */
+    bool truncated() const { return limit < total; }
+
+    /** Send what the socket takes now: Ok once the frame is out,
+     *  Timeout while some of it is left, Closed on a socket error. */
+    IoResult step(NetSocket &sock);
+
+    /** Send the rest within @p deadline_ms. */
+    IoResult finish(NetSocket &sock, int deadline_ms);
+
+  private:
+    std::vector<std::uint8_t> head;
+    const std::uint8_t *payload = nullptr;
+    std::size_t sent = 0, limit = 0, total = 0;
+};
+
+/**
+ * One frame read piecewise (the reading side of FrameWriter). It never
+ * reads past the frame's end, so the next frame stays in the socket
+ * for whoever reads next. readFrame() is finish() on a fresh reader.
+ */
+class FrameReader
+{
+  public:
+    /** True once any byte of the next frame has been consumed. */
+    bool started() const { return got > 0; }
+
+    /** Read what the socket holds of the frame: Ok with @p out filled
+     *  once it is complete, Timeout while it is not, Closed or
+     *  Malformed as readFrame(). */
+    IoResult step(NetSocket &sock, WireFrame &out);
+
+    /** Read the rest within @p deadline_ms. */
+    IoResult finish(NetSocket &sock, WireFrame &out, int deadline_ms);
+
+  private:
+    std::uint8_t hdr[80]; ///< the fixed header (see file comment)
+    std::vector<std::uint8_t> names;
+    WireFrame frame;
+    std::size_t got = 0, total = 0;
+};
+
 } // namespace primepar
 
 #endif // PRIMEPAR_RUNTIME_NET_HH

@@ -71,79 +71,76 @@ SpmdOpExecutor::slicesOf(const TensorRef &ref) const
         slice_shape.push_back(r.length());
 
     // Non-owned ranks have no local data: their slices arrive over
-    // the transport's "gather" channel in one all-gather. Every
-    // participant walks the ranks in the same ascending order — the
-    // owner multicasts each slice to one representative rank per peer
-    // span, everyone else receives exactly once — so the pairwise
-    // wire order matches on both ends of every socket. Slices travel
-    // as raw bytes, so the received values equal the owner's, i.e. a
-    // one-worker run's. A received replica of a box already held is
-    // bitwise the same slice (an all-reduce broadcast), so it is
-    // dropped: the set then holds at most one tensor's worth.
+    // the transport's "gather" channel in one exchange. Every
+    // participant lists the ranks in the same ascending order — an
+    // owned slice goes to one representative rank per peer span, a
+    // non-owned one is received exactly once from its owner — so the
+    // pairwise order matches on both ends of every socket. Slices
+    // travel as raw bytes, so the received values equal the owner's,
+    // i.e. a one-worker run's. A received replica of a box already
+    // held is bitwise the same slice (an all-reduce broadcast), so it
+    // lands in a discarded scratch slot: the set then holds at most
+    // one tensor's worth.
+    const bool tracing = observed();
+    const double t0 = tracing ? observerNowUs() : 0.0;
     const std::vector<DeviceSpan> peers =
         (!ownedSpan.all() && transport) ? transport->peerSpans()
                                         : std::vector<DeviceSpan>{};
-    const bool tracing = observed() && !ownedSpan.all();
-    const std::string label =
-        tracing ? op.name + " gather " + name : std::string();
     std::set<std::vector<SliceRange>> kept;
     if (!ownedSpan.all())
         for (std::int64_t dev = ownedFirst();
              dev < ownedFirst() + ownedCount(); ++dev)
             kept.insert(set.boxes[dev]);
-    // A transfer whose retry budget runs out rolls the exchange back to
-    // that transfer: the owner re-issues its multicast from the failed
-    // receiver on (the ones before it hold the slice), the receiver its
-    // receive, so both ends re-issue the same wire sequence.
-    std::vector<std::int64_t> receivers;
+    Tensor replica;
+    std::vector<ExchangeOp> ops;
     for (std::int64_t dev = 0; dev < devices; ++dev) {
-        const double t0 = tracing ? observerNowUs() : 0.0;
-        TransferTag tag;
-        tag.tensor = name;
-        tag.channel = "gather";
-        tag.phase = Phase::Forward;
-        tag.temporalStep = 0;
-        tag.sender = dev;
+        ExchangeOp op;
+        op.tag.tensor = name;
+        op.tag.channel = "gather";
+        op.tag.phase = Phase::Forward;
+        op.tag.temporalStep = 0;
+        op.tag.sender = dev;
         if (ownsDev(dev)) {
             set.held[dev] = &store[dev].data;
-            receivers.clear();
+            op.payload = &store[dev].data;
             for (const DeviceSpan &peer : peers)
-                if (!peer.owns(dev) && peer.count > 0)
-                    receivers.push_back(peer.first);
-            for (int tries = 0; !receivers.empty(); ++tries) {
-                try {
-                    transport->multicast(tag, store[dev].data, receivers);
-                    break;
-                } catch (const TransientFaultError &err) {
-                    rollBack(err, tries, "gather re-issued after: ");
-                    const auto failed = std::find(
-                        receivers.begin(), receivers.end(), err.receiver);
-                    PRIMEPAR_ASSERT(failed != receivers.end(),
-                                    "multicast of ", name, " failed on ",
-                                    err.receiver, ", not a receiver");
-                    receivers.erase(receivers.begin(), failed);
+                if (!peer.owns(dev) && peer.count > 0) {
+                    op.tag.receiver = peer.first;
+                    ops.push_back(op);
                 }
-            }
-        } else {
-            PRIMEPAR_ASSERT(transport, "gather of non-owned device ",
-                            dev, " without a transport");
-            tag.receiver = ownedFirst();
-            Tensor slice(slice_shape);
-            for (int tries = 0;; ++tries) {
-                try {
-                    transport->transferInto(tag, Tensor{}, slice);
-                    break;
-                } catch (const TransientFaultError &err) {
-                    rollBack(err, tries, "gather re-issued after: ");
-                }
-            }
-            if (kept.insert(set.boxes[dev]).second)
-                set.received[dev] = std::move(slice);
+            continue;
         }
-        if (tracing)
-            health->span(dev, SpanKind::Redist, label, t0,
-                         observerNowUs());
+        PRIMEPAR_ASSERT(transport, "gather of non-owned device ", dev,
+                        " without a transport");
+        op.tag.receiver = ownedFirst();
+        if (kept.insert(set.boxes[dev]).second) {
+            set.received[dev] = Tensor(slice_shape);
+            op.dst = &set.received[dev];
+        } else {
+            if (replica.shape() != slice_shape)
+                replica = Tensor(slice_shape);
+            op.dst = &replica;
+        }
+        ops.push_back(op);
     }
+    if (ops.empty())
+        return set;
+
+    // A transfer whose retry budget runs out rolls the exchange back to
+    // that transfer: both of its ends call again, and each re-issues
+    // only the transfers it has not seen delivered, so the wire
+    // sequences realign.
+    for (int tries = 0;; ++tries) {
+        try {
+            transport->exchange(ops);
+            break;
+        } catch (const TransientFaultError &err) {
+            rollBack(err, tries, "gather re-issued after: ");
+        }
+    }
+    if (tracing)
+        health->span(ownedFirst(), SpanKind::Redist,
+                     op.name + " gather " + name, t0, observerNowUs());
     return set;
 }
 

@@ -1,10 +1,13 @@
 #include "tcp_transport.hh"
 
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <thread>
+
+#include <poll.h>
 
 #include "errors.hh"
 #include "observer.hh"
@@ -66,6 +69,10 @@ DistWorld::placeDevices(std::vector<WorkerInfo> &workers, int bits)
 {
     PRIMEPAR_ASSERT(!workers.empty(), "placing devices on no workers");
     const std::int64_t devices = std::int64_t{1} << bits;
+    // No worker is placed on zero devices: past one worker per device,
+    // the rest are left out.
+    if (static_cast<std::int64_t>(workers.size()) > devices)
+        workers.resize(static_cast<std::size_t>(devices));
     const std::int64_t n = static_cast<std::int64_t>(workers.size());
     const std::int64_t base = devices / n;
     const std::int64_t rem = devices % n;
@@ -129,6 +136,13 @@ DistWorld::fromJson(const JsonValue &v)
 // ---------------------------------------------------------------------
 // TcpTransport
 // ---------------------------------------------------------------------
+
+/** One wire transfer as its sender sees it: its transfer tag and owning worker. */
+struct TcpTransport::Leg
+{
+    TransferTag tag;
+    std::int64_t peer = -1;
+};
 
 TcpTransport::TcpTransport(TransportOptions opts_in, DistOptions dist_in,
                            DistWorld world_in, NetListener *listener_in,
@@ -326,7 +340,9 @@ TcpTransport::transferInto(const TransferTag &tag_in,
         // transport.
         inner->transferInto(tag_in, payload, dst);
     } else if (world_.myWorker == senderOwner) {
-        sendWire(tag, payload, {tag.receiver});
+        const double t0 = health ? health->clockUs() : 0.0;
+        WireFrame f = dataFrame(tag, payload);
+        sendLoop(f, {tag, receiverOwner}, 0, std::nullopt, t0);
     } else {
         recvWire(tag, payload, dst, senderOwner);
     }
@@ -353,13 +369,6 @@ TcpTransport::peerSpans() const
     return spans;
 }
 
-/** One receiver of a wire send: its transfer tag and owning worker. */
-struct TcpTransport::Leg
-{
-    TransferTag tag;
-    std::int64_t peer = -1;
-};
-
 std::uint64_t
 TcpTransport::wireSeqWith(std::int64_t peer) const
 {
@@ -367,42 +376,11 @@ TcpTransport::wireSeqWith(std::int64_t peer) const
     return it == wireSeq.end() ? 0 : it->second;
 }
 
-void
-TcpTransport::multicast(const TransferTag &tag_in, const Tensor &payload,
-                        const std::vector<std::int64_t> &receivers)
+WireFrame
+TcpTransport::dataFrame(const TransferTag &tag, const Tensor &payload) const
 {
-    TransferTag tag = tag_in;
-    tag.trainStep = trainStep;
-    PRIMEPAR_ASSERT(world_.ownerOf(tag.sender) == world_.myWorker,
-                    "worker ", world_.myWorker, " multicasts device ",
-                    tag.sender, ", which it does not own");
-    sendWire(tag, payload, receivers);
-}
-
-void
-TcpTransport::sendWire(const TransferTag &tag, const Tensor &payload,
-                       const std::vector<std::int64_t> &receivers)
-{
-    const double t0 = health ? health->clockUs() : 0.0;
-    std::vector<Leg> legs;
-    for (const std::int64_t receiver : receivers) {
-        Leg leg{tag, world_.ownerOf(receiver)};
-        leg.tag.receiver = receiver;
-        PRIMEPAR_ASSERT(leg.peer >= 0 && leg.peer != world_.myWorker,
-                        "wire send ", tag.sender, "->", receiver,
-                        " to a device no other worker owns");
-        for (const Leg &other : legs)
-            PRIMEPAR_ASSERT(other.peer != leg.peer, "two receivers ",
-                            other.tag.receiver, " and ", receiver,
-                            " on worker ", leg.peer, " in one send");
-        legs.push_back(std::move(leg));
-    }
-
-    // One frame for every peer: the payload is copied and checksummed
-    // once; seq and receiver are stamped per peer.
-    const std::size_t payload_bytes =
+    const std::size_t bytes =
         static_cast<std::size_t>(payload.numel()) * sizeof(float);
-    const auto *raw = reinterpret_cast<const std::uint8_t *>(payload.data());
     WireFrame f;
     f.type = FrameType::Data;
     f.generation = world_.generation;
@@ -412,49 +390,286 @@ TcpTransport::sendWire(const TransferTag &tag, const Tensor &payload,
     f.sender = tag.sender;
     f.channel = tag.channel;
     f.tensor = tag.tensor;
-    f.payload.assign(raw, raw + payload_bytes);
-    f.checksum = checksumBytes(f.payload.data(), f.payload.size());
+    f.payload.resize(bytes);
+    f.checksum = checksumCopyBytes(f.payload.data(), payload.data(), bytes);
+    return f;
+}
 
-    // Post the frame to every peer up to the first whose attempt-0
-    // draw is a fault, so each draw happens once and in the order
-    // sequential sends would take it.
-    std::size_t posted = 0;
-    std::vector<bool> sent;
-    FaultKind drawn = FaultKind::None;
-    for (; posted < legs.size(); ++posted) {
-        const Leg &leg = legs[posted];
-        drawn = injector ? injector->decideNet(leg.tag, 0)
-                         : FaultKind::None;
-        if (drawn != FaultKind::None)
+void
+TcpTransport::exchange(std::vector<ExchangeOp> &ops)
+{
+    const double t0 = health ? health->clockUs() : 0.0;
+    // One leg per op left to run, in list order; consecutive sends of
+    // one payload share a frame.
+    struct Xfer
+    {
+        ExchangeOp *op;
+        Leg leg;
+        std::size_t frame;
+        std::optional<FaultKind> drawn;
+    };
+    std::vector<Xfer> xs;
+    std::vector<WireFrame> frames;
+    const ExchangeOp *framed = nullptr;
+    for (ExchangeOp &op : ops) {
+        if (op.done)
+            continue;
+        Xfer x{&op, {op.tag, -1}, 0, std::nullopt};
+        x.leg.tag.trainStep = trainStep;
+        const std::int64_t local =
+            op.payload ? op.tag.sender : op.tag.receiver;
+        x.leg.peer =
+            world_.ownerOf(op.payload ? op.tag.receiver : op.tag.sender);
+        PRIMEPAR_ASSERT(world_.ownerOf(local) == world_.myWorker &&
+                            x.leg.peer >= 0 &&
+                            x.leg.peer != world_.myWorker,
+                        "exchange transfer ", op.tag.sender, "->",
+                        op.tag.receiver, " is no wire transfer of worker ",
+                        world_.myWorker);
+        if (op.payload) {
+            const bool shared =
+                framed && framed->payload == op.payload &&
+                framed->tag.sender == op.tag.sender &&
+                framed->tag.tensor == op.tag.tensor &&
+                framed->tag.channel == op.tag.channel &&
+                framed->tag.phase == op.tag.phase &&
+                framed->tag.temporalStep == op.tag.temporalStep;
+            if (!shared)
+                frames.push_back(dataFrame(x.leg.tag, *op.payload));
+            framed = &op;
+            x.frame = frames.size() - 1;
+        }
+        xs.push_back(std::move(x));
+    }
+
+    // Attempt-0 draws in list order, as sequential sends take them, up
+    // to the first fault. The loop runs the ops before it, and before
+    // the first op whose peer has no live connection: connecting
+    // blocks, so it happens in list order.
+    std::size_t cut = xs.size();
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        if (!xs[i].op->payload)
+            continue;
+        xs[i].drawn = injector ? injector->decideNet(xs[i].leg.tag, 0)
+                               : FaultKind::None;
+        if (*xs[i].drawn != FaultKind::None) {
+            cut = i;
             break;
-        NetSocket &s = ensurePeer(leg.peer, leg.tag);
-        f.seq = wireSeq[leg.peer];
-        f.receiver = leg.tag.receiver;
-        sent.push_back(writeFrame(s, f, dist.transferDeadlineMs) ==
-                       IoResult::Ok);
-        if (!sent.back()) {
-            if (health)
-                health->faultDetected(
-                    &RuntimeHealth::dropsDetected,
-                    FaultEvent::at(leg.tag, FaultKind::NetDrop,
-                                   "send failed: connection lost", 0));
-            dropPeer(leg.peer);
         }
     }
-    // Their acks, in the same order; a failed attempt 0 goes on in
-    // the per-peer loop.
-    for (std::size_t i = 0; i < posted; ++i) {
-        if (sent[i] && awaitAck(legs[i], wireSeq[legs[i].peer], 0))
-            delivered(legs[i], payload_bytes, 0, t0);
-        else
-            sendLoop(f, legs[i], 1, std::nullopt, t0);
+    for (std::size_t i = 0; i < cut; ++i) {
+        const auto it = conns.find(xs[i].leg.peer);
+        if (it == conns.end() || !it->second.valid()) {
+            cut = i;
+            break;
+        }
     }
-    // From the first faulted peer on, one peer at a time.
-    for (std::size_t i = posted; i < legs.size(); ++i)
-        sendLoop(f, legs[i], 0,
-                 i == posted ? std::optional<FaultKind>(drawn)
-                             : std::nullopt,
-                 t0);
+
+    // One socket per peer: its ops in list order, the current one's
+    // stage, and its frame in and out.
+    enum class Stage { Idle, Writing, Acking };
+    struct PeerIo
+    {
+        std::int64_t peer;
+        std::vector<std::size_t> queue;
+        std::size_t next = 0;
+        Stage stage = Stage::Idle;
+        double t0 = 0.0;
+        FrameWriter out;
+        FrameReader in;
+        std::optional<Inbound> got;
+
+        bool busy() const { return next < queue.size(); }
+    };
+    std::vector<PeerIo> pairs;
+    auto pairOf = [&pairs](std::int64_t peer) -> PeerIo * {
+        for (PeerIo &p : pairs)
+            if (p.peer == peer)
+                return &p;
+        return nullptr;
+    };
+    for (std::size_t i = 0; i < cut; ++i) {
+        PeerIo *p = pairOf(xs[i].leg.peer);
+        if (!p) {
+            pairs.emplace_back();
+            p = &pairs.back();
+            p->peer = xs[i].leg.peer;
+            p->t0 = t0;
+        }
+        p->queue.push_back(i);
+    }
+
+    // Advance @p p as far as its socket allows without blocking; false
+    // hands the exchange over to the sequential paths. @p readable:
+    // a frame may be waiting (no read is tried when none can be).
+    const auto pump = [&](PeerIo &p, bool readable) {
+        while (p.busy()) {
+            // Looked up afresh: a failed ack write drops the socket.
+            const auto conn = conns.find(p.peer);
+            if (conn == conns.end() || !conn->second.valid())
+                return false;
+            NetSocket &s = conn->second;
+            Xfer &x = xs[p.queue[p.next]];
+            if (x.op->payload && p.stage == Stage::Idle) {
+                WireFrame &f = frames[x.frame];
+                f.seq = wireSeq[p.peer];
+                f.receiver = x.leg.tag.receiver;
+                p.out.start(f);
+                p.stage = Stage::Writing;
+            }
+            if (p.stage == Stage::Writing) {
+                const IoResult w = p.out.step(s);
+                if (w == IoResult::Timeout)
+                    return true;
+                if (w != IoResult::Ok)
+                    return false;
+                p.stage = Stage::Acking;
+                readable = false; // the peer has yet to read it
+            }
+            if (!readable)
+                return true;
+            WireFrame f;
+            const IoResult r = p.in.step(s, f);
+            if (r == IoResult::Timeout)
+                return true;
+            const std::uint64_t seq = wireSeq[p.peer];
+            const bool clean =
+                r == IoResult::Ok &&
+                (x.op->payload
+                     ? f.type == FrameType::Ack &&
+                           f.status == FrameStatus::Ok && f.seq == seq
+                     : expectedData(f, x.leg.tag, p.peer,
+                                    static_cast<std::size_t>(
+                                        x.op->dst->numel()) *
+                                        sizeof(float)));
+            if (!clean) {
+                p.got = Inbound{r, std::move(f)};
+                return false;
+            }
+            // After its ack the peer may have sent its next frame at
+            // once; after ours it waits for us.
+            readable = x.op->payload != nullptr;
+            if (x.op->payload) {
+                delivered(x.leg, frames[x.frame].payload.size(), 0, p.t0);
+            } else {
+                std::memcpy(x.op->dst->data(), f.payload.data(),
+                            f.payload.size());
+                sendAck(p.peer, seq, FrameStatus::Ok);
+                ++wireSeq[p.peer];
+                if (health)
+                    health->transferred(
+                        x.leg.tag,
+                        static_cast<std::int64_t>(f.payload.size()), 1,
+                        p.t0);
+            }
+            x.op->done = true;
+            ++p.next;
+            p.stage = Stage::Idle;
+            p.t0 = health ? health->clockUs() : 0.0;
+        }
+        return true;
+    };
+
+    try {
+        bool looping = true;
+        for (PeerIo &p : pairs)
+            looping = looping && pump(p, true);
+        std::vector<pollfd> fds;
+        std::vector<PeerIo *> polled;
+        while (looping) {
+            fds.clear();
+            polled.clear();
+            for (PeerIo &p : pairs) {
+                if (!p.busy())
+                    continue;
+                const short events =
+                    p.stage == Stage::Writing ? POLLIN | POLLOUT : POLLIN;
+                fds.push_back({conns[p.peer].fd(), events, 0});
+                polled.push_back(&p);
+            }
+            if (fds.empty())
+                break;
+            // A stall past the transfer deadline hands over too: the
+            // sequential paths then time out, report and retry.
+            const int n = ::poll(fds.data(), fds.size(),
+                                 dist.transferDeadlineMs);
+            if (n < 0 && errno == EINTR)
+                continue;
+            if (n <= 0)
+                break;
+            for (std::size_t k = 0; k < fds.size() && looping; ++k)
+                if (fds[k].revents != 0)
+                    looping = pump(*polled[k],
+                                   fds[k].revents & (POLLIN | POLLERR |
+                                                     POLLHUP));
+        }
+
+        // What is left runs in list order through the sequential
+        // paths, from where the loop stopped: a half-sent frame is
+        // finished, a pending ack or a half-read frame is read on.
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+            Xfer &x = xs[i];
+            if (x.op->done)
+                continue;
+            PeerIo *p = i < cut ? pairOf(x.leg.peer) : nullptr;
+            if (p && p->queue[p->next] != i)
+                p = nullptr; // not started: no state to carry on
+            Inbound read;
+            Inbound *first = nullptr;
+            if (p && p->got) {
+                read = std::move(*p->got);
+                p->got.reset();
+                first = &read;
+            } else if (p && p->in.started()) {
+                read.result = p->in.finish(conns[x.leg.peer], read.frame,
+                                           dist.transferDeadlineMs);
+                first = &read;
+            }
+            const double started =
+                p ? p->t0 : health ? health->clockUs() : 0.0;
+            if (!x.op->payload) {
+                recvWire(x.leg.tag, Tensor{}, *x.op->dst, x.leg.peer,
+                         first);
+            } else if (!p || p->stage == Stage::Idle) {
+                sendLoop(frames[x.frame], x.leg, 0, x.drawn, started);
+            } else {
+                WireFrame &f = frames[x.frame];
+                bool sent = true;
+                if (p->stage == Stage::Writing &&
+                    p->out.finish(conns[x.leg.peer],
+                                  dist.transferDeadlineMs) != IoResult::Ok) {
+                    sent = false;
+                    if (health)
+                        health->faultDetected(
+                            &RuntimeHealth::dropsDetected,
+                            FaultEvent::at(x.leg.tag, FaultKind::NetDrop,
+                                           "send failed: connection lost",
+                                           0));
+                    dropPeer(x.leg.peer);
+                }
+                p->stage = Stage::Idle;
+                if (sent && awaitAck(x.leg, wireSeq[x.leg.peer], 0, first))
+                    delivered(x.leg, f.payload.size(), 0, started);
+                else
+                    sendLoop(f, x.leg, 1, std::nullopt, started);
+            }
+            x.op->done = true;
+            if (p) {
+                ++p->next;
+                p->t0 = health ? health->clockUs() : 0.0;
+            }
+        }
+    } catch (...) {
+        // A frame left half sent or half read, or read and not yet
+        // handled, would desynchronize its stream: close the socket, so
+        // both ends see a lost connection and retry.
+        for (PeerIo &p : pairs)
+            if ((p.stage == Stage::Writing && p.out.started() &&
+                 !p.out.done()) ||
+                p.in.started() || p.got)
+                dropPeer(p.peer);
+        throw;
+    }
 }
 
 void
@@ -470,14 +685,22 @@ TcpTransport::delivered(const Leg &leg, std::size_t bytes, int attempt,
 }
 
 bool
-TcpTransport::awaitAck(const Leg &leg, std::uint64_t seq, int attempt)
+TcpTransport::awaitAck(const Leg &leg, std::uint64_t seq, int attempt,
+                       Inbound *first)
 {
     const TransferTag &tag = leg.tag;
     const std::int64_t peer = leg.peer;
     NetSocket &s = conns[peer];
     for (;;) {
         WireFrame ack;
-        const IoResult r = readFrame(s, ack, dist.transferDeadlineMs);
+        IoResult r;
+        if (first) {
+            r = first->result;
+            ack = std::move(first->frame);
+            first = nullptr;
+        } else {
+            r = readFrame(s, ack, dist.transferDeadlineMs);
+        }
         if (r != IoResult::Ok) {
             if (health)
                 health->faultDetected(
@@ -621,9 +844,42 @@ TcpTransport::sendLoop(WireFrame &f, const Leg &leg, int first_attempt,
         tag.tensor, tag.sender, tag.receiver, tag.trainStep);
 }
 
+bool
+TcpTransport::expectedData(const WireFrame &f, const TransferTag &tag,
+                           std::int64_t peer, std::size_t bytes) const
+{
+    const auto seq = wireSeq.find(peer);
+    return f.type == FrameType::Data &&
+           f.generation == world_.generation &&
+           f.seq == (seq == wireSeq.end() ? 0 : seq->second) &&
+           f.trainStep == tag.trainStep &&
+           f.phase == static_cast<std::uint32_t>(tag.phase) &&
+           f.temporalStep == static_cast<std::uint32_t>(tag.temporalStep) &&
+           f.sender == tag.sender && f.receiver == tag.receiver &&
+           f.tensor == tag.tensor && f.channel == tag.channel &&
+           f.payload.size() == bytes &&
+           checksumBytes(f.payload.data(), f.payload.size()) == f.checksum;
+}
+
+void
+TcpTransport::sendAck(std::int64_t peer, std::uint64_t seq,
+                      FrameStatus status)
+{
+    WireFrame ack;
+    ack.type = FrameType::Ack;
+    ack.status = status;
+    ack.generation = world_.generation;
+    ack.seq = seq;
+    ack.sender = world_.myWorker;
+    ack.receiver = peer;
+    if (writeFrame(conns[peer], ack, dist.transferDeadlineMs) !=
+        IoResult::Ok)
+        dropPeer(peer);
+}
+
 void
 TcpTransport::recvWire(const TransferTag &tag, const Tensor &payload,
-                       Tensor &dst, std::int64_t peer)
+                       Tensor &dst, std::int64_t peer, Inbound *first)
 {
     const double t0 = health ? health->clockUs() : 0.0;
     // Sharded receives pass an empty payload (this process has no
@@ -637,24 +893,17 @@ TcpTransport::recvWire(const TransferTag &tag, const Tensor &payload,
     const std::size_t payload_bytes =
         static_cast<std::size_t>(elems) * sizeof(float);
 
-    auto sendAck = [&](NetSocket &s, std::uint64_t seq,
-                       FrameStatus status) {
-        WireFrame ack;
-        ack.type = FrameType::Ack;
-        ack.status = status;
-        ack.generation = world_.generation;
-        ack.seq = seq;
-        ack.sender = world_.myWorker;
-        ack.receiver = peer;
-        if (writeFrame(s, ack, dist.transferDeadlineMs) !=
-            IoResult::Ok)
-            dropPeer(peer);
-    };
-
     for (int attempt = 0; attempt < opts.maxAttempts; ++attempt) {
         NetSocket &s = ensurePeer(peer, tag);
         WireFrame f;
-        const IoResult r = readFrame(s, f, dist.transferDeadlineMs);
+        IoResult r;
+        if (first) {
+            r = first->result;
+            f = std::move(first->frame);
+            first = nullptr;
+        } else {
+            r = readFrame(s, f, dist.transferDeadlineMs);
+        }
         if (r == IoResult::Timeout) {
             if (health)
                 health->faultDetected(
@@ -698,7 +947,7 @@ TcpTransport::recvWire(const TransferTag &tag, const Tensor &payload,
                     "fenced frame of stale generation " +
                         std::to_string(f.generation),
                     attempt));
-            sendAck(s, f.seq, FrameStatus::Fenced);
+            sendAck(peer, f.seq, FrameStatus::Fenced);
             continue;
         }
         if (f.generation > world_.generation)
@@ -707,7 +956,7 @@ TcpTransport::recvWire(const TransferTag &tag, const Tensor &payload,
         if (f.seq < wireSeq[peer]) {
             // Duplicate of an already delivered frame (the ack was
             // lost with the connection): re-acknowledge, idempotent.
-            sendAck(s, f.seq, FrameStatus::Ok);
+            sendAck(peer, f.seq, FrameStatus::Ok);
             --attempt;
             continue;
         }
@@ -726,7 +975,7 @@ TcpTransport::recvWire(const TransferTag &tag, const Tensor &payload,
                                    "frame header does not match the "
                                    "expected transfer",
                                    attempt));
-            sendAck(s, f.seq, FrameStatus::Reject);
+            sendAck(peer, f.seq, FrameStatus::Reject);
             continue;
         }
         if (checksumBytes(f.payload.data(), f.payload.size()) !=
@@ -736,7 +985,7 @@ TcpTransport::recvWire(const TransferTag &tag, const Tensor &payload,
                     &RuntimeHealth::corruptionsDetected,
                     FaultEvent::at(tag, FaultKind::Corrupt,
                                    "payload checksum mismatch", attempt));
-            sendAck(s, f.seq, FrameStatus::Reject);
+            sendAck(peer, f.seq, FrameStatus::Reject);
             continue;
         }
         if (f.payload.size() != payload_bytes) {
@@ -747,7 +996,7 @@ TcpTransport::recvWire(const TransferTag &tag, const Tensor &payload,
                                    "payload size does not match the "
                                    "tensor",
                                    attempt));
-            sendAck(s, f.seq, FrameStatus::Reject);
+            sendAck(peer, f.seq, FrameStatus::Reject);
             continue;
         }
 
@@ -757,7 +1006,7 @@ TcpTransport::recvWire(const TransferTag &tag, const Tensor &payload,
         if (payload.numel() > 0 && dst.shape() != payload.shape())
             dst = Tensor::uninitialized(payload.shape());
         std::memcpy(dst.data(), f.payload.data(), payload_bytes);
-        sendAck(s, f.seq, FrameStatus::Ok);
+        sendAck(peer, f.seq, FrameStatus::Ok);
         ++wireSeq[peer];
         if (health)
             health->transferred(
@@ -781,5 +1030,6 @@ TcpTransport::recvWire(const TransferTag &tag, const Tensor &payload,
             " attempts) exhausted for " + transferContext(tag),
         tag.tensor, tag.sender, tag.receiver, tag.trainStep);
 }
+
 
 } // namespace primepar

@@ -26,10 +26,10 @@
  *
  * ## Lockstep rollback
  *
- * Transfers are issued serially in the same global order by every
- * worker, so each wire transfer is a rendezvous of exactly two
- * processes (a multicast is one such rendezvous per peer, posted
- * together). The wire sequence number per peer pair advances only on
+ * Transfers are issued in the same global order by every worker, so
+ * each wire transfer is a rendezvous of exactly two processes; an
+ * exchange runs the rendezvous of different pairs at once, each
+ * pair's in that order. The wire sequence number per peer pair advances only on
  * acknowledged delivery, identically on both ends. When one side
  * exhausts its retry budget it best-effort sends an Abort frame and
  * throws TransientFaultError; its peer either sees the Abort (and
@@ -96,7 +96,9 @@ struct DistWorld
     static DistWorld fromJson(const JsonValue &v);
 
     /** Contiguous placement of 2^bits devices over @p workers (their
-     *  first/numDevice fields are overwritten in id order). */
+     *  first/numDevice fields are overwritten in id order). Every
+     *  worker gets at least one device: workers past the 2^bits-th
+     *  are removed from @p workers. */
     static void placeDevices(std::vector<WorkerInfo> &workers, int bits);
 };
 
@@ -125,23 +127,27 @@ class TcpTransport : public Transport
                       Tensor &dst) override;
 
     /**
-     * One payload from a device this worker owns to @p receivers, each
-     * owned by a different other worker. The Data frame is built once
-     * (one payload copy, one checksum) and written to every peer
-     * socket in receiver order, each with that pair's wire seq; the
-     * acks are then read in the same order. Each socket still carries
-     * at most one unacknowledged Data frame, so every pairwise
-     * sequence is the one sequential sends would produce.
+     * Run @p ops — sends from devices this worker owns and receives
+     * into them, each with a device of another worker — as one
+     * single-threaded poll loop over the peer sockets: every pair of
+     * workers runs its subsequence of the list in list order, with the
+     * wire seqs sequential transfers would use, while pairs that share
+     * no socket make progress at once. Each socket still carries at
+     * most one unacknowledged Data frame. Consecutive sends of one
+     * payload share one frame (one payload copy, one checksum).
      *
-     * Fault decisions keep their per-transfer order: only the prefix
-     * of receivers whose attempt-0 decideNet draw is None is posted;
-     * from the first faulted receiver on, each runs the per-peer
-     * retry loop in turn (the faulted one reusing the draw). A posted
-     * receiver whose send or ack fails resumes that loop at attempt 1.
-     * A single receiver is exactly the sequential send.
+     * Fault decisions keep their per-transfer order: the attempt-0
+     * decideNet draws are taken in list order up to the first fault,
+     * and only the ops before it (and before the first op whose peer
+     * has no live connection) run in the loop. A NACK, timeout, lost
+     * connection, Abort, fenced or otherwise unexpected frame ends the
+     * loop; the ops left — including a posted frame whose ack is
+     * pending and what the loop already read for it — then run in list
+     * order through the sequential send and receive paths, the faulted
+     * one reusing its draw. With a fault in the first op, that is
+     * exactly one transferInto per op.
      */
-    void multicast(const TransferTag &tag, const Tensor &payload,
-                   const std::vector<std::int64_t> &receivers) override;
+    void exchange(std::vector<ExchangeOp> &ops) override;
 
     /**
      * Advance the step counter; also where a scheduled
@@ -168,23 +174,38 @@ class TcpTransport : public Transport
 
   private:
     struct Leg;
+    /** A frame the exchange loop read for an op it handed over. */
+    struct Inbound
+    {
+        IoResult result = IoResult::Ok;
+        WireFrame frame;
+    };
 
     NetSocket &ensurePeer(std::int64_t peer, const TransferTag &tag);
     void dropPeer(std::int64_t peer);
-    void sendWire(const TransferTag &tag, const Tensor &payload,
-                  const std::vector<std::int64_t> &receivers);
+    /** The Data frame of @p payload; seq and receiver are stamped per
+     *  send. */
+    WireFrame dataFrame(const TransferTag &tag, const Tensor &payload) const;
     /** The per-peer retry loop from @p first_attempt; @p drawn is that
      *  attempt's decideNet draw when it was taken already. */
     void sendLoop(WireFrame &f, const Leg &leg, int first_attempt,
                   std::optional<FaultKind> drawn, double t0);
-    /** Await @p leg's ack of its posted frame: true when delivered,
-     *  false when the attempt failed (already reported and the
-     *  connection dropped where needed). Throws on a peer's Abort. */
-    bool awaitAck(const Leg &leg, std::uint64_t seq, int attempt);
+    /** Await @p leg's ack of its posted frame, starting with @p first
+     *  when set: true when delivered, false when the attempt failed
+     *  (already reported and the connection dropped where needed).
+     *  Throws on a peer's Abort. */
+    bool awaitAck(const Leg &leg, std::uint64_t seq, int attempt,
+                  Inbound *first = nullptr);
     void delivered(const Leg &leg, std::size_t bytes, int attempt,
                    double t0);
+    /** The receive loop, starting with @p first when set. */
     void recvWire(const TransferTag &tag, const Tensor &payload,
-                  Tensor &dst, std::int64_t peer);
+                  Tensor &dst, std::int64_t peer, Inbound *first = nullptr);
+    /** True when @p f is the next Data frame of @p tag from @p peer,
+     *  whole and intact: what the receive path delivers at once. */
+    bool expectedData(const WireFrame &f, const TransferTag &tag,
+                      std::int64_t peer, std::size_t bytes) const;
+    void sendAck(std::int64_t peer, std::uint64_t seq, FrameStatus status);
     void throwFenced(std::uint64_t theirGeneration);
 
     TransportOptions opts;

@@ -61,14 +61,17 @@ retryBackoffUs(const TransportOptions &opts, std::uint64_t streamId,
 }
 
 void
-Transport::multicast(const TransferTag &tag_in, const Tensor &payload,
-                     const std::vector<std::int64_t> &receivers)
+Transport::exchange(std::vector<ExchangeOp> &ops)
 {
-    TransferTag tag = tag_in;
     Tensor scratch;
-    for (const std::int64_t receiver : receivers) {
-        tag.receiver = receiver;
-        transferInto(tag, payload, scratch);
+    for (ExchangeOp &op : ops) {
+        if (op.done)
+            continue;
+        if (op.payload)
+            transferInto(op.tag, *op.payload, scratch);
+        else
+            transferInto(op.tag, Tensor{}, *op.dst);
+        op.done = true;
     }
 }
 

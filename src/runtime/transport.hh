@@ -104,6 +104,16 @@ struct DeviceSpan
 double retryBackoffUs(const TransportOptions &opts,
                       std::uint64_t streamId, int attempt);
 
+/** One transfer of Transport::exchange: a send of *payload when it
+ *  is set, else a receive into the pre-sized *dst. */
+struct ExchangeOp
+{
+    TransferTag tag;
+    const Tensor *payload = nullptr; ///< send: the value (not owned)
+    Tensor *dst = nullptr;           ///< receive: its slot (not owned)
+    bool done = false;               ///< set once delivered
+};
+
 /** Moves tensor values between emulated devices. */
 class Transport
 {
@@ -123,15 +133,17 @@ class Transport
                               const Tensor &payload, Tensor &dst) = 0;
 
     /**
-     * Move one payload from tag.sender to every device of @p receivers
-     * (tag.receiver is ignored), in their order. The default issues
-     * one transferInto per receiver; a transport may overlap them (see
-     * TcpTransport::multicast). On TransientFaultError every receiver
-     * before the error's receiver holds the payload, so the caller
-     * re-issues from that receiver on.
+     * Run every op of @p ops not yet done — one collective, e.g. an
+     * all-gather — marking each done once delivered. @p ops is in the
+     * order every participant lists it, so each pair of endpoints sees
+     * its transfers in the same order on both ends. The default issues
+     * one transferInto per op in list order; a transport may overlap
+     * ops of different pairs (see TcpTransport::exchange). On
+     * TransientFaultError the done ops stay delivered: the caller rolls
+     * back and calls again with the same list, which re-issues only
+     * the rest.
      */
-    virtual void multicast(const TransferTag &tag, const Tensor &payload,
-                           const std::vector<std::int64_t> &receivers);
+    virtual void exchange(std::vector<ExchangeOp> &ops);
 
     /** Convenience wrapper returning the delivered copy. */
     Tensor transfer(const TransferTag &tag, const Tensor &payload)

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -31,7 +32,6 @@
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
 
 #include "runtime/coordinator.hh"
@@ -331,21 +331,37 @@ TEST(TcpTransport, ShortPayloadIsRejectedAndDstLeftUntouched)
         EXPECT_EQ(dst.data()[i], src[static_cast<std::size_t>(i)]);
 }
 
-/** What one worker of a loopback gather saw. */
+/** What one worker of a loopback all-gather saw. */
 struct GatherSide
 {
-    std::vector<std::vector<float>> received; ///< per round (receivers)
-    std::vector<std::uint64_t> wireSeq;       ///< with each worker
-    std::int64_t transfers = 0, bytes = 0, retries = 0, drops = 0;
+    /** Per round, the slices of the other devices in device order. */
+    std::vector<std::vector<float>> received;
+    std::vector<std::uint64_t> wireSeq; ///< with each worker
+    std::int64_t transfers = 0, bytes = 0, retries = 0, drops = 0,
+                 rollbacks = 0;
 };
 
+/** Worker @p w's slice of round @p round (one device per worker). */
+Tensor
+gatherSlice(int round, std::int64_t w)
+{
+    Tensor t(Shape{257});
+    for (std::int64_t i = 0; i < t.numel(); ++i)
+        t.data()[i] = 0.5f * static_cast<float>(round * 10000 + w * 1000 + i);
+    return t;
+}
+
 /**
- * Worker 0 sends @p rounds slices of its device to the three other
- * workers of a 4-worker loopback world, by multicast or by one
- * transferInto per receiver, under @p faults (enacted by the sender).
+ * @p rounds all-gathers over a 4-worker loopback world, one device per
+ * worker, under @p faults (each worker enacts its own copy). Every
+ * worker lists each round's transfers in ascending device order — its
+ * own slice to the three others, one receive per other device — and
+ * runs them either as one exchange or one transferInto at a time. A
+ * retry-budget exhaustion is rolled back the way the executor does:
+ * counted, then the exchange (or the transfer) is issued again.
  */
 std::vector<GatherSide>
-loopbackGather(bool multicast, const std::string &faults, int rounds)
+loopbackGather(bool exchange, const std::string &faults, int rounds)
 {
     constexpr int kWorkers = 4;
     std::vector<NetListener> listeners(kWorkers);
@@ -362,21 +378,6 @@ loopbackGather(bool multicast, const std::string &faults, int rounds)
     DistOptions dopts;
     dopts.transferDeadlineMs = 5000;
     dopts.connectTimeoutMs = 5000;
-    auto payload = [](int round) {
-        Tensor t(Shape{257});
-        for (std::int64_t i = 0; i < t.numel(); ++i)
-            t.data()[i] = 0.5f * static_cast<float>(round * 1000 + i);
-        return t;
-    };
-    auto tagOf = [](int round, std::int64_t receiver) {
-        TransferTag tag;
-        tag.tensor = "O";
-        tag.channel = "gather";
-        tag.temporalStep = round; // distinct transfers, distinct draws
-        tag.sender = 0;
-        tag.receiver = receiver;
-        return tag;
-    };
 
     std::vector<GatherSide> sides(kWorkers);
     std::vector<std::thread> threads;
@@ -392,20 +393,53 @@ loopbackGather(bool multicast, const std::string &faults, int rounds)
                                    injector, &health);
             GatherSide &side = sides[static_cast<std::size_t>(w)];
             for (int round = 0; round < rounds; ++round) {
-                if (w == 0 && multicast) {
-                    transport.multicast(tagOf(round, -1), payload(round),
-                                        {1, 2, 3});
-                } else if (w == 0) {
-                    Tensor scratch;
-                    for (std::int64_t r = 1; r < kWorkers; ++r)
-                        transport.transferInto(tagOf(round, r),
-                                               payload(round), scratch);
-                } else {
-                    Tensor slice(Shape{257});
-                    transport.transferInto(tagOf(round, w), Tensor{}, slice);
-                    side.received.emplace_back(
-                        slice.data(), slice.data() + slice.numel());
+                const Tensor own = gatherSlice(round, w);
+                std::vector<Tensor> slots(kWorkers, Tensor(Shape{257}));
+                std::vector<ExchangeOp> ops;
+                for (std::int64_t dev = 0; dev < kWorkers; ++dev) {
+                    ExchangeOp op;
+                    op.tag.tensor = "O";
+                    op.tag.channel = "gather";
+                    op.tag.temporalStep = round;
+                    op.tag.sender = dev;
+                    if (dev == w) {
+                        op.payload = &own;
+                        for (std::int64_t r = 0; r < kWorkers; ++r)
+                            if (r != w) {
+                                op.tag.receiver = r;
+                                ops.push_back(op);
+                            }
+                    } else {
+                        op.tag.receiver = w;
+                        op.dst = &slots[static_cast<std::size_t>(dev)];
+                        ops.push_back(op);
+                    }
                 }
+                Tensor scratch;
+                for (ExchangeOp &op : ops) {
+                    while (!op.done) {
+                        try {
+                            if (exchange)
+                                transport.exchange(ops);
+                            else if (op.payload)
+                                transport.transferInto(op.tag, *op.payload,
+                                                       scratch);
+                            else
+                                transport.transferInto(op.tag, Tensor{},
+                                                       *op.dst);
+                            op.done = true;
+                        } catch (const TransientFaultError &) {
+                            ++side.rollbacks;
+                        }
+                    }
+                }
+                for (std::int64_t dev = 0; dev < kWorkers; ++dev)
+                    if (dev != w) {
+                        const Tensor &got =
+                            slots[static_cast<std::size_t>(dev)];
+                        side.received.emplace_back(
+                            got.data(), got.data() + got.numel());
+                    }
             }
             for (int peer = 0; peer < kWorkers; ++peer)
                 side.wireSeq.push_back(transport.wireSeqWith(peer));
@@ -420,46 +454,64 @@ loopbackGather(bool multicast, const std::string &faults, int rounds)
     return sides;
 }
 
-TEST(TcpTransport, MulticastMatchesSequentialSends)
+TEST(TcpTransport, ExchangeKeepsEveryPairSequence)
 {
-    // One owner, three peers. Every peer must get the owner's bytes,
-    // and the multicast must leave the same per-pair wire seqs and the
-    // same transfer, byte and retry counts as one send per peer —
-    // also when socket faults hit a receiver in the middle of the
-    // list (the scheduled drop at device 2 twice, attempts 0 and 1 of
-    // its first transfer) and at random.
-    const int rounds = 24;
-    for (const char *faults :
-         {"", "netdrop@dev=2:fires=2,seed=3",
-          "netdrop=0.1,nettrunc=0.05,netdelay=0.1,seed=3,"
-          "netdrop@dev=2:fires=2"}) {
-        SCOPED_TRACE(std::string("faults '") + faults + "'");
+    // Four workers all-gather one slice each, per round as one exchange
+    // and as one transfer at a time. Every worker must get every
+    // owner's bytes, and the exchange must leave the same per-pair wire
+    // seqs and the same transfer, byte, retry, drop and rollback counts
+    // as the sequential transfers — also when socket faults hit at
+    // random, when a scheduled drop hits device 2 twice (attempts 0 and
+    // 1 of each worker's first transfer with it), and when four such
+    // drops exhaust those transfers' retry budgets, so every worker
+    // rolls an exchange back.
+    const int rounds = 16;
+    const std::string mix = "netdrop=0.1,nettrunc=0.05,netdelay=0.1,seed=3";
+    for (const std::string &faults :
+         {std::string(), std::string("netdrop@dev=2:fires=2,seed=3"),
+          mix + ",netdrop@dev=2:fires=2",
+          mix + ",netdrop@dev=2:fires=4"}) {
+        SCOPED_TRACE("faults '" + faults + "'");
         const auto seq = loopbackGather(false, faults, rounds);
-        const auto multi = loopbackGather(true, faults, rounds);
-        for (int w = 1; w < 4; ++w) {
-            const GatherSide &got = multi[static_cast<std::size_t>(w)];
-            ASSERT_EQ(got.received.size(), static_cast<std::size_t>(rounds));
-            for (int round = 0; round < rounds; ++round)
-                for (std::size_t i = 0; i < 257; ++i)
-                    ASSERT_EQ(got.received[static_cast<std::size_t>(round)][i],
-                              0.5f * static_cast<float>(round * 1000 +
-                                                        static_cast<int>(i)))
-                        << "worker " << w << " round " << round;
-            EXPECT_EQ(got.wireSeq[0], static_cast<std::uint64_t>(rounds));
-        }
+        const auto ex = loopbackGather(true, faults, rounds);
         for (int w = 0; w < 4; ++w) {
             SCOPED_TRACE("worker " + std::to_string(w));
+            const GatherSide &got = ex[static_cast<std::size_t>(w)];
+            ASSERT_EQ(got.received.size(),
+                      static_cast<std::size_t>(3 * rounds));
+            std::size_t k = 0;
+            for (int round = 0; round < rounds; ++round)
+                for (std::int64_t dev = 0; dev < 4; ++dev) {
+                    if (dev == w)
+                        continue;
+                    const Tensor want = gatherSlice(round, dev);
+                    ASSERT_TRUE(std::equal(got.received[k].begin(),
+                                           got.received[k].end(),
+                                           want.data()))
+                        << "round " << round << " device " << dev;
+                    ++k;
+                }
+            for (int peer = 0; peer < 4; ++peer)
+                EXPECT_EQ(got.wireSeq[static_cast<std::size_t>(peer)],
+                          peer == w ? 0u
+                                    : static_cast<std::uint64_t>(2 * rounds));
             const GatherSide &a = seq[static_cast<std::size_t>(w)];
-            const GatherSide &b = multi[static_cast<std::size_t>(w)];
-            EXPECT_EQ(b.wireSeq, a.wireSeq);
-            EXPECT_EQ(b.transfers, a.transfers);
-            EXPECT_EQ(b.bytes, a.bytes);
-            EXPECT_EQ(b.retries, a.retries);
-            EXPECT_EQ(b.drops, a.drops);
+            EXPECT_EQ(got.wireSeq, a.wireSeq);
+            EXPECT_EQ(got.transfers, a.transfers);
+            EXPECT_EQ(got.bytes, a.bytes);
+            EXPECT_EQ(got.retries, a.retries);
+            EXPECT_EQ(got.drops, a.drops);
+            EXPECT_EQ(got.rollbacks, a.rollbacks);
+            EXPECT_EQ(got.transfers, 6 * rounds);
         }
-        EXPECT_EQ(multi[0].transfers, 3 * rounds);
-        if (*faults != '\0') {
-            EXPECT_GT(multi[0].retries, 0) << "no fault ever fired";
+        if (!faults.empty()) {
+            EXPECT_GT(ex[0].retries + ex[2].retries, 0)
+                << "no fault ever fired";
+        }
+        if (faults.find("fires=4") != std::string::npos) {
+            for (int w = 0; w < 4; ++w)
+                EXPECT_GT(ex[static_cast<std::size_t>(w)].rollbacks, 0)
+                    << "worker " << w;
         }
     }
 }
@@ -573,7 +625,7 @@ TEST(Coordinator, RefusesARejoinWhoseBarrierIsPastTheLastStep)
     std::string what = "welcomed";
     try {
         late.registerWorker(0);
-    } catch (const RejoinRefusedError &err) {
+    } catch (const WorkerNotNeededError &err) {
         refused = true;
         what = err.what();
     } catch (const RuntimeError &err) {
@@ -697,12 +749,15 @@ struct JobResult
  *  on its ephemeral port; stream and return the coordinator output.
  *  @p onLine (optional) sees every coordinator output line as it
  *  arrives, with the control port — the re-join test uses it to
- *  launch a late worker the moment a loss is reported. */
+ *  launch a late worker the moment a loss is reported. Worker w's
+ *  command line gets @p workerArgs(w) (optional), its output goes to
+ *  @p dir/worker<w>.log. */
 JobResult
 runJob(const std::string &serveArgs, int numWorkers,
        const std::string &dir,
        const std::function<void(const std::string &, int)> &onLine =
-           {})
+           {},
+       const std::function<std::string(int)> &workerArgs = {})
 {
     const std::string cmd = std::string(PRIMEPAR_WORKER_BIN) +
                             " --serve " + serveArgs + " 2>&1";
@@ -728,7 +783,8 @@ runJob(const std::string &serveArgs, int numWorkers,
     for (int w = 0; w < numWorkers; ++w) {
         const std::string wcmd =
             std::string(PRIMEPAR_WORKER_BIN) +
-            " --connect 127.0.0.1:" + std::to_string(port) + " > " +
+            " --connect 127.0.0.1:" + std::to_string(port) +
+            (workerArgs ? " " + workerArgs(w) : std::string()) + " > " +
             dir + "/worker" + std::to_string(w) + ".log 2>&1 &";
         if (std::system(wcmd.c_str()) != 0)
             ADD_FAILURE() << "cannot launch worker " << w;
@@ -761,20 +817,37 @@ finalLossLines(const std::string &out)
     return lines;
 }
 
-std::string
-freshDir(const char *name)
+/** A fresh directory per test, removed with its contents when the
+ *  test ends, so no run sees a previous run's worker logs or
+ *  checkpoints. */
+struct ScratchDir
 {
-    const std::string dir = testing::TempDir() + name;
-    ::mkdir(dir.c_str(), 0755);
-    return dir;
-}
+    explicit ScratchDir(const char *name)
+    {
+        std::string tmpl = testing::TempDir() + "primepar_" + name + ".XXXXXX";
+        if (const char *dir = ::mkdtemp(tmpl.data()))
+            path = dir;
+        EXPECT_FALSE(path.empty()) << "mkdtemp " << tmpl;
+    }
+    ~ScratchDir()
+    {
+        std::error_code ec;
+        if (!path.empty())
+            std::filesystem::remove_all(path, ec);
+    }
+    ScratchDir(const ScratchDir &) = delete;
+    ScratchDir &operator=(const ScratchDir &) = delete;
+
+    std::string path;
+};
 
 const char *kTinyJob = "--devices 4 --steps 3 --batch 2 --hidden 16 "
                        "--heads 2 --ffn 32 --seq 8";
 
 TEST(DistJob, TcpLockstepIsBitIdenticalToInProcess)
 {
-    const std::string dir = freshDir("dist_bitident");
+    const ScratchDir dirScratch("dist_bitident");
+    const std::string &dir = dirScratch.path;
     // One worker owns everything -> plain InProcessTransport; two
     // workers really cross TCP for every cut transfer. The printed
     // %.17g losses must match to the last bit.
@@ -793,7 +866,8 @@ TEST(DistJob, TcpLockstepIsBitIdenticalToInProcess)
 
 TEST(DistJob, SurvivesInjectedSocketFaultsBitIdentically)
 {
-    const std::string dir = freshDir("dist_netfaults");
+    const ScratchDir dirScratch("dist_netfaults");
+    const std::string &dir = dirScratch.path;
     // The one-worker run owns every device and is the oracle; each
     // seeded fault mix must leave the two-worker losses bit-identical.
     const JobResult clean =
@@ -816,12 +890,13 @@ TEST(DistJob, SurvivesInjectedSocketFaultsBitIdentically)
     }
 }
 
-/** Every worker's `worker N transfers ... rollbacks K` line from the
- *  logs runJob wrote to @p dir, sorted (i.e. by worker id). A worker
- *  prints it after its last report to the coordinator, so it may still
- *  be on its way when the coordinator exits: wait up to 10 s. */
+/** The lines holding @p needle in the first @p numWorkers logs runJob
+ *  wrote to @p dir, sorted. A worker prints its last lines after its
+ *  last word to the coordinator, so they may still be on their way
+ *  when the coordinator exits: wait up to 10 s for @p want of them. */
 std::vector<std::string>
-workerCountLines(const std::string &dir, int numWorkers)
+workerLines(const std::string &dir, int numWorkers, const char *needle,
+            int want)
 {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -832,10 +907,10 @@ workerCountLines(const std::string &dir, int numWorkers)
             std::ifstream log(dir + "/worker" + std::to_string(w) + ".log");
             std::string l;
             while (std::getline(log, l))
-                if (l.find(" transfers ") != std::string::npos)
+                if (l.find(needle) != std::string::npos)
                     lines.push_back(l);
         }
-        if (static_cast<int>(lines.size()) >= numWorkers)
+        if (static_cast<int>(lines.size()) >= want)
             break;
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
     } while (std::chrono::steady_clock::now() < deadline);
@@ -843,10 +918,18 @@ workerCountLines(const std::string &dir, int numWorkers)
     return lines;
 }
 
+/** Every worker's `worker N transfers ... rollbacks K` line (see
+ *  workerLines), i.e. sorted by worker id. */
+std::vector<std::string>
+workerCountLines(const std::string &dir, int numWorkers)
+{
+    return workerLines(dir, numWorkers, " transfers ", numWorkers);
+}
+
 TEST(DistJob, FourWorkerGathersSurviveSocketFaultsWithPinnedCounts)
 {
-    // With four workers every owned slice of the op-boundary
-    // all-gather goes to three peers at once. Under the socket fault
+    // With four workers every pair of workers exchanges its slices of
+    // each op-boundary all-gather at once. Under the socket fault
     // mixes, and with a scheduled drop that exhausts the 4-attempt
     // retry budget of a step-1 gather transfer to device 2 in every
     // worker (each process enacts its own copy of the schedule, so
@@ -856,7 +939,8 @@ TEST(DistJob, FourWorkerGathersSurviveSocketFaultsWithPinnedCounts)
     // with sequential sends: the mixes alone at the commit before
     // multicast, the scheduled runs on that commit plus the gather
     // rollback (without it the exhausted gather ends the worker).
-    const std::string dir = freshDir("dist_netfaults4");
+    const ScratchDir dirScratch("dist_netfaults4");
+    const std::string &dir = dirScratch.path;
     const JobResult clean =
         runJob(std::string("--workers 1 ") + kTinyJob, 1, dir);
     EXPECT_EQ(clean.rc, 0) << clean.out;
@@ -922,8 +1006,10 @@ TEST(DistJob, RejectsRemovedReplicatedFlag)
 
 TEST(DistJob, WorkerKillMidRunDegradesOntoSurvivors)
 {
-    const std::string dir = freshDir("dist_kill");
-    const std::string ckDir = freshDir("dist_kill_ck");
+    const ScratchDir dirScratch("dist_kill");
+    const std::string &dir = dirScratch.path;
+    const ScratchDir ckDirScratch("dist_kill_ck");
+    const std::string &ckDir = ckDirScratch.path;
     // Worker 1 exits abruptly (the kill fault calls _Exit) at step 2;
     // worker 0 must escalate the dead connection, get the re-planned
     // world from the coordinator, restore its checkpoint, and finish
@@ -943,11 +1029,118 @@ TEST(DistJob, WorkerKillMidRunDegradesOntoSurvivors)
         << job.out;
 }
 
+TEST(DistJob, SurplusSurvivorRetiresAfterADegrade)
+{
+    // Four workers on four devices; worker 3 dies at step 1 and the
+    // grid halves to two devices, one fewer than the survivors. No
+    // survivor may be placed on zero devices: one is retired and exits
+    // 0 with "worker not needed", and the other two finish the job.
+    // Step 0 ran on the full grid, so it must equal the one-worker
+    // oracle's step 0; steps 1 and 2 ran on the halved grid from the
+    // step-1 checkpoint, so they must equal a one-worker job on two
+    // devices resumed from that snapshot.
+    const ScratchDir dirScratch("dist_surplus");
+    const std::string &dir = dirScratch.path;
+    const ScratchDir ckScratch("dist_surplus_ck");
+    const ScratchDir refScratch("dist_surplus_ref");
+    const std::string tiny = "--steps 3 --batch 2 --hidden 16 --heads 2 "
+                             "--ffn 32 --seq 8";
+    const JobResult job = runJob(
+        "--workers 4 --devices 4 " + tiny +
+            " --fault-spec kill@step=1:dev=3 --checkpoint-every 1"
+            " --checkpoint-dir " +
+            ckScratch.path,
+        4, dir);
+    EXPECT_EQ(job.rc, 0) << job.out;
+    EXPECT_NE(job.out.find("1 worker(s) lost"), std::string::npos)
+        << job.out;
+    EXPECT_NE(job.out.find(" retired"), std::string::npos) << job.out;
+    EXPECT_EQ(workerLines(dir, 4, "worker not needed: ", 1).size(), 1u)
+        << job.out;
+    const auto got = finalLossLines(job.out);
+    ASSERT_EQ(got.size(), 3u) << job.out;
+
+    const JobResult full =
+        runJob("--workers 1 --devices 4 " + tiny, 1, dir);
+    EXPECT_EQ(full.rc, 0) << full.out;
+    const auto want0 = finalLossLines(full.out);
+    ASSERT_EQ(want0.size(), 3u) << full.out;
+    EXPECT_EQ(got[0], want0[0]);
+
+    {
+        std::ifstream src(ckScratch.path + "/worker0.ckpt.s1",
+                          std::ios::binary);
+        ASSERT_TRUE(src.good()) << "step-1 snapshot missing";
+        std::ofstream dst(refScratch.path + "/worker0.ckpt",
+                          std::ios::binary);
+        dst << src.rdbuf();
+    }
+    const JobResult half = runJob("--workers 1 --devices 2 --resume " +
+                                      tiny + " --checkpoint-dir " +
+                                      refScratch.path,
+                                  1, dir);
+    EXPECT_EQ(half.rc, 0) << half.out;
+    const auto want12 = finalLossLines(half.out);
+    EXPECT_EQ(std::vector<std::string>(got.begin() + 1, got.end()), want12)
+        << job.out;
+}
+
+TEST(DistJob, RefusesMoreWorkersThanDevices)
+{
+    const std::string cmd = std::string(PRIMEPAR_WORKER_BIN) +
+                            " --serve --workers 4 --devices 2 2>&1";
+    FILE *proc = popen(cmd.c_str(), "r");
+    ASSERT_NE(proc, nullptr);
+    std::string out;
+    char line[1024];
+    while (std::fgets(line, sizeof line, proc))
+        out += line;
+    const int status = pclose(proc);
+    ASSERT_TRUE(WIFEXITED(status)) << out;
+    EXPECT_EQ(WEXITSTATUS(status), exitcode::Usage) << out;
+}
+
+TEST(DistJob, WorkerTraceShowsTheGatherAsRedistSpans)
+{
+    // Each worker of a two-worker job writes its own Chrome trace and
+    // metrics file. Its all-gathers of op-boundary tensors appear as
+    // Redist spans labelled "<op> gather <tensor>".
+    const ScratchDir dirScratch("dist_trace");
+    const std::string &dir = dirScratch.path;
+    const JobResult job = runJob(
+        std::string("--workers 2 ") + kTinyJob, 2, dir, {}, [&](int w) {
+            return "--trace-out " + dir + "/trace" + std::to_string(w) +
+                   ".json --metrics-out " + dir + "/metrics" +
+                   std::to_string(w) + ".json";
+        });
+    EXPECT_EQ(job.rc, 0) << job.out;
+    for (int w = 0; w < 2; ++w) {
+        SCOPED_TRACE("worker " + std::to_string(w));
+        const JsonValue trace =
+            loadJsonFile(dir + "/trace" + std::to_string(w) + ".json");
+        int gathers = 0;
+        for (const JsonValue &span : trace.items())
+            if (span.at("cat").asString() == "redist" &&
+                span.at("name").asString().find(" gather ") !=
+                    std::string::npos) {
+                ++gathers;
+                EXPECT_GE(span.at("dur").asNumber(), 0.0);
+            }
+        EXPECT_GT(gathers, 0) << "no gather spans";
+        const JsonValue metrics =
+            loadJsonFile(dir + "/metrics" + std::to_string(w) + ".json");
+        EXPECT_EQ(metrics.at("schema").asString(), "primepar-metrics-v1");
+    }
+}
+
 TEST(DistJob, KillRejoinResumesWithLossParity)
 {
-    const std::string dir = freshDir("dist_rejoin");
-    const std::string ckDir = freshDir("dist_rejoin_ck");
-    const std::string ck2Dir = freshDir("dist_rejoin_ck2");
+    const ScratchDir dirScratch("dist_rejoin");
+    const std::string &dir = dirScratch.path;
+    const ScratchDir ckDirScratch("dist_rejoin_ck");
+    const std::string &ckDir = ckDirScratch.path;
+    const ScratchDir ck2DirScratch("dist_rejoin_ck2");
+    const std::string &ck2Dir = ck2DirScratch.path;
     const long long steps = 30;
     const std::string jobArgs =
         "--devices 4 --steps 30 --batch 2 --hidden 16 --heads 2 "
