@@ -582,8 +582,11 @@ TcpTransport::exchange(std::vector<ExchangeOp> &ops)
             for (PeerIo &p : pairs) {
                 if (!p.busy())
                     continue;
+                // Nothing is read before our frame is out (the peer
+                // sends only after reading it), so a writer waits for
+                // room alone; a closed socket still wakes it.
                 const short events =
-                    p.stage == Stage::Writing ? POLLIN | POLLOUT : POLLIN;
+                    p.stage == Stage::Writing ? POLLOUT : POLLIN;
                 fds.push_back({conns[p.peer].fd(), events, 0});
                 polled.push_back(&p);
             }
@@ -1030,6 +1033,5 @@ TcpTransport::recvWire(const TransferTag &tag, const Tensor &payload,
             " attempts) exhausted for " + transferContext(tag),
         tag.tensor, tag.sender, tag.receiver, tag.trainStep);
 }
-
 
 } // namespace primepar

@@ -29,14 +29,15 @@
  * Transfers are issued in the same global order by every worker, so
  * each wire transfer is a rendezvous of exactly two processes; an
  * exchange runs the rendezvous of different pairs at once, each
- * pair's in that order. The wire sequence number per peer pair advances only on
- * acknowledged delivery, identically on both ends. When one side
- * exhausts its retry budget it best-effort sends an Abort frame and
- * throws TransientFaultError; its peer either sees the Abort (and
- * throws too) or times out into the same error. Both roll the temporal
- * step back through the executor journal (or, inside an all-gather,
- * the exchange back to that transfer) and re-issue the identical
- * transfer sequence, so the wire seqs realign without negotiation.
+ * pair's in that order. The wire sequence number per peer pair
+ * advances only on acknowledged delivery, identically on both ends.
+ * When one side exhausts its retry budget it best-effort sends an
+ * Abort frame and throws TransientFaultError; its peer either sees the
+ * Abort (and throws too) or times out into the same error. Both roll
+ * the temporal step back through the executor journal (or, inside an
+ * all-gather, the exchange back to that transfer) and re-issue the
+ * identical transfer sequence, so the wire seqs realign without
+ * negotiation.
  *
  * ## Failure escalation
  *
