@@ -523,7 +523,10 @@ emitTrainingStep(std::ostream &os, bool quick)
 
     for (std::size_t i = 0; i < thread_settings.size(); ++i) {
         const int requested = thread_settings[i];
-        SpmdGraphExecutor exec(graph, plan, 2, requested);
+        RuntimeOptions rt;
+        rt.numBits = 2;
+        rt.execution.numThreads = requested;
+        SpmdGraphExecutor exec(graph, plan, rt);
 
         GraphResult result;
         const double ms =
@@ -594,8 +597,11 @@ emitFaultOverhead(std::ostream &os, bool quick)
     // transport's copy/checksum cost, and the async comm worker's
     // scheduling jitter on a shared core would drown the ~1% signal
     // (the overlap win has its own overlap_efficiency section).
-    SpmdGraphExecutor base_exec(graph, plan, 2, 0,
-                                /*overlap_comm=*/false);
+    RuntimeOptions serial_comm;
+    serial_comm.numBits = 2;
+    serial_comm.execution.numThreads = 0;
+    serial_comm.execution.overlapComm = false;
+    SpmdGraphExecutor base_exec(graph, plan, serial_comm);
 
     // Same step, but every transfer goes through the transport with
     // payload checksum + header verification (no injector, no guard,
@@ -604,9 +610,7 @@ emitFaultOverhead(std::ostream &os, bool quick)
     RuntimeHealth health;
     health.guard.enabled = false;
     InProcessTransport transport({}, nullptr, &health);
-    SpmdGraphExecutor fault_exec(graph, plan, 2, 0,
-                                 /*overlap_comm=*/false);
-    fault_exec.setTransport(&transport);
+    SpmdGraphExecutor fault_exec(graph, plan, serial_comm, &transport);
     fault_exec.setHealth(&health);
 
     // Interleave the two variants round-by-round (alternating which
@@ -689,9 +693,11 @@ emitObserverOverhead(std::ostream &os, bool quick)
     // fault_overhead section: the observer cost is a small signal and
     // the async worker's scheduling jitter would swamp it.
     InProcessTransport base_transport;
-    SpmdGraphExecutor base_exec(graph, plan, 2, 0,
-                                /*overlap_comm=*/false);
-    base_exec.setTransport(&base_transport);
+    RuntimeOptions serial_comm;
+    serial_comm.numBits = 2;
+    serial_comm.execution.numThreads = 0;
+    serial_comm.execution.overlapComm = false;
+    SpmdGraphExecutor base_exec(graph, plan, serial_comm, &base_transport);
 
     TracingObserver tracer;
     MetricsRegistry registry;
@@ -702,9 +708,8 @@ emitObserverOverhead(std::ostream &os, bool quick)
     traced_health.addObserver(&tracer);
     traced_health.addObserver(&metrics);
     InProcessTransport traced_transport({}, nullptr, &traced_health);
-    SpmdGraphExecutor traced_exec(graph, plan, 2, 0,
-                                  /*overlap_comm=*/false);
-    traced_exec.setTransport(&traced_transport);
+    SpmdGraphExecutor traced_exec(graph, plan, serial_comm,
+                                  &traced_transport);
     traced_exec.setHealth(&traced_health);
 
     GraphResult base_result, traced_result;
@@ -790,13 +795,15 @@ emitOverlapEfficiency(std::ostream &os, bool quick)
     topts.linkBytesPerUs = 1000.0;
 
     InProcessTransport sync_transport(topts, nullptr, nullptr);
-    SpmdGraphExecutor sync_exec(graph, plan, 2, 0,
-                                /*overlap_comm=*/false);
-    sync_exec.setTransport(&sync_transport);
+    RuntimeOptions rt;
+    rt.numBits = 2;
+    rt.execution.numThreads = 0;
+    rt.execution.overlapComm = false;
+    SpmdGraphExecutor sync_exec(graph, plan, rt, &sync_transport);
 
     InProcessTransport async_transport(topts, nullptr, nullptr);
-    SpmdGraphExecutor async_exec(graph, plan, 2, 0);
-    async_exec.setTransport(&async_transport);
+    rt.execution.overlapComm = true;
+    SpmdGraphExecutor async_exec(graph, plan, rt, &async_transport);
 
     GraphResult sync_result, async_result;
     double sync_ms = 0.0, async_ms = 0.0;

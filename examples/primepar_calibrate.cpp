@@ -437,9 +437,8 @@ main(int argc, char **argv)
     double worst_rel = 0.0;
     for (const Case &c : cases) {
         const double predicted = cost.intraCost(c.op, c.seq).latencyUs;
-        SpmdOpExecutor exec(c.op, c.seq, bits);
+        SpmdOpExecutor exec(c.op, c.seq, bits, &transport);
         exec.setThreadPool(&pool);
-        exec.setTransport(&transport);
         const auto inputs = makeInputs(c.op, rng);
         const double measured =
             timeUs(reps, [&] { (void)exec.run(inputs); });

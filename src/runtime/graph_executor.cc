@@ -7,21 +7,21 @@ namespace primepar {
 
 SpmdGraphExecutor::SpmdGraphExecutor(const CompGraph &graph_in,
                                      std::vector<PartitionSeq> strategies,
-                                     int num_bits, int num_threads,
-                                     bool overlap_comm, DeviceSpan owned)
+                                     const RuntimeOptions &options,
+                                     Transport *transport)
     : graph(graph_in)
 {
     PRIMEPAR_ASSERT(static_cast<int>(strategies.size()) ==
                         graph.numNodes(),
                     "one strategy per node required");
-    const int threads = resolveNumThreads(num_threads);
+    const int threads = resolveNumThreads(options.execution.numThreads);
     if (threads > 1)
         pool = std::make_unique<ThreadPool>(threads);
     execs.reserve(graph.numNodes());
     for (int n = 0; n < graph.numNodes(); ++n) {
         execs.push_back(std::make_unique<SpmdOpExecutor>(
-            graph.node(n), strategies[n], num_bits, overlap_comm,
-            owned));
+            graph.node(n), strategies[n], options.numBits, transport,
+            options.execution.overlapComm));
         execs.back()->setThreadPool(pool.get());
     }
     // An edge without an index map copies boxes as they are: the
@@ -36,23 +36,6 @@ SpmdGraphExecutor::SpmdGraphExecutor(const CompGraph &graph_in,
                         "map");
     }
     edgeVolumes.resize(graph.edges().size());
-}
-
-SpmdGraphExecutor::SpmdGraphExecutor(const CompGraph &graph_in,
-                                     std::vector<PartitionSeq> strategies,
-                                     const RuntimeOptions &options)
-    : SpmdGraphExecutor(graph_in, std::move(strategies),
-                        options.numBits, options.execution.numThreads,
-                        options.execution.overlapComm,
-                        options.execution.ownedDevices)
-{
-}
-
-void
-SpmdGraphExecutor::setTransport(Transport *t)
-{
-    for (auto &e : execs)
-        e->setTransport(t);
 }
 
 void

@@ -65,29 +65,22 @@ class SpmdGraphExecutor
     /**
      * @param graph computation graph (chain plus skip edges)
      * @param strategies one partition sequence per node
-     * @param num_bits device-id bit count (2^n emulated devices)
-     * @param num_threads worker threads for per-device sub-operator
-     *        execution: 0 = all hardware threads, 1 = serial. Results
-     *        are bit-identical at every setting (see
-     *        SpmdOpExecutor::setThreadPool).
-     * @param overlap_comm overlap ring communication with compute on
-     *        every node's executor (construction-time; see
-     *        ExecutionOptions::overlapComm).
-     * @param owned device ranks this process materializes data for
-     *        (default: all — single-owner execution; see
-     *        ExecutionOptions::ownedDevices).
+     * @param options numBits (2^n emulated devices) and the execution
+     *        section are consumed here: every node's executor runs its
+     *        per-device sub-operators on execution.numThreads worker
+     *        threads (bit-identical at every setting, see
+     *        SpmdOpExecutor::setThreadPool) and overlaps its ring
+     *        shifts with compute per execution.overlapComm. The
+     *        transport / fault / checkpoint sections are the caller's
+     *        to wire.
+     * @param transport every node's inter-device transfers and owned
+     *        device span (not owned; nullptr = direct in-process
+     *        copies over all devices; see SpmdOpExecutor).
      */
     SpmdGraphExecutor(const CompGraph &graph,
                       std::vector<PartitionSeq> strategies,
-                      int num_bits, int num_threads = 1,
-                      bool overlap_comm = true, DeviceSpan owned = {});
-
-    /** Same, configured by the unified RuntimeOptions (numBits and
-     *  the execution section are consumed here; transport / fault /
-     *  checkpoint sections are the caller's to wire). */
-    SpmdGraphExecutor(const CompGraph &graph,
-                      std::vector<PartitionSeq> strategies,
-                      const RuntimeOptions &options);
+                      const RuntimeOptions &options,
+                      Transport *transport = nullptr);
 
     /** Run one full training iteration. */
     GraphResult run(const GraphIO &io);
@@ -113,10 +106,6 @@ class SpmdGraphExecutor
     {
         return edgeVolumes;
     }
-
-    /** Route every node's inter-device transfers through @p t (not
-     *  owned; nullptr restores direct in-process copies). */
-    void setTransport(Transport *t);
 
     /** Report every node's events — rollbacks, pass outputs for the
      *  guard, spans for attached observers — to @p h (not owned). */

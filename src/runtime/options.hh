@@ -21,6 +21,10 @@
  * All knobs are construction-time: an executor built from a
  * RuntimeOptions cannot be reconfigured mid-run into a state that
  * disagrees with how its buffers and comm pipeline were laid out.
+ *
+ * Which devices a process materializes is not an option: the executors
+ * take their Transport at construction and read its ownedDevices() and
+ * peerSpans(), so one source — the transport's placement — decides it.
  */
 
 #ifndef PRIMEPAR_RUNTIME_OPTIONS_HH
@@ -44,12 +48,6 @@ struct ExecutionOptions
      *  after compute (the A/B baseline of the overlap benchmarks).
      *  Construction-time only. Bit-identical either way. */
     bool overlapComm = true;
-    /** Device ranks this process materializes tensor data for. The
-     *  default span covers every rank (one process owns every device);
-     *  multi-process runs narrow it to the local worker's DistWorld
-     *  slice. BlockTrainer fills it from Transport::ownedDevices(),
-     *  so only hand-built executors set it directly. */
-    DeviceSpan ownedDevices;
 };
 
 /** Multi-process (coordinator + workers) runtime settings. */

@@ -1,7 +1,6 @@
 #include "spmd_executor.hh"
 
 #include <algorithm>
-#include <set>
 
 #include "errors.hh"
 #include "support/logging.hh"
@@ -11,11 +10,12 @@
 namespace primepar {
 
 SpmdOpExecutor::SpmdOpExecutor(OpSpec op_in, PartitionSeq seq_in,
-                               int num_bits, bool overlap_comm,
-                               DeviceSpan owned)
+                               int num_bits, Transport *transport_in,
+                               bool overlap_comm)
     : op(std::move(op_in)), seq(std::move(seq_in)),
-      dsiTable(op, seq, num_bits), overlapComm(overlap_comm),
-      ownedSpan(owned)
+      dsiTable(op, seq, num_bits), transport(transport_in),
+      overlapComm(overlap_comm),
+      ownedSpan(transport ? transport->ownedDevices() : DeviceSpan{})
 {
     PRIMEPAR_ASSERT(ownedSpan.all() ||
                         (ownedSpan.first >= 0 && ownedSpan.count > 0 &&
@@ -77,20 +77,22 @@ SpmdOpExecutor::slicesOf(const TensorRef &ref) const
     // non-owned one is received exactly once from its owner — so the
     // pairwise order matches on both ends of every socket. Slices
     // travel as raw bytes, so the received values equal the owner's,
-    // i.e. a one-worker run's. A received replica of a box already
-    // held is bitwise the same slice (an all-reduce broadcast), so it
-    // lands in a discarded scratch slot: the set then holds at most
-    // one tensor's worth.
+    // i.e. a one-worker run's. The replicas of a box (an all-reduce
+    // broadcast) are bitwise the same slice: each replica class keeps
+    // its first owned holder, else its first holder, and the other
+    // receives land in a discarded scratch slot, so the set holds at
+    // most one tensor's worth.
     const bool tracing = observed();
     const double t0 = tracing ? observerNowUs() : 0.0;
     const std::vector<DeviceSpan> peers =
-        (!ownedSpan.all() && transport) ? transport->peerSpans()
-                                        : std::vector<DeviceSpan>{};
-    std::set<std::vector<SliceRange>> kept;
-    if (!ownedSpan.all())
-        for (std::int64_t dev = ownedFirst();
-             dev < ownedFirst() + ownedCount(); ++dev)
-            kept.insert(set.boxes[dev]);
+        transport ? transport->peerSpans() : std::vector<DeviceSpan>{};
+    std::vector<bool> kept(devices, false);
+    for (const ReplicaClass &rc : replicaClasses(set.boxes)) {
+        const auto owned =
+            std::find_if(rc.holders.begin(), rc.holders.end(),
+                         [this](std::int64_t dev) { return ownsDev(dev); });
+        kept[owned != rc.holders.end() ? *owned : rc.holders[0]] = true;
+    }
     Tensor replica;
     std::vector<ExchangeOp> ops;
     for (std::int64_t dev = 0; dev < devices; ++dev) {
@@ -110,10 +112,8 @@ SpmdOpExecutor::slicesOf(const TensorRef &ref) const
                 }
             continue;
         }
-        PRIMEPAR_ASSERT(transport, "gather of non-owned device ", dev,
-                        " without a transport");
         op.tag.receiver = ownedFirst();
-        if (kept.insert(set.boxes[dev]).second) {
+        if (kept[dev]) {
             set.received[dev] = Tensor(slice_shape);
             op.dst = &set.received[dev];
         } else {
@@ -353,7 +353,6 @@ SpmdOpExecutor::commitShifts(ShiftBatch &batch)
             slot.data = std::move(recv.staged);
         slot.tuple = std::move(recv.tuple);
     }
-    commStats.ringElements += batch.elements;
 }
 
 void
@@ -512,8 +511,7 @@ SpmdOpExecutor::computeLocal(const PassSpec &pass, std::int64_t dev)
 }
 
 void
-SpmdOpExecutor::runPass(int pass_index,
-                        const std::map<std::string, Tensor> &inputs)
+SpmdOpExecutor::runPass(int pass_index)
 {
     const PassSpec &pass = op.passes[pass_index];
     const PassComm &comm = passComms[pass_index];
@@ -530,18 +528,14 @@ SpmdOpExecutor::runPass(int pass_index,
         aux.dGamma.resize(dsiTable.numDevices());
     }
 
-    // Position operands: slice a full input on first use; otherwise
-    // the stashed distribution must already align (operational
-    // feature 3).
+    // Every operand is placed or produced by an earlier pass, and its
+    // stashed distribution must already align (operational feature 3).
     for (const TensorRef &ref : pass.operands) {
         const std::string &key = names[tensorId(ref)];
         const TensorStore &store = stores[tensorId(ref)];
-        if (store.empty()) {
-            const auto it = inputs.find(key);
-            placeFull(ref, pass.phase,
-                      it == inputs.end() ? nullptr : &it->second);
-            continue;
-        }
+        if (store.empty())
+            throw InputError(op.name, phaseName(pass.phase), key,
+                             fullShape(ref), {});
         for (std::int64_t dev = 0; dev < dsiTable.numDevices(); ++dev) {
             PRIMEPAR_ASSERT(
                 store[dev].tuple == tupleAt(ref, pass.phase, dev, 0),
@@ -582,6 +576,7 @@ SpmdOpExecutor::runPass(int pass_index,
                     comm.accShifts[t - 1], "acc", pass.phase, t);
                 runShifts(acc_batch);
                 commitShifts(acc_batch);
+                commStats.ringElements += acc_batch.elements;
             }
             TensorStore &out_store = stores[out_id];
             // After any migration the accumulator must sit on the
@@ -653,10 +648,16 @@ SpmdOpExecutor::runPass(int pass_index,
                 runShifts(ring);
             }
             commitShifts(ring);
+            commStats.ringElements += ring.elements;
         });
     }
 
-    // Grouped all-reduce of partial sums (conventional partitions).
+    // Grouped all-reduce of partial sums (conventional partitions):
+    // each group reduces to its leader, then broadcasts the sum back,
+    // as two batches of hops on the "allreduce" channel. Every worker
+    // stages the members in the same ascending order, so the leader's
+    // owner adds the partials in exactly the order a one-worker run
+    // would.
     if (comm.allReduce.has_value()) {
         const AllReduceSpec &spec = *comm.allReduce;
         const std::string &out_key = names[out_id];
@@ -667,96 +668,32 @@ SpmdOpExecutor::runPass(int pass_index,
                     continue;
                 const double g0 = tracing ? observerNowUs() : 0.0;
                 const std::int64_t leader = group[0];
-                const bool leader_local = ownsDev(leader);
-                for (std::size_t i = 1; i < group.size(); ++i)
+                std::vector<ShiftSet> reduce(1), broadcast(1);
+                reduce[0].tensor = broadcast[0].tensor = pass.output;
+                reduce[0].elementsPerTransfer = spec.elementsPerDevice;
+                for (std::size_t i = 1; i < group.size(); ++i) {
                     PRIMEPAR_ASSERT(out_store[group[i]].tuple ==
                                         out_store[leader].tuple,
                                     "all-reduce group block mismatch");
-                // Reduce to the group leader with a fixed order, then
-                // broadcast — each hop is a tracked transfer. A
-                // sharded span takes part only in the hops that touch
-                // an owned rank; the members are still walked in the
-                // same ascending order on every worker, so the
-                // leader's owner adds the partials in exactly the
-                // order a one-worker run would.
-                Tensor sum;
-                if (leader_local)
-                    sum = out_store[leader].data;
-                for (std::size_t i = 1; i < group.size(); ++i) {
-                    const std::int64_t member = group[i];
-                    const bool member_local = ownsDev(member);
-                    if (!transport) {
-                        sum.add(out_store[member].data);
-                        continue;
-                    }
-                    if (!leader_local && !member_local)
-                        continue;
-                    TransferTag tag;
-                    tag.tensor = out_key;
-                    tag.channel = "allreduce";
-                    tag.phase = pass.phase;
-                    tag.temporalStep = steps;
-                    tag.sender = member;
-                    tag.receiver = leader;
-                    if (leader_local) {
-                        Tensor recv;
-                        if (!member_local)
-                            recv = Tensor(
-                                out_store[leader].data.shape());
-                        const Tensor empty;
-                        const Tensor &payload =
-                            member_local ? out_store[member].data
-                                         : empty;
-                        transport->transferInto(tag, payload, recv);
-                        sum.add(recv);
-                    } else {
-                        // Only the member is owned here: wire-send
-                        // its partial to the leader's owner.
-                        Tensor scratch;
-                        transport->transferInto(
-                            tag, out_store[member].data, scratch);
-                    }
+                    reduce[0].transfers.push_back({leader, group[i]});
+                    broadcast[0].transfers.push_back({group[i], leader});
                 }
-                for (std::size_t i = 0; i < group.size(); ++i) {
-                    const std::int64_t member = group[i];
-                    const bool member_local = ownsDev(member);
-                    if (!transport) {
-                        out_store[member].data = sum;
-                        continue;
-                    }
-                    if (i == 0) {
-                        if (leader_local)
-                            out_store[leader].data = sum;
-                        continue;
-                    }
-                    if (!leader_local && !member_local)
-                        continue;
-                    TransferTag tag;
-                    tag.tensor = out_key;
-                    tag.channel = "allreduce";
-                    tag.phase = pass.phase;
-                    tag.temporalStep = steps;
-                    tag.sender = leader;
-                    tag.receiver = member;
-                    if (leader_local && member_local) {
-                        transport->transferInto(
-                            tag, sum, out_store[member].data);
-                    } else if (leader_local) {
-                        Tensor scratch;
-                        transport->transferInto(tag, sum, scratch);
-                    } else {
-                        // Only the member is owned: receive the
-                        // reduced sum into its slot.
-                        const Tensor empty;
-                        transport->transferInto(
-                            tag, empty, out_store[member].data);
-                    }
-                }
-                commStats.allReduceElements +=
-                    spec.elementsPerDevice *
-                    static_cast<std::int64_t>(group.size() - 1);
+                // The group's one AllReduce span covers its hops.
+                ShiftBatch hops =
+                    stageShifts(reduce, "allreduce", pass.phase, steps);
+                hops.traced = false;
+                runShifts(hops);
+                for (PendingRecv &recv : hops.recvs)
+                    if (recv.commitData)
+                        out_store[leader].data.add(recv.staged);
+                commStats.allReduceElements += hops.elements;
+                hops = stageShifts(broadcast, "allreduce", pass.phase,
+                                   steps);
+                hops.traced = false;
+                runShifts(hops);
+                commitShifts(hops);
                 if (tracing)
-                    health->span(group[0], SpanKind::AllReduce,
+                    health->span(leader, SpanKind::AllReduce,
                                  out_key + " allreduce", g0,
                                  observerNowUs());
             }
@@ -792,10 +729,9 @@ SpmdOpExecutor::reset()
 void
 SpmdOpExecutor::runPhase(Phase phase)
 {
-    const std::map<std::string, Tensor> none;
     for (std::size_t p = 0; p < op.passes.size(); ++p) {
         if (op.passes[p].phase == phase)
-            runPass(static_cast<int>(p), none);
+            runPass(static_cast<int>(p));
     }
 }
 
@@ -832,9 +768,21 @@ TrainStepResult
 SpmdOpExecutor::run(const std::map<std::string, Tensor> &inputs)
 {
     reset();
-
-    for (std::size_t p = 0; p < op.passes.size(); ++p)
-        runPass(static_cast<int>(p), inputs);
+    // The inputs are the operands no pass produces, placed in the
+    // order the passes first read them.
+    for (const PassSpec &pass : op.passes)
+        for (const TensorRef &ref : pass.operands) {
+            const bool produced = std::any_of(
+                op.passes.begin(), op.passes.end(),
+                [&](const PassSpec &p) { return p.output == ref; });
+            if (produced || !stores[tensorId(ref)].empty())
+                continue;
+            const auto it = inputs.find(names[tensorId(ref)]);
+            placeFull(ref, firstUse(ref),
+                      it == inputs.end() ? nullptr : &it->second);
+        }
+    for (Phase phase : {Phase::Forward, Phase::Backward, Phase::Gradient})
+        runPhase(phase);
 
     TrainStepResult result;
     result.output = gather({op.outputTensor, false});

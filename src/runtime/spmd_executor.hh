@@ -89,6 +89,19 @@ class SpmdOpExecutor
      *           softmax)
      * @param seq partition sequence over 2^num_bits devices
      * @param num_bits device-id bit count
+     * @param transport carries every inter-device transfer (ring
+     *        shifts, accumulator migrations, transition shifts,
+     *        all-reduce hops, gathers; not owned). nullptr = direct
+     *        in-process copies over all devices. Its ownedDevices()
+     *        span is the ranks this process materializes tensor data
+     *        for: a narrowed span (multi-process execution) keeps the
+     *        partition tuples of all 2^n devices but allocates data,
+     *        undo-log copies and staging buffers only inside it. When
+     *        the transport is fault tolerant, each temporal step keeps
+     *        an undo log of the state it changes in place (the pass
+     *        output's slots, the layernorm aux slots, the traffic
+     *        counters), so an exhausted transfer retry rolls the step
+     *        back and re-executes it instead of aborting.
      * @param overlap_comm where a step's operand shifts run
      *        (construction-time; see ExecutionOptions::overlapComm).
      *        Every shift is staged and committed the same way; on, the
@@ -97,23 +110,18 @@ class SpmdOpExecutor
      *        inline after compute. Same transfers, same order, same
      *        bits either way, and a transfer fault rolls back exactly
      *        the step it belongs to.
-     * @param owned device ranks this process materializes tensor data
-     *        for. The default span owns every rank (single owner); a
-     *        narrowed span (multi-process execution) keeps the
-     *        partition tuples of all 2^n devices but allocates data,
-     *        undo-log copies and staging buffers only inside the
-     *        span — non-local transfer endpoints then require a
-     *        Transport (setTransport) that can reach their owners.
      */
     SpmdOpExecutor(OpSpec op, PartitionSeq seq, int num_bits,
-                   bool overlap_comm = true, DeviceSpan owned = {});
+                   Transport *transport = nullptr,
+                   bool overlap_comm = true);
 
     /**
      * Run one training step.
      *
      * @param inputs full (unpartitioned) tensors keyed by name: every
      *        forward operand (e.g. "I", "W") plus "dO", the upstream
-     *        gradient of the output.
+     *        gradient of the output. Each is placed as placeWhole()
+     *        places it before the three phases run.
      */
     TrainStepResult run(const std::map<std::string, Tensor> &inputs);
 
@@ -188,18 +196,6 @@ class SpmdOpExecutor
     void setThreadPool(ThreadPool *pool_in) { pool = pool_in; }
 
     /**
-     * Route all inter-device transfers (ring shifts, accumulator
-     * migrations, transition shifts, all-reduce gathers/broadcasts)
-     * through @p t (not owned; nullptr = direct in-process copies).
-     * When the transport is fault tolerant, each temporal step keeps
-     * an undo log of the state it changes in place (the pass output's
-     * slots, the layernorm aux slots, the traffic counters), so an
-     * exhausted transfer retry rolls the step back and re-executes it
-     * instead of aborting.
-     */
-    void setTransport(Transport *t) { transport = t; }
-
-    /**
      * Report this executor's events to @p h (not owned; nullptr =
      * none): every pass output — activation, input gradient, weight
      * gradient — at its phase boundary (h's guard scans it for
@@ -253,13 +249,15 @@ class SpmdOpExecutor
         /** Issue a transport call for this transfer (false when the
          *  sharded span owns neither endpoint: tuple-only update). */
         bool doTransfer = true;
-        /** Swap staged data into the receiver slot at the commit
-         *  (false when the receiver is not owned: the staged tensor
-         *  was only the send-side scratch). */
+        /** Swap staged data into the receiver slot at the commit, or
+         *  hand it to the all-reduce's sum (false when the receiver is
+         *  not owned: the staged tensor was only the send-side
+         *  scratch). */
         bool commitData = true;
     };
 
-    /** One step's shifts on one channel ("ring" or "acc"). */
+    /** One step's shifts on one channel ("ring", "acc", or an
+     *  all-reduce group's hops on "allreduce"). */
     struct ShiftBatch
     {
         const char *channel = "";
@@ -306,11 +304,10 @@ class SpmdOpExecutor
      *  otherwise. Sends read the live stores, which is legal because
      *  nothing writes a moved tensor until the commit. */
     void runShifts(ShiftBatch &batch);
-    /** Swap the staged receives and tuples into the stores and count
-     *  the batch's traffic. Never throws. */
+    /** Swap the staged receives and tuples into the stores. Never
+     *  throws. */
     void commitShifts(ShiftBatch &batch);
-    void runPass(int pass_index,
-                 const std::map<std::string, Tensor> &inputs);
+    void runPass(int pass_index);
     Tensor computeLocal(const PassSpec &pass, std::int64_t dev);
     /** Full (unpartitioned) shape of the tensor behind @p ref. */
     Shape fullShape(const TensorRef &ref) const;
@@ -335,8 +332,8 @@ class SpmdOpExecutor
     /** True when spans are wanted (an observer is attached). */
     bool observed() const { return health && health->observed(); }
 
-    /** Owned-span helpers. The default span owns every rank, so
-     *  these collapse to [0, numDevices). */
+    /** Owned-span helpers. Without a transport the span owns every
+     *  rank, so these collapse to [0, numDevices). */
     bool ownsDev(std::int64_t dev) const { return ownedSpan.owns(dev); }
     std::int64_t
     ownedFirst() const
@@ -361,10 +358,11 @@ class SpmdOpExecutor
     CommVolume commStats;
     LayerNormAux aux;
     ThreadPool *pool = nullptr;
-    Transport *transport = nullptr;
+    Transport *const transport;
     const bool overlapComm;
-    /** Ranks whose tensor data this process materializes; default =
-     *  all (single owner). Partition tuples stay global either way. */
+    /** Ranks whose tensor data this process materializes: the
+     *  transport's span, all without one. Partition tuples stay global
+     *  either way. */
     const DeviceSpan ownedSpan;
     /** The dedicated communication thread (lazily started). Only one
      *  batch is ever in flight and every other transfer runs strictly

@@ -104,9 +104,8 @@ BlockTrainer::buildExecutor(const DeviceFailedError *cause)
     transport = opts.transportFactory(bits_, cause, injector, &health_);
     RuntimeOptions rt = opts.runtime;
     rt.numBits = bits_;
-    rt.execution.ownedDevices = transport->ownedDevices();
-    exec = std::make_unique<SpmdGraphExecutor>(graph, strategies, rt);
-    exec->setTransport(transport.get());
+    exec = std::make_unique<SpmdGraphExecutor>(graph, strategies, rt,
+                                               transport.get());
     // One sink serves the whole stack; its address is stable, so
     // observers attached later still reach a rebuilt executor.
     exec->setHealth(&health_);

@@ -75,9 +75,9 @@ struct TrainerOptions
      * the failed device's owner and return a transport for the new
      * world. The injector and health sink passed in are the trainer's
      * own, so fault accounting stays unified across rebuilds. The
-     * returned transport's ownedDevices() span is forwarded into the
-     * executors, so a sharded transport automatically narrows what
-     * this process materializes.
+     * executors take the returned transport at construction and read
+     * their device span from it, so a sharded transport automatically
+     * narrows what this process materializes.
      */
     std::function<std::unique_ptr<Transport>(
         int bits, const DeviceFailedError *cause,

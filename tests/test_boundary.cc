@@ -306,7 +306,9 @@ TEST(Boundary, CopiesMoveWhatPlanRedistributionPrices)
     for (int bits : {2, 4}) {
         SCOPED_TRACE(bits);
         const auto plan = defaultBlockPlan(graph, bits);
-        SpmdGraphExecutor exec(graph, plan, bits);
+        RuntimeOptions rt;
+        rt.numBits = bits;
+        SpmdGraphExecutor exec(graph, plan, rt);
         (void)exec.run(io);
         const std::vector<EdgeVolume> &volume = exec.boundaryVolume();
         ASSERT_EQ(volume.size(), graph.edges().size());

@@ -24,6 +24,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -40,6 +41,7 @@
 #include "runtime/net.hh"
 #include "runtime/observer.hh"
 #include "runtime/tcp_transport.hh"
+#include "runtime/trainer.hh"
 #include "support/json.hh"
 
 #ifndef PRIMEPAR_WORKER_BIN
@@ -513,6 +515,170 @@ TEST(TcpTransport, ExchangeKeepsEveryPairSequence)
                 EXPECT_GT(ex[static_cast<std::size_t>(w)].rollbacks, 0)
                     << "worker " << w;
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The pinned transfer sequence of one training step
+
+/**
+ * Digests every transfer one process reports: channel, tensor, phase,
+ * temporal step, sender, receiver and bytes. An all-gather exchange may
+ * complete different peers' transfers in either order, while each
+ * pair's own order is fixed, so each stream — the transfers with one
+ * other worker, or among this worker's own devices — is hashed
+ * (FNV-1a) in its own order, and the streams fold in worker order.
+ */
+class TransferDigest : public RuntimeObserver
+{
+  public:
+    /** Worker @p self of workers owning @p per_worker devices each. */
+    TransferDigest(std::int64_t self_in, std::int64_t per_worker)
+        : self(self_in), perWorker(per_worker)
+    {
+    }
+
+    void
+    onTransfer(const TransferTag &tag, std::int64_t bytes, std::int64_t,
+               int, double) override
+    {
+        const std::int64_t from = tag.sender / perWorker;
+        const std::int64_t to = tag.receiver / perWorker;
+        std::uint64_t &h =
+            streams.try_emplace(from == self ? to : from, kBasis)
+                .first->second;
+        mix(h, tag.channel, std::strlen(tag.channel) + 1);
+        mix(h, tag.tensor.c_str(), tag.tensor.size() + 1);
+        const std::int64_t fields[] = {static_cast<std::int64_t>(tag.phase),
+                                       tag.temporalStep, tag.sender,
+                                       tag.receiver, bytes};
+        mix(h, fields, sizeof fields);
+        ++counts[tag.channel];
+    }
+
+    std::uint64_t
+    digest() const
+    {
+        std::uint64_t h = kBasis;
+        for (const auto &[peer, stream] : streams) {
+            mix(h, &peer, sizeof peer);
+            mix(h, &stream, sizeof stream);
+        }
+        return h;
+    }
+
+    /** Transfers per channel. */
+    std::map<std::string, std::int64_t> counts;
+
+  private:
+    static constexpr std::uint64_t kBasis = 0xcbf29ce484222325ull;
+
+    static void
+    mix(std::uint64_t &h, const void *data, std::size_t n)
+    {
+        const auto *p = static_cast<const unsigned char *>(data);
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= p[i];
+            h *= 0x100000001b3ull;
+        }
+    }
+
+    std::int64_t self, perWorker;
+    std::map<std::int64_t, std::uint64_t> streams;
+};
+
+/** One step of a small block on 16 devices: the default plan. */
+TrainerOptions
+sequenceJob()
+{
+    TrainerOptions opts;
+    opts.model.name = "seq-pin";
+    opts.model.hiddenSize = 32;
+    opts.model.numHeads = 4;
+    opts.model.ffnSize = 64;
+    opts.model.seqLength = 8;
+    opts.model.numLayers = 1;
+    opts.batch = 4;
+    opts.seed = 17;
+    opts.runtime.numBits = 4;
+    return opts;
+}
+
+TEST(TcpTransport, ShardedStepKeepsTheTransferSequence)
+{
+    // One fault-free step, in-process on 16 devices and sharded over
+    // four loopback workers of four devices each, must issue the
+    // transfers pinned here — ring and accumulator shifts, the
+    // all-reduce's reduce and broadcast hops (send-only and
+    // receive-only roles included) and the boundary all-gathers — and
+    // the sharded losses must equal the in-process one bit for bit.
+    TransferDigest whole(0, 16);
+    double want = 0.0;
+    {
+        BlockTrainer trainer(sequenceJob());
+        trainer.addObserver(&whole);
+        want = trainer.trainStep().loss;
+    }
+    EXPECT_EQ(whole.digest(), 0x3e8977e1cd66cbd8ull);
+    EXPECT_EQ(whole.counts, (std::map<std::string, std::int64_t>{
+                                {"acc", 64}, {"allreduce", 156},
+                                {"ring", 448}}));
+
+    constexpr int kWorkers = 4;
+    std::vector<NetListener> listeners(kWorkers);
+    DistWorld world;
+    world.generation = 1;
+    world.numBits = 4;
+    for (int w = 0; w < kWorkers; ++w) {
+        listeners[static_cast<std::size_t>(w)].open(0);
+        world.workers.push_back(
+            {w, "127.0.0.1", listeners[static_cast<std::size_t>(w)].port(),
+             4 * w, 4});
+    }
+    DistOptions dopts;
+    dopts.transferDeadlineMs = 5000;
+    dopts.connectTimeoutMs = 5000;
+    std::vector<TransferDigest> sides;
+    for (int w = 0; w < kWorkers; ++w)
+        sides.emplace_back(w, 4);
+    std::vector<double> losses(kWorkers, 0.0);
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kWorkers; ++w) {
+        threads.emplace_back([&, w] {
+            TrainerOptions opts = sequenceJob();
+            DistWorld mine = world;
+            mine.myWorker = w;
+            opts.transportFactory =
+                [&, mine](int, const DeviceFailedError *,
+                          std::shared_ptr<FaultInjector> injector,
+                          RuntimeHealth *health)
+                -> std::unique_ptr<Transport> {
+                return std::make_unique<TcpTransport>(
+                    TransportOptions{}, dopts, mine,
+                    &listeners[static_cast<std::size_t>(mine.myWorker)],
+                    injector, health);
+            };
+            BlockTrainer trainer(opts);
+            trainer.addObserver(&sides[static_cast<std::size_t>(w)]);
+            losses[static_cast<std::size_t>(w)] = trainer.trainStep().loss;
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    const std::uint64_t digests[kWorkers] = {
+        0x08490f8bce847394ull, 0x9edb5425611f20deull,
+        0xa5d2e684f854452aull, 0x8b428f7591eb7f59ull};
+    for (int w = 0; w < kWorkers; ++w) {
+        SCOPED_TRACE("worker " + std::to_string(w));
+        const TransferDigest &side = sides[static_cast<std::size_t>(w)];
+        EXPECT_EQ(side.digest(), digests[w]);
+        EXPECT_EQ(side.counts,
+                  (std::map<std::string, std::int64_t>{
+                      {"acc", 32},
+                      {"allreduce", w == 0 ? 84 : 40},
+                      {"gather", 864},
+                      {"ring", 224}}));
+        EXPECT_EQ(losses[static_cast<std::size_t>(w)], want);
     }
 }
 

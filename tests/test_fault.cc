@@ -58,9 +58,11 @@ struct BlockCase
         RuntimeHealth *health, int threads = 1, bool overlap = true,
         CommVolume *volume = nullptr)
     {
-        SpmdGraphExecutor exec(graph, plan, 2, threads, overlap);
-        if (transport)
-            exec.setTransport(transport);
+        RuntimeOptions rt;
+        rt.numBits = 2;
+        rt.execution.numThreads = threads;
+        rt.execution.overlapComm = overlap;
+        SpmdGraphExecutor exec(graph, plan, rt, transport);
         if (health)
             exec.setHealth(health);
         exec.beginStep(0);

@@ -70,7 +70,9 @@ TEST(GraphExecutor, MlpChainMatchesHandReference)
          PartitionSeq({PartitionStep::pSquare(1)})},
     };
     for (const auto &plan : plans) {
-        SpmdGraphExecutor exec(g, plan, 2);
+        RuntimeOptions rt;
+        rt.numBits = 2;
+        SpmdGraphExecutor exec(g, plan, rt);
         const GraphResult got = exec.run(io);
         EXPECT_TRUE(got.output.allClose(y, 1e-3f, 1e-4f));
         EXPECT_TRUE(got.d_input.allClose(dx, 1e-3f, 1e-4f));
@@ -130,7 +132,9 @@ struct BlockFixture
     SpmdGraphExecutor
     makeExec(const std::vector<PartitionSeq> &plan, int bits)
     {
-        SpmdGraphExecutor exec(graph, plan, bits);
+        RuntimeOptions rt;
+        rt.numBits = bits;
+        SpmdGraphExecutor exec(graph, plan, rt);
         return exec;
     }
 
@@ -154,7 +158,9 @@ TEST(GraphExecutor, MissingOrMisshapenInputsThrowInputError)
     good.input = Tensor::random(act, rng);
     good.params = randomBlockParams(g, rng);
     good.d_output = Tensor::random(act, rng);
-    SpmdGraphExecutor exec(g, plan, 2);
+    RuntimeOptions rt;
+    rt.numBits = 2;
+    SpmdGraphExecutor exec(g, plan, rt);
 
     // Each case breaks one tensor; the error names it, the phase that
     // first reads it and both shapes.
@@ -297,13 +303,17 @@ TEST(GraphExecutor, BitIdenticalAcrossThreadCounts)
     const auto plan = megatronStrategies(f.graph, {2, 2});
     ASSERT_TRUE(plan.has_value());
 
+    RuntimeOptions rt;
+    rt.numBits = 2;
     GraphResult ref;
     {
-        SpmdGraphExecutor serial(f.graph, *plan, 2, 1);
+        rt.execution.numThreads = 1;
+        SpmdGraphExecutor serial(f.graph, *plan, rt);
         ref = serial.run(f.io);
     }
     for (const int threads : {2, 0}) {
-        SpmdGraphExecutor exec(f.graph, *plan, 2, threads);
+        rt.execution.numThreads = threads;
+        SpmdGraphExecutor exec(f.graph, *plan, rt);
         const GraphResult got = exec.run(f.io);
         EXPECT_EQ(got.output.maxAbsDiff(ref.output), 0.0f)
             << "threads=" << threads;

@@ -84,14 +84,12 @@ TEST(Observer, ExecutorEmitsSpansOfEveryRuntimeKind)
     RuntimeHealth health;
     health.addObserver(&tracer);
     InProcessTransport transport;
-    SpmdOpExecutor exec(op, parseSequence(op, "P2x2"), 2);
-    exec.setTransport(&transport);
+    SpmdOpExecutor exec(op, parseSequence(op, "P2x2"), 2, &transport);
     exec.setHealth(&health);
     (void)exec.run(inputs);
     // A contracted split all-reduces the partial outputs (PSquare
     // instead migrates accumulators, so it emits no AllReduce span).
-    SpmdOpExecutor split(op, parseSequence(op, "N,N"), 2);
-    split.setTransport(&transport);
+    SpmdOpExecutor split(op, parseSequence(op, "N,N"), 2, &transport);
     split.setHealth(&health);
     (void)split.run(inputs);
 
@@ -183,8 +181,7 @@ TEST(Observer, MetricsCountersAreThreadCountInvariant)
         health.addObserver(&metrics);
         InProcessTransport transport({}, nullptr, &health);
         ThreadPool pool(threads);
-        SpmdOpExecutor exec(op, seq, 2);
-        exec.setTransport(&transport);
+        SpmdOpExecutor exec(op, seq, 2, &transport);
         if (threads > 1)
             exec.setThreadPool(&pool);
         exec.setHealth(&health);
@@ -387,7 +384,6 @@ TEST(Observer, NestedRuntimeOptionsCarryEverySection)
     EXPECT_EQ(opts.runtime.numBits, 3);
     EXPECT_EQ(opts.runtime.execution.numThreads, 4);
     EXPECT_FALSE(opts.runtime.execution.overlapComm);
-    EXPECT_TRUE(opts.runtime.execution.ownedDevices.all());
     EXPECT_EQ(opts.runtime.checkpoint.path, "ck.ppck");
     EXPECT_EQ(opts.runtime.checkpoint.every, 5);
     EXPECT_EQ(opts.runtime.checkpoint.maxReplans, 1);

@@ -431,16 +431,13 @@ TEST(SpmdExecutor, AsyncOverlapIsBitIdenticalToSync)
             ThreadPool pool(2);
             InProcessTransport transport({}, nullptr, nullptr);
 
-            SpmdOpExecutor sync_exec(op, seq, 4,
+            Transport *via = use_transport ? &transport : nullptr;
+            SpmdOpExecutor sync_exec(op, seq, 4, via,
                                      /*overlap_comm=*/false);
-            SpmdOpExecutor async_exec(op, seq, 4);
+            SpmdOpExecutor async_exec(op, seq, 4, via);
             if (threads > 1) {
                 sync_exec.setThreadPool(&pool);
                 async_exec.setThreadPool(&pool);
-            }
-            if (use_transport) {
-                sync_exec.setTransport(&transport);
-                async_exec.setTransport(&transport);
             }
             const auto want = sync_exec.run(inputs);
             const auto got = async_exec.run(inputs);
